@@ -21,13 +21,10 @@ replaying the arbitrage trade on an actual pool and valuing both portfolios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NonPositiveDelta, NonPositiveInput, NonPositivePrice, RateMismatch
-from .pool import PoolState, arbitrage_input_for_rate, execute_swap, pool_value, rate_of
-
-#: Pool rate must match the market rate this closely for an arbitrage replay.
-ARBITRAGE_AXIOM_TOL = 1e-9
+from .pool import RATE_MATCH_TOL, PoolState, arbitrage_to_rate, pool_value, rate_of
 
 
 @dataclass(frozen=True)
@@ -112,18 +109,14 @@ def il_brute_force(scenario: PriceScenario, pool: PoolState) -> IlReport:
     """
     market_rate = scenario.p_y0 / scenario.p_x0
     pool_rate = rate_of(pool)
-    if abs(pool_rate - market_rate) > ARBITRAGE_AXIOM_TOL * market_rate:
+    if abs(pool_rate - market_rate) > RATE_MATCH_TOL * market_rate:
         raise RateMismatch(
             f"pool rate {pool_rate} does not match market rate {market_rate}"
         )
     p_x1, p_y1 = scenario.p_x_final, scenario.p_y_final
-    free_pool = replace(pool, fee_rate=0)
-    trade = arbitrage_input_for_rate(free_pool, p_y1 / p_x1)
-    if trade is not None:
-        direction, amount = trade
-        free_pool, _ = execute_swap(free_pool, direction, amount)
+    arbitraged = arbitrage_to_rate(pool, p_y1 / p_x1)
     v0 = pool_value(pool, scenario.p_x0, scenario.p_y0)
-    v_pooled = pool_value(free_pool, p_x1, p_y1) / v0
+    v_pooled = pool_value(arbitraged, p_x1, p_y1) / v0
     v_held = pool_value(pool, p_x1, p_y1) / v0
     loss = (v_pooled - v_held) / v_held
     return IlReport(v_pooled=v_pooled, v_held=v_held, relative_loss=loss)

@@ -53,7 +53,10 @@ from .scenario import load_script, run_scenario, snapshots_to_csv
 def _num(text: str) -> Numeric:
     """Parse a CLI number; a ``/`` selects the exact rational backend."""
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as err:
+            raise ValueError(f"zero denominator in {text!r}") from err
     return float(text)
 
 

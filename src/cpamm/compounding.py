@@ -29,8 +29,9 @@ return a marginally small participant of that kind would see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 from .errors import InvalidStep, NoConvergence, NonPositiveInput
 
@@ -90,67 +91,51 @@ class RoiTrajectory:
         return self.samples[-1]
 
 
-def _rho_c_limit(alpha: float, t: float) -> float:
-    # frac -> 0: a vanishing compounder grows against a fixed pool.
-    return math.exp(alpha * t)
-
-
-def _rho_nc_limit(alpha: float, t: float) -> float:
-    # frac -> 1: a vanishing holdout earns the pool's diluting fee share.
-    return 1 + math.log(1 + alpha * t)
-
-
 def _sample_at(params: RoiParams, t: float, l_c: float, fees_nc: float) -> RoiSample:
+    # A vanishing population reports its analytic limit: a lone compounder
+    # grows against a fixed pool, a lone holdout earns the diluting fee share.
     frac = params.frac_compounding
-    if frac == 0:
-        rho_c = _rho_c_limit(params.alpha, t)
-        rho_nc = 1 + fees_nc / params.l_nc
-    elif frac == 1:
-        rho_c = l_c / params.l_c0
-        rho_nc = _rho_nc_limit(params.alpha, t)
-    else:
-        rho_c = l_c / params.l_c0
-        rho_nc = 1 + fees_nc / params.l_nc
+    rho_c = math.exp(params.alpha * t) if frac == 0 else l_c / params.l_c0
+    rho_nc = 1 + math.log(1 + params.alpha * t) if frac == 1 else 1 + fees_nc / params.l_nc
     return RoiSample(t=t, l_c=l_c, rho_c=rho_c, rho_nc=rho_nc, fees_nc=fees_nc)
 
 
-def _time_grid(horizon: float, step: float) -> Tuple[float, ...]:
+def _is_linear(params: RoiParams) -> bool:
+    return params.frac_compounding in (0, 1) or params.alpha == 0
+
+
+def _closed_form(params: RoiParams, t: float) -> Tuple[float, float]:
+    """``(L_c, F_nc)`` at ``t`` for the populations whose ODE is linear."""
+    if params.frac_compounding == 1:
+        return params.l_c0 + params.alpha * params.l_total0 * t, 0.0
+    if params.frac_compounding == 0 and params.alpha != 0:
+        return params.l_c0, params.alpha * params.l_total0 * t
+    return params.l_c0, 0.0
+
+
+def _time_grid(horizon: float, step: float) -> Iterator[float]:
     if horizon == 0:
-        return (0.0,)
+        yield 0.0
+        return
     whole = int(horizon / step)
-    times = [i * step for i in range(whole + 1)]
-    if times[-1] < horizon - 1e-12 * horizon:
-        times.append(horizon)
-    else:
-        times[-1] = horizon
-    return tuple(times)
+    for i in range(whole):
+        yield i * step
+    if whole * step < horizon - 1e-12 * horizon:
+        yield whole * step
+    yield horizon
 
 
-def integrate_lc(params: RoiParams) -> RoiTrajectory:
-    """Integrate the compounding ODE with fixed-step RK4 over the horizon.
-
-    Every step is recorded.  The final sample lands exactly on the horizon
-    (the last step is shortened if needed).
+def _trajectory(params: RoiParams, horizon: float) -> Iterator[Tuple[float, float, float]]:
+    """Yield ``(t, L_c, F_nc)`` at every grid point from 0 to ``horizon``,
+    by RK4 with the params' step or by the closed form when the ODE is linear.
     """
-    rate = params.alpha * params.l_total0
-    times = _time_grid(params.horizon, params.step)
-    frac = params.frac_compounding
-
-    if frac == 0 or frac == 1 or params.alpha == 0:
-        # Linear analytic solutions; no ODE needed.
-        samples = []
+    times = _time_grid(horizon, params.step)
+    if _is_linear(params):
         for t in times:
-            if frac == 1:
-                l_c = params.l_c0 + rate * t
-                fees_nc = 0.0
-            else:
-                l_c = params.l_c0
-                fees_nc = rate * t if frac == 0 else 0.0
-            if params.alpha == 0:
-                fees_nc = 0.0
-            samples.append(_sample_at(params, t, l_c, fees_nc))
-        return RoiTrajectory(samples=tuple(samples))
+            yield (t, *_closed_form(params, t))
+        return
 
+    rate = params.alpha * params.l_total0
     l_nc = params.l_nc
 
     def slopes(l_c: float) -> Tuple[float, float]:
@@ -159,8 +144,9 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
 
     l_c = params.l_c0
     fees_nc = 0.0
-    samples = [_sample_at(params, times[0], l_c, fees_nc)]
-    for prev, t in zip(times, times[1:]):
+    prev = next(times)
+    yield prev, l_c, fees_nc
+    for t in times:
         h = t - prev
         k1, j1 = slopes(l_c)
         k2, j2 = slopes(l_c + 0.5 * h * k1)
@@ -168,8 +154,18 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
         k4, j4 = slopes(l_c + h * k3)
         l_c += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         fees_nc += h / 6 * (j1 + 2 * j2 + 2 * j3 + j4)
-        samples.append(_sample_at(params, t, l_c, fees_nc))
-    return RoiTrajectory(samples=tuple(samples))
+        yield t, l_c, fees_nc
+        prev = t
+
+
+def integrate_lc(params: RoiParams) -> RoiTrajectory:
+    """Integrate the compounding ODE with fixed-step RK4 over the horizon.
+
+    Every step is recorded.  The final sample lands exactly on the horizon
+    (the last step is shortened if needed).
+    """
+    points = _trajectory(params, params.horizon)
+    return RoiTrajectory(samples=tuple(_sample_at(params, *point) for point in points))
 
 
 def lc_implicit_solve(params: RoiParams, t: float) -> float:
@@ -214,27 +210,18 @@ def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[flo
 
     ``method`` picks the solution path for ``L_c``: ``"implicit"`` (default)
     solves the closed implicit equation, ``"rk4"`` integrates to ``t`` with
-    the params' step.  The two agree to well below 1e-8 relative.
+    the params' step and keeps only the final point.  The two agree to well
+    below 1e-8 relative.
     """
     if t < 0:
         raise NonPositiveInput(f"time must be >= 0, got {t}")
-    frac = params.frac_compounding
-    rate = params.alpha * params.l_total0
-    if frac == 0 or frac == 1 or params.alpha == 0:
-        if frac == 1:
-            l_c, fees_nc = params.l_c0 + rate * t, 0.0
-        else:
-            l_c, fees_nc = params.l_c0, rate * t if frac == 0 else 0.0
-        if params.alpha == 0:
-            fees_nc = 0.0
-        sample = _sample_at(params, t, l_c, fees_nc)
-        return sample.rho_c, sample.rho_nc
-    if method == "implicit":
+    if _is_linear(params):
+        l_c, fees_nc = _closed_form(params, t)
+    elif method == "implicit":
         l_c = lc_implicit_solve(params, t)
-        fees_nc = rate * t - (l_c - params.l_c0)
+        fees_nc = params.alpha * params.l_total0 * t - (l_c - params.l_c0)
     elif method == "rk4":
-        final = integrate_lc(replace(params, horizon=t)).final
-        l_c, fees_nc = final.l_c, final.fees_nc
+        _, l_c, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
     else:
         raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
     sample = _sample_at(params, t, l_c, fees_nc)

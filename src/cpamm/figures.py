@@ -83,8 +83,8 @@ class FigureSpec:
             raise DomainError(
                 f"price change must stay above -100 percent, got {lo}"
             )
-        if self.alpha < 0 or self.t < 0:
-            raise DomainError("alpha and t must be non-negative")
+        if min(self.alpha, self.t, self.roi_compounding_pct, self.roi_not_compounding_pct) < 0:
+            raise DomainError("alpha, t and the ROI percentages must be non-negative")
         if not 0 <= self.frac_compounding <= 1:
             raise DomainError(
                 f"frac_compounding must lie in [0, 1], got {self.frac_compounding}"
@@ -126,19 +126,22 @@ def _emit_portfolio_one_coin(spec: FigureSpec):
     return ["price_change_pct", "not_investing", "providing_liquidity"], rows
 
 
+def _fee_model_rows(spec: FigureSpec, growth_c: GrowthParams, growth_nc: GrowthParams):
+    return [
+        [
+            pct,
+            hold_value_relative(scenario) * 100.0,
+            relative_evolution_compounded(scenario, growth_c) * 100.0,
+            relative_evolution_collected(scenario, growth_nc) * 100.0,
+        ]
+        for pct, scenario in _price_rows(spec)
+    ]
+
+
 def _emit_fee_model_comparison(spec: FigureSpec):
     growth = GrowthParams(alpha=spec.alpha, t=spec.t)
-    rows = []
-    for pct, scenario in _price_rows(spec):
-        rows.append(
-            [
-                pct,
-                hold_value_relative(scenario) * 100.0,
-                relative_evolution_compounded(scenario, growth) * 100.0,
-                relative_evolution_collected(scenario, growth) * 100.0,
-            ]
-        )
-    return ["price_change_pct", "not_investing", "uniswap_v2", "beaker"], rows
+    header = ["price_change_pct", "not_investing", "uniswap_v2", "beaker"]
+    return header, _fee_model_rows(spec, growth, growth)
 
 
 def _emit_roi_comparison(spec: FigureSpec):
@@ -155,20 +158,12 @@ def _emit_roi_comparison(spec: FigureSpec):
 
 
 def _emit_corrected_comparison(spec: FigureSpec):
-    scale_c = 100.0 + spec.roi_compounding_pct
-    gain_nc = spec.roi_not_compounding_pct
-    rows = []
-    for pct, scenario in _price_rows(spec):
-        delta = scenario.delta_y
-        root = delta ** 0.5
-        rows.append(
-            [
-                pct,
-                hold_value_relative(scenario) * 100.0,
-                scale_c * root,
-                100.0 * root + gain_nc * (delta + 1.0) / 2.0,
-            ]
-        )
+    # The fee-model comparison with alpha * t replaced by the one-year ROIs.
+    rows = _fee_model_rows(
+        spec,
+        GrowthParams(alpha=spec.roi_compounding_pct / 100, t=1),
+        GrowthParams(alpha=spec.roi_not_compounding_pct / 100, t=1),
+    )
     return ["price_change_pct", "not_investing", "compounding", "not_compounding"], rows
 
 

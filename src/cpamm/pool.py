@@ -51,8 +51,9 @@ from .errors import (
 
 Numeric = Union[float, Fraction]
 
-#: Relative tolerance for the deposit-ratio check in :func:`add_liquidity`.
-DEPOSIT_RATIO_TOL = 1e-9
+#: Relative tolerance wherever a ratio must match a rate: a deposit against
+#: the pool ratio, or a pool rate against the market rate.
+RATE_MATCH_TOL = 1e-9
 
 
 class Direction(str, Enum):
@@ -336,14 +337,14 @@ def add_liquidity(
     """Deposit ``(dx, dy)`` at the pool ratio; mints proportional shares.
 
     The deposit must not move the rate: ``dx / dy`` has to match
-    ``reserve_x / reserve_y`` within ``DEPOSIT_RATIO_TOL`` relative.
+    ``reserve_x / reserve_y`` within ``RATE_MATCH_TOL`` relative.
     """
     _require_active(pool)
     if dx <= 0 or dy <= 0:
         raise NonPositiveAmount(f"deposit amounts must be positive, got ({dx}, {dy})")
     growth_x = dx / pool.reserve_x
     growth_y = dy / pool.reserve_y
-    if abs(growth_x - growth_y) > DEPOSIT_RATIO_TOL * max(growth_x, growth_y):
+    if abs(growth_x - growth_y) > RATE_MATCH_TOL * max(growth_x, growth_y):
         raise RateMismatch(
             f"deposit ratio {dx}/{dy} does not match pool ratio "
             f"{pool.reserve_x}/{pool.reserve_y}"
@@ -419,3 +420,18 @@ def arbitrage_input_for_rate(
             return None
         return Direction.X_FOR_Y, amount
     return None
+
+
+def arbitrage_to_rate(pool: PoolState, target_rate: Numeric) -> PoolState:
+    """Drag the pool onto ``target_rate`` with one fee-free arbitrage trade.
+
+    The trade is sized by :func:`arbitrage_input_for_rate` and executed with
+    the fee zeroed, so it charges nothing and leaves the side ledger alone;
+    the returned pool carries the original fee rate.
+    """
+    free = replace(pool, fee_rate=0)
+    trade = arbitrage_input_for_rate(free, target_rate)
+    if trade is not None:
+        direction, amount = trade
+        free, _ = execute_swap(free, direction, amount)
+    return replace(free, fee_rate=pool.fee_rate)

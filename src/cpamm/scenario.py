@@ -21,23 +21,20 @@ import io
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError
 from .pool import (
+    RATE_MATCH_TOL,
     Direction,
     FeeModel,
     Numeric,
-    PoolState,
     SideLedger,
-    arbitrage_input_for_rate,
+    arbitrage_to_rate,
     create_pool,
     execute_swap,
     liquidity_of,
 )
-
-#: Initial pool rate must equal the market rate this closely.
-AXIOM_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ class _Replay:
     def __init__(self, script: ScenarioScript):
         market_rate = script.p_y0 / script.p_x0
         pool_rate = script.pool_x / script.pool_y
-        if abs(pool_rate - market_rate) > AXIOM_REL_TOL * market_rate:
+        if abs(pool_rate - market_rate) > RATE_MATCH_TOL * market_rate:
             raise ScriptError(
                 f"initial pool rate {pool_rate} does not match "
                 f"market rate {market_rate}"
@@ -147,8 +144,6 @@ class _Replay:
             else:
                 raise ScriptError(f"unknown event type {type(event).__name__}")
         except CpammError as err:
-            if isinstance(err, ScriptError) and str(err).startswith("event "):
-                raise
             raise type(err)(f"event {index}: {err}") from err
 
     def _move_prices(self, event: PriceMove) -> None:
@@ -158,13 +153,7 @@ class _Replay:
             )
         self.p_x = self.p_x * event.delta_x
         self.p_y = self.p_y * event.delta_y
-        target = self.p_y / self.p_x
-        free = replace(self.pool, fee_rate=0)
-        trade = arbitrage_input_for_rate(free, target)
-        if trade is not None:
-            direction, amount = trade
-            free, _ = execute_swap(free, direction, amount)
-        self.pool = replace(free, fee_rate=self.pool.fee_rate)
+        self.pool = arbitrage_to_rate(self.pool, self.p_y / self.p_x)
 
     def _collect(self, provider: str) -> None:
         share = self.pool.share_ledger.get(provider, 0) / self.pool.total_shares
@@ -239,8 +228,14 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
 _EVENT_KINDS = {"trade", "price_move", "collect_fees", "snapshot"}
 
 
+def _json_object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ScriptError(f"{what}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _parse_event(index: int, raw: dict) -> Event:
-    kind = raw.get("type")
+    kind = _json_object(f"event {index}", raw).get("type")
     if kind not in _EVENT_KINDS:
         raise ScriptError(f"event {index}: unknown type {kind!r}")
     try:
@@ -250,7 +245,7 @@ def _parse_event(index: int, raw: dict) -> Event:
             return Trade(
                 t=t,
                 direction=Direction(raw["direction"]),
-                amount_in=raw["amount"],
+                amount_in=float(raw["amount"]),
                 max_spread=None if spread is None else float(spread),
             )
         if kind == "price_move":
@@ -258,7 +253,7 @@ def _parse_event(index: int, raw: dict) -> Event:
         if kind == "collect_fees":
             return CollectFees(t=t, provider=str(raw["provider"]))
         return Snapshot(t=t, label=str(raw.get("label", f"snapshot-{index}")))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ScriptError(f"event {index}: {err}") from err
 
 
@@ -284,6 +279,7 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
     ``fee_model`` is ``auto_compound`` or ``collect_separately``; trade
     directions are ``y2x`` / ``x2y``; ``max_spread`` may be omitted or null
     for uncapped trades.  Timestamps are in years and must not decrease.
+    Every numeric field is read as a float.
     """
     if isinstance(source, io.TextIOBase):
         raw = source.read()
@@ -298,12 +294,13 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
     except json.JSONDecodeError as err:
         raise ScriptError(f"invalid JSON: {err}") from err
     try:
-        pool = doc["pool"]
-        prices = doc["prices"]
+        pool = _json_object("pool", doc["pool"])
+        prices = _json_object("prices", doc["prices"])
         fee_model = FeeModel(pool.get("fee_model", "auto_compound"))
-        events = tuple(
-            _parse_event(i, entry) for i, entry in enumerate(doc.get("events", ()))
-        )
+        entries = doc.get("events", [])
+        if not isinstance(entries, list):
+            raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
+        events = tuple(_parse_event(i, entry) for i, entry in enumerate(entries))
         return ScenarioScript(
             pool_x=float(pool["x"]),
             pool_y=float(pool["y"]),
@@ -314,7 +311,7 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
             events=events,
             provider=str(doc.get("provider", "lp")),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         if isinstance(err, ScriptError):
             raise
         raise ScriptError(f"malformed script: {err}") from err

@@ -213,3 +213,30 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_zero_denominator_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quote", "--x", "100", "--y", "100", "--direction", "y2x", "--amount", "1/0"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"events": [[1, 2]]},
+        {"events": [{"type": "trade", "t": 0, "direction": "y2x", "amount": None}]},
+        {"events": [{"type": "trade", "t": 0, "direction": "y2x", "amount": "five"}]},
+        {"pool": [1]},
+        {"events": "abc"},
+    ],
+)
+def test_malformed_script_exits_1(capsys, tmp_path, doc):
+    script = {"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}, **doc}
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run_cli(capsys, "run-scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")

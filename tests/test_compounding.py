@@ -1,6 +1,7 @@
 """Compounding-vs-collecting growth model: integrator, implicit root, ROI."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -168,3 +169,12 @@ def test_implicit_solver_rejects_zero_compounders():
 def test_roi_pair_rejects_unknown_method():
     with pytest.raises(NonPositiveInput):
         roi_pair(DEFAULT, 1.0, method="euler")
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.5, 0.99, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("step, t", [(1e-2, 1.0), (0.3, 1.0), (2.5, 1.0), (7e-4, 1.3)])
+def test_roi_pair_rk4_is_the_final_trajectory_point(frac, alpha, step, t):
+    params = RoiParams(frac_compounding=frac, alpha=alpha, horizon=5.0, step=step)
+    final = integrate_lc(replace(params, horizon=t)).final
+    assert roi_pair(params, t, method="rk4") == (final.rho_c, final.rho_nc)

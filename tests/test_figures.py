@@ -163,3 +163,9 @@ def test_emission_is_bit_identical():
     for figure_id in FIGURE_IDS:
         spec = default_figure_spec(figure_id)
         assert emit_figure(spec) == emit_figure(spec)
+
+
+@pytest.mark.parametrize("field", ["roi_compounding_pct", "roi_not_compounding_pct"])
+def test_negative_roi_pct_rejected(field):
+    with pytest.raises(DomainError):
+        default_figure_spec("corrected_fee_model_comparison", **{field: -1.0})

@@ -29,6 +29,7 @@ from cpamm import (
     reserves_from_rate_liquidity,
     reserves_from_value,
 )
+from cpamm.pool import RATE_MATCH_TOL, arbitrage_to_rate
 
 # strategies shared by the property tests
 reserves = st.floats(min_value=1.0, max_value=1e9, allow_nan=False)
@@ -345,3 +346,42 @@ def test_arbitrage_then_value_is_geometric_mean(x, y, move):
     value = pool_value(pool, 1.0, target)
     expected = 2 * math.sqrt(target * x * y)
     assert value == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("target", [4.0, 0.25, 1.7])
+def test_arbitrage_to_rate_lands_on_target(target):
+    pool = create_pool(120.0, 80.0, fee_rate=0.003)
+    moved = arbitrage_to_rate(pool, target)
+    assert abs(rate_of(moved) - target) <= RATE_MATCH_TOL * target
+    assert moved.fee_rate == 0.003
+    product = pool.reserve_x * pool.reserve_y
+    assert abs(moved.reserve_x * moved.reserve_y - product) <= 1e-12 * product
+
+
+def test_arbitrage_to_rate_leaves_side_ledger_untouched():
+    pool = create_pool(100.0, 100.0, fee_rate=0.003, fee_model=FeeModel.COLLECT_SEPARATELY)
+    pool, _ = execute_swap(pool, Direction.Y_FOR_X, 10.0)
+    assert pool.side_ledger.fees_y > 0
+    for target in (4.0, 0.25):
+        assert arbitrage_to_rate(pool, target).side_ledger == pool.side_ledger
+
+
+def test_arbitrage_to_rate_on_target_keeps_reserves():
+    pool = create_pool(100.0, 400.0, fee_rate=0.01)
+    moved = arbitrage_to_rate(pool, 0.25)
+    assert (moved.reserve_x, moved.reserve_y, moved.fee_rate) == (100.0, 400.0, 0.01)
+
+
+@pytest.mark.parametrize(
+    "target, reserves",
+    [
+        (Fraction(4), (Fraction(200), Fraction(50))),
+        (Fraction(1, 9), (Fraction(100, 3), Fraction(300))),
+    ],
+)
+def test_arbitrage_to_rate_exact_on_fractions(target, reserves):
+    pool = create_pool(Fraction(100), Fraction(100), fee_rate=Fraction(3, 1000))
+    moved = arbitrage_to_rate(pool, target)
+    assert (moved.reserve_x, moved.reserve_y) == reserves
+    assert rate_of(moved) == target
+    assert moved.fee_rate == Fraction(3, 1000)

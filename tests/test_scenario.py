@@ -260,3 +260,41 @@ def test_effective_alpha_rejects_empty_window():
         measure_effective_alpha(make_script(()), window=0.0)
     with pytest.raises(EmptyWindow):
         measure_effective_alpha(make_script(()), window=-1.0)
+
+
+def script_doc(**fields):
+    return {"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}, **fields}
+
+
+@pytest.mark.parametrize("entry", [[1, 2], 5, "trade", None])
+def test_non_object_event_names_its_index(entry):
+    doc = script_doc(events=[{"type": "snapshot", "t": 0}, entry])
+    with pytest.raises(ScriptError, match="^event 1: "):
+        load_script(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("amount", [None, "five", 10**400], ids=["null", "text", "huge"])
+def test_bad_trade_amount_names_its_index(amount):
+    doc = script_doc(events=[{"type": "trade", "t": 0, "direction": "y2x", "amount": amount}])
+    with pytest.raises(ScriptError, match="^event 0: "):
+        load_script(io.StringIO(json.dumps(doc)))
+
+
+def test_string_amount_replays_as_float():
+    def csv_for(amount):
+        trade = {"type": "trade", "t": 0, "direction": "y2x", "amount": amount}
+        script = load_script(io.StringIO(json.dumps(script_doc(events=[trade]))))
+        return script.events[0].amount_in, snapshots_to_csv(run_scenario(script))
+
+    amount, csv = csv_for("5")
+    assert amount == 5.0 and isinstance(amount, float)
+    assert csv == csv_for(5)[1]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("pool", [1]), ("pool", "x"), ("prices", [1]), ("events", "abc"), ("events", {})],
+)
+def test_non_object_sections_rejected(field, value):
+    with pytest.raises(ScriptError, match=f"^{field}: "):
+        load_script(io.StringIO(json.dumps(script_doc(**{field: value}))))
