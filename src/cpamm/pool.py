@@ -21,16 +21,20 @@ under ``FeeModel.COLLECT_SEPARATELY`` it accrues in a side ledger outside
 the reserves.
 
 All operations are value-level: they never mutate a ``PoolState``, they
-return a new one.  Arithmetic is duck-typed, so a pool built from
-``fractions.Fraction`` values runs the swap path exactly (the swap equations
-are rational); square roots fall back to floats unless the operand is a
-perfect rational square.
+return a new one.  The value types are frozen, slotted dataclasses, and every
+operation builds its result with a direct constructor call: on the swap path
+that is about twice as fast as the generic copy-with-changes helper of the
+``dataclasses`` module.
+
+Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
+runs the swap path exactly (the swap equations are rational); square roots
+fall back to floats unless the operand is a perfect rational square.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -68,7 +72,7 @@ class FeeModel(str, Enum):
     COLLECT_SEPARATELY = "collect_separately"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SideLedger:
     """Fees accrued outside the reserves (collect-separately pools only)."""
 
@@ -76,7 +80,7 @@ class SideLedger:
     fees_y: Numeric = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolState:
     reserve_x: Numeric
     reserve_y: Numeric
@@ -91,7 +95,7 @@ class PoolState:
         return self.reserve_x > 0 and self.reserve_y > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapQuote:
     """Result of pricing one trade.
 
@@ -116,7 +120,7 @@ class SwapQuote:
 SwapReceipt = SwapQuote
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpPosition:
     provider: str
     shares: Numeric
@@ -218,7 +222,7 @@ def _validate_spread(direction: Direction, sigma: Numeric) -> None:
                 "use max_spread=None for an uncapped trade"
             )
     else:
-        if sigma < 0 or math.isinf(sigma):
+        if not 0 <= sigma < math.inf:
             raise SpreadOutOfRange(f"X-for-Y spread must be finite and >= 0, got {sigma}")
 
 
@@ -245,8 +249,10 @@ def quote(
 
     The output for a net input ``a`` is ``out * a / (in + a)`` where ``in``
     and ``out`` are the input- and output-side reserves, which keeps the
-    reserve product constant.  The output-side reserve can never be drained:
-    the output is strictly below it for any finite input.
+    reserve product constant.  The output-side reserve is never drained: the
+    output is strictly below it for any finite input in exact arithmetic, and
+    a float trade so large that the output rounds up to the whole reserve
+    raises ``NonPositiveReserve``.
     """
     _require_active(pool)
     if amount_in <= 0:
@@ -269,6 +275,11 @@ def quote(
             gross = cap / (1 - phi)
 
     amount_out = reserve_out * net / (reserve_in + net)
+    if amount_out >= reserve_out:
+        raise NonPositiveReserve(
+            f"swap of {amount_in} would drain the output reserve {reserve_out}: "
+            "the output rounds to the whole reserve"
+        )
     fee_paid = gross - net
     if gross > 0:
         realized_rate = amount_out / gross
@@ -282,13 +293,7 @@ def quote(
         spread_applied = 1 / (ratio * ratio) - 1
 
     return SwapQuote(
-        direction=direction,
-        requested_in=amount_in,
-        capped_in=gross,
-        amount_out=amount_out,
-        realized_rate=realized_rate,
-        spread_applied=spread_applied,
-        fee_paid=fee_paid,
+        direction, amount_in, gross, amount_out, realized_rate, spread_applied, fee_paid
     )
 
 
@@ -317,7 +322,7 @@ def execute_swap(
             if pool.fee_model is FeeModel.AUTO_COMPOUND:
                 new_y = new_y + fee
             else:
-                ledger = replace(ledger, fees_y=ledger.fees_y + fee)
+                ledger = SideLedger(ledger.fees_x, ledger.fees_y + fee)
     else:
         new_x = pool.reserve_x + net
         new_y = pool.reserve_y - receipt.amount_out
@@ -325,9 +330,12 @@ def execute_swap(
             if pool.fee_model is FeeModel.AUTO_COMPOUND:
                 new_x = new_x + fee
             else:
-                ledger = replace(ledger, fees_x=ledger.fees_x + fee)
+                ledger = SideLedger(ledger.fees_x + fee, ledger.fees_y)
 
-    new_pool = replace(pool, reserve_x=new_x, reserve_y=new_y, side_ledger=ledger)
+    new_pool = PoolState(
+        new_x, new_y, pool.fee_rate, pool.fee_model,
+        pool.total_shares, pool.share_ledger, ledger,
+    )
     return new_pool, receipt
 
 
@@ -352,12 +360,9 @@ def add_liquidity(
     minted = pool.total_shares * growth_x
     ledger = dict(pool.share_ledger)
     ledger[provider] = ledger.get(provider, 0) + minted
-    new_pool = replace(
-        pool,
-        reserve_x=pool.reserve_x + dx,
-        reserve_y=pool.reserve_y + dy,
-        total_shares=pool.total_shares + minted,
-        share_ledger=MappingProxyType(ledger),
+    new_pool = PoolState(
+        pool.reserve_x + dx, pool.reserve_y + dy, pool.fee_rate, pool.fee_model,
+        pool.total_shares + minted, MappingProxyType(ledger), pool.side_ledger,
     )
     return new_pool, LpPosition(provider=provider, shares=minted, deposited_x=dx, deposited_y=dy)
 
@@ -384,12 +389,9 @@ def remove_liquidity(
         ledger[provider] = remaining
     else:
         del ledger[provider]
-    new_pool = replace(
-        pool,
-        reserve_x=pool.reserve_x - dx,
-        reserve_y=pool.reserve_y - dy,
-        total_shares=pool.total_shares - shares,
-        share_ledger=MappingProxyType(ledger),
+    new_pool = PoolState(
+        pool.reserve_x - dx, pool.reserve_y - dy, pool.fee_rate, pool.fee_model,
+        pool.total_shares - shares, MappingProxyType(ledger), pool.side_ledger,
     )
     return new_pool, (dx, dy)
 
@@ -427,11 +429,19 @@ def arbitrage_to_rate(pool: PoolState, target_rate: Numeric) -> PoolState:
 
     The trade is sized by :func:`arbitrage_input_for_rate` and executed with
     the fee zeroed, so it charges nothing and leaves the side ledger alone;
-    the returned pool carries the original fee rate.
+    the returned pool carries the original fee rate.  A pool already on the
+    target comes back unchanged.
     """
-    free = replace(pool, fee_rate=0)
+    free = PoolState(
+        pool.reserve_x, pool.reserve_y, 0, pool.fee_model,
+        pool.total_shares, pool.share_ledger, pool.side_ledger,
+    )
     trade = arbitrage_input_for_rate(free, target_rate)
-    if trade is not None:
-        direction, amount = trade
-        free, _ = execute_swap(free, direction, amount)
-    return replace(free, fee_rate=pool.fee_rate)
+    if trade is None:
+        return pool
+    direction, amount = trade
+    moved, _ = execute_swap(free, direction, amount)
+    return PoolState(
+        moved.reserve_x, moved.reserve_y, pool.fee_rate, pool.fee_model,
+        pool.total_shares, pool.share_ledger, pool.side_ledger,
+    )

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError
@@ -29,6 +30,7 @@ from .pool import (
     Direction,
     FeeModel,
     Numeric,
+    PoolState,
     SideLedger,
     arbitrage_to_rate,
     create_pool,
@@ -37,7 +39,7 @@ from .pool import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trade:
     t: float
     direction: Direction
@@ -45,7 +47,7 @@ class Trade:
     max_spread: Optional[Numeric] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceMove:
     """Multiply current market prices by ``(delta_x, delta_y)``."""
 
@@ -54,7 +56,7 @@ class PriceMove:
     delta_y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectFees:
     """Withdraw the provider's share of the side ledger to their wallet."""
 
@@ -62,7 +64,7 @@ class CollectFees:
     provider: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     t: float
     label: str
@@ -71,7 +73,7 @@ class Snapshot:
 Event = Union[Trade, PriceMove, CollectFees, Snapshot]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioScript:
     pool_x: Numeric
     pool_y: Numeric
@@ -83,7 +85,7 @@ class ScenarioScript:
     provider: str = "lp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortfolioSnapshot:
     label: str
     t: float
@@ -162,9 +164,11 @@ class _Replay:
         take_y = ledger.fees_y * share
         self.collected_x = self.collected_x + take_x
         self.collected_y = self.collected_y + take_y
-        self.pool = replace(
-            self.pool,
-            side_ledger=SideLedger(ledger.fees_x - take_x, ledger.fees_y - take_y),
+        pool = self.pool
+        self.pool = PoolState(
+            pool.reserve_x, pool.reserve_y, pool.fee_rate, pool.fee_model,
+            pool.total_shares, pool.share_ledger,
+            SideLedger(ledger.fees_x - take_x, ledger.fees_y - take_y),
         )
 
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
@@ -226,6 +230,7 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
 # -- script files ---------------------------------------------------------
 
 _EVENT_KINDS = {"trade", "price_move", "collect_fees", "snapshot"}
+_DIRECTIONS = {member.value: member for member in Direction}
 
 
 def _json_object(what: str, value) -> dict:
@@ -235,24 +240,30 @@ def _json_object(what: str, value) -> dict:
 
 
 def _parse_event(index: int, raw: dict) -> Event:
-    kind = _json_object(f"event {index}", raw).get("type")
+    if not isinstance(raw, dict):
+        _json_object(f"event {index}", raw)  # raises; the name is built only on failure
+    kind = raw.get("type")
     if kind not in _EVENT_KINDS:
         raise ScriptError(f"event {index}: unknown type {kind!r}")
     try:
         t = float(raw.get("t", 0.0))
+        if not math.isfinite(t):
+            raise ValueError(f"timestamp must be finite, got {t}")
         if kind == "trade":
+            direction = raw["direction"]
+            try:
+                direction = _DIRECTIONS[direction]
+            except (KeyError, TypeError):
+                direction = Direction(direction)  # raises the enum's own error
             spread = raw.get("max_spread")
-            return Trade(
-                t=t,
-                direction=Direction(raw["direction"]),
-                amount_in=float(raw["amount"]),
-                max_spread=None if spread is None else float(spread),
-            )
+            amount = float(raw["amount"])
+            return Trade(t, direction, amount, None if spread is None else float(spread))
         if kind == "price_move":
-            return PriceMove(t=t, delta_x=float(raw["delta_x"]), delta_y=float(raw["delta_y"]))
+            return PriceMove(t, float(raw["delta_x"]), float(raw["delta_y"]))
         if kind == "collect_fees":
-            return CollectFees(t=t, provider=str(raw["provider"]))
-        return Snapshot(t=t, label=str(raw.get("label", f"snapshot-{index}")))
+            return CollectFees(t, str(raw["provider"]))
+        label = raw["label"] if "label" in raw else f"snapshot-{index}"
+        return Snapshot(t, str(label))
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ScriptError(f"event {index}: {err}") from err
 
@@ -278,8 +289,8 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
 
     ``fee_model`` is ``auto_compound`` or ``collect_separately``; trade
     directions are ``y2x`` / ``x2y``; ``max_spread`` may be omitted or null
-    for uncapped trades.  Timestamps are in years and must not decrease.
-    Every numeric field is read as a float.
+    for uncapped trades.  Timestamps are in years, must be finite and must
+    not decrease.  Every numeric field is read as a float.
     """
     if isinstance(source, io.TextIOBase):
         raw = source.read()

@@ -240,3 +240,36 @@ def test_malformed_script_exits_1(capsys, tmp_path, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_nan_timestamp_exits_1(capsys, tmp_path):
+    events = [{"type": "snapshot", "t": 5}, {"type": "snapshot", "t": "NaN"},
+              {"type": "snapshot", "t": 1}]
+    script = {"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}, "events": events}
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run_cli(capsys, "run-scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: event 1: timestamp must be finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["quote", "swap"])
+def test_nan_x2y_spread_cap_exits_1(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--x", "100", "--y", "100", "--direction", "x2y",
+        "--amount", "50", "--max-spread", "nan",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: X-for-Y spread must be finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["quote", "swap"])
+def test_draining_float_swap_exits_1(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--x", "100", "--y", "100", "--direction", "y2x", "--amount", "1e20"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: swap of 1e+20 would drain the output reserve")
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Engine-level tests: swaps, spread caps, fees, shares."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from cpamm import (
     reserves_from_rate_liquidity,
     reserves_from_value,
 )
-from cpamm.pool import RATE_MATCH_TOL, arbitrage_to_rate
+from cpamm.pool import RATE_MATCH_TOL, SideLedger, arbitrage_to_rate
 
 # strategies shared by the property tests
 reserves = st.floats(min_value=1.0, max_value=1e9, allow_nan=False)
@@ -385,3 +386,99 @@ def test_arbitrage_to_rate_exact_on_fractions(target, reserves):
     assert (moved.reserve_x, moved.reserve_y) == reserves
     assert rate_of(moved) == target
     assert moved.fee_rate == Fraction(3, 1000)
+
+
+# -- value types: frozen, slotted, built by direct constructors ------------
+
+
+def test_value_types_stay_frozen_and_slotted():
+    pool = create_pool(100.0, 100.0, fee_rate=0.003, fee_model=FeeModel.COLLECT_SEPARATELY)
+    pool, receipt = execute_swap(pool, Direction.Y_FOR_X, 10.0)
+    for value, name in [
+        (pool, "reserve_x"),
+        (pool.side_ledger, "fees_y"),
+        (receipt, "amount_out"),
+    ]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.0)
+        assert not hasattr(value, "__dict__")
+
+
+def test_dataclasses_replace_still_works_on_pool_state():
+    pool = create_pool(100.0, 400.0, fee_rate=0.003)
+    changed = dataclasses.replace(pool, fee_rate=0.01)
+    assert changed.fee_rate == 0.01
+    assert dataclasses.replace(changed, fee_rate=0.003) == pool
+
+
+def _pool_from_receipt(pool, receipt):
+    """The post-trade pool as the fee rules describe it, built by ``replace``."""
+    net = receipt.capped_in - receipt.fee_paid
+    fee = receipt.fee_paid
+    x, y = pool.reserve_x, pool.reserve_y
+    fees_x, fees_y = pool.side_ledger.fees_x, pool.side_ledger.fees_y
+    auto = pool.fee_model is FeeModel.AUTO_COMPOUND
+    if receipt.direction is Direction.Y_FOR_X:
+        x, y = x - receipt.amount_out, y + net
+        if fee and auto:
+            y = y + fee
+        elif fee:
+            fees_y = fees_y + fee
+    else:
+        x, y = x + net, y - receipt.amount_out
+        if fee and auto:
+            x = x + fee
+        elif fee:
+            fees_x = fees_x + fee
+    ledger = SideLedger(fees_x, fees_y)
+    return dataclasses.replace(pool, reserve_x=x, reserve_y=y, side_ledger=ledger)
+
+
+trades = st.tuples(
+    directions,
+    amounts,
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.99)),
+)
+
+
+@given(
+    x=reserves,
+    y=reserves,
+    fee=st.sampled_from([0.0, 0.003, 0.05]),
+    model=st.sampled_from(list(FeeModel)),
+    chain=st.lists(trades, min_size=1, max_size=4),
+)
+@settings(max_examples=200)
+def test_execute_swap_matches_replace_built_from_receipt(x, y, fee, model, chain):
+    pool = create_pool(x, y, fee_rate=fee, fee_model=model)
+    for direction, amount, cap in chain:
+        new_pool, receipt = execute_swap(pool, direction, amount, cap)
+        assert new_pool == _pool_from_receipt(pool, receipt)
+        assert new_pool.share_ledger is pool.share_ledger
+        pool = new_pool
+
+
+def test_arbitrage_to_rate_on_target_returns_equal_pool():
+    pool = create_pool(100.0, 400.0, fee_rate=0.003, fee_model=FeeModel.COLLECT_SEPARATELY)
+    pool, _ = execute_swap(pool, Direction.X_FOR_Y, 10.0)
+    assert pool.side_ledger.fees_x > 0
+    assert arbitrage_to_rate(pool, rate_of(pool)) == pool
+
+
+# -- inputs that used to slip through ---------------------------------------
+
+
+@pytest.mark.parametrize("operation", [quote, execute_swap])
+def test_nan_spread_cap_rejected_on_x_for_y(operation):
+    pool = create_pool(100.0, 100.0)
+    for direction in Direction:
+        with pytest.raises(SpreadOutOfRange):
+            operation(pool, direction, 50.0, math.nan)
+
+
+@pytest.mark.parametrize("operation", [quote, execute_swap])
+@pytest.mark.parametrize("direction", list(Direction))
+def test_swap_that_would_drain_a_float_reserve_is_rejected(operation, direction):
+    pool = create_pool(100.0, 100.0)
+    with pytest.raises(NonPositiveReserve, match="drain"):
+        operation(pool, direction, 1e20)

@@ -1,7 +1,9 @@
 """Scenario replay: events, snapshots, script files, effective alpha."""
 
+import dataclasses
 import io
 import json
+import math
 
 import pytest
 
@@ -298,3 +300,32 @@ def test_string_amount_replays_as_float():
 def test_non_object_sections_rejected(field, value):
     with pytest.raises(ScriptError, match=f"^{field}: "):
         load_script(io.StringIO(json.dumps(script_doc(**{field: value}))))
+
+
+def test_script_values_stay_frozen():
+    trade = Trade(t=0.0, direction=Direction.Y_FOR_X, amount_in=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trade.amount_in = 2.0
+    assert not hasattr(trade, "__dict__")
+
+
+@pytest.mark.parametrize("direction", ["sideways", "Y_FOR_X", 5, None, [1], {"y2x": 1}])
+def test_bad_direction_keeps_the_enum_message(direction):
+    # e.g. "event 0: 'sideways' is not a valid Direction"
+    with pytest.raises(ValueError) as expected:
+        Direction(direction)
+    doc = script_doc(events=[{"type": "trade", "t": 0, "direction": direction, "amount": 1}])
+    with pytest.raises(ScriptError) as err:
+        load_script(io.StringIO(json.dumps(doc)))
+    assert str(err.value) == f"event 0: {expected.value}"
+
+
+@pytest.mark.parametrize(
+    "t", ["NaN", "inf", "-Infinity", math.nan, math.inf],
+    ids=["text-nan", "text-inf", "text-minus-inf", "json-nan", "json-inf"],
+)
+def test_non_finite_timestamp_rejected(t):
+    # A NaN time compares False both ways, so it would let the next event run backwards.
+    events = [{"type": "snapshot", "t": when} for when in (5, t, 1)]
+    with pytest.raises(ScriptError, match="^event 1: timestamp must be finite"):
+        load_script(io.StringIO(json.dumps(script_doc(events=events))))
