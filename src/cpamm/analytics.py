@@ -23,8 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveDelta, NonPositiveInput, NonPositivePrice, RateMismatch
-from .pool import RATE_MATCH_TOL, PoolState, arbitrage_to_rate, pool_value, rate_of
+from .errors import (
+    NonPositiveDelta,
+    NonPositiveInput,
+    NonPositivePrice,
+    RateMismatch,
+    non_negative,
+    positive,
+)
+from .pool import PoolState, arbitrage_to_rate, pool_value, require_market_rate
 
 
 @dataclass(frozen=True)
@@ -37,14 +44,8 @@ class PriceScenario:
     p_y0: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.delta_x <= 0 or self.delta_y <= 0:
-            raise NonPositiveDelta(
-                f"price changes must be positive, got ({self.delta_x}, {self.delta_y})"
-            )
-        if self.p_x0 <= 0 or self.p_y0 <= 0:
-            raise NonPositivePrice(
-                f"prices must be positive, got ({self.p_x0}, {self.p_y0})"
-            )
+        positive(NonPositiveDelta, "price changes", self.delta_x, self.delta_y)
+        positive(NonPositivePrice, "prices", self.p_x0, self.p_y0)
 
     @property
     def p_x_final(self) -> float:
@@ -75,10 +76,7 @@ class GrowthParams:
     t: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise NonPositiveInput(f"growth rate must be >= 0, got {self.alpha}")
-        if self.t < 0:
-            raise NonPositiveInput(f"time must be >= 0, got {self.t}")
+        non_negative(NonPositiveInput, "growth rate and time", self.alpha, self.t)
 
 
 def impermanent_loss(scenario: PriceScenario) -> IlReport:
@@ -107,12 +105,7 @@ def il_brute_force(scenario: PriceScenario, pool: PoolState) -> IlReport:
     normalized by the pool's initial value so the report is comparable to
     :func:`impermanent_loss`.
     """
-    market_rate = scenario.p_y0 / scenario.p_x0
-    pool_rate = rate_of(pool)
-    if abs(pool_rate - market_rate) > RATE_MATCH_TOL * market_rate:
-        raise RateMismatch(
-            f"pool rate {pool_rate} does not match market rate {market_rate}"
-        )
+    require_market_rate(RateMismatch, pool, scenario.p_y0 / scenario.p_x0)
     p_x1, p_y1 = scenario.p_x_final, scenario.p_y_final
     arbitraged = arbitrage_to_rate(pool, p_y1 / p_x1)
     v0 = pool_value(pool, scenario.p_x0, scenario.p_y0)

@@ -33,11 +33,20 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from .errors import InvalidStep, NoConvergence, NonPositiveInput
+from .errors import (
+    InvalidStep,
+    NoConvergence,
+    NonPositiveInput,
+    non_negative,
+    positive,
+    unit_interval,
+)
 
 #: Relative width at which the implicit-equation bisection stops.
 ROOT_REL_TOL = 1e-12
 _ROOT_MAX_ITER = 200
+#: Most RK4 steps one integration may take: a few seconds of work.
+MAX_RK4_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -51,18 +60,10 @@ class RoiParams:
     step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not 0 <= self.frac_compounding <= 1:
-            raise NonPositiveInput(
-                f"compounding fraction must be in [0, 1], got {self.frac_compounding}"
-            )
-        if self.alpha < 0:
-            raise NonPositiveInput(f"growth rate must be >= 0, got {self.alpha}")
-        if self.horizon < 0:
-            raise NonPositiveInput(f"horizon must be >= 0, got {self.horizon}")
-        if self.l_total0 <= 0:
-            raise NonPositiveInput(f"initial liquidity must be positive, got {self.l_total0}")
-        if self.step <= 0:
-            raise InvalidStep(f"integration step must be positive, got {self.step}")
+        unit_interval(NonPositiveInput, "compounding fraction", self.frac_compounding)
+        non_negative(NonPositiveInput, "growth rate and horizon", self.alpha, self.horizon)
+        positive(NonPositiveInput, "initial liquidity", self.l_total0)
+        positive(InvalidStep, "integration step", self.step)
 
     @property
     def l_c0(self) -> float:
@@ -95,8 +96,12 @@ def _sample_at(params: RoiParams, t: float, l_c: float, fees_nc: float) -> RoiSa
     # A vanishing population reports its analytic limit: a lone compounder
     # grows against a fixed pool, a lone holdout earns the diluting fee share.
     frac = params.frac_compounding
-    rho_c = math.exp(params.alpha * t) if frac == 0 else l_c / params.l_c0
-    rho_nc = 1 + math.log(1 + params.alpha * t) if frac == 1 else 1 + fees_nc / params.l_nc
+    growth = params.alpha * t
+    try:
+        rho_c = math.exp(growth) if frac == 0 else l_c / params.l_c0
+    except OverflowError as err:
+        raise NonPositiveInput(f"exp(alpha * t) overflows at alpha * t = {growth}") from err
+    rho_nc = 1 + math.log(1 + growth) if frac == 1 else 1 + fees_nc / params.l_nc
     return RoiSample(t=t, l_c=l_c, rho_c=rho_c, rho_nc=rho_nc, fees_nc=fees_nc)
 
 
@@ -114,6 +119,8 @@ def _closed_form(params: RoiParams, t: float) -> Tuple[float, float]:
 
 
 def _time_grid(horizon: float, step: float) -> Iterator[float]:
+    if horizon / step > MAX_RK4_STEPS:
+        raise InvalidStep(f"{horizon} / {step} is more than {MAX_RK4_STEPS} RK4 steps")
     if horizon == 0:
         yield 0.0
         return
@@ -172,13 +179,13 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     """Compounders' liquidity at ``t`` from the separated-variables equation.
 
     The left-hand side is strictly increasing in ``L_c``, so the root is
-    unique and bracketed by ``[L_c(0), L_c(0) + alpha L0 t]``.  Requires a
-    non-empty compounding population.
+    unique and bracketed by ``[L_c(0), L_c(0) + alpha L0 t]``; a bracket too
+    wide to halve away is capped by ``L_c(0) exp(alpha L0 t / L_nc)``, which
+    holds as ``L_c >= L_c(0)``.  Requires a non-empty compounding population.
     """
     if params.frac_compounding == 0:
         raise NonPositiveInput("no compounding population; the equation degenerates")
-    if t < 0:
-        raise NonPositiveInput(f"time must be >= 0, got {t}")
+    non_negative(NonPositiveInput, "time", t)
     l_c0 = params.l_c0
     l_nc = params.l_nc
     target = params.alpha * params.l_total0 * t
@@ -191,6 +198,12 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
         return l_c - l_c0 + l_nc * math.log(l_c / l_c0) - target
 
     lo, hi = l_c0, l_c0 + target
+    # Halving [lo, hi] down to a width of ROOT_REL_TOL * lo takes this many steps.
+    if math.log2(hi / lo) - math.log2(ROOT_REL_TOL) > _ROOT_MAX_ITER:
+        try:
+            hi = min(hi, l_c0 * math.exp(target / l_nc))
+        except OverflowError:
+            pass  # the exponential bound is the looser one
     for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= ROOT_REL_TOL * hi:
@@ -213,8 +226,7 @@ def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[flo
     the params' step and keeps only the final point.  The two agree to well
     below 1e-8 relative.
     """
-    if t < 0:
-        raise NonPositiveInput(f"time must be >= 0, got {t}")
+    non_negative(NonPositiveInput, "time", t)
     if _is_linear(params):
         l_c, fees_nc = _closed_form(params, t)
     elif method == "implicit":

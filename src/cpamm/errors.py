@@ -4,7 +4,13 @@
 also ``ValueError``s, so generic callers can catch either.  ``InternalError``
 subclasses indicate a bug in this package (a solver that should always
 converge failed, an invariant broke) and are ``RuntimeError``s.
+
+The numeric domain checks live here too, so every layer decides "is this a
+valid amount?" the same way: chained comparisons, which NaN fails and
+``Fraction`` passes exactly, raising the ``InputError`` the caller names.
 """
+
+import math
 
 
 class CpammError(Exception):
@@ -88,3 +94,31 @@ class ScriptError(InputError):
 
 class DomainError(InputError):
     """Figure grid leaves the mathematical domain of its curves."""
+
+
+# -- numeric domain checks -------------------------------------------------
+
+def _reject(error, what, domain, values):
+    got = values[0] if len(values) == 1 else f"({', '.join(map(str, values))})"
+    raise error(f"{what} must be {domain}, got {got}")
+
+
+def positive(error, what, *values):
+    """Raise ``error`` unless every value is finite and strictly positive."""
+    for value in values:
+        if not 0 < value < math.inf:
+            _reject(error, what, "finite and positive", values)
+
+
+def non_negative(error, what, *values, below=math.inf):
+    """Raise ``error`` unless every value lies in ``[0, below)``."""
+    for value in values:
+        if not 0 <= value < below:
+            domain = "finite and >= 0" if below == math.inf else f"in [0, {below})"
+            _reject(error, what, domain, values)
+
+
+def unit_interval(error, what, value):
+    """Raise ``error`` unless ``value`` lies in ``[0, 1]``."""
+    if not 0 <= value <= 1:
+        _reject(error, what, "in [0, 1]", (value,))

@@ -39,7 +39,7 @@ from .analytics import (
     relative_evolution_compounded,
 )
 from .compounding import RoiParams, roi_pair
-from .errors import DomainError
+from .errors import DomainError, non_negative, positive, unit_interval
 
 FIGURE_IDS = (
     "il_one_coin",
@@ -77,18 +77,13 @@ class FigureSpec:
         if not lo < hi:
             raise DomainError(f"empty grid range [{lo}, {hi}]")
         if self.figure_id == "roi_comparison":
-            if lo < 0:
-                raise DomainError(f"time axis starts at 0, got {lo}")
-        elif lo <= -100.0:
-            raise DomainError(
-                f"price change must stay above -100 percent, got {lo}"
-            )
-        if min(self.alpha, self.t, self.roi_compounding_pct, self.roi_not_compounding_pct) < 0:
-            raise DomainError("alpha, t and the ROI percentages must be non-negative")
-        if not 0 <= self.frac_compounding <= 1:
-            raise DomainError(
-                f"frac_compounding must lie in [0, 1], got {self.frac_compounding}"
-            )
+            non_negative(DomainError, "time axis ends", lo, hi)
+        else:
+            # A row at p percent moves the price by 1 + p / 100, as in _price_rows.
+            positive(DomainError, "grid price factors 1 + p/100", 1 + lo / 100, 1 + hi / 100)
+        rois = (self.roi_compounding_pct, self.roi_not_compounding_pct)
+        non_negative(DomainError, "alpha, t and the ROI percentages", self.alpha, self.t, *rois)
+        unit_interval(DomainError, "frac_compounding", self.frac_compounding)
 
     def grid_points(self) -> List[float]:
         lo, hi, count = self.domain_grid

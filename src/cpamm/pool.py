@@ -51,6 +51,8 @@ from .errors import (
     NonPositiveReserve,
     RateMismatch,
     SpreadOutOfRange,
+    non_negative,
+    positive,
 )
 
 Numeric = Union[float, Fraction]
@@ -151,11 +153,10 @@ def create_pool(
     provider: str = "lp",
 ) -> PoolState:
     """Initialize a pool; ``provider`` receives ``sqrt(x0 * y0)`` shares."""
-    if x0 <= 0 or y0 <= 0:
-        raise NonPositiveReserve(f"initial reserves must be positive, got ({x0}, {y0})")
-    if not 0 <= fee_rate < 1:
-        raise InvalidFee(f"fee rate must be in [0, 1), got {fee_rate}")
+    positive(NonPositiveReserve, "initial reserves", x0, y0)
+    non_negative(InvalidFee, "fee rate", fee_rate, below=1)
     shares = _sqrt(x0 * y0)
+    positive(NonPositiveReserve, "initial liquidity sqrt(x0 * y0)", shares)
     return PoolState(
         reserve_x=x0,
         reserve_y=y0,
@@ -178,19 +179,24 @@ def rate_of(pool: PoolState) -> Numeric:
     return pool.reserve_x / pool.reserve_y
 
 
+def require_market_rate(error, pool: PoolState, market_rate: Numeric) -> None:
+    """Raise ``error`` unless the pool rate is within ``RATE_MATCH_TOL`` of
+    ``market_rate``, relative; a NaN, zero or infinite rate never matches."""
+    pool_rate = rate_of(pool)
+    if not abs(pool_rate - market_rate) <= RATE_MATCH_TOL * market_rate < math.inf:
+        raise error(f"pool rate {pool_rate} does not match market rate {market_rate}")
+
+
 def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
     """Mark the reserves to market: ``p_x * x + p_y * y``."""
-    if p_x <= 0 or p_y <= 0:
-        raise NonPositivePrice(f"prices must be positive, got ({p_x}, {p_y})")
+    positive(NonPositivePrice, "prices", p_x, p_y)
     return p_x * pool.reserve_x + p_y * pool.reserve_y
 
 
 def reserves_from_rate_liquidity(rate: Numeric, liquidity: Numeric) -> Tuple[Numeric, Numeric]:
     """Invert (x, y) -> (r, L): ``x = L * sqrt(r)``, ``y = L / sqrt(r)``."""
-    if rate <= 0:
-        raise InvalidRate(f"rate must be positive, got {rate}")
-    if liquidity < 0:
-        raise NonPositiveInput(f"liquidity must be non-negative, got {liquidity}")
+    positive(InvalidRate, "rate", rate)
+    non_negative(NonPositiveInput, "liquidity", liquidity)
     root = _sqrt(rate)
     return liquidity * root, liquidity / root
 
@@ -204,26 +210,11 @@ def reserves_from_value(
     the value: ``x = V / (2 p_x)``, ``y = V / (2 p_y)``,
     ``L = V / (2 sqrt(p_x p_y))``.
     """
-    if value <= 0 or p_x <= 0 or p_y <= 0:
-        raise NonPositiveInput(
-            f"value and prices must be positive, got ({value}, {p_x}, {p_y})"
-        )
+    positive(NonPositiveInput, "value and prices", value, p_x, p_y)
     x = value / (2 * p_x)
     y = value / (2 * p_y)
     liquidity = value / (2 * _sqrt(p_x * p_y))
     return x, y, liquidity
-
-
-def _validate_spread(direction: Direction, sigma: Numeric) -> None:
-    if direction is Direction.Y_FOR_X:
-        if not 0 <= sigma < 1:
-            raise SpreadOutOfRange(
-                f"Y-for-X spread must be in [0, 1), got {sigma}; "
-                "use max_spread=None for an uncapped trade"
-            )
-    else:
-        if not 0 <= sigma < math.inf:
-            raise SpreadOutOfRange(f"X-for-Y spread must be finite and >= 0, got {sigma}")
 
 
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
@@ -233,9 +224,10 @@ def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) 
     is charged up to ``q / (1 - phi)`` gross for it.
     """
     _require_active(pool)
-    _validate_spread(direction, sigma)
     if direction is Direction.Y_FOR_X:
+        non_negative(SpreadOutOfRange, "Y-for-X spread", sigma, below=1)
         return pool.reserve_y * (1 / _sqrt(1 - sigma) - 1)
+    non_negative(SpreadOutOfRange, "X-for-Y spread", sigma)
     return pool.reserve_x * (_sqrt(1 + sigma) - 1)
 
 
@@ -251,14 +243,11 @@ def quote(
     and ``out`` are the input- and output-side reserves, which keeps the
     reserve product constant.  The output-side reserve is never drained: the
     output is strictly below it for any finite input in exact arithmetic, and
-    a float trade so large that the output rounds up to the whole reserve
-    raises ``NonPositiveReserve``.
+    a float trade so large that the output rounds up to (or overflows past)
+    the whole reserve raises ``NonPositiveReserve``.
     """
     _require_active(pool)
-    if amount_in <= 0:
-        raise NonPositiveAmount(f"trade amount must be positive, got {amount_in}")
-    if max_spread is not None:
-        _validate_spread(direction, max_spread)
+    positive(NonPositiveAmount, "trade amount", amount_in)
 
     if direction is Direction.Y_FOR_X:
         reserve_in, reserve_out = pool.reserve_y, pool.reserve_x
@@ -275,7 +264,12 @@ def quote(
             gross = cap / (1 - phi)
 
     amount_out = reserve_out * net / (reserve_in + net)
-    if amount_out >= reserve_out:
+    ratio = reserve_in / (reserve_in + net)
+    squared = ratio * ratio
+    # Only floats fail this: the output rounds (or overflows) to the whole
+    # reserve, or the input dwarfs its reserve so far that the rate move
+    # underflows.  Written as a negation so a NaN fails it too.
+    if not (amount_out < reserve_out and squared > 0):
         raise NonPositiveReserve(
             f"swap of {amount_in} would drain the output reserve {reserve_out}: "
             "the output rounds to the whole reserve"
@@ -286,11 +280,10 @@ def quote(
     else:
         # Zero-size trade (cap of 0): the rate limit is the spot rate.
         realized_rate = reserve_out / reserve_in
-    ratio = reserve_in / (reserve_in + net)
     if direction is Direction.Y_FOR_X:
-        spread_applied = 1 - ratio * ratio
+        spread_applied = 1 - squared
     else:
-        spread_applied = 1 / (ratio * ratio) - 1
+        spread_applied = 1 / squared - 1
 
     return SwapQuote(
         direction, amount_in, gross, amount_out, realized_rate, spread_applied, fee_paid
@@ -348,8 +341,7 @@ def add_liquidity(
     ``reserve_x / reserve_y`` within ``RATE_MATCH_TOL`` relative.
     """
     _require_active(pool)
-    if dx <= 0 or dy <= 0:
-        raise NonPositiveAmount(f"deposit amounts must be positive, got ({dx}, {dy})")
+    positive(NonPositiveAmount, "deposit amounts", dx, dy)
     growth_x = dx / pool.reserve_x
     growth_y = dy / pool.reserve_y
     if abs(growth_x - growth_y) > RATE_MATCH_TOL * max(growth_x, growth_y):
@@ -375,8 +367,7 @@ def remove_liquidity(
     Withdrawing everything empties the pool; that state is terminal.
     """
     _require_active(pool)
-    if shares <= 0:
-        raise NonPositiveAmount(f"share amount must be positive, got {shares}")
+    positive(NonPositiveAmount, "share amount", shares)
     owned = pool.share_ledger.get(provider, 0)
     if shares > owned:
         raise InsufficientShares(f"{provider} owns {owned} shares, asked to burn {shares}")
@@ -408,8 +399,7 @@ def arbitrage_input_for_rate(
     The amounts are net curve inputs; execute them fee-free.
     """
     _require_active(pool)
-    if target_rate <= 0:
-        raise InvalidRate(f"target rate must be positive, got {target_rate}")
+    positive(InvalidRate, "target rate", target_rate)
     current = rate_of(pool)
     if target_rate < current:
         amount = pool.reserve_y * (_sqrt(current / target_rate) - 1)
@@ -430,7 +420,8 @@ def arbitrage_to_rate(pool: PoolState, target_rate: Numeric) -> PoolState:
     The trade is sized by :func:`arbitrage_input_for_rate` and executed with
     the fee zeroed, so it charges nothing and leaves the side ledger alone;
     the returned pool carries the original fee rate.  A pool already on the
-    target comes back unchanged.
+    target comes back unchanged.  A target so far from the pool rate that
+    the float trade cannot be executed raises ``InvalidRate``.
     """
     free = PoolState(
         pool.reserve_x, pool.reserve_y, 0, pool.fee_model,
@@ -440,7 +431,12 @@ def arbitrage_to_rate(pool: PoolState, target_rate: Numeric) -> PoolState:
     if trade is None:
         return pool
     direction, amount = trade
-    moved, _ = execute_swap(free, direction, amount)
+    try:
+        moved, _ = execute_swap(free, direction, amount)
+    except (NonPositiveAmount, NonPositiveReserve) as err:
+        raise InvalidRate(
+            f"target rate {target_rate} is out of float reach of pool rate {rate_of(pool)}"
+        ) from err
     return PoolState(
         moved.reserve_x, moved.reserve_y, pool.fee_rate, pool.fee_model,
         pool.total_shares, pool.share_ledger, pool.side_ledger,

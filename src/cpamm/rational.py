@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .errors import NonPositiveAmount, NonPositiveReserve
+from .errors import NonPositiveAmount, NonPositiveReserve, positive
 from .pool import Direction
 
 
@@ -24,10 +24,7 @@ class RationalPool:
     reserve_y: Fraction
 
     def __post_init__(self) -> None:
-        if self.reserve_x <= 0 or self.reserve_y <= 0:
-            raise NonPositiveReserve(
-                f"reserves must be positive, got ({self.reserve_x}, {self.reserve_y})"
-            )
+        positive(NonPositiveReserve, "reserves", self.reserve_x, self.reserve_y)
 
     @property
     def product(self) -> Fraction:
@@ -38,8 +35,7 @@ def oracle_swap(
     pool: RationalPool, direction: Direction, amount_in: Fraction
 ) -> Tuple[RationalPool, Fraction]:
     """Fee-free uncapped swap, computed exactly."""
-    if amount_in <= 0:
-        raise NonPositiveAmount(f"trade amount must be positive, got {amount_in}")
+    positive(NonPositiveAmount, "trade amount", amount_in)
     if direction is Direction.Y_FOR_X:
         out = pool.reserve_x * amount_in / (pool.reserve_y + amount_in)
         new_pool = RationalPool(pool.reserve_x - out, pool.reserve_y + amount_in)

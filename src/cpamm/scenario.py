@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from .errors import CpammError, EmptyWindow, ScriptError
+from .errors import CpammError, EmptyWindow, ScriptError, non_negative, positive
 from .pool import (
-    RATE_MATCH_TOL,
     Direction,
     FeeModel,
     Numeric,
@@ -36,6 +34,7 @@ from .pool import (
     create_pool,
     execute_swap,
     liquidity_of,
+    require_market_rate,
 )
 
 
@@ -104,13 +103,7 @@ class _Replay:
     """Mutable replay state shared by run_scenario and the alpha probe."""
 
     def __init__(self, script: ScenarioScript):
-        market_rate = script.p_y0 / script.p_x0
-        pool_rate = script.pool_x / script.pool_y
-        if abs(pool_rate - market_rate) > RATE_MATCH_TOL * market_rate:
-            raise ScriptError(
-                f"initial pool rate {pool_rate} does not match "
-                f"market rate {market_rate}"
-            )
+        positive(ScriptError, "initial prices", script.p_x0, script.p_y0)
         self.script = script
         self.pool = create_pool(
             script.pool_x,
@@ -119,6 +112,7 @@ class _Replay:
             fee_model=script.fee_model,
             provider=script.provider,
         )
+        require_market_rate(ScriptError, self.pool, script.p_y0 / script.p_x0)
         self.p_x = script.p_x0
         self.p_y = script.p_y0
         self.t = 0.0
@@ -149,12 +143,10 @@ class _Replay:
             raise type(err)(f"event {index}: {err}") from err
 
     def _move_prices(self, event: PriceMove) -> None:
-        if event.delta_x <= 0 or event.delta_y <= 0:
-            raise ScriptError(
-                f"price deltas must be positive, got ({event.delta_x}, {event.delta_y})"
-            )
         self.p_x = self.p_x * event.delta_x
         self.p_y = self.p_y * event.delta_y
+        # A delta outside (0, inf), or a product that leaves float range, fails here.
+        positive(ScriptError, "prices after the move", self.p_x, self.p_y)
         self.pool = arbitrage_to_rate(self.pool, self.p_y / self.p_x)
 
     def _collect(self, provider: str) -> None:
@@ -174,6 +166,7 @@ class _Replay:
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
         pooled = self.p_x * self.pool.reserve_x + self.p_y * self.pool.reserve_y
         held = self.p_x * self.script.pool_x + self.p_y * self.script.pool_y
+        positive(ScriptError, "pooled and held values", pooled, held)
         return PortfolioSnapshot(
             label=label,
             t=self.t,
@@ -210,8 +203,7 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     is valued at final prices and converted to its liquidity equivalent
     ``value / (2 sqrt(p_x p_y))`` before normalizing.
     """
-    if window <= 0:
-        raise EmptyWindow(f"window must be positive, got {window}")
+    positive(EmptyWindow, "window", window)
     start_liquidity = liquidity_of(
         create_pool(script.pool_x, script.pool_y, script.fee_rate, script.fee_model)
     )
@@ -233,6 +225,13 @@ _EVENT_KINDS = {"trade", "price_move", "collect_fees", "snapshot"}
 _DIRECTIONS = {member.value: member for member in Direction}
 
 
+def _number(value) -> float:
+    """A numeric script field: whatever ``float`` reads, except a JSON boolean."""
+    if value.__class__ is bool:
+        raise TypeError(f"expected a number, got {str(value).lower()}")
+    return float(value)
+
+
 def _json_object(what: str, value) -> dict:
     if not isinstance(value, dict):
         raise ScriptError(f"{what}: expected a JSON object, got {type(value).__name__}")
@@ -246,9 +245,8 @@ def _parse_event(index: int, raw: dict) -> Event:
     if kind not in _EVENT_KINDS:
         raise ScriptError(f"event {index}: unknown type {kind!r}")
     try:
-        t = float(raw.get("t", 0.0))
-        if not math.isfinite(t):
-            raise ValueError(f"timestamp must be finite, got {t}")
+        t = _number(raw.get("t", 0.0))
+        non_negative(ValueError, "timestamp", t)
         if kind == "trade":
             direction = raw["direction"]
             try:
@@ -256,10 +254,10 @@ def _parse_event(index: int, raw: dict) -> Event:
             except (KeyError, TypeError):
                 direction = Direction(direction)  # raises the enum's own error
             spread = raw.get("max_spread")
-            amount = float(raw["amount"])
-            return Trade(t, direction, amount, None if spread is None else float(spread))
+            amount = _number(raw["amount"])
+            return Trade(t, direction, amount, None if spread is None else _number(spread))
         if kind == "price_move":
-            return PriceMove(t, float(raw["delta_x"]), float(raw["delta_y"]))
+            return PriceMove(t, _number(raw["delta_x"]), _number(raw["delta_y"]))
         if kind == "collect_fees":
             return CollectFees(t, str(raw["provider"]))
         label = raw["label"] if "label" in raw else f"snapshot-{index}"
@@ -289,8 +287,9 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
 
     ``fee_model`` is ``auto_compound`` or ``collect_separately``; trade
     directions are ``y2x`` / ``x2y``; ``max_spread`` may be omitted or null
-    for uncapped trades.  Timestamps are in years, must be finite and must
-    not decrease.  Every numeric field is read as a float.
+    for uncapped trades.  Timestamps are in years, must be finite and
+    non-negative and must not decrease.  Every numeric field is read as a
+    float; a JSON boolean is not a number.
     """
     if isinstance(source, io.TextIOBase):
         raw = source.read()
@@ -313,12 +312,12 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
             raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
         events = tuple(_parse_event(i, entry) for i, entry in enumerate(entries))
         return ScenarioScript(
-            pool_x=float(pool["x"]),
-            pool_y=float(pool["y"]),
-            fee_rate=float(pool.get("fee_rate", 0.0)),
+            pool_x=_number(pool["x"]),
+            pool_y=_number(pool["y"]),
+            fee_rate=_number(pool.get("fee_rate", 0.0)),
             fee_model=fee_model,
-            p_x0=float(prices["p_x"]),
-            p_y0=float(prices["p_y"]),
+            p_x0=_number(prices["p_x"]),
+            p_y0=_number(prices["p_y"]),
             events=events,
             provider=str(doc.get("provider", "lp")),
         )

@@ -1,10 +1,19 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
+import io
 import json
+import math
+import os
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpamm.cli import main
+from cpamm.figures import FIGURE_IDS
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +282,161 @@ def test_draining_float_swap_exits_1(capsys, command):
     assert (code, out) == (1, "")
     assert err.startswith("error: swap of 1e+20 would drain the output reserve")
     assert "Traceback" not in err
+
+
+def assert_rejected(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_zero_script_price_exits_1(capsys, tmp_path):
+    script = {"pool": {"x": 10, "y": 10}, "prices": {"p_x": 0, "p_y": 1}, "events": []}
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    assert_rejected(*run_cli(capsys, "run-scenario", str(path)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roi", "--method", "rk4", "--t", "nan"],
+        ["roi", "--alpha", "nan"],
+        ["roi", "--frac", "0", "--alpha", "1000"],
+        ["il", "--delta-x", "inf"],
+        ["evolve", "--t", "inf"],
+        ["pool-info", "--x", "1", "--y", "1", "--p-x", "nan"],
+        ["emit-figure", "--figure", "il_one_coin", "--grid-max", "inf"],
+        ["quote", "--x", "1e300", "--y", "10", "--direction", "x2y",
+         "--amount", "1.7976931348623157e308"],
+        ["quote", "--x", "5e-324", "--y", "0.7", "--direction", "x2y", "--amount", "3"],
+    ],
+)
+def test_out_of_domain_flags_exit_1(capsys, argv):
+    assert_rejected(*run_cli(capsys, *argv))
+
+
+def test_rk4_step_limit_exits_1_at_once(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "roi", "--method", "rk4", "--step", "1e-9")
+    assert time.perf_counter() - started < 1.0
+    assert_rejected(code, out, err)
+    assert "RK4 steps" in err
+
+
+def test_tiny_compounding_population_solves(capsys):
+    code, out, _ = run_cli(capsys, "roi", "--frac", "1e-60", "--alpha", "0.2")
+    assert code == 0
+    # A vanishing compounder grows like exp(alpha t), holdouts like 1 + alpha t.
+    assert float(parse_pairs(out)["rho_c"]) == pytest.approx(math.exp(0.2), rel=1e-12)
+
+
+# -- property: any argv ends in exit 0, 1 or 2 -------------------------------
+
+_NON_FINITE = ("nan", "inf", "-inf")
+_numbers = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6).map(repr),
+    st.sampled_from(("0",) + _NON_FINITE),
+    st.builds("{}/{}".format, st.integers(-1000, 1000), st.integers(-1000, 1000)),
+)
+_json_numbers = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from((0, math.nan, math.inf, -math.inf)),
+    st.builds("{}/{}".format, st.integers(-10, 10), st.integers(-10, 10)),
+)
+_COMMANDS = {
+    # command: (required numeric flags, optional numeric flags, other argv choices)
+    "quote": (["--x", "--y", "--amount"], ["--fee", "--max-spread"],
+              [["--direction", "y2x"], ["--direction", "x2y"]]),
+    "swap": (["--x", "--y", "--amount"], ["--fee", "--max-spread"],
+             [["--direction", d, "--fee-model", m] for d in ("y2x", "x2y")
+              for m in ("auto_compound", "collect_separately")]),
+    "pool-info": (["--x", "--y"], ["--p-x", "--p-y"], [[]]),
+    "il": ([], ["--delta-x", "--delta-y"], [[], ["--replay-check"]]),
+    "evolve": ([], ["--delta-x", "--delta-y", "--alpha", "--t"], [[]]),
+    "roi": ([], ["--frac", "--alpha", "--t", "--step"],
+            [["--method", "implicit"], ["--method", "rk4"]]),
+    "emit-figure": ([], ["--grid-min", "--grid-max", "--count", "--alpha", "--t", "--frac"],
+                    [["--figure", figure] for figure in FIGURE_IDS]),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional, others = _COMMANDS[command]
+    argv = [command, *draw(st.sampled_from(others))]
+    for flag in required + [f for f in optional if draw(st.booleans())]:
+        value = _numbers if flag != "--count" else st.integers(-2, 200).map(str) | _numbers
+        argv.append(f"{flag}={draw(value)}")  # "=" keeps "-inf" from reading as a flag
+    return argv
+
+
+@st.composite
+def _script(draw):
+    """A scenario document whose pool sits on the market rate unless the draw says not."""
+    reserve, price = draw(_json_numbers), draw(_json_numbers)
+    events = []
+    for index in range(draw(st.integers(0, 4))):
+        event = {"type": draw(st.sampled_from(("trade", "price_move", "collect_fees",
+                                               "snapshot"))),
+                 "t": draw(st.just(index) | _json_numbers)}
+        if event["type"] == "trade":
+            event.update(direction=draw(st.sampled_from(("y2x", "x2y"))),
+                         amount=draw(_json_numbers))
+            if draw(st.booleans()):
+                event["max_spread"] = draw(_json_numbers)
+        elif event["type"] == "price_move":
+            event.update(delta_x=draw(_json_numbers), delta_y=draw(_json_numbers))
+        elif event["type"] == "collect_fees":
+            event["provider"] = "lp"
+        else:
+            event["label"] = f"s{index}"
+        events.append(event)
+    return {
+        "pool": {"x": reserve, "y": draw(st.just(reserve) | _json_numbers),
+                 "fee_rate": draw(st.just(0.003) | _json_numbers),
+                 "fee_model": draw(st.sampled_from(("auto_compound", "collect_separately")))},
+        "prices": {"p_x": price, "p_y": draw(st.just(price) | _json_numbers)},
+        "events": events,
+    }
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_exit(code, out, err, non_finite):
+    assert code in (0, 1, 2), (code, err)
+    if code == 0:
+        assert out and not err
+        assert not non_finite, out
+    else:
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") if code == 1 else "error:" in err
+
+
+@given(argv=_cli_argv())
+@settings(max_examples=400, deadline=None)
+def test_any_argv_exits_0_1_or_2(argv):
+    non_finite = any(arg.split("=")[-1] in _NON_FINITE for arg in argv)
+    _check_exit(*_main_in_process(argv), non_finite)
+
+
+@given(doc=_script())
+@settings(max_examples=300, deadline=None)
+def test_any_script_exits_0_or_1(doc):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "script.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        code, out, err = _main_in_process(["run-scenario", path])
+    text = json.dumps(doc)
+    _check_exit(code, out, err, any(word in text for word in ("NaN", "Infinity")))
+    assert code != 2

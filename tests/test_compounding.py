@@ -1,6 +1,7 @@
 """Compounding-vs-collecting growth model: integrator, implicit root, ROI."""
 
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from cpamm import (
     lc_implicit_solve,
     roi_pair,
 )
+from cpamm.compounding import MAX_RK4_STEPS
 
 DEFAULT = RoiParams(frac_compounding=0.99, alpha=0.2, horizon=1.0)
 
@@ -178,3 +180,22 @@ def test_roi_pair_rk4_is_the_final_trajectory_point(frac, alpha, step, t):
     params = RoiParams(frac_compounding=frac, alpha=alpha, horizon=5.0, step=step)
     final = integrate_lc(replace(params, horizon=t)).final
     assert roi_pair(params, t, method="rk4") == (final.rho_c, final.rho_nc)
+
+
+@pytest.mark.parametrize("frac", [1e-300, 1e-60, 1e-12])
+def test_tiny_compounding_population_root_matches_rk4(frac):
+    # The linear bracket [L_c0, L_c0 + alpha L0 t] spans up to 300 decades here.
+    params = RoiParams(frac_compounding=frac, alpha=0.2, horizon=1.0)
+    via_root = roi_pair(params, 1.0, method="implicit")
+    via_rk4 = roi_pair(params, 1.0, method="rk4")
+    assert via_root == pytest.approx(via_rk4, rel=1e-8)
+
+
+@pytest.mark.parametrize("run", [integrate_lc, lambda params: roi_pair(params, 1.0, "rk4")])
+def test_rk4_step_count_is_bounded(run):
+    params = RoiParams(frac_compounding=0.5, alpha=0.2, horizon=1.0, step=1e-9)
+    started = time.perf_counter()
+    with pytest.raises(InvalidStep, match=str(MAX_RK4_STEPS)):
+        run(params)
+    assert time.perf_counter() - started < 1.0
+

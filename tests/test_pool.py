@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cpamm import (
     FeeModel,
     InactivePool,
     InvalidFee,
+    InvalidRate,
     NonPositiveAmount,
     NonPositiveReserve,
     RateMismatch,
@@ -482,3 +484,22 @@ def test_swap_that_would_drain_a_float_reserve_is_rejected(operation, direction)
     pool = create_pool(100.0, 100.0)
     with pytest.raises(NonPositiveReserve, match="drain"):
         operation(pool, direction, 1e20)
+
+
+@pytest.mark.parametrize("operation", [quote, execute_swap])
+def test_swap_whose_float_output_overflows_is_rejected(operation):
+    # The input side overflows to inf and so does reserve_out * net, so the
+    # output is inf / inf = NaN; the drain guard must not let a NaN through.
+    pool = create_pool(1e300, 10.0)
+    with pytest.raises(NonPositiveReserve, match="drain"):
+        operation(pool, Direction.X_FOR_Y, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("target", [1e-40, 1e40, 5e-324])
+def test_arbitrage_beyond_float_reach_names_the_rates(target):
+    # A price ratio this far from the pool rate needs a float arbitrage leg
+    # that drains a reserve; the error names the rates, not the inner swap.
+    pool = create_pool(100.0, 100.0)
+    named = rf"target rate {re.escape(str(target))} .* pool rate 1\.0"
+    with pytest.raises(InvalidRate, match=named):
+        arbitrage_to_rate(pool, target)

@@ -329,3 +329,26 @@ def test_non_finite_timestamp_rejected(t):
     events = [{"type": "snapshot", "t": when} for when in (5, t, 1)]
     with pytest.raises(ScriptError, match="^event 1: timestamp must be finite"):
         load_script(io.StringIO(json.dumps(script_doc(events=events))))
+
+
+
+@pytest.mark.parametrize("path", [
+    ("pool", "x"), ("pool", "y"), ("pool", "fee_rate"), ("prices", "p_x"), ("prices", "p_y"),
+    ("events", 0, "t"), ("events", 0, "amount"), ("events", 0, "max_spread"),
+    ("events", 1, "delta_x"), ("events", 1, "delta_y"),
+])
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_boolean_is_not_a_number(path, flag):
+    # float(True) is 1.0, so a boolean would otherwise replay as the number 1.
+    doc = script_doc(events=[
+        {"type": "trade", "t": 0, "direction": "y2x", "amount": 1, "max_spread": 0.5},
+        {"type": "price_move", "t": 0, "delta_x": 1, "delta_y": 2},
+    ])
+    *parents, field = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[field] = flag
+    where = f"event {path[1]}" if parents[0] == "events" else "malformed script"
+    with pytest.raises(ScriptError, match=f"^{where}: expected a number, got {str(flag).lower()}"):
+        load_script(io.StringIO(json.dumps(doc)))

@@ -1,0 +1,162 @@
+"""The numeric domain boundary: one NaN-safe check family in ``cpamm.errors``."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from cpamm import (
+    DomainError,
+    Direction,
+    EmptyWindow,
+    FeeModel,
+    GrowthParams,
+    InputError,
+    InvalidFee,
+    InvalidRate,
+    InvalidStep,
+    NonPositiveAmount,
+    NonPositiveDelta,
+    NonPositiveInput,
+    NonPositivePrice,
+    NonPositiveReserve,
+    PriceMove,
+    PriceScenario,
+    RateMismatch,
+    RoiParams,
+    ScenarioScript,
+    ScriptError,
+    Snapshot,
+    create_pool,
+    default_figure_spec,
+    il_brute_force,
+    measure_effective_alpha,
+    pool_value,
+    quote,
+    reserves_from_rate_liquidity,
+    reserves_from_value,
+    run_scenario,
+)
+from cpamm.errors import non_negative, positive, unit_interval
+from cpamm.rational import RationalPool, oracle_swap
+
+NAN, INF = math.nan, math.inf
+HUGE = Fraction(10**400)
+TINY = Fraction(1, 10**400)
+
+
+@pytest.mark.parametrize("value", [1e-300, 5e-324, 1.0, 1e308, HUGE, TINY, Fraction(1, 3)])
+def test_positive_accepts_finite_positive_values(value):
+    positive(NonPositiveInput, "x", value)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -0.0, -1.0, -HUGE, NAN, INF, -INF])
+def test_positive_rejects_the_rest(value):
+    with pytest.raises(NonPositiveInput, match=r"^x must be finite and positive, got "):
+        positive(NonPositiveInput, "x", value)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e308, HUGE])
+def test_non_negative_accepts_zero_and_up(value):
+    non_negative(NonPositiveInput, "x", value)
+
+
+@pytest.mark.parametrize("value", [-1e-300, -HUGE, NAN, INF, -INF])
+def test_non_negative_rejects_the_rest(value):
+    with pytest.raises(NonPositiveInput, match=r"^x must be finite and >= 0, got "):
+        non_negative(NonPositiveInput, "x", value)
+
+
+def test_non_negative_upper_bound_is_exclusive():
+    non_negative(InvalidFee, "fee", Fraction(999, 1000), below=1)
+    for value in (1, 1.5, NAN):
+        with pytest.raises(InvalidFee, match=r"must be in \[0, 1\)"):
+            non_negative(InvalidFee, "fee", value, below=1)
+
+
+def test_unit_interval_is_closed():
+    for value in (0, 0.5, 1, Fraction(1)):
+        unit_interval(DomainError, "frac", value)
+    for value in (-1e-300, 1 + 1e-15, NAN, INF):
+        with pytest.raises(DomainError, match=r"must be in \[0, 1\]"):
+            unit_interval(DomainError, "frac", value)
+
+
+def test_every_value_is_checked_and_all_are_reported():
+    with pytest.raises(NonPositiveReserve, match=r"got \(1, nan\)$"):
+        positive(NonPositiveReserve, "reserves", 1, NAN)
+
+
+def _replay(**fields):
+    script = dict(pool_x=100.0, pool_y=100.0, fee_rate=0.0,
+                  fee_model=FeeModel.AUTO_COMPOUND, p_x0=1.0, p_y0=1.0, events=())
+    script.update(fields)
+    return run_scenario(ScenarioScript(**script))
+
+
+POOL = create_pool(100.0, 100.0)
+
+# Out-of-domain calls at every layer; each must raise its own InputError
+# subclass rather than return NaN or inf or raise an untyped exception.
+REJECTED = {
+    "create_pool nan": (NonPositiveReserve, lambda: create_pool(NAN, 1)),
+    "create_pool nan fee": (InvalidFee, lambda: create_pool(1, 1, fee_rate=NAN)),
+    "create_pool liquidity overflow": (NonPositiveReserve, lambda: create_pool(1e200, 1e200)),
+    "create_pool liquidity underflow": (NonPositiveReserve, lambda: create_pool(1e-200, 1e-200)),
+    "quote inf": (NonPositiveAmount, lambda: quote(POOL, Direction.Y_FOR_X, INF)),
+    "quote nan": (NonPositiveAmount, lambda: quote(POOL, Direction.X_FOR_Y, NAN)),
+    "pool_value nan": (NonPositivePrice, lambda: pool_value(POOL, NAN, 1)),
+    "pool_value inf": (NonPositivePrice, lambda: pool_value(POOL, 1, INF)),
+    "reserves_from_rate_liquidity nan rate": (
+        InvalidRate, lambda: reserves_from_rate_liquidity(NAN, 1.0)),
+    "reserves_from_rate_liquidity inf liquidity": (
+        NonPositiveInput, lambda: reserves_from_rate_liquidity(1.0, INF)),
+    "reserves_from_value nan": (NonPositiveInput, lambda: reserves_from_value(NAN, 1, 1)),
+    "PriceScenario nan": (NonPositiveDelta, lambda: PriceScenario(NAN, 1)),
+    "PriceScenario inf price": (NonPositivePrice, lambda: PriceScenario(1, 1, p_x0=INF)),
+    "GrowthParams nan": (NonPositiveInput, lambda: GrowthParams(NAN, 1)),
+    "GrowthParams inf": (NonPositiveInput, lambda: GrowthParams(0.2, INF)),
+    "RoiParams nan step": (
+        InvalidStep, lambda: RoiParams(frac_compounding=0.5, alpha=0.2, horizon=1, step=NAN)),
+    "RoiParams nan alpha": (
+        NonPositiveInput, lambda: RoiParams(frac_compounding=0.5, alpha=NAN, horizon=1)),
+    "RoiParams nan frac": (
+        NonPositiveInput, lambda: RoiParams(frac_compounding=NAN, alpha=0.2, horizon=1)),
+    "figure nan alpha": (DomainError, lambda: default_figure_spec("il_one_coin", alpha=NAN)),
+    "figure inf grid end": (
+        DomainError, lambda: default_figure_spec("il_one_coin", domain_grid=(0.0, INF, 3))),
+    "figure inf time axis": (
+        DomainError, lambda: default_figure_spec("roi_comparison", domain_grid=(0.0, INF, 3))),
+    "RationalPool nan": (NonPositiveReserve, lambda: RationalPool(Fraction(1), NAN)),
+    "oracle_swap inf": (
+        NonPositiveAmount,
+        lambda: oracle_swap(RationalPool(Fraction(1), Fraction(1)), Direction.Y_FOR_X, INF)),
+    "measure_effective_alpha nan": (
+        EmptyWindow,
+        lambda: measure_effective_alpha(
+            ScenarioScript(100.0, 100.0, 0.0, FeeModel.AUTO_COMPOUND, 1.0, 1.0), NAN)),
+    "script zero price": (ScriptError, lambda: _replay(p_x0=0.0)),
+    "script market rate overflow": (ScriptError, lambda: _replay(p_x0=1e-300, p_y0=1e300)),
+    "il_brute_force market rate overflow": (
+        RateMismatch,
+        lambda: il_brute_force(PriceScenario(1, 1, p_x0=1e-300, p_y0=1e300), POOL)),
+    "script nan price": (ScriptError, lambda: _replay(p_y0=NAN)),
+    "script zero reserve": (NonPositiveReserve, lambda: _replay(pool_y=0.0)),
+    "script nan price move": (
+        ScriptError, lambda: _replay(events=(PriceMove(0.0, NAN, 1.0),))),
+    "script price underflow": (
+        ScriptError,
+        lambda: _replay(p_x0=1e-300, p_y0=1e-300, events=(PriceMove(0.0, 1e-100, 1.0),))),
+    "script held value underflow": (
+        ScriptError,
+        lambda: _replay(pool_x=1e-30, pool_y=1e-30, p_x0=1e-300, p_y0=1e-300,
+                        events=(Snapshot(0.0, "s"),))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_out_of_domain_input_raises_its_typed_error(name):
+    error, call = REJECTED[name]
+    assert issubclass(error, InputError)
+    with pytest.raises(error):
+        call()
