@@ -91,7 +91,8 @@ def impermanent_loss(scenario: PriceScenario) -> IlReport:
     loss = 2 * math.sqrt(dx * dy) / (dx + dy) - 1
     # Normalize to initial portfolio value 1: x0 * p_x0 = 1/2.
     x_value0 = 0.5
-    v_pooled = 2 * dx * math.sqrt(dy / dx) * x_value0
+    # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
+    v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx)) * 2 * x_value0
     v_held = (dx + dy) * x_value0
     return IlReport(v_pooled=v_pooled, v_held=v_held, relative_loss=loss)
 

@@ -20,7 +20,9 @@ rejected input, 2 for usage errors, 3 for internal failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,11 +37,12 @@ from .analytics import (
     relative_evolution_compounded,
 )
 from .compounding import RoiParams, roi_pair
-from .errors import InputError, InternalError
+from .errors import DomainError, InputError, InternalError
 from .pool import (
     Direction,
     FeeModel,
     Numeric,
+    SwapReceipt,
     create_pool,
     execute_swap,
     liquidity_of,
@@ -60,19 +63,13 @@ def _num(text: str) -> Numeric:
     return float(text)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return "none"
-    return str(value)
-
-
 def _print_pairs(pairs: Sequence[Tuple[str, object]]) -> None:
+    """Print ``key=value`` lines, or nothing if a float result is not finite."""
     for key, value in pairs:
-        print(f"{key}={_fmt(value)}")
+        # Only floats: math.isfinite would overflow converting a huge Fraction.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{key} = {value} leaves float range")
+    print("\n".join(f"{key}={value!s}" for key, value in pairs))
 
 
 def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> None:
@@ -100,16 +97,11 @@ def _add_swap_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _quote_pairs(receipt) -> List[Tuple[str, object]]:
-    return [
-        ("direction", receipt.direction.value),
-        ("requested_in", receipt.requested_in),
-        ("capped_in", receipt.capped_in),
-        ("amount_out", receipt.amount_out),
-        ("realized_rate", receipt.realized_rate),
-        ("spread_applied", receipt.spread_applied),
-        ("fee_paid", receipt.fee_paid),
-    ]
+def _quote_pairs(receipt: SwapReceipt) -> List[Tuple[str, object]]:
+    """Every receipt field in declaration order; the direction by its CLI name."""
+    values = {field.name: getattr(receipt, field.name) for field in fields(receipt)}
+    values["direction"] = receipt.direction.value
+    return list(values.items())
 
 
 def _cmd_quote(args: argparse.Namespace) -> None:

@@ -186,13 +186,11 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     if params.frac_compounding == 0:
         raise NonPositiveInput("no compounding population; the equation degenerates")
     non_negative(NonPositiveInput, "time", t)
+    if _is_linear(params):
+        return _closed_form(params, t)[0]
     l_c0 = params.l_c0
     l_nc = params.l_nc
     target = params.alpha * params.l_total0 * t
-    if target == 0:
-        return l_c0
-    if l_nc == 0:
-        return l_c0 + target
 
     def gap(l_c: float) -> float:
         return l_c - l_c0 + l_nc * math.log(l_c / l_c0) - target
@@ -202,8 +200,8 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     if math.log2(hi / lo) - math.log2(ROOT_REL_TOL) > _ROOT_MAX_ITER:
         try:
             hi = min(hi, l_c0 * math.exp(target / l_nc))
-        except OverflowError:
-            pass  # the exponential bound is the looser one
+        except (OverflowError, ZeroDivisionError):
+            pass  # the exponential bound is the looser one (L_nc may underflow to 0)
     for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= ROOT_REL_TOL * hi:

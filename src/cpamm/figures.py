@@ -27,6 +27,7 @@ to displayed precision (20.02 and 18.2).  Pass exact simulator output to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -41,23 +42,6 @@ from .analytics import (
 from .compounding import RoiParams, roi_pair
 from .errors import DomainError, non_negative, positive, unit_interval
 
-FIGURE_IDS = (
-    "il_one_coin",
-    "portfolio_one_coin",
-    "fee_model_comparison",
-    "roi_comparison",
-    "corrected_fee_model_comparison",
-)
-
-_DEFAULT_GRIDS = {
-    "il_one_coin": (-99.0, 200.0, 300),
-    "portfolio_one_coin": (-99.0, 200.0, 300),
-    "fee_model_comparison": (-99.0, 300.0, 400),
-    "roi_comparison": (0.0, 1.0, 101),
-    "corrected_fee_model_comparison": (-99.0, 150.0, 250),
-}
-
-
 @dataclass(frozen=True)
 class FigureSpec:
     figure_id: str
@@ -69,7 +53,7 @@ class FigureSpec:
     roi_not_compounding_pct: float = 18.2
 
     def __post_init__(self) -> None:
-        if self.figure_id not in FIGURE_IDS:
+        if self.figure_id not in _FIGURES:
             raise DomainError(f"unknown figure id {self.figure_id!r}")
         lo, hi, count = self.domain_grid
         if count < 2:
@@ -95,9 +79,9 @@ class FigureSpec:
 
 def default_figure_spec(figure_id: str, **overrides) -> FigureSpec:
     """Spec with the stock grid for ``figure_id``; kwargs override fields."""
-    if figure_id not in _DEFAULT_GRIDS:
+    if figure_id not in _FIGURES:
         raise DomainError(f"unknown figure id {figure_id!r}")
-    overrides.setdefault("domain_grid", _DEFAULT_GRIDS[figure_id])
+    overrides.setdefault("domain_grid", _FIGURES[figure_id][0])
     return FigureSpec(figure_id=figure_id, **overrides)
 
 
@@ -162,19 +146,27 @@ def _emit_corrected_comparison(spec: FigureSpec):
     return ["price_change_pct", "not_investing", "compounding", "not_compounding"], rows
 
 
-_EMITTERS = {
-    "il_one_coin": _emit_il_one_coin,
-    "portfolio_one_coin": _emit_portfolio_one_coin,
-    "fee_model_comparison": _emit_fee_model_comparison,
-    "roi_comparison": _emit_roi_comparison,
-    "corrected_fee_model_comparison": _emit_corrected_comparison,
+#: Each figure id with its stock grid and its emitter, in display order.
+_FIGURES = {
+    "il_one_coin": ((-99.0, 200.0, 300), _emit_il_one_coin),
+    "portfolio_one_coin": ((-99.0, 200.0, 300), _emit_portfolio_one_coin),
+    "fee_model_comparison": ((-99.0, 300.0, 400), _emit_fee_model_comparison),
+    "roi_comparison": ((0.0, 1.0, 101), _emit_roi_comparison),
+    "corrected_fee_model_comparison": ((-99.0, 150.0, 250), _emit_corrected_comparison),
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def emit_figure(spec: FigureSpec) -> str:
-    """Render the figure described by ``spec`` as a CSV string."""
-    header, rows = _EMITTERS[spec.figure_id](spec)
+    """Render the figure described by ``spec`` as a CSV string.
+
+    A value beyond float range raises ``DomainError`` instead, so no figure
+    ever holds ``inf`` or ``nan``.
+    """
+    header, rows = _FIGURES[spec.figure_id][1](spec)
     lines = [",".join(header)]
     for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"{spec.figure_id} leaves float range at x = {row[0]}")
         lines.append(",".join(repr(float(value)) for value in row))
     return "\n".join(lines) + "\n"

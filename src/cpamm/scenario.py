@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import List, Optional, Sequence, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError, non_negative, positive
@@ -34,6 +36,7 @@ from .pool import (
     create_pool,
     execute_swap,
     liquidity_of,
+    pool_value,
     require_market_rate,
 )
 
@@ -100,12 +103,15 @@ class PortfolioSnapshot:
 
 
 class _Replay:
-    """Mutable replay state shared by run_scenario and the alpha probe."""
+    """Mutable replay state shared by run_scenario and the alpha probe.
+
+    ``start`` is the opening pool, ``pool`` the current one.
+    """
 
     def __init__(self, script: ScenarioScript):
         positive(ScriptError, "initial prices", script.p_x0, script.p_y0)
         self.script = script
-        self.pool = create_pool(
+        self.start = self.pool = create_pool(
             script.pool_x,
             script.pool_y,
             fee_rate=script.fee_rate,
@@ -121,9 +127,10 @@ class _Replay:
         self.snapshots: List[PortfolioSnapshot] = []
 
     def apply(self, index: int, event: Event) -> None:
-        if event.t < self.t:
+        # A chained comparison, so a NaN timestamp fails it too.
+        if not self.t <= event.t < math.inf:
             raise ScriptError(
-                f"event {index}: timestamp {event.t} runs backwards from {self.t}"
+                f"event {index}: timestamp {event.t} must be finite and not before {self.t}"
             )
         self.t = event.t
         try:
@@ -164,8 +171,8 @@ class _Replay:
         )
 
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
-        pooled = self.p_x * self.pool.reserve_x + self.p_y * self.pool.reserve_y
-        held = self.p_x * self.script.pool_x + self.p_y * self.script.pool_y
+        pooled = pool_value(self.pool, self.p_x, self.p_y)
+        held = pool_value(self.start, self.p_x, self.p_y)
         positive(ScriptError, "pooled and held values", pooled, held)
         return PortfolioSnapshot(
             label=label,
@@ -204,10 +211,8 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     ``value / (2 sqrt(p_x p_y))`` before normalizing.
     """
     positive(EmptyWindow, "window", window)
-    start_liquidity = liquidity_of(
-        create_pool(script.pool_x, script.pool_y, script.fee_rate, script.fee_model)
-    )
     replay = _Replay(script).run()
+    start_liquidity = liquidity_of(replay.start)
     if script.fee_model is FeeModel.AUTO_COMPOUND:
         growth = liquidity_of(replay.pool) / start_liquidity - 1
         return growth / window
@@ -328,23 +333,11 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
 
 
 def snapshots_to_csv(snapshots: Sequence[PortfolioSnapshot]) -> str:
-    """Render snapshots as a CSV table with a single header row."""
-    lines = [
-        "label,t,reserve_x,reserve_y,fees_x,fees_y,"
-        "lp_value_pooled,lp_value_held,lambda_realized,p_x,p_y"
-    ]
+    """Render snapshots as a CSV table: one column per snapshot field, the
+    label first and every other field as a float ``repr``."""
+    names = [field.name for field in fields(PortfolioSnapshot)]
+    numbers = attrgetter(*names[1:])  # every field after the label
+    lines = [",".join(names)]
     for snap in snapshots:
-        values = (
-            snap.t,
-            snap.reserve_x,
-            snap.reserve_y,
-            snap.fees_x,
-            snap.fees_y,
-            snap.lp_value_pooled,
-            snap.lp_value_held,
-            snap.lambda_realized,
-            snap.p_x,
-            snap.p_y,
-        )
-        lines.append(snap.label + "," + ",".join(repr(float(v)) for v in values))
+        lines.append(snap.label + "," + ",".join(repr(float(v)) for v in numbers(snap)))
     return "\n".join(lines) + "\n"

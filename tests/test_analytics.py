@@ -75,6 +75,14 @@ def test_loss_depends_only_on_delta_ratio(d, scale):
     assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("dx, dy", [(5e-324, 1e6), (1e6, 5e-324), (1e-300, 1e300)])
+def test_pooled_value_survives_a_price_ratio_beyond_float_range(dx, dy):
+    # dy / dx overflows (or underflows); the pooled value sqrt(dx dy) does not.
+    report = impermanent_loss(PriceScenario(dx, dy))
+    assert report.v_pooled == pytest.approx(math.sqrt(dx * dy), rel=1e-12, abs=0)
+    assert report.v_held == (dx + dy) / 2
+
+
 def test_brute_force_hand_value():
     # (100, 100) pool, Y price x4: arbitrage moves reserves to (200, 50),
     # pooled 400 vs held 500 at the new prices

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpamm import NoConvergence, cli
 from cpamm.cli import main
 from cpamm.figures import FIGURE_IDS
 
@@ -329,6 +330,42 @@ def test_tiny_compounding_population_solves(capsys):
     assert code == 0
     # A vanishing compounder grows like exp(alpha t), holdouts like 1 + alpha t.
     assert float(parse_pairs(out)["rho_c"]) == pytest.approx(math.exp(0.2), rel=1e-12)
+
+
+def test_il_at_a_price_ratio_beyond_float_range(capsys):
+    code, out, _ = run_cli(capsys, "il", "--delta-x", "5e-324", "--delta-y", "1e6")
+    assert code == 0
+    v_pooled = float(parse_pairs(out)["v_pooled"])
+    assert v_pooled == pytest.approx(math.sqrt(5e-324 * 1e6), rel=1e-12, abs=0)
+
+
+def test_non_finite_evolve_result_exits_1(capsys):
+    code, out, err = run_cli(capsys, "evolve", "--delta-x", "1e300", "--delta-y", "1e300")
+    assert_rejected(code, out, err)
+    assert "auto_compound = inf leaves float range" in err
+
+
+def test_non_finite_roi_result_exits_1(capsys):
+    code, out, err = run_cli(capsys, "roi", "--frac", "5e-324", "--alpha", "1000", "--t", "1000")
+    assert_rejected(code, out, err)
+    assert "= inf leaves float range" in err
+
+
+def test_non_finite_figure_value_exits_1_and_writes_nothing(capsys, tmp_path):
+    argv = ["emit-figure", "--figure", "fee_model_comparison", "--alpha", "1e308"]
+    assert_rejected(*run_cli(capsys, *argv))
+    target = tmp_path / "fig.csv"
+    assert_rejected(*run_cli(capsys, *argv, "--out", str(target)))
+    assert not target.exists()
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def solver_bug(*args, **kwargs):
+        raise NoConvergence("bisection gave up")
+
+    monkeypatch.setattr(cli, "roi_pair", solver_bug)
+    code, out, err = run_cli(capsys, "roi")
+    assert (code, out, err) == (3, "", "internal error: bisection gave up\n")
 
 
 # -- property: any argv ends in exit 0, 1 or 2 -------------------------------

@@ -168,6 +168,14 @@ def test_implicit_solver_rejects_zero_compounders():
         lc_implicit_solve(params, 1.0)
 
 
+def test_implicit_solver_with_an_underflowed_holdout_liquidity():
+    # frac < 1, yet L_nc = (1 - frac) * L0 rounds to 0: the root is L_c0 + alpha L0 t.
+    params = RoiParams(frac_compounding=1 - 1e-15, alpha=1e300, horizon=1.0, l_total0=1e-310)
+    assert params.l_nc == 0
+    expected = params.l_c0 + params.alpha * params.l_total0
+    assert lc_implicit_solve(params, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_roi_pair_rejects_unknown_method():
     with pytest.raises(NonPositiveInput):
         roi_pair(DEFAULT, 1.0, method="euler")

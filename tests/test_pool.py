@@ -13,6 +13,7 @@ from cpamm import (
     Direction,
     FeeModel,
     InactivePool,
+    InsufficientShares,
     InvalidFee,
     InvalidRate,
     NonPositiveAmount,
@@ -296,6 +297,23 @@ def test_remove_liquidity_proportional():
     assert (got_x, got_y) == (10, 40)
     assert pool.reserve_x == 100
     assert "alice" not in pool.share_ledger
+
+
+def test_partial_burn_keeps_the_rest_of_the_position():
+    pool = create_pool(Fraction(100), Fraction(400))
+    pool, (got_x, got_y) = remove_liquidity(pool, "lp", Fraction(50))
+    assert (got_x, got_y) == (25, 100)  # a quarter of the 200 shares
+    assert pool.share_ledger["lp"] == pool.total_shares == 150
+    assert (pool.reserve_x, pool.reserve_y) == (75, 300)
+
+
+def test_burning_more_than_owned_is_rejected():
+    pool = create_pool(100.0, 100.0)
+    pool, _ = add_liquidity(pool, "alice", 10.0, 10.0)
+    with pytest.raises(InsufficientShares, match="alice owns"):
+        remove_liquidity(pool, "alice", 11.0)
+    with pytest.raises(InsufficientShares, match="bob owns 0"):
+        remove_liquidity(pool, "bob", 1.0)
 
 
 def test_full_withdrawal_is_terminal():

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,6 +142,21 @@ def test_backwards_timestamps_rejected():
         )
     )
     with pytest.raises(ScriptError, match="event 1"):
+        run_scenario(script)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_replay_timestamp_rejected(t):
+    # A hand-built script skips load_script's check; NaN compares False both
+    # ways, so a plain "earlier than" test would let -1.0 run after it.
+    script = make_script((Snapshot(t=t, label="odd"), Snapshot(t=-1.0, label="early")))
+    with pytest.raises(ScriptError, match="^event 0: timestamp .* must be finite"):
+        run_scenario(script)
+
+
+def test_unknown_event_type_rejected():
+    script = make_script((Snapshot(t=0.0, label="ok"), SimpleNamespace(t=1.0)))
+    with pytest.raises(ScriptError, match="^event 1: unknown event type SimpleNamespace"):
         run_scenario(script)
 
 
