@@ -101,7 +101,12 @@ def _sample_at(params: RoiParams, t: float, l_c: float, fees_nc: float) -> RoiSa
         rho_c = math.exp(growth) if frac == 0 else l_c / params.l_c0
     except OverflowError as err:
         raise NonPositiveInput(f"exp(alpha * t) overflows at alpha * t = {growth}") from err
-    rho_nc = 1 + math.log(1 + growth) if frac == 1 else 1 + fees_nc / params.l_nc
+    if frac == 1:
+        rho_nc = 1 + math.log(1 + growth)
+    elif params.l_nc == 0:
+        raise NonPositiveInput("holdout liquidity underflows to 0")
+    else:
+        rho_nc = 1 + fees_nc / params.l_nc
     return RoiSample(t=t, l_c=l_c, rho_c=rho_c, rho_nc=rho_nc, fees_nc=fees_nc)
 
 
@@ -203,7 +208,10 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
         except (OverflowError, ZeroDivisionError):
             pass  # the exponential bound is the looser one (L_nc may underflow to 0)
     for _ in range(_ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+        total = lo + hi
+        # Halving each end separately only where the sum overflows keeps
+        # every root that fits in float range bit for bit.
+        mid = 0.5 * total if total < math.inf else 0.5 * lo + 0.5 * hi
         if hi - lo <= ROOT_REL_TOL * hi:
             return mid
         if gap(mid) < 0:

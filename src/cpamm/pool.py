@@ -26,6 +26,12 @@ operation builds its result with a direct constructor call: on the swap path
 that is about twice as fast as the generic copy-with-changes helper of the
 ``dataclasses`` module.
 
+The value-level API is built on one plain-number kernel: ``_swap`` holds the
+curve equation, the spread-cap clamp and the amount and drain guards,
+``_settle`` routes the fee, and ``_arbitrage`` is the fee-free leg onto a
+market rate.  They take and return bare reserves, so a replay can keep its
+state as plain numbers and build value objects only where they are read.
+
 Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
 runs the swap path exactly (the swap equations are rational); square roots
 fall back to floats unless the operand is a perfect rational square.
@@ -217,6 +223,75 @@ def reserves_from_value(
     return x, y, liquidity
 
 
+def _spread_cap(reserve_in: Numeric, sigma: Numeric, y_for_x: bool) -> Numeric:
+    """Largest net input that moves the rate by ``sigma`` (the cap formulas
+    above), on the input-side reserve."""
+    if y_for_x:
+        non_negative(SpreadOutOfRange, "Y-for-X spread", sigma, below=1)
+        return reserve_in * (1 / _sqrt(1 - sigma) - 1)
+    non_negative(SpreadOutOfRange, "X-for-Y spread", sigma)
+    return reserve_in * (_sqrt(1 + sigma) - 1)
+
+
+def _swap(
+    reserve_in: Numeric,
+    reserve_out: Numeric,
+    phi: Numeric,
+    amount: Numeric,
+    cap: Optional[Numeric],
+    y_for_x: bool,
+) -> Tuple[Numeric, Numeric, Numeric, Numeric]:
+    """The swap kernel: ``(gross, net, out, squared)`` for ``amount`` paid in.
+
+    ``gross`` is what the trader pays and ``net`` what enters the curve once
+    the fee and the spread cap ``cap`` (None for none) are applied; ``out``
+    is the output and ``squared`` is ``(reserve_in / (reserve_in + net))**2``,
+    the factor the rate moves by.  ``y_for_x`` picks the cap formula; the
+    cap is sized here, after the amount guard, so a trade with a bad amount
+    and a bad cap is rejected for its amount.
+    """
+    positive(NonPositiveAmount, "trade amount", amount)
+    net = amount * (1 - phi)
+    gross = amount
+    if cap is not None:
+        limit = _spread_cap(reserve_in, cap, y_for_x)
+        if net > limit:
+            net = limit
+            gross = limit / (1 - phi)
+    grown = reserve_in + net
+    out = reserve_out * net / grown
+    ratio = reserve_in / grown
+    squared = ratio * ratio
+    # Only floats fail this: the output rounds (or overflows) to the whole
+    # reserve, or the input dwarfs its reserve so far that the rate move
+    # underflows.  Written as a negation so a NaN fails it too.
+    if not (out < reserve_out and squared > 0):
+        raise NonPositiveReserve(
+            f"swap of {amount} would drain the output reserve {reserve_out}: "
+            "the output rounds to the whole reserve"
+        )
+    return gross, net, out, squared
+
+
+def _settle(
+    reserve_in: Numeric, fees_in: Numeric, gross: Numeric, fee: Numeric, compound: bool
+) -> Tuple[Numeric, Numeric]:
+    """Input-side reserve and side-ledger balance after a trade that paid
+    ``gross``, ``fee`` of it a fee.
+
+    The fee joins the reserve when ``compound`` is true and the ledger
+    otherwise; ``fees_in`` comes back as the same object when it is not
+    credited.  The reserve takes ``gross - fee``, which with the fee adds
+    up to ``gross`` exactly, in floats too.
+    """
+    reserve_in = reserve_in + (gross - fee)
+    if fee:
+        if compound:
+            return reserve_in + fee, fees_in
+        return reserve_in, fees_in + fee
+    return reserve_in, fees_in
+
+
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
     """Largest net input whose execution moves the pool rate by exactly ``sigma``.
 
@@ -224,11 +299,8 @@ def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) 
     is charged up to ``q / (1 - phi)`` gross for it.
     """
     _require_active(pool)
-    if direction is Direction.Y_FOR_X:
-        non_negative(SpreadOutOfRange, "Y-for-X spread", sigma, below=1)
-        return pool.reserve_y * (1 / _sqrt(1 - sigma) - 1)
-    non_negative(SpreadOutOfRange, "X-for-Y spread", sigma)
-    return pool.reserve_x * (_sqrt(1 + sigma) - 1)
+    y_for_x = direction is Direction.Y_FOR_X
+    return _spread_cap(pool.reserve_y if y_for_x else pool.reserve_x, sigma, y_for_x)
 
 
 def quote(
@@ -247,46 +319,22 @@ def quote(
     the whole reserve raises ``NonPositiveReserve``.
     """
     _require_active(pool)
-    positive(NonPositiveAmount, "trade amount", amount_in)
-
-    if direction is Direction.Y_FOR_X:
+    y_for_x = direction is Direction.Y_FOR_X
+    if y_for_x:
         reserve_in, reserve_out = pool.reserve_y, pool.reserve_x
     else:
         reserve_in, reserve_out = pool.reserve_x, pool.reserve_y
-
-    phi = pool.fee_rate
-    net = amount_in * (1 - phi)
-    gross = amount_in
-    if max_spread is not None:
-        cap = max_input_for_spread(pool, direction, max_spread)
-        if net > cap:
-            net = cap
-            gross = cap / (1 - phi)
-
-    amount_out = reserve_out * net / (reserve_in + net)
-    ratio = reserve_in / (reserve_in + net)
-    squared = ratio * ratio
-    # Only floats fail this: the output rounds (or overflows) to the whole
-    # reserve, or the input dwarfs its reserve so far that the rate move
-    # underflows.  Written as a negation so a NaN fails it too.
-    if not (amount_out < reserve_out and squared > 0):
-        raise NonPositiveReserve(
-            f"swap of {amount_in} would drain the output reserve {reserve_out}: "
-            "the output rounds to the whole reserve"
-        )
-    fee_paid = gross - net
+    gross, net, amount_out, squared = _swap(
+        reserve_in, reserve_out, pool.fee_rate, amount_in, max_spread, y_for_x
+    )
     if gross > 0:
         realized_rate = amount_out / gross
     else:
         # Zero-size trade (cap of 0): the rate limit is the spot rate.
         realized_rate = reserve_out / reserve_in
-    if direction is Direction.Y_FOR_X:
-        spread_applied = 1 - squared
-    else:
-        spread_applied = 1 / squared - 1
-
+    spread_applied = 1 - squared if y_for_x else 1 / squared - 1
     return SwapQuote(
-        direction, amount_in, gross, amount_out, realized_rate, spread_applied, fee_paid
+        direction, amount_in, gross, amount_out, realized_rate, spread_applied, gross - net
     )
 
 
@@ -304,26 +352,19 @@ def execute_swap(
     it on the net amounts and credits the side ledger.
     """
     receipt = quote(pool, direction, amount_in, max_spread)
-    net = receipt.capped_in - receipt.fee_paid
-    fee = receipt.fee_paid
+    gross, fee = receipt.capped_in, receipt.fee_paid
+    compound = pool.fee_model is FeeModel.AUTO_COMPOUND
     ledger = pool.side_ledger
-
     if direction is Direction.Y_FOR_X:
-        new_y = pool.reserve_y + net
+        new_y, fees_y = _settle(pool.reserve_y, ledger.fees_y, gross, fee, compound)
         new_x = pool.reserve_x - receipt.amount_out
-        if fee:
-            if pool.fee_model is FeeModel.AUTO_COMPOUND:
-                new_y = new_y + fee
-            else:
-                ledger = SideLedger(ledger.fees_x, ledger.fees_y + fee)
+        if fees_y is not ledger.fees_y:
+            ledger = SideLedger(ledger.fees_x, fees_y)
     else:
-        new_x = pool.reserve_x + net
+        new_x, fees_x = _settle(pool.reserve_x, ledger.fees_x, gross, fee, compound)
         new_y = pool.reserve_y - receipt.amount_out
-        if fee:
-            if pool.fee_model is FeeModel.AUTO_COMPOUND:
-                new_x = new_x + fee
-            else:
-                ledger = SideLedger(ledger.fees_x + fee, ledger.fees_y)
+        if fees_x is not ledger.fees_x:
+            ledger = SideLedger(fees_x, ledger.fees_y)
 
     new_pool = PoolState(
         new_x, new_y, pool.fee_rate, pool.fee_model,
@@ -387,6 +428,44 @@ def remove_liquidity(
     return new_pool, (dx, dy)
 
 
+def _arbitrage_trade(
+    x: Numeric, y: Numeric, target_rate: Numeric
+) -> Optional[Tuple[bool, Numeric]]:
+    """``(y_for_x, net input)`` that moves the rate ``x / y`` to
+    ``target_rate``, or None when it already sits there."""
+    positive(InvalidRate, "target rate", target_rate)
+    current = x / y
+    if target_rate < current:
+        amount = y * (_sqrt(current / target_rate) - 1)
+        if amount <= 0:
+            return None
+        return True, amount
+    if target_rate > current:
+        amount = x * (_sqrt(target_rate / current) - 1)
+        if amount <= 0:
+            return None
+        return False, amount
+    return None
+
+
+def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, Numeric]:
+    """Reserves after the fee-free arbitrage trade onto ``target_rate``."""
+    trade = _arbitrage_trade(x, y, target_rate)
+    if trade is None:
+        return x, y
+    y_for_x, amount = trade
+    try:
+        if y_for_x:
+            _, net, out, _ = _swap(y, x, 0, amount, None, True)
+            return x - out, y + net
+        _, net, out, _ = _swap(x, y, 0, amount, None, False)
+        return x + net, y - out
+    except (NonPositiveAmount, NonPositiveReserve) as err:
+        raise InvalidRate(
+            f"target rate {target_rate} is out of float reach of pool rate {x / y}"
+        ) from err
+
+
 def arbitrage_input_for_rate(
     pool: PoolState, target_rate: Numeric
 ) -> Optional[Tuple[Direction, Numeric]]:
@@ -399,45 +478,27 @@ def arbitrage_input_for_rate(
     The amounts are net curve inputs; execute them fee-free.
     """
     _require_active(pool)
-    positive(InvalidRate, "target rate", target_rate)
-    current = rate_of(pool)
-    if target_rate < current:
-        amount = pool.reserve_y * (_sqrt(current / target_rate) - 1)
-        if amount <= 0:
-            return None
-        return Direction.Y_FOR_X, amount
-    if target_rate > current:
-        amount = pool.reserve_x * (_sqrt(target_rate / current) - 1)
-        if amount <= 0:
-            return None
-        return Direction.X_FOR_Y, amount
-    return None
+    trade = _arbitrage_trade(pool.reserve_x, pool.reserve_y, target_rate)
+    if trade is None:
+        return None
+    y_for_x, amount = trade
+    return (Direction.Y_FOR_X if y_for_x else Direction.X_FOR_Y), amount
 
 
 def arbitrage_to_rate(pool: PoolState, target_rate: Numeric) -> PoolState:
     """Drag the pool onto ``target_rate`` with one fee-free arbitrage trade.
 
-    The trade is sized by :func:`arbitrage_input_for_rate` and executed with
-    the fee zeroed, so it charges nothing and leaves the side ledger alone;
-    the returned pool carries the original fee rate.  A pool already on the
-    target comes back unchanged.  A target so far from the pool rate that
-    the float trade cannot be executed raises ``InvalidRate``.
+    The trade is sized as by :func:`arbitrage_input_for_rate` and executed
+    with the fee zeroed, so it charges nothing and leaves the side ledger
+    alone; the returned pool carries the original fee rate.  A pool already
+    on the target comes back unchanged.  A target so far from the pool rate
+    that the float trade cannot be executed raises ``InvalidRate``.
     """
-    free = PoolState(
-        pool.reserve_x, pool.reserve_y, 0, pool.fee_model,
-        pool.total_shares, pool.share_ledger, pool.side_ledger,
-    )
-    trade = arbitrage_input_for_rate(free, target_rate)
-    if trade is None:
+    _require_active(pool)
+    x, y = _arbitrage(pool.reserve_x, pool.reserve_y, target_rate)
+    if x is pool.reserve_x and y is pool.reserve_y:  # no trade was needed
         return pool
-    direction, amount = trade
-    try:
-        moved, _ = execute_swap(free, direction, amount)
-    except (NonPositiveAmount, NonPositiveReserve) as err:
-        raise InvalidRate(
-            f"target rate {target_rate} is out of float reach of pool rate {rate_of(pool)}"
-        ) from err
     return PoolState(
-        moved.reserve_x, moved.reserve_y, pool.fee_rate, pool.fee_model,
+        x, y, pool.fee_rate, pool.fee_model,
         pool.total_shares, pool.share_ledger, pool.side_ledger,
     )

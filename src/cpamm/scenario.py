@@ -32,9 +32,10 @@ from .pool import (
     Numeric,
     PoolState,
     SideLedger,
-    arbitrage_to_rate,
+    _arbitrage,
+    _settle,
+    _swap,
     create_pool,
-    execute_swap,
     liquidity_of,
     pool_value,
     require_market_rate,
@@ -74,6 +75,8 @@ class Snapshot:
 
 Event = Union[Trade, PriceMove, CollectFees, Snapshot]
 
+_Y_FOR_X = Direction.Y_FOR_X
+
 
 @dataclass(frozen=True, slots=True)
 class ScenarioScript:
@@ -105,20 +108,33 @@ class PortfolioSnapshot:
 class _Replay:
     """Mutable replay state shared by run_scenario and the alpha probe.
 
-    ``start`` is the opening pool, ``pool`` the current one.
+    The state a swap touches is kept as plain numbers: the reserves ``x``
+    and ``y``, the side ledger ``fees_x`` and ``fees_y``, the prices ``p_x``
+    and ``p_y`` and the totals ``collected_x`` and ``collected_y``.  Trades
+    and arbitrage legs run on the pool module's plain-number kernel, so no
+    value object is built per event.  ``start`` is the opening pool; a
+    ``PoolState`` for the current one is built only where it is read (the
+    ``pool`` property): at a snapshot and at the end of a run.  Scripts have
+    one provider and no deposits, so the share ledger stays ``start``'s.
     """
 
     def __init__(self, script: ScenarioScript):
         positive(ScriptError, "initial prices", script.p_x0, script.p_y0)
         self.script = script
-        self.start = self.pool = create_pool(
+        self.start = start = create_pool(
             script.pool_x,
             script.pool_y,
             fee_rate=script.fee_rate,
             fee_model=script.fee_model,
             provider=script.provider,
         )
-        require_market_rate(ScriptError, self.pool, script.p_y0 / script.p_x0)
+        require_market_rate(ScriptError, start, script.p_y0 / script.p_x0)
+        self.x = start.reserve_x
+        self.y = start.reserve_y
+        self.fees_x = start.side_ledger.fees_x
+        self.fees_y = start.side_ledger.fees_y
+        self.phi = start.fee_rate
+        self.compound = start.fee_model is FeeModel.AUTO_COMPOUND
         self.p_x = script.p_x0
         self.p_y = script.p_y0
         self.t = 0.0
@@ -126,61 +142,59 @@ class _Replay:
         self.collected_y: Numeric = 0
         self.snapshots: List[PortfolioSnapshot] = []
 
-    def apply(self, index: int, event: Event) -> None:
-        # A chained comparison, so a NaN timestamp fails it too.
-        if not self.t <= event.t < math.inf:
-            raise ScriptError(
-                f"event {index}: timestamp {event.t} must be finite and not before {self.t}"
-            )
-        self.t = event.t
-        try:
-            if isinstance(event, Trade):
-                self.pool, _ = execute_swap(
-                    self.pool, event.direction, event.amount_in, event.max_spread
-                )
-            elif isinstance(event, PriceMove):
-                self._move_prices(event)
-            elif isinstance(event, CollectFees):
-                self._collect(event.provider)
-            elif isinstance(event, Snapshot):
-                self.snapshots.append(self.take_snapshot(event.label))
-            else:
-                raise ScriptError(f"unknown event type {type(event).__name__}")
-        except CpammError as err:
-            raise type(err)(f"event {index}: {err}") from err
-
-    def _move_prices(self, event: PriceMove) -> None:
-        self.p_x = self.p_x * event.delta_x
-        self.p_y = self.p_y * event.delta_y
-        # A delta outside (0, inf), or a product that leaves float range, fails here.
-        positive(ScriptError, "prices after the move", self.p_x, self.p_y)
-        self.pool = arbitrage_to_rate(self.pool, self.p_y / self.p_x)
-
-    def _collect(self, provider: str) -> None:
-        share = self.pool.share_ledger.get(provider, 0) / self.pool.total_shares
-        ledger = self.pool.side_ledger
-        take_x = ledger.fees_x * share
-        take_y = ledger.fees_y * share
-        self.collected_x = self.collected_x + take_x
-        self.collected_y = self.collected_y + take_y
-        pool = self.pool
-        self.pool = PoolState(
-            pool.reserve_x, pool.reserve_y, pool.fee_rate, pool.fee_model,
-            pool.total_shares, pool.share_ledger,
-            SideLedger(ledger.fees_x - take_x, ledger.fees_y - take_y),
+    @property
+    def pool(self) -> PoolState:
+        start = self.start
+        return PoolState(
+            self.x, self.y, start.fee_rate, start.fee_model,
+            start.total_shares, start.share_ledger, SideLedger(self.fees_x, self.fees_y),
         )
 
+    def _trade(self, event: Trade) -> None:
+        if event.direction is _Y_FOR_X:
+            gross, net, out, _ = _swap(
+                self.y, self.x, self.phi, event.amount_in, event.max_spread, True
+            )
+            self.y, self.fees_y = _settle(self.y, self.fees_y, gross, gross - net, self.compound)
+            self.x = self.x - out
+        else:
+            gross, net, out, _ = _swap(
+                self.x, self.y, self.phi, event.amount_in, event.max_spread, False
+            )
+            self.x, self.fees_x = _settle(self.x, self.fees_x, gross, gross - net, self.compound)
+            self.y = self.y - out
+
+    def _move_prices(self, event: PriceMove) -> None:
+        self.p_x = p_x = self.p_x * event.delta_x
+        self.p_y = p_y = self.p_y * event.delta_y
+        # A delta outside (0, inf), or a product that leaves float range, fails here.
+        positive(ScriptError, "prices after the move", p_x, p_y)
+        self.x, self.y = _arbitrage(self.x, self.y, p_y / p_x)
+
+    def _collect(self, event: CollectFees) -> None:
+        share = self.start.share_ledger.get(event.provider, 0) / self.start.total_shares
+        take_x = self.fees_x * share
+        take_y = self.fees_y * share
+        self.collected_x = self.collected_x + take_x
+        self.collected_y = self.collected_y + take_y
+        self.fees_x = self.fees_x - take_x
+        self.fees_y = self.fees_y - take_y
+
+    def _snapshot(self, event: Snapshot) -> None:
+        self.snapshots.append(self.take_snapshot(event.label))
+
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
-        pooled = pool_value(self.pool, self.p_x, self.p_y)
+        pool = self.pool
+        pooled = pool_value(pool, self.p_x, self.p_y)
         held = pool_value(self.start, self.p_x, self.p_y)
         positive(ScriptError, "pooled and held values", pooled, held)
         return PortfolioSnapshot(
             label=label,
             t=self.t,
-            reserve_x=self.pool.reserve_x,
-            reserve_y=self.pool.reserve_y,
-            fees_x=self.pool.side_ledger.fees_x,
-            fees_y=self.pool.side_ledger.fees_y,
+            reserve_x=pool.reserve_x,
+            reserve_y=pool.reserve_y,
+            fees_x=pool.side_ledger.fees_x,
+            fees_y=pool.side_ledger.fees_y,
             lp_value_pooled=pooled,
             lp_value_held=held,
             lambda_realized=(pooled - held) / held,
@@ -189,9 +203,34 @@ class _Replay:
         )
 
     def run(self) -> "_Replay":
+        handlers = {
+            Trade: self._trade,
+            PriceMove: self._move_prices,
+            CollectFees: self._collect,
+            Snapshot: self._snapshot,
+        }
         for index, event in enumerate(self.script.events):
-            self.apply(index, event)
+            t = event.t
+            # A chained comparison, so a NaN timestamp fails it too.
+            if not self.t <= t < math.inf:
+                raise ScriptError(
+                    f"event {index}: timestamp {t} must be finite and not before {self.t}"
+                )
+            self.t = t
+            try:
+                handler = handlers.get(event.__class__) or _subclass_handler(handlers, event)
+                handler(event)
+            except CpammError as err:
+                raise type(err)(f"event {index}: {err}") from err
         return self
+
+
+def _subclass_handler(handlers: dict, event):
+    """The handler of an event whose class derives from an event type."""
+    for kind, handler in handlers.items():
+        if isinstance(event, kind):
+            return handler
+    raise ScriptError(f"unknown event type {type(event).__name__}")
 
 
 def run_scenario(script: ScenarioScript) -> List[PortfolioSnapshot]:
@@ -216,9 +255,8 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     if script.fee_model is FeeModel.AUTO_COMPOUND:
         growth = liquidity_of(replay.pool) / start_liquidity - 1
         return growth / window
-    ledger = replay.pool.side_ledger
-    fees_value = replay.p_x * (ledger.fees_x + replay.collected_x) + replay.p_y * (
-        ledger.fees_y + replay.collected_y
+    fees_value = replay.p_x * (replay.fees_x + replay.collected_x) + replay.p_y * (
+        replay.fees_y + replay.collected_y
     )
     liquidity_equiv = fees_value / (2 * (replay.p_x * replay.p_y) ** 0.5)
     return liquidity_equiv / (start_liquidity * window)

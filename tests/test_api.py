@@ -19,9 +19,8 @@ def test_all_has_no_duplicates():
     assert len(cpamm.__all__) == len(set(cpamm.__all__))
 
 
-#: Importable from ``cpamm`` but left out of ``__all__`` (the exact oracle's
-#: functions; only ``RationalPool`` is star-exported).
-NOT_STAR_EXPORTED = {"oracle_split_sum", "oracle_swap"}
+#: Importable from ``cpamm`` but left out of ``__all__``: none.
+NOT_STAR_EXPORTED = set()
 
 
 def test_all_matches_the_import_block():

@@ -176,6 +176,23 @@ def test_implicit_solver_with_an_underflowed_holdout_liquidity():
     assert lc_implicit_solve(params, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_implicit_solver_near_the_top_of_float_range():
+    # The bracket [L_c0, L_c0 + alpha L0 t] sums past the largest float here;
+    # the equation is scale-free, so the ROI matches the unit-liquidity one.
+    huge = RoiParams(frac_compounding=0.99, alpha=0.2, horizon=1.0, l_total0=1e308)
+    unit = RoiParams(frac_compounding=0.99, alpha=0.2, horizon=1.0)
+    for got, want in zip(roi_pair(huge, 1.0), roi_pair(unit, 1.0)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert roi_pair(huge, 0.0) == (1.0, 1.0)
+
+
+def test_roi_with_an_underflowed_holdout_liquidity_is_rejected():
+    # L_nc rounds to 0 though frac < 1, so the holdouts' ROI has no denominator.
+    params = RoiParams(frac_compounding=1 - 1e-15, alpha=0.2, horizon=1.0, l_total0=1e-310)
+    with pytest.raises(NonPositiveInput, match="^holdout liquidity underflows to 0$"):
+        roi_pair(params, 1.0)
+
+
 def test_roi_pair_rejects_unknown_method():
     with pytest.raises(NonPositiveInput):
         roi_pair(DEFAULT, 1.0, method="euler")

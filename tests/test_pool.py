@@ -33,7 +33,14 @@ from cpamm import (
     reserves_from_rate_liquidity,
     reserves_from_value,
 )
-from cpamm.pool import RATE_MATCH_TOL, SideLedger, arbitrage_to_rate
+from cpamm.pool import (
+    RATE_MATCH_TOL,
+    SideLedger,
+    _arbitrage,
+    _settle,
+    _swap,
+    arbitrage_to_rate,
+)
 
 # strategies shared by the property tests
 reserves = st.floats(min_value=1.0, max_value=1e9, allow_nan=False)
@@ -521,3 +528,53 @@ def test_arbitrage_beyond_float_reach_names_the_rates(target):
     named = rf"target rate {re.escape(str(target))} .* pool rate 1\.0"
     with pytest.raises(InvalidRate, match=named):
         arbitrage_to_rate(pool, target)
+
+
+# -- the plain-number kernel under the value-level API ----------------------
+
+fraction_values = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(10**4))
+float_pools = st.tuples(reserves, reserves, st.sampled_from([0.0, 0.003, 0.05, 0.7]), amounts,
+                        st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.99)))
+fraction_caps = st.sampled_from([Fraction(0), Fraction(3, 4), Fraction(1, 100), Fraction(8, 9)])
+fraction_pools = st.tuples(fraction_values, fraction_values,
+                           st.sampled_from([Fraction(0), Fraction(3, 1000), Fraction(7, 10)]),
+                           fraction_values, st.one_of(st.none(), fraction_caps))
+
+
+@given(
+    case=st.one_of(float_pools, fraction_pools),
+    model=st.sampled_from(list(FeeModel)),
+    direction=directions,
+)
+@settings(max_examples=300)
+def test_kernel_equals_quote_and_execute_swap(case, model, direction):
+    x, y, fee, amount, cap = case
+    pool = create_pool(x, y, fee_rate=fee, fee_model=model)
+    y_for_x = direction is Direction.Y_FOR_X
+    reserve_in, reserve_out = (y, x) if y_for_x else (x, y)
+    try:
+        gross, net, out, _ = _swap(reserve_in, reserve_out, fee, amount, cap, y_for_x)
+    except NonPositiveReserve:
+        with pytest.raises(NonPositiveReserve):
+            execute_swap(pool, direction, amount, cap)
+        return
+    receipt = quote(pool, direction, amount, cap)
+    assert (gross, out) == (receipt.capped_in, receipt.amount_out)
+    moved, executed = execute_swap(pool, direction, amount, cap)
+    assert executed == receipt
+    new_in, fees_in = _settle(reserve_in, 0, gross, gross - net, model is FeeModel.AUTO_COMPOUND)
+    new_out = reserve_out - out
+    if y_for_x:
+        assert (moved.reserve_x, moved.reserve_y) == (new_out, new_in)
+        assert moved.side_ledger == SideLedger(0, fees_in)
+    else:
+        assert (moved.reserve_x, moved.reserve_y) == (new_in, new_out)
+        assert moved.side_ledger == SideLedger(fees_in, 0)
+
+
+@given(x=reserves, y=reserves, target=st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=200)
+def test_arbitrage_leg_equals_arbitrage_to_rate(x, y, target):
+    pool = create_pool(x, y, fee_rate=0.003, fee_model=FeeModel.COLLECT_SEPARATELY)
+    moved = arbitrage_to_rate(pool, target)
+    assert _arbitrage(x, y, target) == (moved.reserve_x, moved.reserve_y)

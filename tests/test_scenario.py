@@ -4,28 +4,41 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpamm import (
     CollectFees,
+    CpammError,
     Direction,
     EmptyWindow,
     FeeModel,
+    InvalidRate,
     NonPositiveAmount,
+    NonPositiveReserve,
+    PortfolioSnapshot,
     PriceMove,
     PriceScenario,
     ScenarioScript,
     ScriptError,
+    SideLedger,
     Snapshot,
+    SpreadOutOfRange,
     Trade,
+    create_pool,
+    execute_swap,
     impermanent_loss,
     load_script,
     measure_effective_alpha,
+    pool_value,
     run_scenario,
     snapshots_to_csv,
 )
+from cpamm.pool import arbitrage_to_rate
 
 
 def make_script(events, fee_rate=0.0, fee_model=FeeModel.AUTO_COMPOUND):
@@ -368,3 +381,116 @@ def test_json_boolean_is_not_a_number(path, flag):
     where = f"event {path[1]}" if parents[0] == "events" else "malformed script"
     with pytest.raises(ScriptError, match=f"^{where}: expected a number, got {str(flag).lower()}"):
         load_script(io.StringIO(json.dumps(doc)))
+
+
+# -- the replay against a fold of the value-level API ----------------------
+
+
+def reference_replay(script):
+    """``run_scenario`` spelled out with the public pool functions."""
+    pool = start = create_pool(
+        script.pool_x, script.pool_y, script.fee_rate, script.fee_model, script.provider
+    )
+    p_x, p_y, t = script.p_x0, script.p_y0, 0.0
+    snapshots = []
+
+    def snapshot(label):
+        pooled, held = pool_value(pool, p_x, p_y), pool_value(start, p_x, p_y)
+        ledger = pool.side_ledger
+        return PortfolioSnapshot(label, t, pool.reserve_x, pool.reserve_y, ledger.fees_x,
+                                 ledger.fees_y, pooled, held, (pooled - held) / held, p_x, p_y)
+
+    for index, event in enumerate(script.events):
+        t = event.t
+        try:
+            if isinstance(event, Trade):
+                pool, _ = execute_swap(pool, event.direction, event.amount_in, event.max_spread)
+            elif isinstance(event, PriceMove):
+                p_x, p_y = p_x * event.delta_x, p_y * event.delta_y
+                pool = arbitrage_to_rate(pool, p_y / p_x)
+            elif isinstance(event, CollectFees):
+                share = pool.share_ledger.get(event.provider, 0) / pool.total_shares
+                ledger = pool.side_ledger
+                take = ledger.fees_x * share, ledger.fees_y * share
+                ledger = SideLedger(ledger.fees_x - take[0], ledger.fees_y - take[1])
+                pool = dataclasses.replace(pool, side_ledger=ledger)
+            else:
+                snapshots.append(snapshot(event.label))
+        except CpammError as err:
+            return type(err), f"event {index}: {err}"
+    snapshots.append(snapshot("final"))
+    return snapshots
+
+
+def scripted_events(amount, delta, cap):
+    """Up to eight events at increasing timestamps."""
+    trade = st.builds(Trade, t=st.just(0.0), direction=st.sampled_from(list(Direction)),
+                      amount_in=amount, max_spread=st.one_of(st.none(), cap))
+    move = st.builds(PriceMove, t=st.just(0.0), delta_x=delta, delta_y=delta)
+    collect = st.builds(CollectFees, t=st.just(0.0),
+                        provider=st.sampled_from(["lp", "lp", "other"]))
+    snap = st.builds(Snapshot, t=st.just(0.0), label=st.sampled_from(["a", "b"]))
+    events = st.lists(st.one_of(trade, move, collect, snap), max_size=8)
+    return events.map(lambda drawn: tuple(
+        dataclasses.replace(event, t=index / 8) for index, event in enumerate(drawn)
+    ))
+
+
+# Mostly valid events, plus a few that must be rejected: a negative or a
+# draining amount, a Y-for-X cap of 1 and a price move out of float reach.
+float_scripts = st.tuples(
+    st.floats(min_value=1.0, max_value=1e6), st.floats(min_value=1.0, max_value=1e6),
+    st.sampled_from([0.0, 0.003, 0.003, 0.6]),
+    scripted_events(
+        st.one_of(st.floats(min_value=0.25, max_value=40.0), st.sampled_from([-1.0, 1e20])),
+        st.one_of(st.floats(min_value=0.25, max_value=4.0), st.just(1e40)),
+        st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    ),
+)
+fraction_scripts = st.tuples(
+    st.sampled_from([Fraction(100), Fraction(400, 3)]),
+    st.sampled_from([Fraction(100), Fraction(25)]),
+    st.sampled_from([Fraction(0), Fraction(3, 1000), Fraction(3, 1000)]),
+    scripted_events(
+        st.sampled_from([Fraction(1, 4), Fraction(1), Fraction(7, 3), Fraction(-1)]),
+        st.sampled_from([Fraction(1, 4), Fraction(1), Fraction(9, 4), Fraction(7, 3)]),
+        st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(3, 4)]),
+    ),
+)
+
+
+@given(case=st.one_of(float_scripts, fraction_scripts), model=st.sampled_from(list(FeeModel)))
+@settings(max_examples=300, deadline=None)
+def test_replay_equals_a_fold_of_the_public_api(case, model):
+    x, y, fee, events = case
+    script = ScenarioScript(x, y, fee, model, 1, x / y, events)
+    expected = reference_replay(script)
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as raised:
+            run_scenario(script)
+        assert str(raised.value) == message
+    else:
+        assert run_scenario(script) == expected
+
+
+@pytest.mark.parametrize("event, error, message", [
+    (Trade(0.0, Direction.Y_FOR_X, -5.0), NonPositiveAmount,
+     "event 1: trade amount must be finite and positive, got -5.0"),
+    (Trade(0.0, Direction.Y_FOR_X, 1.0, max_spread=1.0), SpreadOutOfRange,
+     "event 1: Y-for-X spread must be in [0, 1), got 1.0"),
+    (Trade(0.0, Direction.X_FOR_Y, 1.0, max_spread=math.nan), SpreadOutOfRange,
+     "event 1: X-for-Y spread must be finite and >= 0, got nan"),
+    (Trade(0.0, Direction.Y_FOR_X, -1.0, max_spread=5.0), NonPositiveAmount,
+     "event 1: trade amount must be finite and positive, got -1.0"),
+    (Trade(0.0, Direction.X_FOR_Y, 1e20), NonPositiveReserve,
+     "event 1: swap of 1e+20 would drain the output reserve 100.0: "
+     "the output rounds to the whole reserve"),
+    (PriceMove(0.0, 1.0, 1e40), InvalidRate,
+     "event 1: target rate 1e+40 is out of float reach of pool rate 1.0"),
+])
+def test_rejected_events_keep_their_messages(event, error, message):
+    script = make_script((Snapshot(t=0.0, label="ok"), event), fee_rate=0.003)
+    with pytest.raises(error) as raised:
+        run_scenario(script)
+    assert str(raised.value) == message
