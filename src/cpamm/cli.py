@@ -50,7 +50,7 @@ from .pool import (
     quote,
     rate_of,
 )
-from .scenario import load_script, run_scenario, snapshots_to_csv
+from .scenario import _run_script_file, snapshots_to_csv
 
 
 def _num(text: str) -> Numeric:
@@ -186,8 +186,7 @@ def _cmd_roi(args: argparse.Namespace) -> None:
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> None:
-    script = load_script(args.script)
-    print(snapshots_to_csv(run_scenario(script)), end="")
+    print(snapshots_to_csv(_run_script_file(args.script)), end="")
 
 
 def _cmd_emit_figure(args: argparse.Namespace) -> None:

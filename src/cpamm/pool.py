@@ -67,6 +67,8 @@ Numeric = Union[float, Fraction]
 #: the pool ratio, or a pool rate against the market rate.
 RATE_MATCH_TOL = 1e-9
 
+_INF = math.inf
+
 
 class Direction(str, Enum):
     """Which token the trader pays in."""
@@ -138,7 +140,8 @@ class LpPosition:
 
 def _sqrt(value: Numeric) -> Numeric:
     """Square root, exact when ``value`` is a perfect rational square."""
-    if isinstance(value, Fraction):
+    # The class test first: isinstance against the Fraction ABC is slow.
+    if value.__class__ is not float and isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
         root_num, root_den = math.isqrt(num), math.isqrt(den)
         if root_num * root_num == num and root_den * root_den == den:
@@ -226,10 +229,14 @@ def reserves_from_value(
 def _spread_cap(reserve_in: Numeric, sigma: Numeric, y_for_x: bool) -> Numeric:
     """Largest net input that moves the rate by ``sigma`` (the cap formulas
     above), on the input-side reserve."""
+    # The comparisons run inline and the helper only raises: this runs per
+    # trade, where a helper call costs about three inline comparisons.
     if y_for_x:
-        non_negative(SpreadOutOfRange, "Y-for-X spread", sigma, below=1)
+        if not 0 <= sigma < 1:
+            non_negative(SpreadOutOfRange, "Y-for-X spread", sigma, below=1)
         return reserve_in * (1 / _sqrt(1 - sigma) - 1)
-    non_negative(SpreadOutOfRange, "X-for-Y spread", sigma)
+    if not 0 <= sigma < _INF:
+        non_negative(SpreadOutOfRange, "X-for-Y spread", sigma)
     return reserve_in * (_sqrt(1 + sigma) - 1)
 
 
@@ -250,7 +257,8 @@ def _swap(
     cap is sized here, after the amount guard, so a trade with a bad amount
     and a bad cap is rejected for its amount.
     """
-    positive(NonPositiveAmount, "trade amount", amount)
+    if not 0 < amount < _INF:  # inline, as in _spread_cap
+        positive(NonPositiveAmount, "trade amount", amount)
     net = amount * (1 - phi)
     gross = amount
     if cap is not None:
@@ -433,7 +441,8 @@ def _arbitrage_trade(
 ) -> Optional[Tuple[bool, Numeric]]:
     """``(y_for_x, net input)`` that moves the rate ``x / y`` to
     ``target_rate``, or None when it already sits there."""
-    positive(InvalidRate, "target rate", target_rate)
+    if not 0 < target_rate < _INF:  # inline, as in _spread_cap
+        positive(InvalidRate, "target rate", target_rate)
     current = x / y
     if target_rate < current:
         amount = y * (_sqrt(current / target_rate) - 1)

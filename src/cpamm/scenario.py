@@ -13,6 +13,17 @@ closed-form impermanent loss for the cumulative deltas.
 
 Scripts load from JSON files; the schema is documented in the README and in
 :func:`load_script`.
+
+The replay reads events as records, not as event objects.  A record is a
+plain tuple ``(handler, t, *fields)``: the ``_Replay`` method that applies
+the event, then the event's dataclass fields in declaration order, so a
+trade is ``(_Replay._trade, t, direction, amount_in, max_spread)``.  The
+JSON parser builds records directly, and ``_EVENTS`` (event type ->
+handler and field getter) converts between records and the public frozen
+event types: :func:`load_script` builds event objects from records, and
+:func:`run_scenario` and :func:`measure_effective_alpha` turn the objects
+they are given back into records.  ``cpamm run-scenario`` replays the
+records of a file without building an event object.
 """
 
 from __future__ import annotations
@@ -21,9 +32,9 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError, non_negative, positive
 from .pool import (
@@ -76,6 +87,7 @@ class Snapshot:
 Event = Union[Trade, PriceMove, CollectFees, Snapshot]
 
 _Y_FOR_X = Direction.Y_FOR_X
+_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,11 +128,14 @@ class _Replay:
     ``PoolState`` for the current one is built only where it is read (the
     ``pool`` property): at a snapshot and at the end of a run.  Scripts have
     one provider and no deposits, so the share ledger stays ``start``'s.
+
+    :meth:`run` reads records (see the module docstring): each handler
+    takes the whole record and unpacks the fields it needs, so a record
+    costs one tuple and the dispatch one call.
     """
 
     def __init__(self, script: ScenarioScript):
         positive(ScriptError, "initial prices", script.p_x0, script.p_y0)
-        self.script = script
         self.start = start = create_pool(
             script.pool_x,
             script.pool_y,
@@ -150,29 +165,29 @@ class _Replay:
             start.total_shares, start.share_ledger, SideLedger(self.fees_x, self.fees_y),
         )
 
-    def _trade(self, event: Trade) -> None:
-        if event.direction is _Y_FOR_X:
-            gross, net, out, _ = _swap(
-                self.y, self.x, self.phi, event.amount_in, event.max_spread, True
-            )
+    def _trade(self, record: tuple) -> None:
+        _, _, direction, amount, cap = record
+        if direction is _Y_FOR_X:
+            gross, net, out, _ = _swap(self.y, self.x, self.phi, amount, cap, True)
             self.y, self.fees_y = _settle(self.y, self.fees_y, gross, gross - net, self.compound)
             self.x = self.x - out
         else:
-            gross, net, out, _ = _swap(
-                self.x, self.y, self.phi, event.amount_in, event.max_spread, False
-            )
+            gross, net, out, _ = _swap(self.x, self.y, self.phi, amount, cap, False)
             self.x, self.fees_x = _settle(self.x, self.fees_x, gross, gross - net, self.compound)
             self.y = self.y - out
 
-    def _move_prices(self, event: PriceMove) -> None:
-        self.p_x = p_x = self.p_x * event.delta_x
-        self.p_y = p_y = self.p_y * event.delta_y
-        # A delta outside (0, inf), or a product that leaves float range, fails here.
-        positive(ScriptError, "prices after the move", p_x, p_y)
+    def _move_prices(self, record: tuple) -> None:
+        _, _, delta_x, delta_y = record
+        self.p_x = p_x = self.p_x * delta_x
+        self.p_y = p_y = self.p_y * delta_y
+        # A delta outside (0, inf), or a product that leaves float range, fails
+        # here; the comparison is inline and the helper only raises.
+        if not (0 < p_x < _INF and 0 < p_y < _INF):
+            positive(ScriptError, "prices after the move", p_x, p_y)
         self.x, self.y = _arbitrage(self.x, self.y, p_y / p_x)
 
-    def _collect(self, event: CollectFees) -> None:
-        share = self.start.share_ledger.get(event.provider, 0) / self.start.total_shares
+    def _collect(self, record: tuple) -> None:
+        share = self.start.share_ledger.get(record[2], 0) / self.start.total_shares
         take_x = self.fees_x * share
         take_y = self.fees_y * share
         self.collected_x = self.collected_x + take_x
@@ -180,8 +195,12 @@ class _Replay:
         self.fees_x = self.fees_x - take_x
         self.fees_y = self.fees_y - take_y
 
-    def _snapshot(self, event: Snapshot) -> None:
-        self.snapshots.append(self.take_snapshot(event.label))
+    def _snapshot(self, record: tuple) -> None:
+        self.snapshots.append(self.take_snapshot(record[2]))
+
+    def _unknown(self, record: tuple) -> None:
+        """The handler of an object that is no event: ``(_unknown, t, object)``."""
+        raise ScriptError(f"unknown event type {type(record[2]).__name__}")
 
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
         pool = self.pool
@@ -202,42 +221,64 @@ class _Replay:
             p_y=self.p_y,
         )
 
-    def run(self) -> "_Replay":
-        handlers = {
-            Trade: self._trade,
-            PriceMove: self._move_prices,
-            CollectFees: self._collect,
-            Snapshot: self._snapshot,
-        }
-        for index, event in enumerate(self.script.events):
-            t = event.t
+    def run(self, records: Iterable[tuple]) -> "_Replay":
+        now = self.t
+        for index, record in enumerate(records):
+            t = record[1]
             # A chained comparison, so a NaN timestamp fails it too.
-            if not self.t <= t < math.inf:
+            if not now <= t < _INF:
                 raise ScriptError(
-                    f"event {index}: timestamp {t} must be finite and not before {self.t}"
+                    f"event {index}: timestamp {t} must be finite and not before {now}"
                 )
-            self.t = t
+            self.t = now = t
             try:
-                handler = handlers.get(event.__class__) or _subclass_handler(handlers, event)
-                handler(event)
+                record[0](self, record)
             except CpammError as err:
                 raise type(err)(f"event {index}: {err}") from err
         return self
 
 
-def _subclass_handler(handlers: dict, event):
-    """The handler of an event whose class derives from an event type."""
-    for kind, handler in handlers.items():
-        if isinstance(event, kind):
-            return handler
-    raise ScriptError(f"unknown event type {type(event).__name__}")
+#: Each event type -> the ``_Replay`` handler its records name, and a getter
+#: of its fields in declaration order (``t`` first), which a record carries
+#: after the handler.
+_EVENTS = {
+    kind: (handler, attrgetter(*(field.name for field in fields(kind))))
+    for kind, handler in (
+        (Trade, _Replay._trade),
+        (PriceMove, _Replay._move_prices),
+        (CollectFees, _Replay._collect),
+        (Snapshot, _Replay._snapshot),
+    )
+}
+_KINDS = {handler: kind for kind, (handler, _) in _EVENTS.items()}
+
+
+def _record(event) -> tuple:
+    """The replay record of an event object; an event subclass replays as its
+    base type, and any other object fails when the replay reaches it."""
+    entry = _EVENTS.get(event.__class__)
+    if entry is None:
+        entry = next((e for kind, e in _EVENTS.items() if isinstance(event, kind)), None)
+        if entry is None:
+            return _Replay._unknown, event.t, event
+    handler, values = entry
+    return (handler, *values(event))
+
+
+def _event(record: tuple) -> Event:
+    """The public event object of a record."""
+    return _KINDS[record[0]](*record[1:])
+
+
+def _replay(script: ScenarioScript, records: Iterable[tuple]) -> List[PortfolioSnapshot]:
+    replay = _Replay(script).run(records)
+    replay.snapshots.append(replay.take_snapshot("final"))
+    return replay.snapshots
 
 
 def run_scenario(script: ScenarioScript) -> List[PortfolioSnapshot]:
     """Apply every event in order; returns all snapshots plus a final one."""
-    replay = _Replay(script).run()
-    replay.snapshots.append(replay.take_snapshot("final"))
-    return replay.snapshots
+    return _replay(script, map(_record, script.events))
 
 
 def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
@@ -250,7 +291,7 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     ``value / (2 sqrt(p_x p_y))`` before normalizing.
     """
     positive(EmptyWindow, "window", window)
-    replay = _Replay(script).run()
+    replay = _Replay(script).run(map(_record, script.events))
     start_liquidity = liquidity_of(replay.start)
     if script.fee_model is FeeModel.AUTO_COMPOUND:
         growth = liquidity_of(replay.pool) / start_liquidity - 1
@@ -275,21 +316,36 @@ def _number(value) -> float:
     return float(value)
 
 
+def _string(what: str, value) -> str:
+    """A text script field: a JSON string, never coerced."""
+    if not isinstance(value, str):
+        raise ScriptError(f"{what}: expected a string, got {type(value).__name__}")
+    return value
+
+
 def _json_object(what: str, value) -> dict:
     if not isinstance(value, dict):
         raise ScriptError(f"{what}: expected a JSON object, got {type(value).__name__}")
     return value
 
 
-def _parse_event(index: int, raw: dict) -> Event:
+def _parse_event(index: int, raw: dict) -> tuple:
+    """The replay record of one JSON event, with every field checked.
+
+    A JSON float is already what ``_number`` would return, so only other
+    values go through it.
+    """
     if not isinstance(raw, dict):
         _json_object(f"event {index}", raw)  # raises; the name is built only on failure
     kind = raw.get("type")
     if kind not in _EVENT_KINDS:
         raise ScriptError(f"event {index}: unknown type {kind!r}")
     try:
-        t = _number(raw.get("t", 0.0))
-        non_negative(ValueError, "timestamp", t)
+        t = raw.get("t", 0.0)
+        if t.__class__ is not float:
+            t = _number(t)
+        if not 0 <= t < _INF:
+            non_negative(ValueError, "timestamp", t)
         if kind == "trade":
             direction = raw["direction"]
             try:
@@ -297,16 +353,71 @@ def _parse_event(index: int, raw: dict) -> Event:
             except (KeyError, TypeError):
                 direction = Direction(direction)  # raises the enum's own error
             spread = raw.get("max_spread")
-            amount = _number(raw["amount"])
-            return Trade(t, direction, amount, None if spread is None else _number(spread))
+            amount = raw["amount"]
+            if amount.__class__ is not float:
+                amount = _number(amount)
+            if spread is not None and spread.__class__ is not float:
+                spread = _number(spread)
+            return _Replay._trade, t, direction, amount, spread
         if kind == "price_move":
-            return PriceMove(t, _number(raw["delta_x"]), _number(raw["delta_y"]))
+            delta_x = raw["delta_x"]
+            if delta_x.__class__ is not float:
+                delta_x = _number(delta_x)
+            delta_y = raw["delta_y"]
+            if delta_y.__class__ is not float:
+                delta_y = _number(delta_y)
+            return _Replay._move_prices, t, delta_x, delta_y
         if kind == "collect_fees":
-            return CollectFees(t, str(raw["provider"]))
-        label = raw["label"] if "label" in raw else f"snapshot-{index}"
-        return Snapshot(t, str(label))
+            return _Replay._collect, t, _string("provider", raw["provider"])
+        label = _string("label", raw["label"]) if "label" in raw else f"snapshot-{index}"
+        return _Replay._snapshot, t, label
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ScriptError(f"event {index}: {err}") from err
+
+
+def _read_script(
+    source: Union[str, os.PathLike, io.TextIOBase]
+) -> Tuple[ScenarioScript, List[tuple]]:
+    """A script file's header (a script with no events) and its events as
+    replay records, all checked before anything replays."""
+    if isinstance(source, io.TextIOBase):
+        raw = source.read()
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                raw = handle.read()
+        except OSError as err:
+            raise ScriptError(f"cannot read script: {err}") from err
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as err:
+        raise ScriptError(f"invalid JSON: {err}") from err
+    try:
+        pool = _json_object("pool", doc["pool"])
+        prices = _json_object("prices", doc["prices"])
+        fee_model = FeeModel(pool.get("fee_model", "auto_compound"))
+        entries = doc.get("events", [])
+        if not isinstance(entries, list):
+            raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
+        records = []
+        append = records.append
+        for index, entry in enumerate(entries):
+            append(_parse_event(index, entry))
+            entries[index] = None  # drop each raw event once its record exists
+        header = ScenarioScript(
+            pool_x=_number(pool["x"]),
+            pool_y=_number(pool["y"]),
+            fee_rate=_number(pool.get("fee_rate", 0.0)),
+            fee_model=fee_model,
+            p_x0=_number(prices["p_x"]),
+            p_y0=_number(prices["p_y"]),
+            provider=_string("provider", doc.get("provider", "lp")),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        if isinstance(err, ScriptError):
+            raise
+        raise ScriptError(f"malformed script: {err}") from err
+    return header, records
 
 
 def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScript:
@@ -332,50 +443,34 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
     directions are ``y2x`` / ``x2y``; ``max_spread`` may be omitted or null
     for uncapped trades.  Timestamps are in years, must be finite and
     non-negative and must not decrease.  Every numeric field is read as a
-    float; a JSON boolean is not a number.
+    float; a JSON boolean is not a number.  Providers and labels must be
+    JSON strings.
     """
-    if isinstance(source, io.TextIOBase):
-        raw = source.read()
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError as err:
-            raise ScriptError(f"cannot read script: {err}") from err
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ScriptError(f"invalid JSON: {err}") from err
-    try:
-        pool = _json_object("pool", doc["pool"])
-        prices = _json_object("prices", doc["prices"])
-        fee_model = FeeModel(pool.get("fee_model", "auto_compound"))
-        entries = doc.get("events", [])
-        if not isinstance(entries, list):
-            raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
-        events = tuple(_parse_event(i, entry) for i, entry in enumerate(entries))
-        return ScenarioScript(
-            pool_x=_number(pool["x"]),
-            pool_y=_number(pool["y"]),
-            fee_rate=_number(pool.get("fee_rate", 0.0)),
-            fee_model=fee_model,
-            p_x0=_number(prices["p_x"]),
-            p_y0=_number(prices["p_y"]),
-            events=events,
-            provider=str(doc.get("provider", "lp")),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        if isinstance(err, ScriptError):
-            raise
-        raise ScriptError(f"malformed script: {err}") from err
+    header, records = _read_script(source)
+    return replace(header, events=tuple(map(_event, records)))
+
+
+def _run_script_file(source: Union[str, os.PathLike, io.TextIOBase]) -> List[PortfolioSnapshot]:
+    """``run_scenario(load_script(source))``, replaying the file's records
+    without building an event object.  The whole file is checked first, so
+    a malformed event is reported before any replay error."""
+    return _replay(*_read_script(source))
 
 
 def snapshots_to_csv(snapshots: Sequence[PortfolioSnapshot]) -> str:
     """Render snapshots as a CSV table: one column per snapshot field, the
-    label first and every other field as a float ``repr``."""
+    label first and every other field as a float ``repr``.
+
+    A label holding a comma, a double quote or a line break is quoted as in
+    RFC 4180 (the ``csv`` module's minimal quoting), so every row reads back
+    as one record of the header's width.
+    """
     names = [field.name for field in fields(PortfolioSnapshot)]
     numbers = attrgetter(*names[1:])  # every field after the label
     lines = [",".join(names)]
     for snap in snapshots:
-        lines.append(snap.label + "," + ",".join(repr(float(v)) for v in numbers(snap)))
+        label = snap.label
+        if "," in label or '"' in label or "\n" in label or "\r" in label:
+            label = '"' + label.replace('"', '""') + '"'
+        lines.append(label + "," + ",".join(repr(float(v)) for v in numbers(snap)))
     return "\n".join(lines) + "\n"

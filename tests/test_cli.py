@@ -1,5 +1,6 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
+import csv
 import io
 import json
 import math
@@ -12,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpamm import NoConvergence, cli
+from cpamm import (
+    InputError,
+    InternalError,
+    NoConvergence,
+    cli,
+    load_script,
+    run_scenario,
+    snapshots_to_csv,
+)
 from cpamm.cli import main
 from cpamm.figures import FIGURE_IDS
 
@@ -477,3 +486,140 @@ def test_any_script_exits_0_or_1(doc):
     text = json.dumps(doc)
     _check_exit(code, out, err, any(word in text for word in ("NaN", "Infinity")))
     assert code != 2
+
+
+# -- run-scenario replays records: the same answers as the object API ---------
+
+_VALID_EVENTS = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("trade"), "direction": st.sampled_from(("y2x", "x2y")),
+         "amount": st.floats(min_value=0.25, max_value=40.0) | st.sampled_from((5, "2.5"))},
+        optional={"max_spread": st.sampled_from((None, 0, 0.01, 0.5))}),
+    st.fixed_dictionaries(
+        {"type": st.just("price_move"), "delta_x": st.floats(min_value=0.25, max_value=4.0),
+         "delta_y": st.floats(min_value=0.25, max_value=4.0) | st.just(2)}),
+    st.fixed_dictionaries(
+        {"type": st.just("collect_fees"), "provider": st.sampled_from(("lp", "other"))}),
+    st.fixed_dictionaries(
+        {"type": st.just("snapshot")},
+        optional={"label": st.sampled_from(("a", "q1,2026", 'say "hi"', "two\nlines", ""))}),
+)
+# One of each kind of event the parser or the replay must reject.
+_REJECTED = [
+    {"type": "trade", "direction": "up", "amount": 1},
+    {"type": "trade", "direction": None, "amount": 1},
+    {"type": "trade", "direction": "y2x"},
+    {"type": "trade", "direction": "y2x", "amount": True},
+    {"type": "trade", "direction": "y2x", "amount": "five"},
+    {"type": "trade", "direction": "y2x", "amount": -1},
+    {"type": "trade", "direction": "x2y", "amount": 0},
+    {"type": "trade", "direction": "x2y", "amount": 1e20},
+    {"type": "trade", "direction": "y2x", "amount": 1, "max_spread": 1},
+    {"type": "trade", "direction": "x2y", "amount": 1, "max_spread": -0.5},
+    {"type": "trade", "direction": "x2y", "amount": 1, "max_spread": "NaN"},
+    {"type": "price_move", "delta_x": 0, "delta_y": 1},
+    {"type": "price_move", "delta_x": 1, "delta_y": 1e40},
+    {"type": "price_move", "delta_x": False, "delta_y": 1},
+    {"type": "price_move", "delta_x": 1},
+    {"type": "collect_fees"},
+    {"type": "collect_fees", "provider": None},
+    {"type": "snapshot", "label": None},
+    {"type": "snapshot", "label": {"a": 1}},
+    {"type": "snapshot", "t": "NaN"},
+    {"type": "snapshot", "t": -1},
+    {"type": "snapshot", "t": 0},  # earlier than every timestamp but the first
+    {"type": "teleport"},
+    [1], 5, "trade", None,
+]
+
+
+@st.composite
+def _replay_doc(draw):
+    """A script on a pool that sits on the market rate: valid events and, in
+    some scripts, one event of a rejected kind."""
+    x = draw(st.sampled_from((100.0, 1e6, 3)))
+    p_x = draw(st.sampled_from((1.0, 0.5)))
+    size = draw(st.integers(0, 8))
+    rejected_at = draw(st.none() | st.integers(0, 8))
+    events = []
+    for index in range(size):
+        event = draw(st.sampled_from(_REJECTED) if index == rejected_at else _VALID_EVENTS)
+        if isinstance(event, dict):
+            event = {"t": (index + 1) / 8, **event}
+        events.append(event)
+    doc = {"pool": {"x": x, "y": x * p_x, "fee_rate": draw(st.sampled_from((0, 0.003, 0.6))),
+                    "fee_model": draw(st.sampled_from(("auto_compound", "collect_separately")))},
+           "prices": {"p_x": p_x, "p_y": 1.0}, "events": events}
+    provider = draw(st.sampled_from(("absent",) * 7 + ("lp", "other", None, 3)))
+    if provider != "absent":
+        doc["provider"] = provider
+    return doc
+
+
+def _api_outcome(path):
+    """What ``run-scenario`` must print: the object API's CSV or its error."""
+    try:
+        return 0, snapshots_to_csv(run_scenario(load_script(path))), ""
+    except InputError as err:
+        return 1, "", f"error: {err}\n"
+    except InternalError as err:
+        return 3, "", f"internal error: {err}\n"
+
+
+@given(doc=_replay_doc())
+@settings(max_examples=400, deadline=None)
+def test_run_scenario_prints_what_the_object_api_returns(doc):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "script.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        assert _main_in_process(["run-scenario", path]) == _api_outcome(path)
+
+
+@pytest.mark.parametrize("model", ["auto_compound", "collect_separately"])
+@pytest.mark.parametrize("rejected", _REJECTED, ids=json.dumps)
+def test_every_rejected_kind_fails_as_in_the_object_api(tmp_path, rejected, model):
+    trade = {"type": "trade", "t": 2, "direction": "y2x", "amount": 5, "max_spread": 0.5}
+    if isinstance(rejected, dict):
+        rejected = {"t": 1, **rejected}
+    path = _write_script(tmp_path, [{"type": "snapshot", "t": 0.5}, rejected, trade],
+                         pool={"x": 10, "y": 10, "fee_rate": 0.003, "fee_model": model})
+    expected = _api_outcome(path)
+    assert expected[0] == 1 and expected[2].startswith("error: event 1: ")
+    assert _main_in_process(["run-scenario", path]) == expected
+
+
+def _write_script(tmp_path, events, **fields):
+    doc = {"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}, "events": events, **fields}
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_run_scenario_reports_a_parse_error_before_a_replay_error(capsys, tmp_path):
+    events = [{"type": "snapshot", "t": 0},
+              {"type": "trade", "t": 1, "direction": "y2x", "amount": -5},
+              {"type": "snapshot", "t": 2}, {"type": "snapshot", "t": 3},
+              {"type": "snapshot", "t": 4}, {"type": "price_move", "t": 5, "delta_x": 1}]
+    code, out, err = run_cli(capsys, "run-scenario", _write_script(tmp_path, events))
+    assert (code, out, err) == (1, "", "error: event 5: 'delta_y'\n")
+
+
+def test_run_scenario_quotes_labels_that_need_it(capsys, tmp_path):
+    labels = ["q1,2026", 'say "hi"', "two\nlines", "plain"]
+    events = [{"type": "snapshot", "t": 0, "label": label} for label in labels]
+    code, out, err = run_cli(capsys, "run-scenario", _write_script(tmp_path, events))
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert [len(row) for row in rows] == [11] * 6
+    assert [row[0] for row in rows[1:]] == labels + ["final"]
+
+
+@pytest.mark.parametrize("events, fields, message", [
+    ([{"type": "snapshot", "label": None}], {}, "event 0: label: expected a string, got NoneType"),
+    ([{"type": "collect_fees", "provider": 1}], {}, "event 0: provider: expected a string, got int"),
+    ([], {"provider": None}, "provider: expected a string, got NoneType"),
+])
+def test_run_scenario_rejects_non_string_text(capsys, tmp_path, events, fields, message):
+    code, out, err = run_cli(capsys, "run-scenario", _write_script(tmp_path, events, **fields))
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -1,5 +1,6 @@
 """Scenario replay: events, snapshots, script files, effective alpha."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -494,3 +495,117 @@ def test_rejected_events_keep_their_messages(event, error, message):
     with pytest.raises(error) as raised:
         run_scenario(script)
     assert str(raised.value) == message
+
+
+# -- the record path: script files parse straight into replay records -------
+
+
+def load_doc(doc):
+    return load_script(io.StringIO(json.dumps(doc)))
+
+
+def test_loaded_events_equal_the_public_constructors():
+    doc = script_doc(events=[
+        {"type": "trade", "t": 0, "direction": "y2x", "amount": 5},
+        {"type": "trade", "t": 0.5, "direction": "x2y", "amount": "2.5", "max_spread": 1},
+        {"type": "trade", "t": 0.5, "direction": "y2x", "amount": 1.5, "max_spread": None},
+        {"type": "price_move", "t": 1, "delta_x": 2, "delta_y": 0.5},
+        {"type": "collect_fees", "provider": "lp"},
+        {"type": "snapshot", "t": 2, "label": "mid"},
+        {"type": "snapshot", "t": 3},
+    ])
+    doc["events"][4]["t"] = 1.5
+    expected = (
+        Trade(0.0, Direction.Y_FOR_X, 5.0),
+        Trade(0.5, Direction.X_FOR_Y, 2.5, 1.0),
+        Trade(0.5, Direction.Y_FOR_X, 1.5, None),
+        PriceMove(1.0, 2.0, 0.5),
+        CollectFees(1.5, "lp"),
+        Snapshot(2.0, "mid"),
+        Snapshot(3.0, "snapshot-6"),
+    )
+    events = load_doc(doc).events
+    assert events == expected
+    assert [type(event) for event in events] == [type(event) for event in expected]
+    # Numbers arrive as floats, whatever JSON spelled them as.
+    assert all(type(value) is float for event in events
+               for value in dataclasses.astuple(event) if isinstance(value, (int, float)))
+
+
+def test_a_parse_error_is_reported_before_a_replay_error():
+    events = [{"type": "snapshot", "t": 0},
+              {"type": "trade", "t": 1, "direction": "y2x", "amount": -5},
+              *({"type": "snapshot", "t": 2} for _ in range(3)),
+              {"type": "trade", "t": 3, "direction": "y2x"}]
+    with pytest.raises(ScriptError, match="^event 5: 'amount'$"):
+        load_doc(script_doc(events=events))
+    del events[5]
+    with pytest.raises(NonPositiveAmount, match="^event 1: trade amount"):
+        run_scenario(load_doc(script_doc(events=events)))
+
+
+@dataclasses.dataclass(frozen=True)
+class TaggedTrade(Trade):
+    tag: str = "desk-a"
+
+
+def test_an_event_subclass_replays_as_its_base_type():
+    plain = make_script((Trade(0.0, Direction.Y_FOR_X, 5.0), Snapshot(1.0, "s")), fee_rate=0.003)
+    tagged = make_script((TaggedTrade(0.0, Direction.Y_FOR_X, 5.0), Snapshot(1.0, "s")),
+                         fee_rate=0.003)
+    assert run_scenario(tagged) == run_scenario(plain)
+    assert measure_effective_alpha(tagged, 1.0) == measure_effective_alpha(plain, 1.0)
+
+
+def test_an_unknown_event_fails_only_when_the_replay_reaches_it():
+    # The earlier trade's error wins, as when events were replayed as objects.
+    script = make_script((Trade(0.0, Direction.Y_FOR_X, -1.0), SimpleNamespace(t=1.0)))
+    with pytest.raises(NonPositiveAmount, match="^event 0: "):
+        run_scenario(script)
+    script = make_script((Snapshot(0.0, "ok"), SimpleNamespace(t=1.0)))
+    with pytest.raises(ScriptError, match="^event 1: unknown event type SimpleNamespace$"):
+        measure_effective_alpha(script, 1.0)
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("label", None, "NoneType"), ("label", {"a": 1}, "dict"), ("label", 5, "int"),
+    ("label", True, "bool"), ("provider", None, "NoneType"), ("provider", ["lp"], "list"),
+])
+def test_non_string_text_fields_are_rejected(field, value, what):
+    kind = "snapshot" if field == "label" else "collect_fees"
+    doc = script_doc(events=[{"type": "snapshot", "t": 0}, {"type": kind, "t": 1, field: value}])
+    with pytest.raises(ScriptError) as err:
+        load_doc(doc)
+    assert str(err.value) == f"event 1: {field}: expected a string, got {what}"
+
+
+@pytest.mark.parametrize("value, what", [(None, "NoneType"), (7, "int"), ({"lp": 1}, "dict")])
+def test_non_string_script_provider_is_rejected(value, what):
+    with pytest.raises(ScriptError) as err:
+        load_doc(script_doc(provider=value))
+    assert str(err.value) == f"provider: expected a string, got {what}"
+
+
+def test_collecting_for_a_provider_without_shares_is_a_no_op():
+    trade = {"type": "trade", "t": 0, "direction": "y2x", "amount": 5}
+    doc = script_doc(events=[trade, {"type": "collect_fees", "t": 1, "provider": "other"}])
+    doc["pool"]["fee_rate"] = 0.003
+    doc["pool"]["fee_model"] = "collect_separately"
+    final = run_scenario(load_doc(doc))[-1]
+    assert final.fees_y == pytest.approx(0.015, rel=1e-12)
+
+
+@pytest.mark.parametrize("label", [
+    "q1,2026", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nend", '",', "", " pad ", "plain",
+])
+def test_csv_labels_read_back_as_one_record(label):
+    snapshots = run_scenario(make_script((Snapshot(0.0, label),)))
+    text = snapshots_to_csv(snapshots)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [len(row) for row in rows] == [11, 11, 11]
+    assert rows[1][0] == label and rows[2][0] == "final"
+    # The label is quoted exactly when the csv module's minimal quoting
+    # (default dialect, in a row of more than one field) would.
+    expected = io.StringIO()
+    csv.writer(expected).writerow([label, ""])
+    assert text.split("\n", 1)[1].startswith(expected.getvalue().removesuffix("\r\n"))

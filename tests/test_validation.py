@@ -1,5 +1,7 @@
 """The numeric domain boundary: one NaN-safe check family in ``cpamm.errors``."""
 
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -27,9 +29,11 @@ from cpamm import (
     ScenarioScript,
     ScriptError,
     Snapshot,
+    SpreadOutOfRange,
     create_pool,
     default_figure_spec,
     il_brute_force,
+    load_script,
     measure_effective_alpha,
     pool_value,
     quote,
@@ -38,6 +42,7 @@ from cpamm import (
     run_scenario,
 )
 from cpamm.errors import non_negative, positive, unit_interval
+from cpamm.pool import _arbitrage, _spread_cap, _swap
 from cpamm.rational import RationalPool, oracle_swap
 
 NAN, INF = math.nan, math.inf
@@ -160,3 +165,88 @@ def test_out_of_domain_input_raises_its_typed_error(name):
     assert issubclass(error, InputError)
     with pytest.raises(error):
         call()
+
+
+# -- guards written inline on the per-event path ------------------------------
+#
+# The replay's per-event guards run their chained comparison inline and call
+# the helper only when it fails.  Each must decide exactly as the helper
+# alone would: the same values rejected, with the same error and message.
+
+EDGE_VALUES = [NAN, INF, -INF, 0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -1.0, 0.5, 1, 1.0, 1e308, -1e308, HUGE, -HUGE, TINY, -TINY, Fraction(1, 3)]
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as err:  # noqa: BLE001 - the outcome is what is compared
+        return type(err), str(err)
+    return None
+
+
+def _script_file(**event):
+    doc = {"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1},
+           "events": [{"type": "snapshot", **event}]}
+    return io.StringIO(json.dumps(doc))
+
+
+def _one(*values):
+    """The script's unit price: exact when a value is a Fraction."""
+    return Fraction(1) if any(isinstance(v, Fraction) for v in values) else 1.0
+
+
+def _move(delta_x, delta_y):
+    one = _one(delta_x, delta_y)
+    return run_scenario(ScenarioScript(100 * one, 100 * one, 0, FeeModel.AUTO_COMPOUND, one,
+                                       one, (PriceMove(0.0, delta_x, delta_y),)))
+
+
+def _reserve(value):
+    return Fraction(100) if isinstance(value, Fraction) else 100.0
+
+
+# guard -> (call with the value, the helper call it stands for, message prefix)
+INLINE_GUARDS = {
+    "trade amount": (
+        lambda v: _swap(_reserve(v), _reserve(v), 0, v, None, True),
+        lambda v: positive(NonPositiveAmount, "trade amount", v), ""),
+    "Y-for-X spread": (
+        lambda v: _spread_cap(_reserve(v), v, True),
+        lambda v: non_negative(SpreadOutOfRange, "Y-for-X spread", v, below=1), ""),
+    "X-for-Y spread": (
+        lambda v: _spread_cap(_reserve(v), v, False),
+        lambda v: non_negative(SpreadOutOfRange, "X-for-Y spread", v), ""),
+    "arbitrage target rate": (
+        lambda v: _arbitrage(_reserve(v), _reserve(v), v),
+        lambda v: positive(InvalidRate, "target rate", v), ""),
+    "prices after the move of x": (
+        lambda v: _move(v, 1),
+        lambda v: positive(ScriptError, "prices after the move", _one(v) * v, _one(v)),
+        "event 0: "),
+    "prices after the move of y": (
+        lambda v: _move(1, v),
+        lambda v: positive(ScriptError, "prices after the move", _one(v), _one(v) * v),
+        "event 0: "),
+}
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("guard", sorted(INLINE_GUARDS))
+def test_inline_guards_decide_as_their_helper(guard, value):
+    guarded, helper, prefix = INLINE_GUARDS[guard]
+    expected = _outcome(lambda: helper(value))
+    got = _outcome(lambda: guarded(value))
+    if expected is None:
+        # Accepted by the guard: whatever happens next is not its error.
+        assert got is None or not got[1].startswith(prefix + guard.split(" of ")[0]), got
+    else:
+        assert got == (expected[0], prefix + expected[1])
+
+
+@pytest.mark.parametrize("t", [NAN, INF, -INF, 0, 0.0, -0.0, 5e-324, -5e-324, -1, 1e308,
+                               "nan", "-inf", "-0", "1e-320"], ids=repr)
+def test_parsed_timestamp_guard_decides_as_its_helper(t):
+    expected = _outcome(lambda: non_negative(ValueError, "timestamp", float(t)))
+    got = _outcome(lambda: load_script(_script_file(t=t)))
+    assert got == (None if expected is None else (ScriptError, f"event 0: {expected[1]}"))
