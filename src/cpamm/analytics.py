@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import (
+    InvalidFee,
+    NonPositiveAmount,
     NonPositiveDelta,
     NonPositiveInput,
     NonPositivePrice,
+    NonPositiveReserve,
     RateMismatch,
     non_negative,
     positive,
@@ -79,6 +83,17 @@ class GrowthParams:
         non_negative(NonPositiveInput, "growth rate and time", self.alpha, self.t)
 
 
+def _il(dx: float, dy: float) -> Tuple[float, float, float]:
+    """``(v_pooled, v_held, relative_loss)`` for price changes ``dx`` and ``dy``."""
+    loss = 2 * math.sqrt(dx * dy) / (dx + dy) - 1
+    # Normalize to initial portfolio value 1: x0 * p_x0 = 1/2.
+    x_value0 = 0.5
+    # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
+    v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx)) * 2 * x_value0
+    v_held = (dx + dy) * x_value0
+    return v_pooled, v_held, loss
+
+
 def impermanent_loss(scenario: PriceScenario) -> IlReport:
     """Loss of a pooled portfolio relative to holding, from the closed form.
 
@@ -87,14 +102,7 @@ def impermanent_loss(scenario: PriceScenario) -> IlReport:
     initial one) rather than from the loss formula, so the two stay mutually
     checkable.
     """
-    dx, dy = scenario.delta_x, scenario.delta_y
-    loss = 2 * math.sqrt(dx * dy) / (dx + dy) - 1
-    # Normalize to initial portfolio value 1: x0 * p_x0 = 1/2.
-    x_value0 = 0.5
-    # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
-    v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx)) * 2 * x_value0
-    v_held = (dx + dy) * x_value0
-    return IlReport(v_pooled=v_pooled, v_held=v_held, relative_loss=loss)
+    return IlReport(*_il(scenario.delta_x, scenario.delta_y))
 
 
 def il_brute_force(scenario: PriceScenario, pool: PoolState) -> IlReport:
@@ -116,14 +124,43 @@ def il_brute_force(scenario: PriceScenario, pool: PoolState) -> IlReport:
     return IlReport(v_pooled=v_pooled, v_held=v_held, relative_loss=loss)
 
 
+def split_limit_output(
+    reserve_x: float, reserve_y: float, amount_in: float, fee_rate: float
+) -> float:
+    """X paid out for ``amount_in`` of Y split into ever more parts on an
+    auto-compounding pool: ``x0 (1 - (y0 / (y0 + G))**(1 - phi))``.
+
+    Each part's fee joins the Y reserve before the next part, so in the
+    limit ``reserve_x * reserve_y**(1 - phi)`` stays constant.
+    """
+    positive(NonPositiveReserve, "reserves", reserve_x, reserve_y)
+    positive(NonPositiveAmount, "trade amount", amount_in)
+    non_negative(InvalidFee, "fee rate", fee_rate, below=1)
+    return reserve_x * (1 - (reserve_y / (reserve_y + amount_in)) ** (1 - fee_rate))
+
+
+def _held(dx: float, dy: float) -> float:
+    return (dx + dy) / 2
+
+
+def _compounded(dx: float, dy: float, growth: float) -> float:
+    """Compounded evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
+    return math.sqrt(dx * dy) * (1 + growth)
+
+
+def _collected(dx: float, dy: float, growth: float) -> float:
+    """Collected evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
+    return math.sqrt(dx * dy) + growth * (dx + dy) / 2
+
+
 def hold_value_relative(scenario: PriceScenario) -> float:
     """Value of the un-invested portfolio relative to its initial value."""
-    return (scenario.delta_x + scenario.delta_y) / 2
+    return _held(scenario.delta_x, scenario.delta_y)
 
 
 def relative_evolution_compounded(scenario: PriceScenario, growth: GrowthParams) -> float:
     """Pooled portfolio evolution when fees are reinjected into the reserves."""
-    return math.sqrt(scenario.delta_x * scenario.delta_y) * (1 + growth.alpha * growth.t)
+    return _compounded(scenario.delta_x, scenario.delta_y, growth.alpha * growth.t)
 
 
 def relative_evolution_collected(scenario: PriceScenario, growth: GrowthParams) -> float:
@@ -132,6 +169,4 @@ def relative_evolution_collected(scenario: PriceScenario, growth: GrowthParams) 
     The fee stream is worth its share of the held portfolio, so it scales
     with ``(delta_x + delta_y) / 2`` instead of suffering the loss.
     """
-    return math.sqrt(scenario.delta_x * scenario.delta_y) + growth.alpha * growth.t * (
-        scenario.delta_x + scenario.delta_y
-    ) / 2
+    return _collected(scenario.delta_x, scenario.delta_y, growth.alpha * growth.t)

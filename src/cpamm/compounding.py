@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .errors import (
     InvalidStep,
@@ -92,22 +92,26 @@ class RoiTrajectory:
         return self.samples[-1]
 
 
-def _sample_at(params: RoiParams, t: float, l_c: float, fees_nc: float) -> RoiSample:
-    # A vanishing population reports its analytic limit: a lone compounder
-    # grows against a fixed pool, a lone holdout earns the diluting fee share.
-    frac = params.frac_compounding
-    growth = params.alpha * t
+def _rho(
+    frac: float, alpha: float, l_c0: float, l_nc: float, t: float, l_c: float, fees_nc: float
+) -> Tuple[float, float]:
+    """``(rho_c, rho_nc)`` at ``t`` from the state ``(L_c, F_nc)``.
+
+    A vanishing population reports its analytic limit: a lone compounder
+    grows against a fixed pool, a lone holdout earns the diluting fee share.
+    """
+    growth = alpha * t
     try:
-        rho_c = math.exp(growth) if frac == 0 else l_c / params.l_c0
+        rho_c = math.exp(growth) if frac == 0 else l_c / l_c0
     except OverflowError as err:
         raise NonPositiveInput(f"exp(alpha * t) overflows at alpha * t = {growth}") from err
     if frac == 1:
         rho_nc = 1 + math.log(1 + growth)
-    elif params.l_nc == 0:
+    elif l_nc == 0:
         raise NonPositiveInput("holdout liquidity underflows to 0")
     else:
-        rho_nc = 1 + fees_nc / params.l_nc
-    return RoiSample(t=t, l_c=l_c, rho_c=rho_c, rho_nc=rho_nc, fees_nc=fees_nc)
+        rho_nc = 1 + fees_nc / l_nc
+    return rho_c, rho_nc
 
 
 def _is_linear(params: RoiParams) -> bool:
@@ -149,23 +153,29 @@ def _trajectory(params: RoiParams, horizon: float) -> Iterator[Tuple[float, floa
 
     rate = params.alpha * params.l_total0
     l_nc = params.l_nc
-
-    def slopes(l_c: float) -> Tuple[float, float]:
-        share = l_c / (l_c + l_nc)
-        return rate * share, rate * (1 - share)
-
     l_c = params.l_c0
     fees_nc = 0.0
     prev = next(times)
     yield prev, l_c, fees_nc
+    # RK4 on (L_c, F_nc) with slopes rate * share and rate * (1 - share),
+    # where share = L_c / (L_c + L_nc) at each stage.
     for t in times:
         h = t - prev
-        k1, j1 = slopes(l_c)
-        k2, j2 = slopes(l_c + 0.5 * h * k1)
-        k3, j3 = slopes(l_c + 0.5 * h * k2)
-        k4, j4 = slopes(l_c + h * k3)
-        l_c += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        fees_nc += h / 6 * (j1 + 2 * j2 + 2 * j3 + j4)
+        half = 0.5 * h
+        share = l_c / (l_c + l_nc)
+        k1, j1 = rate * share, rate * (1 - share)
+        stage = l_c + half * k1
+        share = stage / (stage + l_nc)
+        k2, j2 = rate * share, rate * (1 - share)
+        stage = l_c + half * k2
+        share = stage / (stage + l_nc)
+        k3, j3 = rate * share, rate * (1 - share)
+        stage = l_c + h * k3
+        share = stage / (stage + l_nc)
+        k4, j4 = rate * share, rate * (1 - share)
+        sixth = h / 6
+        l_c += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        fees_nc += sixth * (j1 + 2 * j2 + 2 * j3 + j4)
         yield t, l_c, fees_nc
         prev = t
 
@@ -176,8 +186,41 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
     Every step is recorded.  The final sample lands exactly on the horizon
     (the last step is shortened if needed).
     """
-    points = _trajectory(params, params.horizon)
-    return RoiTrajectory(samples=tuple(_sample_at(params, *point) for point in points))
+    fixed = params.frac_compounding, params.alpha, params.l_c0, params.l_nc
+    return RoiTrajectory(
+        samples=tuple(
+            RoiSample(t, l_c, *_rho(*fixed, t, l_c, fees_nc), fees_nc)
+            for t, l_c, fees_nc in _trajectory(params, params.horizon)
+        )
+    )
+
+
+def _root(l_c0: float, l_nc: float, target: float) -> float:
+    """The root of ``L_c - L_c(0) + L_nc * ln(L_c / L_c(0)) = target`` by
+    bisection (see :func:`lc_implicit_solve`)."""
+    lo, hi = l_c0, l_c0 + target
+    # Halving [lo, hi] down to a width of ROOT_REL_TOL * lo takes this many steps.
+    if math.log2(hi / lo) - math.log2(ROOT_REL_TOL) > _ROOT_MAX_ITER:
+        try:
+            hi = min(hi, l_c0 * math.exp(target / l_nc))
+        except (OverflowError, ZeroDivisionError):
+            pass  # the exponential bound is the looser one (L_nc may underflow to 0)
+    log, inf, tol = math.log, math.inf, ROOT_REL_TOL
+    for _ in range(_ROOT_MAX_ITER):
+        total = lo + hi
+        # Halving each end separately only where the sum overflows keeps
+        # every root that fits in float range bit for bit.
+        mid = 0.5 * total if total < inf else 0.5 * lo + 0.5 * hi
+        if hi - lo <= tol * hi:
+            return mid
+        if mid - l_c0 + l_nc * log(mid / l_c0) - target < 0:
+            lo = mid
+        else:
+            hi = mid
+    raise NoConvergence(
+        f"bisection failed to reach {ROOT_REL_TOL} relative width "
+        f"in {_ROOT_MAX_ITER} iterations"
+    )
 
 
 def lc_implicit_solve(params: RoiParams, t: float) -> float:
@@ -193,35 +236,30 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     non_negative(NonPositiveInput, "time", t)
     if _is_linear(params):
         return _closed_form(params, t)[0]
-    l_c0 = params.l_c0
-    l_nc = params.l_nc
-    target = params.alpha * params.l_total0 * t
+    return _root(params.l_c0, params.l_nc, params.alpha * params.l_total0 * t)
 
-    def gap(l_c: float) -> float:
-        return l_c - l_c0 + l_nc * math.log(l_c / l_c0) - target
 
-    lo, hi = l_c0, l_c0 + target
-    # Halving [lo, hi] down to a width of ROOT_REL_TOL * lo takes this many steps.
-    if math.log2(hi / lo) - math.log2(ROOT_REL_TOL) > _ROOT_MAX_ITER:
-        try:
-            hi = min(hi, l_c0 * math.exp(target / l_nc))
-        except (OverflowError, ZeroDivisionError):
-            pass  # the exponential bound is the looser one (L_nc may underflow to 0)
-    for _ in range(_ROOT_MAX_ITER):
-        total = lo + hi
-        # Halving each end separately only where the sum overflows keeps
-        # every root that fits in float range bit for bit.
-        mid = 0.5 * total if total < math.inf else 0.5 * lo + 0.5 * hi
-        if hi - lo <= ROOT_REL_TOL * hi:
-            return mid
-        if gap(mid) < 0:
-            lo = mid
+def _roi_series(
+    params: RoiParams, times: Iterable[float], method: str = "implicit"
+) -> Iterator[Tuple[float, float]]:
+    """``(rho_c, rho_nc)`` at each of ``times`` (each finite and >= 0), by
+    ``method``, on plain numbers read from ``params`` once."""
+    frac, alpha = params.frac_compounding, params.alpha
+    l_c0, l_nc = params.l_c0, params.l_nc
+    rate = alpha * params.l_total0
+    linear = _is_linear(params)
+    for t in times:
+        if linear:
+            l_c, fees_nc = _closed_form(params, t)
+        elif method == "implicit":
+            target = rate * t
+            l_c = _root(l_c0, l_nc, target)
+            fees_nc = target - (l_c - l_c0)
+        elif method == "rk4":
+            _, l_c, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
         else:
-            hi = mid
-    raise NoConvergence(
-        f"bisection failed to reach {ROOT_REL_TOL} relative width "
-        f"in {_ROOT_MAX_ITER} iterations"
-    )
+            raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
+        yield _rho(frac, alpha, l_c0, l_nc, t, l_c, fees_nc)
 
 
 def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[float, float]:
@@ -233,14 +271,4 @@ def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[flo
     below 1e-8 relative.
     """
     non_negative(NonPositiveInput, "time", t)
-    if _is_linear(params):
-        l_c, fees_nc = _closed_form(params, t)
-    elif method == "implicit":
-        l_c = lc_implicit_solve(params, t)
-        fees_nc = params.alpha * params.l_total0 * t - (l_c - params.l_c0)
-    elif method == "rk4":
-        _, l_c, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
-    else:
-        raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
-    sample = _sample_at(params, t, l_c, fees_nc)
-    return sample.rho_c, sample.rho_nc
+    return next(_roi_series(params, (t,), method))

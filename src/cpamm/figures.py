@@ -31,16 +31,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .analytics import (
-    GrowthParams,
-    PriceScenario,
-    hold_value_relative,
-    impermanent_loss,
-    relative_evolution_collected,
-    relative_evolution_compounded,
-)
-from .compounding import RoiParams, roi_pair
+from .analytics import _collected, _compounded, _held, _il
+from .compounding import RoiParams, _roi_series
 from .errors import DomainError, non_negative, positive, unit_interval
+
+#: Most grid points one figure may have: well under a second of work.
+MAX_FIGURE_ROWS = 10**6
+
 
 @dataclass(frozen=True)
 class FigureSpec:
@@ -68,6 +65,8 @@ class FigureSpec:
         rois = (self.roi_compounding_pct, self.roi_not_compounding_pct)
         non_negative(DomainError, "alpha, t and the ROI percentages", self.alpha, self.t, *rois)
         unit_interval(DomainError, "frac_compounding", self.frac_compounding)
+        if count > MAX_FIGURE_ROWS:
+            raise DomainError(f"{count} grid points is more than {MAX_FIGURE_ROWS}")
 
     def grid_points(self) -> List[float]:
         lo, hi, count = self.domain_grid
@@ -86,39 +85,43 @@ def default_figure_spec(figure_id: str, **overrides) -> FigureSpec:
 
 
 def _price_rows(spec: FigureSpec):
-    for pct in spec.grid_points():
-        yield pct, PriceScenario(delta_x=1.0, delta_y=1.0 + pct / 100.0)
+    """``(pct, delta_y)`` per grid point, ``delta_x`` being 1.
+
+    ``FigureSpec`` keeps both grid ends' price factors in (0, inf) and the
+    grid is monotone, so every ``delta_y`` is in range too.
+    """
+    return ((pct, 1.0 + pct / 100.0) for pct in spec.grid_points())
 
 
 def _emit_il_one_coin(spec: FigureSpec) -> Tuple[List[str], List[List[float]]]:
-    rows = []
-    for pct, scenario in _price_rows(spec):
-        rows.append([pct, impermanent_loss(scenario).relative_loss * 100.0])
+    rows = [[pct, _il(1.0, dy)[2] * 100.0] for pct, dy in _price_rows(spec)]
     return ["price_change_pct", "il_pct"], rows
 
 
 def _emit_portfolio_one_coin(spec: FigureSpec):
     rows = []
-    for pct, scenario in _price_rows(spec):
-        report = impermanent_loss(scenario)
-        rows.append([pct, report.v_held * 100.0, report.v_pooled * 100.0])
+    for pct, dy in _price_rows(spec):
+        v_pooled, v_held, _ = _il(1.0, dy)
+        rows.append([pct, v_held * 100.0, v_pooled * 100.0])
     return ["price_change_pct", "not_investing", "providing_liquidity"], rows
 
 
-def _fee_model_rows(spec: FigureSpec, growth_c: GrowthParams, growth_nc: GrowthParams):
+def _fee_model_rows(spec: FigureSpec, growth_c: float, growth_nc: float):
+    """Held, compounded and collected rows; ``growth_c`` and ``growth_nc``
+    are the ``alpha * t`` of the last two curves."""
     return [
         [
             pct,
-            hold_value_relative(scenario) * 100.0,
-            relative_evolution_compounded(scenario, growth_c) * 100.0,
-            relative_evolution_collected(scenario, growth_nc) * 100.0,
+            _held(1.0, dy) * 100.0,
+            _compounded(1.0, dy, growth_c) * 100.0,
+            _collected(1.0, dy, growth_nc) * 100.0,
         ]
-        for pct, scenario in _price_rows(spec)
+        for pct, dy in _price_rows(spec)
     ]
 
 
 def _emit_fee_model_comparison(spec: FigureSpec):
-    growth = GrowthParams(alpha=spec.alpha, t=spec.t)
+    growth = spec.alpha * spec.t
     header = ["price_change_pct", "not_investing", "uniswap_v2", "beaker"]
     return header, _fee_model_rows(spec, growth, growth)
 
@@ -129,19 +132,18 @@ def _emit_roi_comparison(spec: FigureSpec):
         alpha=spec.alpha,
         horizon=spec.domain_grid[1],
     )
-    rows = []
-    for t in spec.grid_points():
-        rho_c, rho_nc = roi_pair(params, t)
-        rows.append([t, (rho_c - 1.0) * 100.0, (rho_nc - 1.0) * 100.0])
+    times = spec.grid_points()
+    rows = [
+        [t, (rho_c - 1.0) * 100.0, (rho_nc - 1.0) * 100.0]
+        for t, (rho_c, rho_nc) in zip(times, _roi_series(params, times))
+    ]
     return ["time", "compounding", "not_compounding"], rows
 
 
 def _emit_corrected_comparison(spec: FigureSpec):
     # The fee-model comparison with alpha * t replaced by the one-year ROIs.
     rows = _fee_model_rows(
-        spec,
-        GrowthParams(alpha=spec.roi_compounding_pct / 100, t=1),
-        GrowthParams(alpha=spec.roi_not_compounding_pct / 100, t=1),
+        spec, spec.roi_compounding_pct / 100, spec.roi_not_compounding_pct / 100
     )
     return ["price_change_pct", "not_investing", "compounding", "not_compounding"], rows
 
@@ -165,8 +167,10 @@ def emit_figure(spec: FigureSpec) -> str:
     """
     header, rows = _FIGURES[spec.figure_id][1](spec)
     lines = [",".join(header)]
+    isfinite = math.isfinite
     for row in rows:
-        if not all(map(math.isfinite, row)):
+        if not all(map(isfinite, row)):
             raise DomainError(f"{spec.figure_id} leaves float range at x = {row[0]}")
-        lines.append(",".join(repr(float(value)) for value in row))
+        # float() first: an int grid end prints as 1.0, not 1.
+        lines.append(",".join(map(repr, map(float, row))))
     return "\n".join(lines) + "\n"

@@ -48,6 +48,7 @@ from typing import Mapping, Optional, Tuple, Union
 
 from .errors import (
     InactivePool,
+    InputError,
     InsufficientShares,
     InvalidFee,
     InvalidRate,
@@ -147,6 +148,17 @@ def _sqrt(value: Numeric) -> Numeric:
         if root_num * root_num == num and root_den * root_den == den:
             return Fraction(root_num, root_den)
     return math.sqrt(value)
+
+
+def _direction(value) -> Direction:
+    """``value`` as a ``Direction`` member: a plain ``"y2x"`` equals the
+    member but is not it, and the sides are picked by identity."""
+    if value.__class__ is Direction:
+        return value
+    try:
+        return Direction(value)
+    except ValueError:
+        raise InputError(f"unknown direction {value!r}; use 'y2x' or 'x2y'") from None
 
 
 def _require_active(pool: PoolState) -> None:
@@ -307,7 +319,7 @@ def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) 
     is charged up to ``q / (1 - phi)`` gross for it.
     """
     _require_active(pool)
-    y_for_x = direction is Direction.Y_FOR_X
+    y_for_x = _direction(direction) is Direction.Y_FOR_X
     return _spread_cap(pool.reserve_y if y_for_x else pool.reserve_x, sigma, y_for_x)
 
 
@@ -327,6 +339,7 @@ def quote(
     the whole reserve raises ``NonPositiveReserve``.
     """
     _require_active(pool)
+    direction = _direction(direction)
     y_for_x = direction is Direction.Y_FOR_X
     if y_for_x:
         reserve_in, reserve_out = pool.reserve_y, pool.reserve_x
@@ -363,7 +376,7 @@ def execute_swap(
     gross, fee = receipt.capped_in, receipt.fee_paid
     compound = pool.fee_model is FeeModel.AUTO_COMPOUND
     ledger = pool.side_ledger
-    if direction is Direction.Y_FOR_X:
+    if receipt.direction is Direction.Y_FOR_X:
         new_y, fees_y = _settle(pool.reserve_y, ledger.fees_y, gross, fee, compound)
         new_x = pool.reserve_x - receipt.amount_out
         if fees_y is not ledger.fees_y:

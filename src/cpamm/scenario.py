@@ -44,6 +44,7 @@ from .pool import (
     PoolState,
     SideLedger,
     _arbitrage,
+    _direction,
     _settle,
     _swap,
     create_pool,
@@ -251,6 +252,15 @@ _EVENTS = {
     )
 }
 _KINDS = {handler: kind for kind, (handler, _) in _EVENTS.items()}
+
+
+def _trade_fields(trade: Trade) -> tuple:
+    """A trade's fields, its direction as the ``Direction`` member that the
+    replay picks the side by (a plain ``"y2x"`` equals it but is not it)."""
+    return trade.t, _direction(trade.direction), trade.amount_in, trade.max_spread
+
+
+_EVENTS[Trade] = (_Replay._trade, _trade_fields)
 
 
 def _record(event) -> tuple:

@@ -1,25 +1,33 @@
 """Impermanent loss and fee-model evolution, closed form vs pool replay."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpamm import (
+    Direction,
+    FeeModel,
     GrowthParams,
+    InvalidFee,
+    NonPositiveAmount,
     NonPositiveDelta,
     NonPositiveInput,
     NonPositivePrice,
+    NonPositiveReserve,
     PriceScenario,
     RateMismatch,
     create_pool,
+    execute_swap,
     hold_value_relative,
     il_brute_force,
     impermanent_loss,
     relative_evolution_collected,
     relative_evolution_compounded,
 )
+from cpamm.analytics import split_limit_output
 
 deltas = st.floats(min_value=0.1, max_value=10.0)
 
@@ -180,3 +188,53 @@ def test_growth_params_validation():
         GrowthParams(alpha=-0.1, t=1.0)
     with pytest.raises(NonPositiveInput):
         GrowthParams(alpha=0.2, t=-1.0)
+
+
+# -- splitting a trade under fees ---------------------------------------------
+
+def _split_output(pool, amount, parts):
+    """X received for ``amount`` of Y paid in ``parts`` equal swaps."""
+    total = 0
+    for _ in range(parts):
+        pool, receipt = execute_swap(pool, Direction.Y_FOR_X, amount / parts)
+        total += receipt.amount_out
+    return total
+
+
+@pytest.mark.parametrize("parts", [2, 10, 30])
+def test_splitting_is_neutral_when_fees_are_collected_separately(parts):
+    # Route 1: the curve sees only net amounts, which telescope exactly.
+    pool = create_pool(
+        Fraction(1000), Fraction(1000), Fraction(3, 1000), FeeModel.COLLECT_SEPARATELY
+    )
+    assert _split_output(pool, Fraction(100), parts) == _split_output(pool, Fraction(100), 1)
+
+
+def test_auto_compound_splits_approach_the_closed_form_limit():
+    # Route 2: each fee joins the Y reserve before the next part, so the
+    # trader's output falls with k towards the limit, at O(1/k).
+    pool = create_pool(1000.0, 1000.0, 0.003, FeeModel.AUTO_COMPOUND)
+    limit = split_limit_output(1000.0, 1000.0, 100.0, 0.003)
+    single = _split_output(pool, 100.0, 1)
+    gaps = [(_split_output(pool, 100.0, k) - limit) / limit for k in (10, 100, 1000, 10000)]
+    assert single > limit * (1 + 1e-4)
+    assert gaps[0] == pytest.approx(1.36e-5, rel=0.01)
+    assert all(gap > 0 for gap in gaps)
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 9 < coarse / fine < 11
+
+
+def test_split_limit_is_the_single_swap_without_fees():
+    pool = create_pool(1000.0, 1000.0)
+    assert split_limit_output(1000.0, 1000.0, 100.0, 0.0) == pytest.approx(
+        _split_output(pool, 100.0, 1), rel=1e-15
+    )
+
+
+def test_split_limit_validation():
+    with pytest.raises(NonPositiveReserve):
+        split_limit_output(0.0, 1.0, 1.0, 0.0)
+    with pytest.raises(NonPositiveAmount):
+        split_limit_output(1.0, 1.0, math.nan, 0.0)
+    with pytest.raises(InvalidFee):
+        split_limit_output(1.0, 1.0, 1.0, 1.0)

@@ -341,6 +341,16 @@ def test_tiny_compounding_population_solves(capsys):
     assert float(parse_pairs(out)["rho_c"]) == pytest.approx(math.exp(0.2), rel=1e-12)
 
 
+def test_figure_row_limit_exits_1_at_once(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "emit-figure", "--figure", "il_one_coin", "--count", "1000000001"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert_rejected(code, out, err)
+    assert "grid points is more than" in err
+
+
 def test_il_at_a_price_ratio_beyond_float_range(capsys):
     code, out, _ = run_cli(capsys, "il", "--delta-x", "5e-324", "--delta-y", "1e6")
     assert code == 0

@@ -5,18 +5,19 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpamm import (
     InvalidStep,
+    NoConvergence,
     NonPositiveInput,
     RoiParams,
     integrate_lc,
     lc_implicit_solve,
     roi_pair,
 )
-from cpamm.compounding import MAX_RK4_STEPS
+from cpamm.compounding import MAX_RK4_STEPS, ROOT_REL_TOL, _time_grid
 
 DEFAULT = RoiParams(frac_compounding=0.99, alpha=0.2, horizon=1.0)
 
@@ -224,3 +225,104 @@ def test_rk4_step_count_is_bounded(run):
         run(params)
     assert time.perf_counter() - started < 1.0
 
+
+
+# -- the solvers against references written with per-point closures ----------
+
+def _outcome(solve, *args):
+    """The result of ``solve(*args)``, or the type of the error it raises."""
+    try:
+        return solve(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not swallowed
+        return type(err)
+
+
+def _reference_root(params, t):
+    """Bisection with a ``gap`` closure per step, as the solver was first written."""
+    l_c0, l_nc = params.l_c0, params.l_nc
+    target = params.alpha * params.l_total0 * t
+
+    def gap(l_c):
+        return l_c - l_c0 + l_nc * math.log(l_c / l_c0) - target
+
+    lo, hi = l_c0, l_c0 + target
+    if math.log2(hi / lo) - math.log2(ROOT_REL_TOL) > 200:
+        try:
+            hi = min(hi, l_c0 * math.exp(target / l_nc))
+        except (OverflowError, ZeroDivisionError):
+            pass
+    for _ in range(200):
+        total = lo + hi
+        mid = 0.5 * total if total < math.inf else 0.5 * lo + 0.5 * hi
+        if hi - lo <= ROOT_REL_TOL * hi:
+            return mid
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    raise NoConvergence("reference bisection did not converge")
+
+
+def _reference_rk4(params, horizon):
+    """``[(t, L_c, F_nc)]`` by RK4 with a ``slopes`` closure per stage."""
+    rate = params.alpha * params.l_total0
+    l_nc = params.l_nc
+
+    def slopes(l_c):
+        share = l_c / (l_c + l_nc)
+        return rate * share, rate * (1 - share)
+
+    times = _time_grid(horizon, params.step)
+    l_c, fees_nc = params.l_c0, 0.0
+    prev = next(times)
+    points = [(prev, l_c, fees_nc)]
+    for t in times:
+        h = t - prev
+        k1, j1 = slopes(l_c)
+        k2, j2 = slopes(l_c + 0.5 * h * k1)
+        k3, j3 = slopes(l_c + 0.5 * h * k2)
+        k4, j4 = slopes(l_c + h * k3)
+        l_c += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        fees_nc += h / 6 * (j1 + 2 * j2 + 2 * j3 + j4)
+        points.append((t, l_c, fees_nc))
+        prev = t
+    return points
+
+
+@given(
+    frac=st.floats(min_value=1e-300, max_value=0.999999),
+    alpha=st.floats(min_value=1e-6, max_value=50.0),
+    t=times,
+    l_total0=st.floats(min_value=1e-100, max_value=1e100),
+)
+@example(frac=1e-60, alpha=0.2, t=1.0, l_total0=1.0)  # capped bracket
+@example(frac=0.99, alpha=0.2, t=1.0, l_total0=1e308)  # overflowing midpoint
+@example(frac=0.5, alpha=0.2, t=0.0, l_total0=1.0)
+@settings(max_examples=300, deadline=None)
+def test_implicit_root_matches_the_closure_bisection(frac, alpha, t, l_total0):
+    params = RoiParams(frac_compounding=frac, alpha=alpha, horizon=3.0, l_total0=l_total0)
+    assert _outcome(lc_implicit_solve, params, t) == _outcome(_reference_root, params, t)
+
+
+@given(
+    frac=st.floats(min_value=1e-12, max_value=0.999),
+    alpha=alphas,
+    horizon=times,
+    step=st.floats(min_value=1e-3, max_value=1.0),
+    l_total0=st.floats(min_value=1e-6, max_value=1e6),
+)
+@example(frac=0.99, alpha=0.2, horizon=1.0, step=1e-3, l_total0=1.0)
+@example(frac=0.5, alpha=0.2, horizon=1.2345, step=0.01, l_total0=1.0)
+@example(frac=0.5, alpha=0.2, horizon=0.0, step=0.01, l_total0=1.0)
+@settings(max_examples=200, deadline=None)
+def test_rk4_matches_the_closure_integrator(frac, alpha, horizon, step, l_total0):
+    params = RoiParams(frac, alpha, horizon=horizon, l_total0=l_total0, step=step)
+    points = _reference_rk4(params, horizon)
+    samples = integrate_lc(params).samples
+    assert [(s.t, s.l_c, s.fees_nc) for s in samples] == points
+    for sample in samples:
+        assert sample.rho_c == sample.l_c / params.l_c0
+        assert sample.rho_nc == 1 + sample.fees_nc / params.l_nc
+    _, l_c, fees_nc = points[-1]
+    expected = (l_c / params.l_c0, 1 + fees_nc / params.l_nc)
+    assert roi_pair(params, horizon, method="rk4") == expected

@@ -8,11 +8,18 @@ from cpamm import (
     DomainError,
     FIGURE_IDS,
     FigureSpec,
+    GrowthParams,
+    PriceScenario,
     RoiParams,
     default_figure_spec,
     emit_figure,
+    hold_value_relative,
+    impermanent_loss,
+    relative_evolution_collected,
+    relative_evolution_compounded,
     roi_pair,
 )
+from cpamm.figures import MAX_FIGURE_ROWS
 
 
 def rows_of(csv_text):
@@ -169,3 +176,95 @@ def test_emission_is_bit_identical():
 def test_negative_roi_pct_rejected(field):
     with pytest.raises(DomainError):
         default_figure_spec("corrected_fee_model_comparison", **{field: -1.0})
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_row_count_is_bounded(figure_id):
+    lo, hi, _ = default_figure_spec(figure_id).domain_grid
+    default_figure_spec(figure_id, domain_grid=(lo, hi, MAX_FIGURE_ROWS))
+    with pytest.raises(DomainError, match=f"more than {MAX_FIGURE_ROWS}"):
+        default_figure_spec(figure_id, domain_grid=(lo, hi, MAX_FIGURE_ROWS + 1))
+
+
+# -- the emitters against the public per-point functions ---------------------
+
+_HEADERS = {
+    "il_one_coin": "price_change_pct,il_pct",
+    "portfolio_one_coin": "price_change_pct,not_investing,providing_liquidity",
+    "fee_model_comparison": "price_change_pct,not_investing,uniswap_v2,beaker",
+    "roi_comparison": "time,compounding,not_compounding",
+    "corrected_fee_model_comparison":
+        "price_change_pct,not_investing,compounding,not_compounding",
+}
+
+
+def _fee_model_row(scenario, growth_c, growth_nc):
+    return [
+        hold_value_relative(scenario) * 100.0,
+        relative_evolution_compounded(scenario, growth_c) * 100.0,
+        relative_evolution_collected(scenario, growth_nc) * 100.0,
+    ]
+
+
+def _reference_row(spec, x):
+    """One figure row from the public value-object API, point by point."""
+    if spec.figure_id == "roi_comparison":
+        params = RoiParams(spec.frac_compounding, spec.alpha, horizon=spec.domain_grid[1])
+        rho_c, rho_nc = roi_pair(params, x)
+        return [x, (rho_c - 1.0) * 100.0, (rho_nc - 1.0) * 100.0]
+    scenario = PriceScenario(1.0, 1 + x / 100)
+    if spec.figure_id == "il_one_coin":
+        return [x, impermanent_loss(scenario).relative_loss * 100.0]
+    if spec.figure_id == "portfolio_one_coin":
+        report = impermanent_loss(scenario)
+        return [x, report.v_held * 100.0, report.v_pooled * 100.0]
+    if spec.figure_id == "fee_model_comparison":
+        growth = GrowthParams(spec.alpha, spec.t)
+        return [x, *_fee_model_row(scenario, growth, growth)]
+    return [x, *_fee_model_row(
+        scenario,
+        GrowthParams(spec.roi_compounding_pct / 100, 1),
+        GrowthParams(spec.roi_not_compounding_pct / 100, 1),
+    )]
+
+
+def _reference_csv(spec):
+    lines = [_HEADERS[spec.figure_id]]
+    for x in spec.grid_points():
+        lines.append(",".join(repr(float(v)) for v in _reference_row(spec, x)))
+    return "\n".join(lines) + "\n"
+
+
+_PRICE_FIGURES = [f for f in FIGURE_IDS if f != "roi_comparison"]
+
+
+@pytest.mark.parametrize(
+    "figure_id, overrides",
+    [(figure_id, {}) for figure_id in FIGURE_IDS]
+    + [(f, {"domain_grid": (-50, 200, 11)}) for f in _PRICE_FIGURES]
+    + [(f, {"domain_grid": (-99.5, 150.25, 17)}) for f in _PRICE_FIGURES]
+    + [
+        ("fee_model_comparison", {"alpha": 0.35, "t": 2.5}),
+        ("fee_model_comparison", {"alpha": 3, "t": 2}),
+        ("fee_model_comparison", {"alpha": 0.0}),
+        ("corrected_fee_model_comparison",
+         {"roi_compounding_pct": 31.7, "roi_not_compounding_pct": 0}),
+        ("roi_comparison", {"domain_grid": (0, 3, 13)}),
+        ("roi_comparison", {"domain_grid": (0.25, 2.75, 9), "alpha": 0.45, "t": 9.0}),
+        ("roi_comparison", {"alpha": 0}),
+        ("roi_comparison", {"frac_compounding": 0}),
+        ("roi_comparison", {"frac_compounding": 0.0, "alpha": 3}),
+        ("roi_comparison", {"frac_compounding": 1}),
+        ("roi_comparison", {"frac_compounding": 1.0, "alpha": 0.7}),
+        ("roi_comparison", {"frac_compounding": 0.5}),
+        ("roi_comparison", {"frac_compounding": 1e-60, "alpha": 2}),
+    ],
+)
+def test_emitters_match_the_public_per_point_functions(figure_id, overrides):
+    spec = default_figure_spec(figure_id, **overrides)
+    assert emit_figure(spec) == _reference_csv(spec)
+
+
+def test_int_grid_end_prints_as_a_float():
+    lines = emit_figure(FigureSpec("il_one_coin", (0, 1, 2))).split("\n")
+    assert lines[2].startswith("1.0,")

@@ -13,6 +13,7 @@ from cpamm import (
     Direction,
     FeeModel,
     InactivePool,
+    InputError,
     InsufficientShares,
     InvalidFee,
     InvalidRate,
@@ -578,3 +579,34 @@ def test_arbitrage_leg_equals_arbitrage_to_rate(x, y, target):
     pool = create_pool(x, y, fee_rate=0.003, fee_model=FeeModel.COLLECT_SEPARATELY)
     moved = arbitrage_to_rate(pool, target)
     assert _arbitrage(x, y, target) == (moved.reserve_x, moved.reserve_y)
+
+
+# -- a direction given as its plain string value -------------------------------
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_quote_reads_a_plain_direction_string_as_its_member(direction):
+    pool = create_pool(100.0, 100.0)
+    by_string = quote(pool, direction.value, 5.0)
+    assert by_string == quote(pool, direction, 5.0)
+    assert by_string.direction is direction
+    if direction is Direction.Y_FOR_X:
+        assert by_string.spread_applied == pytest.approx(1 - (100 / 105) ** 2, rel=1e-12)
+    with pytest.raises(InputError, match="unknown direction 'y4x'"):
+        quote(pool, "y4x", 5.0)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_execute_swap_reads_a_plain_direction_string_as_its_member(direction):
+    pool = create_pool(100.0, 200.0, fee_rate=0.003, fee_model=FeeModel.COLLECT_SEPARATELY)
+    assert execute_swap(pool, direction.value, 5.0) == execute_swap(pool, direction, 5.0)
+    with pytest.raises(InputError):
+        execute_swap(pool, "sideways", 5.0)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_max_input_for_spread_reads_a_plain_direction_string_as_its_member(direction):
+    pool = create_pool(100.0, 200.0)
+    expected = max_input_for_spread(pool, direction, 0.1)
+    assert max_input_for_spread(pool, direction.value, 0.1) == expected
+    with pytest.raises(InputError):
+        max_input_for_spread(pool, None, 0.1)

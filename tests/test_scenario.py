@@ -18,6 +18,7 @@ from cpamm import (
     Direction,
     EmptyWindow,
     FeeModel,
+    InputError,
     InvalidRate,
     NonPositiveAmount,
     NonPositiveReserve,
@@ -609,3 +610,14 @@ def test_csv_labels_read_back_as_one_record(label):
     expected = io.StringIO()
     csv.writer(expected).writerow([label, ""])
     assert text.split("\n", 1)[1].startswith(expected.getvalue().removesuffix("\r\n"))
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_run_scenario_reads_a_plain_direction_string_as_its_member(direction):
+    by_member = run_scenario(make_script((Trade(0.0, direction, 5.0),)))
+    by_string = run_scenario(make_script((Trade(0.0, direction.value, 5.0),)))
+    assert by_string == by_member
+    if direction is Direction.Y_FOR_X:
+        assert by_string[-1].reserve_y == 105.0
+    with pytest.raises(InputError, match="unknown direction"):
+        run_scenario(make_script((Trade(0.0, "y4x", 5.0),)))
