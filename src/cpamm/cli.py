@@ -26,34 +26,11 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import figures
-from .analytics import (
-    GrowthParams,
-    PriceScenario,
-    hold_value_relative,
-    il_brute_force,
-    impermanent_loss,
-    relative_evolution_collected,
-    relative_evolution_compounded,
-)
-from .compounding import RoiParams, roi_pair
+from . import analytics, compounding, figures, pool, scenario
 from .errors import DomainError, InputError, InternalError
-from .pool import (
-    Direction,
-    FeeModel,
-    Numeric,
-    SwapReceipt,
-    create_pool,
-    execute_swap,
-    liquidity_of,
-    pool_value,
-    quote,
-    rate_of,
-)
-from .scenario import _run_script_file, snapshots_to_csv
 
 
-def _num(text: str) -> Numeric:
+def _num(text: str) -> pool.Numeric:
     """Parse a CLI number; a ``/`` selects the exact rational backend."""
     if "/" in text:
         try:
@@ -84,7 +61,7 @@ def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> No
 def _add_swap_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--direction",
-        choices=[d.value for d in Direction],
+        choices=[d.value for d in pool.Direction],
         required=True,
         help="y2x sells Y for X, x2y sells X for Y",
     )
@@ -97,7 +74,7 @@ def _add_swap_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _quote_pairs(receipt: SwapReceipt) -> List[Tuple[str, object]]:
+def _quote_pairs(receipt: pool.SwapReceipt) -> List[Tuple[str, object]]:
     """Every receipt field in declaration order; the direction by its CLI name."""
     values = {field.name: getattr(receipt, field.name) for field in fields(receipt)}
     values["direction"] = receipt.direction.value
@@ -105,44 +82,44 @@ def _quote_pairs(receipt: SwapReceipt) -> List[Tuple[str, object]]:
 
 
 def _cmd_quote(args: argparse.Namespace) -> None:
-    pool = create_pool(args.x, args.y, fee_rate=args.fee)
-    receipt = quote(pool, Direction(args.direction), args.amount, args.max_spread)
+    state = pool.create_pool(args.x, args.y, fee_rate=args.fee)
+    receipt = pool.quote(state, pool.Direction(args.direction), args.amount, args.max_spread)
     _print_pairs(_quote_pairs(receipt))
 
 
 def _cmd_swap(args: argparse.Namespace) -> None:
-    pool = create_pool(
-        args.x, args.y, fee_rate=args.fee, fee_model=FeeModel(args.fee_model)
+    state = pool.create_pool(
+        args.x, args.y, fee_rate=args.fee, fee_model=pool.FeeModel(args.fee_model)
     )
-    pool, receipt = execute_swap(
-        pool, Direction(args.direction), args.amount, args.max_spread
+    state, receipt = pool.execute_swap(
+        state, pool.Direction(args.direction), args.amount, args.max_spread
     )
     _print_pairs(
         _quote_pairs(receipt)
         + [
-            ("new_x", pool.reserve_x),
-            ("new_y", pool.reserve_y),
-            ("new_rate", rate_of(pool)),
-            ("fees_x", pool.side_ledger.fees_x),
-            ("fees_y", pool.side_ledger.fees_y),
+            ("new_x", state.reserve_x),
+            ("new_y", state.reserve_y),
+            ("new_rate", pool.rate_of(state)),
+            ("fees_x", state.side_ledger.fees_x),
+            ("fees_y", state.side_ledger.fees_y),
         ]
     )
 
 
 def _cmd_pool_info(args: argparse.Namespace) -> None:
-    pool = create_pool(args.x, args.y)
+    state = pool.create_pool(args.x, args.y)
     _print_pairs(
         [
-            ("rate", rate_of(pool)),
-            ("liquidity", liquidity_of(pool)),
-            ("value", pool_value(pool, args.p_x, args.p_y)),
+            ("rate", pool.rate_of(state)),
+            ("liquidity", pool.liquidity_of(state)),
+            ("value", pool.pool_value(state, args.p_x, args.p_y)),
         ]
     )
 
 
 def _cmd_il(args: argparse.Namespace) -> None:
-    scenario = PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
-    report = impermanent_loss(scenario)
+    prices = analytics.PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
+    report = analytics.impermanent_loss(prices)
     pairs: List[Tuple[str, object]] = [
         ("v_pooled", report.v_pooled),
         ("v_held", report.v_held),
@@ -150,31 +127,31 @@ def _cmd_il(args: argparse.Namespace) -> None:
         ("loss_pct", report.relative_loss * 100.0),
     ]
     if args.replay_check:
-        replay = il_brute_force(scenario, create_pool(100.0, 100.0))
+        replay = analytics.il_brute_force(prices, pool.create_pool(100.0, 100.0))
         pairs.append(("loss_replay", replay.relative_loss))
     _print_pairs(pairs)
 
 
 def _cmd_evolve(args: argparse.Namespace) -> None:
-    scenario = PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
-    growth = GrowthParams(alpha=args.alpha, t=args.t)
+    prices = analytics.PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
+    growth = analytics.GrowthParams(alpha=args.alpha, t=args.t)
     _print_pairs(
         [
-            ("hold", hold_value_relative(scenario)),
-            ("auto_compound", relative_evolution_compounded(scenario, growth)),
-            ("collect_separately", relative_evolution_collected(scenario, growth)),
+            ("hold", analytics.hold_value_relative(prices)),
+            ("auto_compound", analytics.relative_evolution_compounded(prices, growth)),
+            ("collect_separately", analytics.relative_evolution_collected(prices, growth)),
         ]
     )
 
 
 def _cmd_roi(args: argparse.Namespace) -> None:
-    params = RoiParams(
+    params = compounding.RoiParams(
         frac_compounding=args.frac,
         alpha=args.alpha,
         horizon=args.t,
         step=args.step,
     )
-    rho_c, rho_nc = roi_pair(params, args.t, method=args.method)
+    rho_c, rho_nc = compounding.roi_pair(params, args.t, method=args.method)
     _print_pairs(
         [
             ("rho_c", rho_c),
@@ -186,7 +163,7 @@ def _cmd_roi(args: argparse.Namespace) -> None:
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> None:
-    print(snapshots_to_csv(_run_script_file(args.script)), end="")
+    print(scenario.snapshots_to_csv(scenario._run_script_file(args.script)), end="")
 
 
 def _cmd_emit_figure(args: argparse.Namespace) -> None:
@@ -214,6 +191,17 @@ def _cmd_emit_figure(args: argparse.Namespace) -> None:
         print(text, end="")
 
 
+class _FigureIds:
+    """``figures.FIGURE_IDS`` as argparse ``choices``, read only when a
+    figure id is checked or listed: other commands never load ``figures``."""
+
+    def __contains__(self, figure_id: object) -> bool:
+        return figure_id in figures.FIGURE_IDS
+
+    def __iter__(self):
+        return iter(figures.FIGURE_IDS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpamm",
@@ -231,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_swap_args(p)
     p.add_argument(
         "--fee-model",
-        choices=[m.value for m in FeeModel],
-        default=FeeModel.AUTO_COMPOUND.value,
+        choices=[m.value for m in pool.FeeModel],
+        default=pool.FeeModel.AUTO_COMPOUND.value,
         help="where collected fees go",
     )
     p.set_defaults(func=_cmd_swap)
@@ -275,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run_scenario)
 
     p = sub.add_parser("emit-figure", help="print one analysis figure as CSV")
-    p.add_argument("--figure", choices=list(figures.FIGURE_IDS), required=True)
+    # Set after add_argument, which lists the choices to check the metavar.
+    p.add_argument("--figure", required=True).choices = _FigureIds()
     p.add_argument("--grid-min", type=float, default=None)
     p.add_argument("--grid-max", type=float, default=None)
     p.add_argument("--count", type=int, default=None)

@@ -64,6 +64,12 @@ class RoiParams:
         non_negative(NonPositiveInput, "growth rate and horizon", self.alpha, self.horizon)
         positive(NonPositiveInput, "initial liquidity", self.l_total0)
         positive(InvalidStep, "integration step", self.step)
+        # The root's bracket is [L_c(0), L_c(0) + alpha L0 t]: both ends must
+        # be positive floats, so the fees may not overflow nor L_c(0) underflow.
+        accrued = self.alpha * self.l_total0 * self.horizon
+        non_negative(NonPositiveInput, "fees accrued alpha * L0 * horizon", accrued)
+        if self.frac_compounding > 0:
+            positive(NonPositiveInput, "compounding liquidity frac * L0", self.l_c0)
 
     @property
     def l_c0(self) -> float:
@@ -213,7 +219,9 @@ def _root(l_c0: float, l_nc: float, target: float) -> float:
         mid = 0.5 * total if total < inf else 0.5 * lo + 0.5 * hi
         if hi - lo <= tol * hi:
             return mid
-        if mid - l_c0 + l_nc * log(mid / l_c0) - target < 0:
+        ratio = mid / l_c0
+        # Past the largest float ratio (a vanishing L_c(0)), take the logs apart.
+        if mid - l_c0 + l_nc * (log(ratio) if ratio < inf else log(mid) - log(l_c0)) - target < 0:
             lo = mid
         else:
             hi = mid

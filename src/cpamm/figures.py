@@ -31,8 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .analytics import _collected, _compounded, _held, _il
-from .compounding import RoiParams, _roi_series
+from . import analytics, compounding
 from .errors import DomainError, non_negative, positive, unit_interval
 
 #: Most grid points one figure may have: well under a second of work.
@@ -94,14 +93,16 @@ def _price_rows(spec: FigureSpec):
 
 
 def _emit_il_one_coin(spec: FigureSpec) -> Tuple[List[str], List[List[float]]]:
-    rows = [[pct, _il(1.0, dy)[2] * 100.0] for pct, dy in _price_rows(spec)]
+    il = analytics._il
+    rows = [[pct, il(1.0, dy)[2] * 100.0] for pct, dy in _price_rows(spec)]
     return ["price_change_pct", "il_pct"], rows
 
 
 def _emit_portfolio_one_coin(spec: FigureSpec):
     rows = []
+    il = analytics._il
     for pct, dy in _price_rows(spec):
-        v_pooled, v_held, _ = _il(1.0, dy)
+        v_pooled, v_held, _ = il(1.0, dy)
         rows.append([pct, v_held * 100.0, v_pooled * 100.0])
     return ["price_change_pct", "not_investing", "providing_liquidity"], rows
 
@@ -109,12 +110,13 @@ def _emit_portfolio_one_coin(spec: FigureSpec):
 def _fee_model_rows(spec: FigureSpec, growth_c: float, growth_nc: float):
     """Held, compounded and collected rows; ``growth_c`` and ``growth_nc``
     are the ``alpha * t`` of the last two curves."""
+    held, compounded, collected = analytics._held, analytics._compounded, analytics._collected
     return [
         [
             pct,
-            _held(1.0, dy) * 100.0,
-            _compounded(1.0, dy, growth_c) * 100.0,
-            _collected(1.0, dy, growth_nc) * 100.0,
+            held(1.0, dy) * 100.0,
+            compounded(1.0, dy, growth_c) * 100.0,
+            collected(1.0, dy, growth_nc) * 100.0,
         ]
         for pct, dy in _price_rows(spec)
     ]
@@ -127,7 +129,7 @@ def _emit_fee_model_comparison(spec: FigureSpec):
 
 
 def _emit_roi_comparison(spec: FigureSpec):
-    params = RoiParams(
+    params = compounding.RoiParams(
         frac_compounding=spec.frac_compounding,
         alpha=spec.alpha,
         horizon=spec.domain_grid[1],
@@ -135,7 +137,7 @@ def _emit_roi_comparison(spec: FigureSpec):
     times = spec.grid_points()
     rows = [
         [t, (rho_c - 1.0) * 100.0, (rho_nc - 1.0) * 100.0]
-        for t, (rho_c, rho_nc) in zip(times, _roi_series(params, times))
+        for t, (rho_c, rho_nc) in zip(times, compounding._roi_series(params, times))
     ]
     return ["time", "compounding", "not_compounding"], rows
 

@@ -150,15 +150,16 @@ def _sqrt(value: Numeric) -> Numeric:
     return math.sqrt(value)
 
 
-def _direction(value) -> Direction:
-    """``value`` as a ``Direction`` member: a plain ``"y2x"`` equals the
-    member but is not it, and the sides are picked by identity."""
-    if value.__class__ is Direction:
+def _member(enum, value, what: str):
+    """``value`` as a member of ``enum``: a plain ``"y2x"`` equals the
+    member but is not it, and sides and fee models are picked by identity."""
+    if value.__class__ is enum:
         return value
     try:
-        return Direction(value)
+        return enum(value)
     except ValueError:
-        raise InputError(f"unknown direction {value!r}; use 'y2x' or 'x2y'") from None
+        use = " or ".join(repr(member.value) for member in enum)
+        raise InputError(f"unknown {what} {value!r}; use {use}") from None
 
 
 def _require_active(pool: PoolState) -> None:
@@ -176,6 +177,7 @@ def create_pool(
     """Initialize a pool; ``provider`` receives ``sqrt(x0 * y0)`` shares."""
     positive(NonPositiveReserve, "initial reserves", x0, y0)
     non_negative(InvalidFee, "fee rate", fee_rate, below=1)
+    fee_model = _member(FeeModel, fee_model, "fee model")
     shares = _sqrt(x0 * y0)
     positive(NonPositiveReserve, "initial liquidity sqrt(x0 * y0)", shares)
     return PoolState(
@@ -319,7 +321,7 @@ def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) 
     is charged up to ``q / (1 - phi)`` gross for it.
     """
     _require_active(pool)
-    y_for_x = _direction(direction) is Direction.Y_FOR_X
+    y_for_x = _member(Direction, direction, "direction") is Direction.Y_FOR_X
     return _spread_cap(pool.reserve_y if y_for_x else pool.reserve_x, sigma, y_for_x)
 
 
@@ -339,7 +341,7 @@ def quote(
     the whole reserve raises ``NonPositiveReserve``.
     """
     _require_active(pool)
-    direction = _direction(direction)
+    direction = _member(Direction, direction, "direction")
     y_for_x = direction is Direction.Y_FOR_X
     if y_for_x:
         reserve_in, reserve_out = pool.reserve_y, pool.reserve_x

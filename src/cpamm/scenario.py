@@ -44,7 +44,7 @@ from .pool import (
     PoolState,
     SideLedger,
     _arbitrage,
-    _direction,
+    _member,
     _settle,
     _swap,
     create_pool,
@@ -257,7 +257,8 @@ _KINDS = {handler: kind for kind, (handler, _) in _EVENTS.items()}
 def _trade_fields(trade: Trade) -> tuple:
     """A trade's fields, its direction as the ``Direction`` member that the
     replay picks the side by (a plain ``"y2x"`` equals it but is not it)."""
-    return trade.t, _direction(trade.direction), trade.amount_in, trade.max_spread
+    direction = _member(Direction, trade.direction, "direction")
+    return trade.t, direction, trade.amount_in, trade.max_spread
 
 
 _EVENTS[Trade] = (_Replay._trade, _trade_fields)
@@ -303,7 +304,7 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     positive(EmptyWindow, "window", window)
     replay = _Replay(script).run(map(_record, script.events))
     start_liquidity = liquidity_of(replay.start)
-    if script.fee_model is FeeModel.AUTO_COMPOUND:
+    if replay.compound:
         growth = liquidity_of(replay.pool) / start_liquidity - 1
         return growth / window
     fees_value = replay.p_x * (replay.fees_x + replay.collected_x) + replay.p_y * (

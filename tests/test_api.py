@@ -1,8 +1,19 @@
-"""The public surface: the names ``cpamm`` exports and the figure ids."""
+"""The public surface: the names ``cpamm`` exports, the figure ids, and the
+layers each command loads."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import cpamm
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("analytics", "compounding", "errors", "figures", "pool", "rational", "scenario")
 
 
 def test_figure_ids_are_pinned_in_order():
@@ -19,17 +30,85 @@ def test_all_has_no_duplicates():
     assert len(cpamm.__all__) == len(set(cpamm.__all__))
 
 
-#: Importable from ``cpamm`` but left out of ``__all__``: none.
-NOT_STAR_EXPORTED = set()
-
-
-def test_all_matches_the_import_block():
+def test_all_matches_the_export_table():
+    assert sorted(cpamm._EXPORTS) == cpamm.__all__
+    for name, layer in cpamm._EXPORTS.items():
+        assert getattr(cpamm, name) is getattr(sys.modules[f"cpamm.{layer}"], name)
     public = {
         name
         for name, value in vars(cpamm).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert public - NOT_STAR_EXPORTED == set(cpamm.__all__)
-    assert NOT_STAR_EXPORTED <= public
-    for name in cpamm.__all__:
-        assert getattr(cpamm, name) is not None
+    assert public == set(cpamm.__all__)
+    assert set(cpamm.__all__) <= set(dir(cpamm))
+
+
+def _fresh(code: str):
+    """Run ``code`` in a new interpreter on this checkout; returns what it prints as JSON."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+#: Prints which layers' bodies have run: ``type`` reads no attribute, so it loads none.
+_LOADED = """
+import importlib.util, json, sys
+print(json.dumps(sorted(name.split(".")[1] for name, module in sys.modules.items()
+      if name.startswith("cpamm.") and type(module) is not importlib.util._LazyModule)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quote", "--x", "100", "--y", "100", "--direction", "y2x", "--amount", "5"],
+        ["swap", "--x", "100", "--y", "100", "--direction", "x2y", "--amount", "5",
+         "--fee", "0.003", "--fee-model", "collect_separately"],
+        ["pool-info", "--x", "1/3", "--y", "2"],
+    ],
+)
+def test_pool_commands_run_only_the_pool_layers(argv):
+    code = "import contextlib, io, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    code += f"    assert cpamm.cli.main({argv!r}) == 0\n" + _LOADED
+    assert _fresh(code) == ["cli", "errors", "pool"]
+
+
+def test_figure_choices_load_figures_alone():
+    code = "import cpamm.cli\nassert 'il_one_coin' in cpamm.cli._FigureIds()\n" + _LOADED
+    assert _fresh(code) == ["cli", "errors", "figures"]
+
+
+def test_star_import_binds_exactly_all():
+    code = (
+        "import json\nnames = {}\nexec('from cpamm import *', names)\n"
+        "import cpamm\nnames.pop('__builtins__')\n"
+        "print(json.dumps([sorted(names) == cpamm.__all__,"
+        " all(names[n] is getattr(cpamm, n) for n in names)]))"
+    )
+    assert _fresh(code) == [True, True]
+
+
+def test_every_layer_resolves_after_a_bare_import():
+    code = (
+        "import json, types, cpamm\n"
+        f"print(json.dumps([isinstance(getattr(cpamm, layer), types.ModuleType)"
+        f" and bool(vars(getattr(cpamm, layer))) for layer in {LAYERS!r}]))"
+    )
+    assert _fresh(code) == [True] * len(LAYERS)
+
+
+def test_every_traced_layer_is_registered_by_importing_the_cli():
+    # The benchmark's tracer imports cpamm.cli and then reads each layer it
+    # wraps from sys.modules, before any command has run.
+    code = (
+        "import json, runpy, sys\n"
+        f"targets = runpy.run_path({str(ROOT / 'bench' / 'tracing.py')!r})['TARGETS']\n"
+        "import cpamm.cli\n"
+        "modules = sorted({module for spans in targets.values() for module, _ in spans})\n"
+        "print(json.dumps([modules, [m for m in modules if m not in sys.modules]]))"
+    )
+    modules, missing = _fresh(code)
+    assert len(modules) >= 4
+    assert missing == []

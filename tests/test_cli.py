@@ -364,6 +364,12 @@ def test_non_finite_evolve_result_exits_1(capsys):
     assert "auto_compound = inf leaves float range" in err
 
 
+def test_roi_whose_root_ratio_overflows_exits_1(capsys):
+    code, out, err = run_cli(capsys, "roi", "--frac", "1e-300", "--alpha", "1e300", "--t", "1e8")
+    assert_rejected(code, out, err)
+    assert err == "error: rho_c = inf leaves float range\n"
+
+
 def test_non_finite_roi_result_exits_1(capsys):
     code, out, err = run_cli(capsys, "roi", "--frac", "5e-324", "--alpha", "1000", "--t", "1000")
     assert_rejected(code, out, err)
@@ -382,7 +388,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def solver_bug(*args, **kwargs):
         raise NoConvergence("bisection gave up")
 
-    monkeypatch.setattr(cli, "roi_pair", solver_bug)
+    monkeypatch.setattr("cpamm.compounding.roi_pair", solver_bug)
     code, out, err = run_cli(capsys, "roi")
     assert (code, out, err) == (3, "", "internal error: bisection gave up\n")
 

@@ -39,6 +39,30 @@ def test_params_validation():
         RoiParams(frac_compounding=0.5, alpha=0.2, horizon=1.0, step=0.0)
 
 
+def test_params_reject_a_bracket_beyond_float_range():
+    # alpha * L0 * horizon overflows: the root's bracket would end at inf.
+    with pytest.raises(NonPositiveInput, match="fees accrued"):
+        RoiParams(frac_compounding=0.5, alpha=1e300, horizon=1e10)
+    # L_c(0) = frac * L0 underflows to 0 for a positive frac.
+    with pytest.raises(NonPositiveInput, match="compounding liquidity"):
+        RoiParams(frac_compounding=1e-300, alpha=1.0, horizon=3.0, l_total0=1e-100)
+
+
+def test_root_whose_ratio_to_the_start_overflows():
+    # L_c / L_c(0) passes the largest float long before the root near 1e308.
+    params = RoiParams(frac_compounding=1e-300, alpha=1e300, horizon=1e8)
+    l_c = lc_implicit_solve(params, 1e8)
+    residual = l_c - params.l_c0 + params.l_nc * (math.log(l_c) - math.log(params.l_c0)) - 1e308
+    assert abs(residual) <= ROOT_REL_TOL * l_c
+    assert roi_pair(params, 1e8)[0] == math.inf
+    # A root below the overflow: rho_nc is the holdouts' diluted fee share.
+    small = RoiParams(frac_compounding=1e-300, alpha=1e10, horizon=1.0)
+    rho_c, rho_nc = roi_pair(small, 1.0)
+    assert rho_c == math.inf
+    # rho_nc = 1 + ln(rho_c); the root's own tolerance bounds the error.
+    assert rho_nc == pytest.approx(1 + math.log(1e10) - math.log(1e-300), abs=ROOT_REL_TOL * 1e10)
+
+
 def test_population_split():
     params = RoiParams(frac_compounding=0.25, alpha=0.2, horizon=1.0, l_total0=4.0)
     assert params.l_c0 == 1.0
@@ -300,6 +324,10 @@ def _reference_rk4(params, horizon):
 @example(frac=0.5, alpha=0.2, t=0.0, l_total0=1.0)
 @settings(max_examples=300, deadline=None)
 def test_implicit_root_matches_the_closure_bisection(frac, alpha, t, l_total0):
+    if frac * l_total0 == 0:  # an L_c(0) that underflows to 0 is rejected up front
+        with pytest.raises(NonPositiveInput):
+            RoiParams(frac_compounding=frac, alpha=alpha, horizon=3.0, l_total0=l_total0)
+        return
     params = RoiParams(frac_compounding=frac, alpha=alpha, horizon=3.0, l_total0=l_total0)
     assert _outcome(lc_implicit_solve, params, t) == _outcome(_reference_root, params, t)
 

@@ -610,3 +610,24 @@ def test_max_input_for_spread_reads_a_plain_direction_string_as_its_member(direc
     assert max_input_for_spread(pool, direction.value, 0.1) == expected
     with pytest.raises(InputError):
         max_input_for_spread(pool, None, 0.1)
+
+
+# -- a fee model given as its plain string value -------------------------------
+
+@pytest.mark.parametrize("model", list(FeeModel))
+def test_create_pool_reads_a_plain_fee_model_string_as_its_member(model):
+    by_string = create_pool(100.0, 100.0, fee_rate=0.01, fee_model=model.value)
+    assert by_string.fee_model is model
+    assert execute_swap(by_string, Direction.Y_FOR_X, 5.0) == execute_swap(
+        create_pool(100.0, 100.0, fee_rate=0.01, fee_model=model), Direction.Y_FOR_X, 5.0
+    )
+    with pytest.raises(InputError, match="unknown fee model 'bogus'"):
+        create_pool(100.0, 100.0, fee_model="bogus")
+
+
+def test_auto_compound_string_puts_the_fee_in_the_reserve():
+    pool = create_pool(100.0, 100.0, fee_rate=0.01, fee_model="auto_compound")
+    new_pool, receipt = execute_swap(pool, Direction.Y_FOR_X, 5.0)
+    assert new_pool.side_ledger.fees_y == 0
+    assert new_pool.reserve_y == 105.0
+    assert receipt.fee_paid == pytest.approx(0.05, rel=1e-12)
