@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from . import pool as _pool
 from .errors import (
     InvalidFee,
     NonPositiveAmount,
@@ -35,7 +36,6 @@ from .errors import (
     non_negative,
     positive,
 )
-from .pool import PoolState, arbitrage_to_rate, pool_value, require_market_rate
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def impermanent_loss(scenario: PriceScenario) -> IlReport:
     return IlReport(*_il(scenario.delta_x, scenario.delta_y))
 
 
-def il_brute_force(scenario: PriceScenario, pool: PoolState) -> IlReport:
+def il_brute_force(scenario: PriceScenario, pool: _pool.PoolState) -> IlReport:
     """Measure impermanent loss by replaying the arbitrage on a real pool.
 
     The pool must start on the market rate (``x/y = p_y0/p_x0``).  Prices
@@ -114,12 +114,12 @@ def il_brute_force(scenario: PriceScenario, pool: PoolState) -> IlReport:
     normalized by the pool's initial value so the report is comparable to
     :func:`impermanent_loss`.
     """
-    require_market_rate(RateMismatch, pool, scenario.p_y0 / scenario.p_x0)
+    _pool.require_market_rate(RateMismatch, pool, scenario.p_y0 / scenario.p_x0)
     p_x1, p_y1 = scenario.p_x_final, scenario.p_y_final
-    arbitraged = arbitrage_to_rate(pool, p_y1 / p_x1)
-    v0 = pool_value(pool, scenario.p_x0, scenario.p_y0)
-    v_pooled = pool_value(arbitraged, p_x1, p_y1) / v0
-    v_held = pool_value(pool, p_x1, p_y1) / v0
+    arbitraged = _pool.arbitrage_to_rate(pool, p_y1 / p_x1)
+    v0 = _pool.pool_value(pool, scenario.p_x0, scenario.p_y0)
+    v_pooled = _pool.pool_value(arbitraged, p_x1, p_y1) / v0
+    v_held = _pool.pool_value(pool, p_x1, p_y1) / v0
     loss = (v_pooled - v_held) / v_held
     return IlReport(v_pooled=v_pooled, v_held=v_held, relative_loss=loss)
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import analytics, compounding, figures, pool, scenario
 from .errors import DomainError, InputError, InternalError
@@ -33,6 +31,8 @@ from .errors import DomainError, InputError, InternalError
 def _num(text: str) -> pool.Numeric:
     """Parse a CLI number; a ``/`` selects the exact rational backend."""
     if "/" in text:
+        from fractions import Fraction
+
         try:
             return Fraction(text)
         except ZeroDivisionError as err:
@@ -60,11 +60,8 @@ def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> No
 
 def _add_swap_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--direction",
-        choices=[d.value for d in pool.Direction],
-        required=True,
-        help="y2x sells Y for X, x2y sells X for Y",
-    )
+        "--direction", required=True, help="y2x sells Y for X, x2y sells X for Y"
+    ).choices = _Choices(lambda: [d.value for d in pool.Direction])
     parser.add_argument("--amount", type=_num, required=True, help="input amount")
     parser.add_argument(
         "--max-spread",
@@ -76,6 +73,8 @@ def _add_swap_args(parser: argparse.ArgumentParser) -> None:
 
 def _quote_pairs(receipt: pool.SwapReceipt) -> List[Tuple[str, object]]:
     """Every receipt field in declaration order; the direction by its CLI name."""
+    from dataclasses import fields
+
     values = {field.name: getattr(receipt, field.name) for field in fields(receipt)}
     values["direction"] = receipt.direction.value
     return list(values.items())
@@ -88,9 +87,8 @@ def _cmd_quote(args: argparse.Namespace) -> None:
 
 
 def _cmd_swap(args: argparse.Namespace) -> None:
-    state = pool.create_pool(
-        args.x, args.y, fee_rate=args.fee, fee_model=pool.FeeModel(args.fee_model)
-    )
+    fee_model = args.fee_model or pool.FeeModel.AUTO_COMPOUND
+    state = pool.create_pool(args.x, args.y, fee_rate=args.fee, fee_model=fee_model)
     state, receipt = pool.execute_swap(
         state, pool.Direction(args.direction), args.amount, args.max_spread
     )
@@ -191,15 +189,24 @@ def _cmd_emit_figure(args: argparse.Namespace) -> None:
         print(text, end="")
 
 
-class _FigureIds:
-    """``figures.FIGURE_IDS`` as argparse ``choices``, read only when a
-    figure id is checked or listed: other commands never load ``figures``."""
+class _Choices:
+    """Argparse ``choices`` that call ``read`` only when a value is checked or
+    listed, so no command loads the layer that defines another's choices.
+    Set on the action after ``add_argument``, which lists them otherwise."""
 
-    def __contains__(self, figure_id: object) -> bool:
-        return figure_id in figures.FIGURE_IDS
+    def __init__(self, read: Callable[[], Sequence[str]]) -> None:
+        self.read = read
+
+    def __contains__(self, value: object) -> bool:
+        return value in self.read()
 
     def __iter__(self):
-        return iter(figures.FIGURE_IDS)
+        return iter(self.read())
+
+
+def _FigureIds() -> _Choices:
+    """``figures.FIGURE_IDS``, the ``--figure`` choices."""
+    return _Choices(lambda: figures.FIGURE_IDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,11 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("swap", help="execute a swap against a fresh pool")
     _add_pool_args(p)
     _add_swap_args(p)
-    p.add_argument(
-        "--fee-model",
-        choices=[m.value for m in pool.FeeModel],
-        default=pool.FeeModel.AUTO_COMPOUND.value,
-        help="where collected fees go",
+    p.add_argument("--fee-model", help="where collected fees go").choices = _Choices(
+        lambda: [m.value for m in pool.FeeModel]
     )
     p.set_defaults(func=_cmd_swap)
 
@@ -263,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run_scenario)
 
     p = sub.add_parser("emit-figure", help="print one analysis figure as CSV")
-    # Set after add_argument, which lists the choices to check the metavar.
     p.add_argument("--figure", required=True).choices = _FigureIds()
     p.add_argument("--grid-min", type=float, default=None)
     p.add_argument("--grid-max", type=float, default=None)

@@ -14,8 +14,9 @@ Two independent solution paths are provided and cross-checked in tests:
   the fee flow to non-compounders, integrated alongside so fee conservation
   ``(L_c - L_c(0)) + F_nc = alpha * L0 * t`` is a measured property rather
   than a bookkeeping identity;
-* :func:`lc_implicit_solve`, bisection on the separated-variables form
-  ``L_c - L_c(0) + L_nc * ln(L_c / L_c(0)) = alpha * L0 * t``.
+* :func:`lc_implicit_solve`, Newton's method in ``v = ln(L_c / L_c(0))`` on
+  the separated-variables form ``L_c - L_c(0) + L_nc * v = alpha * L0 * t``,
+  which gives ``F_nc = L_nc * v``: both ROIs exact to a few ulps.
 
 Returns on investment: ``rho_c = L_c(t)/L_c(0)`` for compounders and
 ``rho_nc = 1 + F_nc/L_nc`` for the rest.  The all-of-one-kind populations
@@ -42,9 +43,10 @@ from .errors import (
     unit_interval,
 )
 
-#: Relative width at which the implicit-equation bisection stops.
+#: The implicit root stops after a Newton step below this fraction of its ``v``.
 ROOT_REL_TOL = 1e-12
 _ROOT_MAX_ITER = 200
+_LOG_MAX = 709.782712893384  # ln of the largest float
 #: Most RK4 steps one integration may take: a few seconds of work.
 MAX_RK4_STEPS = 10**6
 
@@ -64,8 +66,7 @@ class RoiParams:
         non_negative(NonPositiveInput, "growth rate and horizon", self.alpha, self.horizon)
         positive(NonPositiveInput, "initial liquidity", self.l_total0)
         positive(InvalidStep, "integration step", self.step)
-        # The root's bracket is [L_c(0), L_c(0) + alpha L0 t]: both ends must
-        # be positive floats, so the fees may not overflow nor L_c(0) underflow.
+        # The root lies in [L_c(0), L_c(0) + alpha L0 t]: both must be positive floats.
         accrued = self.alpha * self.l_total0 * self.horizon
         non_negative(NonPositiveInput, "fees accrued alpha * L0 * horizon", accrued)
         if self.frac_compounding > 0:
@@ -82,6 +83,8 @@ class RoiParams:
 
 @dataclass(frozen=True)
 class RoiSample:
+    """Time, compounders' liquidity, both ROIs and the holdouts' fees."""
+
     t: float
     l_c: float
     rho_c: float
@@ -91,6 +94,8 @@ class RoiSample:
 
 @dataclass(frozen=True)
 class RoiTrajectory:
+    """Every sample of one integration, from ``t = 0`` to the horizon."""
+
     samples: Tuple[RoiSample, ...]
 
     @property
@@ -201,50 +206,45 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
     )
 
 
-def _root(l_c0: float, l_nc: float, target: float) -> float:
-    """The root of ``L_c - L_c(0) + L_nc * ln(L_c / L_c(0)) = target`` by
-    bisection (see :func:`lc_implicit_solve`)."""
-    lo, hi = l_c0, l_c0 + target
-    # Halving [lo, hi] down to a width of ROOT_REL_TOL * lo takes this many steps.
-    if math.log2(hi / lo) - math.log2(ROOT_REL_TOL) > _ROOT_MAX_ITER:
-        try:
-            hi = min(hi, l_c0 * math.exp(target / l_nc))
-        except (OverflowError, ZeroDivisionError):
-            pass  # the exponential bound is the looser one (L_nc may underflow to 0)
-    log, inf, tol = math.log, math.inf, ROOT_REL_TOL
+def _root(l_c0: float, l_nc: float, target: float) -> Tuple[float, float]:
+    """``(L_c, v)`` for ``v = ln(L_c / L_c(0))`` solving ``h(v) = L_c(0) (e^v - 1)
+    + L_nc v - target = 0`` by Newton's method (see :func:`lc_implicit_solve`).
+
+    ``h`` is increasing and convex, and ``h >= 0`` where either growing term alone
+    reaches the target: from there the iterates fall onto the root.
+    """
+    ratio = target / l_c0
+    v = math.log1p(ratio) if ratio < math.inf else math.log(target) - math.log(l_c0)
+    v = min(v, target / l_nc) if l_nc else v
+    expm1, half_total, step = math.expm1, 0.5 * l_c0 + 0.5 * l_nc, math.inf
     for _ in range(_ROOT_MAX_ITER):
-        total = lo + hi
-        # Halving each end separately only where the sum overflows keeps
-        # every root that fits in float range bit for bit.
-        mid = 0.5 * total if total < inf else 0.5 * lo + 0.5 * hi
-        if hi - lo <= tol * hi:
-            return mid
-        ratio = mid / l_c0
-        # Past the largest float ratio (a vanishing L_c(0)), take the logs apart.
-        if mid - l_c0 + l_nc * (log(ratio) if ratio < inf else log(mid) - log(l_c0)) - target < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergence(
-        f"bisection failed to reach {ROOT_REL_TOL} relative width "
-        f"in {_ROOT_MAX_ITER} iterations"
-    )
+        try:
+            grown = l_c0 * expm1(v)
+        except OverflowError:  # e^v leaves float range, L_c need not
+            grown = math.exp(min(math.log(l_c0) + v, _LOG_MAX)) - l_c0
+        if step <= ROOT_REL_TOL * v:
+            return l_c0 + grown, v
+        # h / h', both halved so that L_c + L_nc may pass the largest float.
+        step = 0.5 * (grown - target + l_nc * v) / (0.5 * grown + half_total)
+        v -= step
+    raise NoConvergence(f"Newton's method took {_ROOT_MAX_ITER} steps without settling")
 
 
 def lc_implicit_solve(params: RoiParams, t: float) -> float:
     """Compounders' liquidity at ``t`` from the separated-variables equation.
 
     The left-hand side is strictly increasing in ``L_c``, so the root is
-    unique and bracketed by ``[L_c(0), L_c(0) + alpha L0 t]``; a bracket too
-    wide to halve away is capped by ``L_c(0) exp(alpha L0 t / L_nc)``, which
-    holds as ``L_c >= L_c(0)``.  Requires a non-empty compounding population.
+    unique.  Requires a non-empty compounding population and fees
+    ``alpha L0 t`` within float range.
     """
     if params.frac_compounding == 0:
         raise NonPositiveInput("no compounding population; the equation degenerates")
     non_negative(NonPositiveInput, "time", t)
+    target = params.alpha * params.l_total0 * t
+    non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", target)
     if _is_linear(params):
         return _closed_form(params, t)[0]
-    return _root(params.l_c0, params.l_nc, params.alpha * params.l_total0 * t)
+    return _root(params.l_c0, params.l_nc, target)[0]
 
 
 def _roi_series(
@@ -257,12 +257,13 @@ def _roi_series(
     rate = alpha * params.l_total0
     linear = _is_linear(params)
     for t in times:
+        if not rate * t < math.inf:  # a t past the horizon can overflow the fees
+            non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", rate * t)
         if linear:
             l_c, fees_nc = _closed_form(params, t)
         elif method == "implicit":
-            target = rate * t
-            l_c = _root(l_c0, l_nc, target)
-            fees_nc = target - (l_c - l_c0)
+            l_c, v = _root(l_c0, l_nc, rate * t)
+            fees_nc = l_nc * v
         elif method == "rk4":
             _, l_c, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
         else:
@@ -274,9 +275,8 @@ def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[flo
     """Both populations' ROI at time ``t``.
 
     ``method`` picks the solution path for ``L_c``: ``"implicit"`` (default)
-    solves the closed implicit equation, ``"rk4"`` integrates to ``t`` with
-    the params' step and keeps only the final point.  The two agree to well
-    below 1e-8 relative.
+    solves the implicit equation, ``"rk4"`` integrates to ``t`` with the
+    params' step.  The two agree to well below 1e-8 relative.
     """
     non_negative(NonPositiveInput, "time", t)
     return next(_roi_series(params, (t,), method))

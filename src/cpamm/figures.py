@@ -40,6 +40,8 @@ MAX_FIGURE_ROWS = 10**6
 
 @dataclass(frozen=True)
 class FigureSpec:
+    """One figure: its id, grid ``(lo, hi, count)`` and model parameters."""
+
     figure_id: str
     domain_grid: Tuple[float, float, int]
     alpha: float = 0.2

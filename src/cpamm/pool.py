@@ -93,6 +93,8 @@ class SideLedger:
 
 @dataclass(frozen=True, slots=True)
 class PoolState:
+    """Reserves, fee terms, the share ledger and fees held outside the reserves."""
+
     reserve_x: Numeric
     reserve_y: Numeric
     fee_rate: Numeric
@@ -133,6 +135,8 @@ SwapReceipt = SwapQuote
 
 @dataclass(frozen=True, slots=True)
 class LpPosition:
+    """A provider's shares and what they deposited for them."""
+
     provider: str
     shares: Numeric
     deposited_x: Numeric = 0

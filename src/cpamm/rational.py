@@ -20,6 +20,8 @@ from .pool import Direction
 
 @dataclass(frozen=True)
 class RationalPool:
+    """Reserves of the fee-free swap oracle, as exact fractions."""
+
     reserve_x: Fraction
     reserve_y: Fraction
 

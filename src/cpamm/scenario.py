@@ -56,6 +56,8 @@ from .pool import (
 
 @dataclass(frozen=True, slots=True)
 class Trade:
+    """Swap ``amount_in`` in ``direction``, capped by ``max_spread`` if given."""
+
     t: float
     direction: Direction
     amount_in: Numeric
@@ -81,6 +83,8 @@ class CollectFees:
 
 @dataclass(frozen=True, slots=True)
 class Snapshot:
+    """Record the pool and both portfolios under ``label``."""
+
     t: float
     label: str
 
@@ -93,6 +97,8 @@ _INF = math.inf
 
 @dataclass(frozen=True, slots=True)
 class ScenarioScript:
+    """The opening pool and prices, and the events to replay on it."""
+
     pool_x: Numeric
     pool_y: Numeric
     fee_rate: Numeric
@@ -105,6 +111,8 @@ class ScenarioScript:
 
 @dataclass(frozen=True, slots=True)
 class PortfolioSnapshot:
+    """Pool, fees, prices and both portfolio values at one snapshot."""
+
     label: str
     t: float
     reserve_x: Numeric

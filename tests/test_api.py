@@ -75,6 +75,23 @@ def test_pool_commands_run_only_the_pool_layers(argv):
     assert _fresh(code) == ["cli", "errors", "pool"]
 
 
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["roi"], ["cli", "compounding", "errors"]),
+        (["roi", "--method", "rk4"], ["cli", "compounding", "errors"]),
+        (["evolve"], ["analytics", "cli", "errors"]),
+        (["il"], ["analytics", "cli", "errors"]),
+        (["emit-figure", "--figure", "roi_comparison"], ["cli", "compounding", "errors", "figures"]),
+        (["emit-figure", "--figure", "il_one_coin"], ["analytics", "cli", "errors", "figures"]),
+    ],
+)
+def test_analytics_commands_run_neither_pool_nor_fractions(argv, layers):
+    code = "import contextlib, io, sys, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    code += f"    assert cpamm.cli.main({argv!r}) == 0\nassert 'fractions' not in sys.modules\n"
+    assert _fresh(code + _LOADED) == layers
+
+
 def test_figure_choices_load_figures_alone():
     code = "import cpamm.cli\nassert 'il_one_coin' in cpamm.cli._FigureIds()\n" + _LOADED
     assert _fresh(code) == ["cli", "errors", "figures"]

@@ -341,6 +341,37 @@ def test_tiny_compounding_population_solves(capsys):
     assert float(parse_pairs(out)["rho_c"]) == pytest.approx(math.exp(0.2), rel=1e-12)
 
 
+def test_compounding_population_where_the_bisection_ran_out_solves(capsys):
+    # frac 2e-49 needed just over 200 halvings of the old bracket: exit 3.
+    code, out, _ = run_cli(capsys, "roi", "--frac", "2e-49", "--alpha", "0.2", "--t", "1")
+    assert code == 0
+    assert abs(float(parse_pairs(out)["rho_c"]) - math.exp(0.2)) <= 1e-12
+
+
+def test_roi_figure_with_a_subnormal_compounding_population_is_no_internal_error(capsys):
+    code, _, err = run_cli(capsys, "emit-figure", "--figure", "roi_comparison", "--frac", "1e-318")
+    assert code in (0, 1), err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["quote", "--direction", "up"],
+         "argument --direction: invalid choice: 'up' (choose from 'y2x', 'x2y')"),
+        (["swap", "--direction", "x2y", "--fee-model", "bogus"],
+         "argument --fee-model: invalid choice: 'bogus'"
+         " (choose from 'auto_compound', 'collect_separately')"),
+    ],
+)
+def test_lazy_swap_choices_reject_as_a_choice_list(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--x", "1", "--y", "1", "--amount", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cpamm {argv[0]} [-h] --x X --y Y")
+    assert err.endswith(f"cpamm {argv[0]}: error: {message}\n")
+
+
 def test_figure_row_limit_exits_1_at_once(capsys):
     started = time.perf_counter()
     code, out, err = run_cli(

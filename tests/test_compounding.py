@@ -1,5 +1,6 @@
 """Compounding-vs-collecting growth model: integrator, implicit root, ROI."""
 
+import decimal
 import math
 import time
 from dataclasses import replace
@@ -218,6 +219,16 @@ def test_roi_with_an_underflowed_holdout_liquidity_is_rejected():
         roi_pair(params, 1.0)
 
 
+@pytest.mark.parametrize(
+    "solve", [lc_implicit_solve, roi_pair, lambda params, t: roi_pair(params, t, "rk4")]
+)
+def test_a_time_past_the_horizon_whose_fees_overflow_is_rejected(solve):
+    # RoiParams bounds alpha * L0 * horizon; a later t can still overflow it.
+    params = RoiParams(frac_compounding=0.5, alpha=1e300, horizon=1.0)
+    with pytest.raises(NonPositiveInput, match="fees accrued"):
+        solve(params, 1e10)
+
+
 def test_roi_pair_rejects_unknown_method():
     with pytest.raises(NonPositiveInput):
         roi_pair(DEFAULT, 1.0, method="euler")
@@ -287,6 +298,45 @@ def _reference_root(params, t):
     raise NoConvergence("reference bisection did not converge")
 
 
+def _exact_gap(params, t, l_c):
+    """The implicit equation's left side minus its right at ``l_c``, to 50 digits."""
+    with decimal.localcontext(prec=50):
+        l_c, l_c0 = decimal.Decimal(l_c), decimal.Decimal(params.l_c0)
+        target = decimal.Decimal(params.alpha * params.l_total0 * t)
+        return l_c - l_c0 + decimal.Decimal(params.l_nc) * (l_c / l_c0).ln() - target
+
+
+def _decimal_roi(params, t):
+    """``(rho_c, rho_nc)`` from a 50-digit bisection in ``v = ln(L_c / L_c(0))``
+    of ``L_c(0) (e^v - 1) + L_nc v = alpha L0 t``, on the params' float values."""
+    with decimal.localcontext(prec=50):
+        l_c0, l_nc = decimal.Decimal(params.l_c0), decimal.Decimal(params.l_nc)
+        target = decimal.Decimal(params.alpha * params.l_total0 * t)
+        lo, hi = decimal.Decimal(0), (1 + target / l_c0).ln()
+        for _ in range(170):  # 2**-170 < 1e-51 of the first width
+            mid = (lo + hi) / 2
+            if l_c0 * (mid.exp() - 1) + l_nc * mid < target:
+                lo = mid
+            else:
+                hi = mid
+        return lo.exp(), 1 + lo
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        DEFAULT,
+        RoiParams(frac_compounding=1e-60, alpha=0.2, horizon=1.0),
+        RoiParams(frac_compounding=2e-49, alpha=0.2, horizon=1.0),
+        RoiParams(frac_compounding=0.99, alpha=0.2, horizon=1.0, l_total0=1e308),
+    ],
+)
+def test_implicit_roi_matches_a_50_digit_bisection(params):
+    exact = _decimal_roi(params, 1.0)
+    for got, want in zip(roi_pair(params, 1.0), exact):
+        assert abs(decimal.Decimal(got) - want) <= want * decimal.Decimal("1e-15")
+
+
 def _reference_rk4(params, horizon):
     """``[(t, L_c, F_nc)]`` by RK4 with a ``slopes`` closure per stage."""
     rate = params.alpha * params.l_total0
@@ -322,6 +372,7 @@ def _reference_rk4(params, horizon):
 @example(frac=1e-60, alpha=0.2, t=1.0, l_total0=1.0)  # capped bracket
 @example(frac=0.99, alpha=0.2, t=1.0, l_total0=1e308)  # overflowing midpoint
 @example(frac=0.5, alpha=0.2, t=0.0, l_total0=1.0)
+@example(frac=2e-49, alpha=0.2, t=1.0, l_total0=1.0)  # the reference runs out of halvings
 @settings(max_examples=300, deadline=None)
 def test_implicit_root_matches_the_closure_bisection(frac, alpha, t, l_total0):
     if frac * l_total0 == 0:  # an L_c(0) that underflows to 0 is rejected up front
@@ -329,7 +380,19 @@ def test_implicit_root_matches_the_closure_bisection(frac, alpha, t, l_total0):
             RoiParams(frac_compounding=frac, alpha=alpha, horizon=3.0, l_total0=l_total0)
         return
     params = RoiParams(frac_compounding=frac, alpha=alpha, horizon=3.0, l_total0=l_total0)
-    assert _outcome(lc_implicit_solve, params, t) == _outcome(_reference_root, params, t)
+    got = _outcome(lc_implicit_solve, params, t)
+    want = _outcome(_reference_root, params, t)
+    if want is NoConvergence:
+        # The equation changes sign within 4 ulps of the solver's root.
+        assert math.isfinite(got)
+        ulps = 4 * math.ulp(got)
+        below = _exact_gap(params, t, max(got - ulps, params.l_c0))
+        assert below <= 0 <= _exact_gap(params, t, got + ulps)
+    elif isinstance(want, float):
+        # Within the reference's own width; a subnormal root, to 4 of its ulps.
+        assert got == pytest.approx(want, rel=ROOT_REL_TOL, abs=4 * math.ulp(want))
+    else:
+        assert got == want  # the same rejection
 
 
 @given(
