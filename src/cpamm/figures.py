@@ -2,8 +2,9 @@
 
 Each figure is a table with one header row and one row per grid point, fed
 by the same analytics and simulation code the rest of the package uses.
-Output is plain CSV so plotting stays external; numbers are rendered with
-``repr`` so repeated runs are bit-identical.
+Output is plain CSV so plotting stays external.  Each emitter renders its
+rows into CSV lines as it computes them, every number by ``repr``, so
+repeated runs are bit-identical.
 
 Figure ids and their series:
 
@@ -27,7 +28,6 @@ to displayed precision (20.02 and 18.2).  Pass exact simulator output to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -36,6 +36,11 @@ from .errors import DomainError, non_negative, positive, unit_interval
 
 #: Most grid points one figure may have: well under a second of work.
 MAX_FIGURE_ROWS = 10**6
+
+
+def _item(value):
+    """The Python number a NumPy scalar holds (its repr is a float's), else ``value``."""
+    return value.item() if hasattr(value, "dtype") else value
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,11 @@ class FigureSpec:
     def __post_init__(self) -> None:
         if self.figure_id not in _FIGURES:
             raise DomainError(f"unknown figure id {self.figure_id!r}")
-        lo, hi, count = self.domain_grid
+        lo, hi, count = grid = tuple(map(_item, self.domain_grid))
+        object.__setattr__(self, "domain_grid", grid)
+        for name in ("alpha", "t", "frac_compounding", "roi_compounding_pct",
+                     "roi_not_compounding_pct"):
+            object.__setattr__(self, name, _item(getattr(self, name)))
         if count < 2:
             raise DomainError(f"need at least 2 grid points, got {count}")
         if not lo < hi:
@@ -91,65 +100,56 @@ def _price_rows(spec: FigureSpec):
     ``FigureSpec`` keeps both grid ends' price factors in (0, inf) and the
     grid is monotone, so every ``delta_y`` is in range too.
     """
-    return ((pct, 1.0 + pct / 100.0) for pct in spec.grid_points())
+    return ((pct, 1.0 + pct / 100.0) for pct in map(float, spec.grid_points()))
 
 
-def _emit_il_one_coin(spec: FigureSpec) -> Tuple[List[str], List[List[float]]]:
+def _emit_il_one_coin(spec: FigureSpec) -> Tuple[str, List[str]]:
     il = analytics._il
-    rows = [[pct, il(1.0, dy)[2] * 100.0] for pct, dy in _price_rows(spec)]
-    return ["price_change_pct", "il_pct"], rows
+    lines = [f"{pct!r},{il(1.0, dy)[2] * 100.0!r}" for pct, dy in _price_rows(spec)]
+    return "price_change_pct,il_pct", lines
 
 
-def _emit_portfolio_one_coin(spec: FigureSpec):
-    rows = []
+def _emit_portfolio_one_coin(spec: FigureSpec) -> Tuple[str, List[str]]:
     il = analytics._il
-    for pct, dy in _price_rows(spec):
-        v_pooled, v_held, _ = il(1.0, dy)
-        rows.append([pct, v_held * 100.0, v_pooled * 100.0])
-    return ["price_change_pct", "not_investing", "providing_liquidity"], rows
+    lines = [
+        f"{pct!r},{v_held * 100.0!r},{v_pooled * 100.0!r}"
+        for pct, dy in _price_rows(spec)
+        for v_pooled, v_held, _ in [il(1.0, dy)]
+    ]
+    return "price_change_pct,not_investing,providing_liquidity", lines
 
 
-def _fee_model_rows(spec: FigureSpec, growth_c: float, growth_nc: float):
-    """Held, compounded and collected rows; ``growth_c`` and ``growth_nc``
+def _fee_model_rows(spec: FigureSpec, growth_c: float, growth_nc: float) -> List[str]:
+    """Held, compounded and collected lines; ``growth_c`` and ``growth_nc``
     are the ``alpha * t`` of the last two curves."""
     held, compounded, collected = analytics._held, analytics._compounded, analytics._collected
     return [
-        [
-            pct,
-            held(1.0, dy) * 100.0,
-            compounded(1.0, dy, growth_c) * 100.0,
-            collected(1.0, dy, growth_nc) * 100.0,
-        ]
+        f"{pct!r},{held(1.0, dy) * 100.0!r},{compounded(1.0, dy, growth_c) * 100.0!r},"
+        f"{collected(1.0, dy, growth_nc) * 100.0!r}"
         for pct, dy in _price_rows(spec)
     ]
 
 
-def _emit_fee_model_comparison(spec: FigureSpec):
+def _emit_fee_model_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
     growth = spec.alpha * spec.t
-    header = ["price_change_pct", "not_investing", "uniswap_v2", "beaker"]
-    return header, _fee_model_rows(spec, growth, growth)
+    return "price_change_pct,not_investing,uniswap_v2,beaker", _fee_model_rows(spec, growth, growth)
 
 
-def _emit_roi_comparison(spec: FigureSpec):
-    params = compounding.RoiParams(
-        frac_compounding=spec.frac_compounding,
-        alpha=spec.alpha,
-        horizon=spec.domain_grid[1],
-    )
+def _emit_roi_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
+    params = compounding.RoiParams(spec.frac_compounding, spec.alpha, spec.domain_grid[1])
     times = spec.grid_points()
-    rows = [
-        [t, (rho_c - 1.0) * 100.0, (rho_nc - 1.0) * 100.0]
-        for t, (rho_c, rho_nc) in zip(times, compounding._roi_series(params, times))
+    lines = [
+        f"{t!r},{(rho_c - 1.0) * 100.0!r},{(rho_nc - 1.0) * 100.0!r}"
+        for t, (rho_c, rho_nc) in zip(map(float, times), compounding._roi_series(params, times))
     ]
-    return ["time", "compounding", "not_compounding"], rows
+    return "time,compounding,not_compounding", lines
 
 
-def _emit_corrected_comparison(spec: FigureSpec):
+def _emit_corrected_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
     # The fee-model comparison with alpha * t replaced by the one-year ROIs.
-    rows = _fee_model_rows(
-        spec, spec.roi_compounding_pct / 100, spec.roi_not_compounding_pct / 100
-    )
-    return ["price_change_pct", "not_investing", "compounding", "not_compounding"], rows
+    growth_c, growth_nc = spec.roi_compounding_pct / 100, spec.roi_not_compounding_pct / 100
+    header = "price_change_pct,not_investing,compounding,not_compounding"
+    return header, _fee_model_rows(spec, growth_c, growth_nc)
 
 
 #: Each figure id with its stock grid and its emitter, in display order.
@@ -169,12 +169,11 @@ def emit_figure(spec: FigureSpec) -> str:
     A value beyond float range raises ``DomainError`` instead, so no figure
     ever holds ``inf`` or ``nan``.
     """
-    header, rows = _FIGURES[spec.figure_id][1](spec)
-    lines = [",".join(header)]
-    isfinite = math.isfinite
-    for row in rows:
-        if not all(map(isfinite, row)):
-            raise DomainError(f"{spec.figure_id} leaves float range at x = {row[0]}")
-        # float() first: an int grid end prints as 1.0, not 1.
-        lines.append(",".join(map(repr, map(float, row))))
-    return "\n".join(lines) + "\n"
+    header, lines = _FIGURES[spec.figure_id][1](spec)
+    text = "\n".join([header, *lines, ""])
+    # Of all float reprs only "inf" and "nan" hold an "n", and the header is skipped.
+    bad = text.find("n", len(header))
+    if bad >= 0:
+        row = text.count("\n", 0, bad) - 1
+        raise DomainError(f"{spec.figure_id} leaves float range at x = {spec.grid_points()[row]}")
+    return text

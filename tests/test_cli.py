@@ -415,6 +415,23 @@ def test_non_finite_figure_value_exits_1_and_writes_nothing(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, x",
+    [
+        (["--figure", "fee_model_comparison", "--t", "8.5e306"], "12.0"),
+        (["--figure", "fee_model_comparison", "--alpha", "1.7e306", "--grid-max", "1e6"],
+         "2407.5137844611527"),
+        (["--figure", "roi_comparison", "--alpha", "1e308", "--frac", "0.5"], "0.01"),
+    ],
+)
+def test_non_finite_figure_row_is_named_and_no_file_is_written(capsys, tmp_path, extra, x):
+    target = tmp_path / "fig.csv"
+    code, out, err = run_cli(capsys, "emit-figure", *extra, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: {extra[1]} leaves float range at x = {x}\n"
+    assert not target.exists()
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def solver_bug(*args, **kwargs):
         raise NoConvergence("bisection gave up")

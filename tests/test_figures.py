@@ -1,8 +1,11 @@
 """Figure emitters: closed-form agreement, determinism, domain checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cpamm import (
     DomainError,
@@ -268,3 +271,85 @@ def test_emitters_match_the_public_per_point_functions(figure_id, overrides):
 def test_int_grid_end_prints_as_a_float():
     lines = emit_figure(FigureSpec("il_one_coin", (0, 1, 2))).split("\n")
     assert lines[2].startswith("1.0,")
+
+
+# -- rendering: exact grid ends, the text scan, the rejection message ---------
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (FigureSpec("il_one_coin", (0, 1, 2)),
+         "price_change_pct,il_pct\n0.0,0.0\n1.0,-0.0012376007871628403\n"),
+        (FigureSpec("portfolio_one_coin", (-50, 100, 4)),
+         "price_change_pct,not_investing,providing_liquidity\n-50.0,75.0,70.71067811865476\n"
+         "0.0,100.0,100.0\n50.0,125.0,122.4744871391589\n100.0,150.0,141.4213562373095\n"),
+        (FigureSpec("fee_model_comparison", (Fraction(-1, 3), Fraction(2, 3), 4),
+                    alpha=Fraction(1, 5), t=Fraction(3, 2)),
+         "price_change_pct,not_investing,uniswap_v2,beaker\n"
+         "-0.3333333333333333,99.83333333333333,129.78315247622345,129.7831942124796\n"
+         "0.0,100.0,130.0,130.0\n"
+         "0.3333333333333333,100.16666666666667,130.21648641141158,130.2165280087781\n"
+         "0.6666666666666666,100.33333333333334,130.43261350853422,130.43277962194938\n"),
+        (FigureSpec("roi_comparison", (0, Fraction(1, 3), 3), alpha=Fraction(1, 5),
+                    frac_compounding=0),
+         "time,compounding,not_compounding\n0.0,0.0,0.0\n"
+         "0.16666666666666666,3.3895113513574104,3.3333333333333437\n"
+         "0.3333333333333333,6.893910574724638,6.666666666666665\n"),
+        (FigureSpec("roi_comparison", (0, 2, 3), alpha=1, frac_compounding=1),
+         "time,compounding,not_compounding\n0.0,0.0,0.0\n1.0,100.0,69.31471805599455\n"
+         "2.0,200.0,109.861228866811\n"),
+    ],
+)
+def test_int_and_fraction_grid_ends_render_as_floats(spec, text):
+    assert emit_figure(spec) == text
+
+
+def test_numpy_scalars_render_as_the_numbers_they_hold():
+    np = pytest.importorskip("numpy")
+    for figure_id in FIGURE_IDS:
+        lo, hi, count = default_figure_spec(figure_id).domain_grid
+        plain = default_figure_spec(
+            figure_id, alpha=0.3, t=1.5, frac_compounding=0.9, roi_compounding_pct=21
+        )
+        wrapped = default_figure_spec(
+            figure_id,
+            domain_grid=(np.float64(lo), np.float64(hi), np.int64(count)),
+            alpha=np.float64(0.3),
+            t=np.float64(1.5),
+            frac_compounding=np.float64(0.9),
+            roi_compounding_pct=np.int64(21),
+        )
+        assert emit_figure(wrapped) == emit_figure(plain)
+
+
+@given(st.floats())
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(5e-324)
+def test_only_non_finite_float_reprs_hold_an_n(x):
+    # emit_figure finds a non-finite cell by this one scan of the text.
+    assert ("n" in repr(x)) == (not math.isfinite(x))
+
+
+@pytest.mark.parametrize(
+    "figure_id, overrides, x",
+    [
+        ("fee_model_comparison", {"alpha": 1.7e306}, "12.0"),
+        ("fee_model_comparison", {"t": 8.5e306}, "12.0"),
+        ("fee_model_comparison", {"alpha": 1e300, "t": 1e8}, "-99.0"),
+        ("fee_model_comparison", {"alpha": 5e302, "domain_grid": (-50, 10**6, 3)}, "1000000"),
+        ("fee_model_comparison",
+         {"alpha": 1e306, "domain_grid": (Fraction(-50), Fraction(10**6, 3), 5)}, "499775/6"),
+        ("corrected_fee_model_comparison", {"roi_compounding_pct": 1.7e308}, "12.0"),
+        ("corrected_fee_model_comparison",
+         {"roi_not_compounding_pct": 1.7e308, "domain_grid": (-50, 10**6, 5)}, "249962.5"),
+        ("roi_comparison", {"alpha": 1e308}, "0.02"),
+        ("roi_comparison", {"alpha": 1e308, "frac_compounding": 0.5}, "0.01"),
+        ("roi_comparison", {"alpha": 1e308, "frac_compounding": 1}, "0.02"),
+    ],
+)
+def test_rejection_names_the_first_non_finite_row(figure_id, overrides, x):
+    with pytest.raises(DomainError) as info:
+        emit_figure(default_figure_spec(figure_id, **overrides))
+    assert str(info.value) == f"{figure_id} leaves float range at x = {x}"
