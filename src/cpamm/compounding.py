@@ -259,16 +259,21 @@ def _roi_series(
     for t in times:
         if not rate * t < math.inf:  # a t past the horizon can overflow the fees
             non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", rate * t)
+        scale = l_c0
         if linear:
             l_c, fees_nc = _closed_form(params, t)
         elif method == "implicit":
-            l_c, v = _root(l_c0, l_nc, rate * t)
-            fees_nc = l_nc * v
+            # L_c in units of L_c(0), which is e^v: L_c / L_c(0) would keep only
+            # the few bits of a subnormal L_c(0).  Past float range it is inf,
+            # which every caller rejects as it rejects an infinite ratio.
+            v = _root(l_c0, l_nc, rate * t)[1]
+            l_c = math.exp(v) if v <= _LOG_MAX else math.inf
+            scale, fees_nc = 1.0, l_nc * v
         elif method == "rk4":
             _, l_c, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
         else:
             raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
-        yield _rho(frac, alpha, l_c0, l_nc, t, l_c, fees_nc)
+        yield _rho(frac, alpha, scale, l_nc, t, l_c, fees_nc)
 
 
 def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[float, float]:

@@ -329,6 +329,7 @@ def _decimal_roi(params, t):
         RoiParams(frac_compounding=1e-60, alpha=0.2, horizon=1.0),
         RoiParams(frac_compounding=2e-49, alpha=0.2, horizon=1.0),
         RoiParams(frac_compounding=0.99, alpha=0.2, horizon=1.0, l_total0=1e308),
+        RoiParams(frac_compounding=1e-318, alpha=0.2, horizon=1.0),
     ],
 )
 def test_implicit_roi_matches_a_50_digit_bisection(params):
