@@ -136,7 +136,7 @@ def _emit_fee_model_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
 
 
 def _emit_roi_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
-    params = compounding.RoiParams(spec.frac_compounding, spec.alpha, spec.domain_grid[1])
+    params = compounding.RoiParams(spec.frac_compounding, spec.alpha, horizon=spec.domain_grid[1])
     times = spec.grid_points()
     lines = [
         f"{t!r},{(rho_c - 1.0) * 100.0!r},{(rho_nc - 1.0) * 100.0!r}"
