@@ -26,10 +26,9 @@ operation builds its result with a direct constructor call: on the swap path
 that is about twice as fast as the generic copy-with-changes helper of the
 ``dataclasses`` module.
 
-The value-level API is built on one plain-number kernel: ``_swap`` holds the
-curve equation, the spread-cap clamp and the amount and drain guards,
-``_settle`` routes the fee, and ``_arbitrage`` is the fee-free leg onto a
-market rate.  They take and return bare reserves, so a replay can keep its
+The value-level API is built on one plain-number kernel: ``_swap`` prices,
+guards and settles a trade, and ``_arbitrage`` is its fee-free leg onto a
+market rate.  They take and return bare numbers, so a replay can keep its
 state as plain numbers and build value objects only where they are read.
 
 Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
@@ -261,19 +260,26 @@ def _spread_cap(reserve_in: Numeric, sigma: Numeric, y_for_x: bool) -> Numeric:
 def _swap(
     reserve_in: Numeric,
     reserve_out: Numeric,
+    fees_in: Numeric,
     phi: Numeric,
     amount: Numeric,
     cap: Optional[Numeric],
     y_for_x: bool,
-) -> Tuple[Numeric, Numeric, Numeric, Numeric]:
-    """The swap kernel: ``(gross, net, out, squared)`` for ``amount`` paid in.
+    compound: bool,
+) -> Tuple[Numeric, Numeric, Numeric, Numeric, Numeric, Numeric, Numeric]:
+    """The swap kernel: prices, guards and settles a trade of ``amount`` paid in.
 
-    ``gross`` is what the trader pays and ``net`` what enters the curve once
-    the fee and the spread cap ``cap`` (None for none) are applied; ``out``
-    is the output and ``squared`` is ``(reserve_in / (reserve_in + net))**2``,
-    the factor the rate moves by.  ``y_for_x`` picks the cap formula; the
-    cap is sized here, after the amount guard, so a trade with a bad amount
-    and a bad cap is rejected for its amount.
+    Returns ``(reserve_in, reserve_out, fees_in, gross, fee, out, squared)``:
+    both reserves and the input side's ledger balance after the trade, what
+    the trader pays, its fee, the output, and the factor the rate moves by,
+    ``(reserve_in / (reserve_in + net))**2``.  ``net = gross - fee`` is what
+    enters the curve once the fee and the spread cap ``cap`` (None for none)
+    apply.  ``y_for_x`` picks the cap formula; the cap is sized after the
+    amount guard, so a trade with a bad amount and a bad cap is rejected for
+    its amount.  The fee joins the reserve when ``compound`` is true and the
+    ledger otherwise, and ``fees_in`` comes back as the same object when it
+    is not credited.  The reserve takes ``gross - fee``, which with the fee
+    adds up to ``gross`` exactly, in floats too.
     """
     if not 0 < amount < _INF:  # inline, as in _spread_cap
         positive(NonPositiveAmount, "trade amount", amount)
@@ -296,26 +302,14 @@ def _swap(
             f"swap of {amount} would drain the output reserve {reserve_out}: "
             "the output rounds to the whole reserve"
         )
-    return gross, net, out, squared
-
-
-def _settle(
-    reserve_in: Numeric, fees_in: Numeric, gross: Numeric, fee: Numeric, compound: bool
-) -> Tuple[Numeric, Numeric]:
-    """Input-side reserve and side-ledger balance after a trade that paid
-    ``gross``, ``fee`` of it a fee.
-
-    The fee joins the reserve when ``compound`` is true and the ledger
-    otherwise; ``fees_in`` comes back as the same object when it is not
-    credited.  The reserve takes ``gross - fee``, which with the fee adds
-    up to ``gross`` exactly, in floats too.
-    """
-    reserve_in = reserve_in + (gross - fee)
+    fee = gross - net
+    settled = reserve_in + (gross - fee)
     if fee:
         if compound:
-            return reserve_in + fee, fees_in
-        return reserve_in, fees_in + fee
-    return reserve_in, fees_in
+            settled = settled + fee
+        else:
+            fees_in = fees_in + fee
+    return settled, reserve_out - out, fees_in, gross, fee, out, squared
 
 
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
@@ -335,34 +329,9 @@ def quote(
     amount_in: Numeric,
     max_spread: Optional[Numeric] = None,
 ) -> SwapQuote:
-    """Price a trade of ``amount_in`` input tokens without executing it.
-
-    The output for a net input ``a`` is ``out * a / (in + a)`` where ``in``
-    and ``out`` are the input- and output-side reserves, which keeps the
-    reserve product constant.  The output-side reserve is never drained: the
-    output is strictly below it for any finite input in exact arithmetic, and
-    a float trade so large that the output rounds up to (or overflows past)
-    the whole reserve raises ``NonPositiveReserve``.
-    """
-    _require_active(pool)
-    direction = _member(Direction, direction, "direction")
-    y_for_x = direction is Direction.Y_FOR_X
-    if y_for_x:
-        reserve_in, reserve_out = pool.reserve_y, pool.reserve_x
-    else:
-        reserve_in, reserve_out = pool.reserve_x, pool.reserve_y
-    gross, net, amount_out, squared = _swap(
-        reserve_in, reserve_out, pool.fee_rate, amount_in, max_spread, y_for_x
-    )
-    if gross > 0:
-        realized_rate = amount_out / gross
-    else:
-        # Zero-size trade (cap of 0): the rate limit is the spot rate.
-        realized_rate = reserve_out / reserve_in
-    spread_applied = 1 - squared if y_for_x else 1 / squared - 1
-    return SwapQuote(
-        direction, amount_in, gross, amount_out, realized_rate, spread_applied, gross - net
-    )
+    """Price a trade of ``amount_in`` input tokens without executing it: the
+    receipt :func:`execute_swap` would give for the same arguments."""
+    return execute_swap(pool, direction, amount_in, max_spread)[1]
 
 
 def execute_swap(
@@ -373,26 +342,42 @@ def execute_swap(
 ) -> Tuple[PoolState, SwapReceipt]:
     """Execute a trade and return the post-trade pool plus its receipt.
 
-    The receipt is exactly the quote for the same arguments.  With no fee the
-    reserve product is preserved (bit for bit on rational inputs); an
-    auto-compounded fee strictly grows it, a separately collected fee leaves
-    it on the net amounts and credits the side ledger.
+    The output for a net input ``a`` is ``out * a / (in + a)`` where ``in``
+    and ``out`` are the input- and output-side reserves, which keeps the
+    reserve product constant.  The output-side reserve is never drained: the
+    output is strictly below it for any finite input in exact arithmetic, and
+    a float trade so large that the output rounds up to (or overflows past)
+    the whole reserve raises ``NonPositiveReserve``.
+
+    With no fee the reserve product is preserved (bit for bit on rational
+    inputs); an auto-compounded fee strictly grows it, a separately collected
+    fee leaves it on the net amounts and credits the side ledger.
     """
-    receipt = quote(pool, direction, amount_in, max_spread)
-    gross, fee = receipt.capped_in, receipt.fee_paid
+    _require_active(pool)
+    direction = _member(Direction, direction, "direction")
+    y_for_x = direction is Direction.Y_FOR_X
+    x, y, ledger = pool.reserve_x, pool.reserve_y, pool.side_ledger
     compound = pool.fee_model is FeeModel.AUTO_COMPOUND
-    ledger = pool.side_ledger
-    if receipt.direction is Direction.Y_FOR_X:
-        new_y, fees_y = _settle(pool.reserve_y, ledger.fees_y, gross, fee, compound)
-        new_x = pool.reserve_x - receipt.amount_out
+    if y_for_x:
+        new_y, new_x, fees_y, gross, fee, out, squared = _swap(
+            y, x, ledger.fees_y, pool.fee_rate, amount_in, max_spread, True, compound
+        )
         if fees_y is not ledger.fees_y:
             ledger = SideLedger(ledger.fees_x, fees_y)
+        spread_applied = 1 - squared
     else:
-        new_x, fees_x = _settle(pool.reserve_x, ledger.fees_x, gross, fee, compound)
-        new_y = pool.reserve_y - receipt.amount_out
+        new_x, new_y, fees_x, gross, fee, out, squared = _swap(
+            x, y, ledger.fees_x, pool.fee_rate, amount_in, max_spread, False, compound
+        )
         if fees_x is not ledger.fees_x:
             ledger = SideLedger(fees_x, ledger.fees_y)
-
+        spread_applied = 1 / squared - 1
+    if gross > 0:
+        realized_rate = out / gross
+    else:
+        # Zero-size trade (cap of 0): the rate limit is the spot rate.
+        realized_rate = x / y if y_for_x else y / x
+    receipt = SwapReceipt(direction, amount_in, gross, out, realized_rate, spread_applied, fee)
     new_pool = PoolState(
         new_x, new_y, pool.fee_rate, pool.fee_model,
         pool.total_shares, pool.share_ledger, ledger,
@@ -484,10 +469,9 @@ def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, N
     y_for_x, amount = trade
     try:
         if y_for_x:
-            _, net, out, _ = _swap(y, x, 0, amount, None, True)
-            return x - out, y + net
-        _, net, out, _ = _swap(x, y, 0, amount, None, False)
-        return x + net, y - out
+            new_y, new_x = _swap(y, x, 0, 0, amount, None, True, True)[:2]
+            return new_x, new_y
+        return _swap(x, y, 0, 0, amount, None, False, True)[:2]
     except (NonPositiveAmount, NonPositiveReserve) as err:
         raise InvalidRate(
             f"target rate {target_rate} is out of float reach of pool rate {x / y}"

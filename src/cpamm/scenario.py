@@ -45,7 +45,6 @@ from .pool import (
     SideLedger,
     _arbitrage,
     _member,
-    _settle,
     _swap,
     create_pool,
     liquidity_of,
@@ -177,13 +176,13 @@ class _Replay:
     def _trade(self, record: tuple) -> None:
         _, _, direction, amount, cap = record
         if direction is _Y_FOR_X:
-            gross, net, out, _ = _swap(self.y, self.x, self.phi, amount, cap, True)
-            self.y, self.fees_y = _settle(self.y, self.fees_y, gross, gross - net, self.compound)
-            self.x = self.x - out
+            self.y, self.x, self.fees_y, _, _, _, _ = _swap(
+                self.y, self.x, self.fees_y, self.phi, amount, cap, True, self.compound
+            )
         else:
-            gross, net, out, _ = _swap(self.x, self.y, self.phi, amount, cap, False)
-            self.x, self.fees_x = _settle(self.x, self.fees_x, gross, gross - net, self.compound)
-            self.y = self.y - out
+            self.x, self.y, self.fees_x, _, _, _, _ = _swap(
+                self.x, self.y, self.fees_x, self.phi, amount, cap, False, self.compound
+            )
 
     def _move_prices(self, record: tuple) -> None:
         _, _, delta_x, delta_y = record

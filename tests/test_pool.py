@@ -38,7 +38,6 @@ from cpamm.pool import (
     RATE_MATCH_TOL,
     SideLedger,
     _arbitrage,
-    _settle,
     _swap,
     arbitrage_to_rate,
 )
@@ -552,19 +551,26 @@ def test_kernel_equals_quote_and_execute_swap(case, model, direction):
     x, y, fee, amount, cap = case
     pool = create_pool(x, y, fee_rate=fee, fee_model=model)
     y_for_x = direction is Direction.Y_FOR_X
+    compound = model is FeeModel.AUTO_COMPOUND
     reserve_in, reserve_out = (y, x) if y_for_x else (x, y)
     try:
-        gross, net, out, _ = _swap(reserve_in, reserve_out, fee, amount, cap, y_for_x)
+        new_in, new_out, fees_in, gross, fee_paid, out, _ = _swap(
+            reserve_in, reserve_out, 0, fee, amount, cap, y_for_x, compound
+        )
     except NonPositiveReserve:
         with pytest.raises(NonPositiveReserve):
             execute_swap(pool, direction, amount, cap)
         return
     receipt = quote(pool, direction, amount, cap)
-    assert (gross, out) == (receipt.capped_in, receipt.amount_out)
+    assert (gross, fee_paid, out) == (receipt.capped_in, receipt.fee_paid, receipt.amount_out)
     moved, executed = execute_swap(pool, direction, amount, cap)
     assert executed == receipt
-    new_in, fees_in = _settle(reserve_in, 0, gross, gross - net, model is FeeModel.AUTO_COMPOUND)
-    new_out = reserve_out - out
+    assert fees_in == (0 if compound else fee_paid)
+    if isinstance(gross, Fraction):  # a cap with an inexact root gives floats
+        # Exact settlement: the input side, reserve plus ledger, takes the
+        # whole gross; the output reserve gives up exactly the output.
+        assert (new_in + fees_in) - reserve_in == gross
+        assert reserve_out - new_out == out
     if y_for_x:
         assert (moved.reserve_x, moved.reserve_y) == (new_out, new_in)
         assert moved.side_ledger == SideLedger(0, fees_in)
