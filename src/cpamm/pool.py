@@ -39,6 +39,7 @@ fall back to floats unless the operand is a perfect rational square.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -68,6 +69,7 @@ Numeric = Union[float, Fraction]
 RATE_MATCH_TOL = 1e-9
 
 _INF = math.inf
+_TINY = sys.float_info.min
 
 
 class Direction(str, Enum):
@@ -151,6 +153,15 @@ def _sqrt(value: Numeric) -> Numeric:
         if root_num * root_num == num and root_den * root_den == den:
             return Fraction(root_num, root_den)
     return math.sqrt(value)
+
+
+def _geometric_mean(a: Numeric, b: Numeric) -> Numeric:
+    """``sqrt(a * b)``; where a float product leaves the normal float range
+    but the root need not, ``sqrt(a) * sqrt(b)`` instead."""
+    product = a * b
+    if product.__class__ is float and not _TINY <= product < _INF:
+        return math.sqrt(a) * math.sqrt(b)
+    return _sqrt(product)
 
 
 def _member(enum, value, what: str):
@@ -239,7 +250,7 @@ def reserves_from_value(
     positive(NonPositiveInput, "value and prices", value, p_x, p_y)
     x = value / (2 * p_x)
     y = value / (2 * p_y)
-    liquidity = value / (2 * _sqrt(p_x * p_y))
+    liquidity = value / (2 * _geometric_mean(p_x, p_y))
     return x, y, liquidity
 
 

@@ -44,6 +44,7 @@ from .pool import (
     PoolState,
     SideLedger,
     _arbitrage,
+    _geometric_mean,
     _member,
     _swap,
     create_pool,
@@ -317,7 +318,7 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     fees_value = replay.p_x * (replay.fees_x + replay.collected_x) + replay.p_y * (
         replay.fees_y + replay.collected_y
     )
-    liquidity_equiv = fees_value / (2 * (replay.p_x * replay.p_y) ** 0.5)
+    liquidity_equiv = fees_value / (2 * _geometric_mean(replay.p_x, replay.p_y))
     return liquidity_equiv / (start_liquidity * window)
 
 

@@ -278,6 +278,14 @@ def test_reserves_from_value():
     assert 1.0 * x == 4.0 * y
 
 
+@pytest.mark.parametrize("price", [1e200, 1e-200])
+def test_reserves_from_value_at_extreme_prices(price):
+    # p_x * p_y leaves float range, but no result does: L = V / (2 * price).
+    x, y, liquidity = reserves_from_value(1.0, price, price)
+    at_one = reserves_from_value(1.0, 1.0, 1.0)
+    assert (x * price, y * price, liquidity * price) == pytest.approx(at_one, rel=1e-12)
+
+
 def test_pool_value():
     pool = create_pool(200.0, 50.0)
     assert pool_value(pool, 1.0, 4.0) == 400.0

@@ -288,6 +288,19 @@ def test_effective_alpha_zero_without_trades():
     assert measure_effective_alpha(make_script(()), window=1.0) == 0.0
 
 
+@pytest.mark.parametrize("price", [1e200, 1e-200])
+def test_effective_alpha_at_extreme_prices(price):
+    # The fees' liquidity equivalent divides by sqrt(p_x * p_y), whose
+    # product leaves float range here; alpha itself does not depend on it.
+    def script(p):
+        return ScenarioScript(100.0, 100.0, 0.003, FeeModel.COLLECT_SEPARATELY, p, p,
+                              (Trade(0.5, Direction.Y_FOR_X, 5.0),))
+
+    at_one = measure_effective_alpha(script(1.0), window=1.0)
+    assert at_one == pytest.approx(7.5e-5, rel=1e-12)
+    assert measure_effective_alpha(script(price), window=1.0) == pytest.approx(at_one, rel=1e-12)
+
+
 def test_effective_alpha_rejects_empty_window():
     with pytest.raises(EmptyWindow):
         measure_effective_alpha(make_script(()), window=0.0)
