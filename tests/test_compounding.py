@@ -300,7 +300,8 @@ def _reference_root(params, t):
 
 def _exact_gap(params, t, l_c):
     """The implicit equation's left side minus its right at ``l_c``, to 50 digits."""
-    with decimal.localcontext(prec=50):
+    with decimal.localcontext() as context:
+        context.prec = 50
         l_c, l_c0 = decimal.Decimal(l_c), decimal.Decimal(params.l_c0)
         target = decimal.Decimal(params.alpha * params.l_total0 * t)
         return l_c - l_c0 + decimal.Decimal(params.l_nc) * (l_c / l_c0).ln() - target
@@ -309,7 +310,8 @@ def _exact_gap(params, t, l_c):
 def _decimal_roi(params, t):
     """``(rho_c, rho_nc)`` from a 50-digit bisection in ``v = ln(L_c / L_c(0))``
     of ``L_c(0) (e^v - 1) + L_nc v = alpha L0 t``, on the params' float values."""
-    with decimal.localcontext(prec=50):
+    with decimal.localcontext() as context:
+        context.prec = 50
         l_c0, l_nc = decimal.Decimal(params.l_c0), decimal.Decimal(params.l_nc)
         target = decimal.Decimal(params.alpha * params.l_total0 * t)
         lo, hi = decimal.Decimal(0), (1 + target / l_c0).ln()
