@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Container, List, Optional, Sequence, Tuple
 
 from . import analytics, compounding, figures, pool, scenario
 from .errors import DomainError, InputError, InternalError
@@ -60,8 +60,11 @@ def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> No
 
 def _add_swap_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--direction", required=True, help="y2x sells Y for X, x2y sells X for Y"
-    ).choices = _Choices(lambda: [d.value for d in pool.Direction])
+        "--direction",
+        required=True,
+        choices=[d.value for d in pool.Direction],
+        help="y2x sells Y for X, x2y sells X for Y",
+    )
     parser.add_argument("--amount", type=_num, required=True, help="input amount")
     parser.add_argument(
         "--max-spread",
@@ -189,100 +192,89 @@ def _cmd_emit_figure(args: argparse.Namespace) -> None:
         print(text, end="")
 
 
-class _Choices:
-    """Argparse ``choices`` that call ``read`` only when a value is checked or
-    listed, so no command loads the layer that defines another's choices.
-    Set on the action after ``add_argument``, which lists them otherwise."""
-
-    def __init__(self, read: Callable[[], Sequence[str]]) -> None:
-        self.read = read
-
-    def __contains__(self, value: object) -> bool:
-        return value in self.read()
-
-    def __iter__(self):
-        return iter(self.read())
+#: Every command; ``main`` gives arguments only to the one its argv names.
+_COMMANDS = ("quote", "swap", "pool-info", "il", "evolve", "roi", "run-scenario", "emit-figure")
 
 
-def _FigureIds() -> _Choices:
-    """``figures.FIGURE_IDS``, the ``--figure`` choices."""
-    return _Choices(lambda: figures.FIGURE_IDS)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Container[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The ``cpamm`` parser: every command is registered, so usage lines,
+    top-level help and errors read the same whatever ``commands`` holds, but
+    only the commands in it get their arguments, whose choices load the
+    layer that defines them."""
     parser = argparse.ArgumentParser(
         prog="cpamm",
         description="Constant-product pool engine and LP analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("quote", help="price a swap without executing it")
-    _add_pool_args(p)
-    _add_swap_args(p)
-    p.set_defaults(func=_cmd_quote)
+    def add(name: str, help_text: str, run) -> Optional[argparse.ArgumentParser]:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=run)
+        return command if name in commands else None
 
-    p = sub.add_parser("swap", help="execute a swap against a fresh pool")
-    _add_pool_args(p)
-    _add_swap_args(p)
-    p.add_argument("--fee-model", help="where collected fees go").choices = _Choices(
-        lambda: [m.value for m in pool.FeeModel]
-    )
-    p.set_defaults(func=_cmd_swap)
+    if p := add("quote", "price a swap without executing it", _cmd_quote):
+        _add_pool_args(p)
+        _add_swap_args(p)
 
-    p = sub.add_parser("pool-info", help="rate, liquidity and value of a pool")
-    _add_pool_args(p, with_fee=False)
-    p.add_argument("--p-x", type=_num, default=1.0, help="price of X, default 1")
-    p.add_argument("--p-y", type=_num, default=1.0, help="price of Y, default 1")
-    p.set_defaults(func=_cmd_pool_info)
+    if p := add("swap", "execute a swap against a fresh pool", _cmd_swap):
+        _add_pool_args(p)
+        _add_swap_args(p)
+        p.add_argument(
+            "--fee-model", choices=[m.value for m in pool.FeeModel], help="where collected fees go"
+        )
 
-    p = sub.add_parser("il", help="impermanent loss for a price change")
-    p.add_argument("--delta-x", type=float, default=1.0, help="price factor for X")
-    p.add_argument("--delta-y", type=float, default=1.0, help="price factor for Y")
-    p.add_argument(
-        "--replay-check",
-        action="store_true",
-        help="also measure the loss by replaying the arbitrage on a pool",
-    )
-    p.set_defaults(func=_cmd_il)
+    if p := add("pool-info", "rate, liquidity and value of a pool", _cmd_pool_info):
+        _add_pool_args(p, with_fee=False)
+        p.add_argument("--p-x", type=_num, default=1.0, help="price of X, default 1")
+        p.add_argument("--p-y", type=_num, default=1.0, help="price of Y, default 1")
 
-    p = sub.add_parser("evolve", help="portfolio evolution under both fee models")
-    p.add_argument("--delta-x", type=float, default=1.0)
-    p.add_argument("--delta-y", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.2, help="fee growth rate per year")
-    p.add_argument("--t", type=float, default=1.0, help="horizon in years")
-    p.set_defaults(func=_cmd_evolve)
+    if p := add("il", "impermanent loss for a price change", _cmd_il):
+        p.add_argument("--delta-x", type=float, default=1.0, help="price factor for X")
+        p.add_argument("--delta-y", type=float, default=1.0, help="price factor for Y")
+        p.add_argument(
+            "--replay-check",
+            action="store_true",
+            help="also measure the loss by replaying the arbitrage on a pool",
+        )
 
-    p = sub.add_parser("roi", help="compounding vs collecting ROI")
-    p.add_argument(
-        "--frac", type=float, default=0.99, help="fraction of compounding providers"
-    )
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--method", choices=["implicit", "rk4"], default="implicit")
-    p.add_argument("--step", type=float, default=1e-3, help="integrator step (rk4)")
-    p.set_defaults(func=_cmd_roi)
+    if p := add("evolve", "portfolio evolution under both fee models", _cmd_evolve):
+        p.add_argument("--delta-x", type=float, default=1.0)
+        p.add_argument("--delta-y", type=float, default=1.0)
+        p.add_argument("--alpha", type=float, default=0.2, help="fee growth rate per year")
+        p.add_argument("--t", type=float, default=1.0, help="horizon in years")
 
-    p = sub.add_parser("run-scenario", help="replay a JSON scenario script")
-    p.add_argument("script", help="path to the scenario JSON file")
-    p.set_defaults(func=_cmd_run_scenario)
+    if p := add("roi", "compounding vs collecting ROI", _cmd_roi):
+        p.add_argument(
+            "--frac", type=float, default=0.99, help="fraction of compounding providers"
+        )
+        p.add_argument("--alpha", type=float, default=0.2)
+        p.add_argument("--t", type=float, default=1.0)
+        p.add_argument("--method", choices=["implicit", "rk4"], default="implicit")
+        p.add_argument("--step", type=float, default=1e-3, help="integrator step (rk4)")
 
-    p = sub.add_parser("emit-figure", help="print one analysis figure as CSV")
-    p.add_argument("--figure", required=True).choices = _FigureIds()
-    p.add_argument("--grid-min", type=float, default=None)
-    p.add_argument("--grid-max", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--frac", type=float, default=None)
-    p.add_argument("--out", default=None, help="write to this file instead of stdout")
-    p.set_defaults(func=_cmd_emit_figure)
+    if p := add("run-scenario", "replay a JSON scenario script", _cmd_run_scenario):
+        p.add_argument("script", help="path to the scenario JSON file")
+
+    if p := add("emit-figure", "print one analysis figure as CSV", _cmd_emit_figure):
+        p.add_argument("--figure", required=True, choices=figures.FIGURE_IDS)
+        p.add_argument("--grid-min", type=float, default=None)
+        p.add_argument("--grid-max", type=float, default=None)
+        p.add_argument("--count", type=int, default=None)
+        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--t", type=float, default=None)
+        p.add_argument("--frac", type=float, default=None)
+        p.add_argument("--out", default=None, help="write to this file instead of stdout")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser has no option that takes a value, so the first
+    # argument naming a command is the command argparse runs; an argument
+    # before it that names none fails as an invalid choice.
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = build_parser((command,)).parse_args(argv)
     try:
         args.func(args)
     except InputError as err:

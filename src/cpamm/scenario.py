@@ -41,15 +41,11 @@ from .pool import (
     Direction,
     FeeModel,
     Numeric,
-    PoolState,
-    SideLedger,
     _arbitrage,
     _geometric_mean,
     _member,
     _swap,
     create_pool,
-    liquidity_of,
-    pool_value,
     require_market_rate,
 )
 
@@ -132,10 +128,9 @@ class _Replay:
     The state a swap touches is kept as plain numbers: the reserves ``x``
     and ``y``, the side ledger ``fees_x`` and ``fees_y``, the prices ``p_x``
     and ``p_y`` and the totals ``collected_x`` and ``collected_y``.  Trades
-    and arbitrage legs run on the pool module's plain-number kernel, so no
-    value object is built per event.  ``start`` is the opening pool; a
-    ``PoolState`` for the current one is built only where it is read (the
-    ``pool`` property): at a snapshot and at the end of a run.  Scripts have
+    and arbitrage legs run on the pool module's plain-number kernel, and
+    snapshots and the alpha probe read the numbers directly, so no
+    ``PoolState`` is built after ``start``, the opening pool.  Scripts have
     one provider and no deposits, so the share ledger stays ``start``'s.
 
     :meth:`run` reads records (see the module docstring): each handler
@@ -165,14 +160,6 @@ class _Replay:
         self.collected_x: Numeric = 0
         self.collected_y: Numeric = 0
         self.snapshots: List[PortfolioSnapshot] = []
-
-    @property
-    def pool(self) -> PoolState:
-        start = self.start
-        return PoolState(
-            self.x, self.y, start.fee_rate, start.fee_model,
-            start.total_shares, start.share_ledger, SideLedger(self.fees_x, self.fees_y),
-        )
 
     def _trade(self, record: tuple) -> None:
         _, _, direction, amount, cap = record
@@ -212,17 +199,18 @@ class _Replay:
         raise ScriptError(f"unknown event type {type(record[2]).__name__}")
 
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
-        pool = self.pool
-        pooled = pool_value(pool, self.p_x, self.p_y)
-        held = pool_value(self.start, self.p_x, self.p_y)
+        # pool_value's expression without its price check: the prices were
+        # checked when the replay started and at every move.
+        pooled = self.p_x * self.x + self.p_y * self.y
+        held = self.p_x * self.start.reserve_x + self.p_y * self.start.reserve_y
         positive(ScriptError, "pooled and held values", pooled, held)
         return PortfolioSnapshot(
             label=label,
             t=self.t,
-            reserve_x=pool.reserve_x,
-            reserve_y=pool.reserve_y,
-            fees_x=pool.side_ledger.fees_x,
-            fees_y=pool.side_ledger.fees_y,
+            reserve_x=self.x,
+            reserve_y=self.y,
+            fees_x=self.fees_x,
+            fees_y=self.fees_y,
             lp_value_pooled=pooled,
             lp_value_held=held,
             lambda_realized=(pooled - held) / held,
@@ -311,9 +299,9 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     """
     positive(EmptyWindow, "window", window)
     replay = _Replay(script).run(map(_record, script.events))
-    start_liquidity = liquidity_of(replay.start)
+    start_liquidity = _geometric_mean(replay.start.reserve_x, replay.start.reserve_y)
     if replay.compound:
-        growth = liquidity_of(replay.pool) / start_liquidity - 1
+        growth = _geometric_mean(replay.x, replay.y) / start_liquidity - 1
         return growth / window
     fees_value = replay.p_x * (replay.fees_x + replay.collected_x) + replay.p_y * (
         replay.fees_y + replay.collected_y

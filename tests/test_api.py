@@ -93,8 +93,14 @@ def test_analytics_commands_run_neither_pool_nor_fractions(argv, layers):
 
 
 def test_figure_choices_load_figures_alone():
-    code = "import cpamm.cli\nassert 'il_one_coin' in cpamm.cli._FigureIds()\n" + _LOADED
+    code = "import cpamm.cli\ncpamm.cli.build_parser(['emit-figure'])\n" + _LOADED
     assert _fresh(code) == ["cli", "errors", "figures"]
+
+
+@pytest.mark.parametrize("command", ["quote", "swap"])
+def test_swap_choices_load_pool_alone(command):
+    code = f"import cpamm.cli\ncpamm.cli.build_parser([{command!r}])\n" + _LOADED
+    assert _fresh(code) == ["cli", "errors", "pool"]
 
 
 def test_star_import_binds_exactly_all():

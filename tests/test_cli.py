@@ -234,6 +234,26 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+COMMANDS = ["quote", "swap", "pool-info", "il", "evolve", "roi", "run-scenario", "emit-figure"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["bogus"]]
+    + [[command, "-h"] for command in COMMANDS]
+    + [[command, "--no-such-flag"] for command in COMMANDS],
+)
+def test_usage_reads_as_with_every_commands_arguments(capsys, argv):
+    # main gives arguments only to the command its argv names.
+    with pytest.raises(SystemExit) as alone:
+        main(argv)
+    alone_out = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    assert (alone.value.code, alone_out) == (full.value.code, capsys.readouterr())
+    assert alone_out.out or alone_out.err
+
+
 def test_zero_denominator_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quote", "--x", "100", "--y", "100", "--direction", "y2x", "--amount", "1/0"])
