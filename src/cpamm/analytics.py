@@ -33,6 +33,7 @@ from .errors import (
     NonPositivePrice,
     NonPositiveReserve,
     RateMismatch,
+    float_geometric_mean,
     non_negative,
     positive,
 )
@@ -85,7 +86,8 @@ class GrowthParams:
 
 def _il(dx: float, dy: float) -> Tuple[float, float, float]:
     """``(v_pooled, v_held, relative_loss)`` for price changes ``dx`` and ``dy``."""
-    loss = 2 * math.sqrt(dx * dy) / (dx + dy) - 1
+    # At most 0 by AM-GM; rounding the sum down can leave one ulp above it.
+    loss = min(2 * float_geometric_mean(dx, dy) / (dx + dy) - 1, 0.0)
     # Normalize to initial portfolio value 1: x0 * p_x0 = 1/2.
     x_value0 = 0.5
     # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
@@ -145,12 +147,12 @@ def _held(dx: float, dy: float) -> float:
 
 def _compounded(dx: float, dy: float, growth: float) -> float:
     """Compounded evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
-    return math.sqrt(dx * dy) * (1 + growth)
+    return float_geometric_mean(dx, dy) * (1 + growth)
 
 
 def _collected(dx: float, dy: float, growth: float) -> float:
     """Collected evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
-    return math.sqrt(dx * dy) + growth * (dx + dy) / 2
+    return float_geometric_mean(dx, dy) + growth * (dx + dy) / 2
 
 
 def hold_value_relative(scenario: PriceScenario) -> float:

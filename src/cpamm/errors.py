@@ -8,9 +8,14 @@ converge failed, an invariant broke) and are ``RuntimeError``s.
 The numeric domain checks live here too, so every layer decides "is this a
 valid amount?" the same way: chained comparisons, which NaN fails and
 ``Fraction`` passes exactly, raising the ``InputError`` the caller names.
+So does the float rule for ``sqrt(a * b)``: the pool engine and the
+analytics both use it, and the analytics commands never load the pool.
 """
 
 import math
+import sys
+
+_TINY = sys.float_info.min
 
 
 class CpammError(Exception):
@@ -116,6 +121,18 @@ def non_negative(error, what, *values, below=math.inf):
         if not 0 <= value < below:
             domain = "finite and >= 0" if below == math.inf else f"in [0, {below})"
             _reject(error, what, domain, values)
+
+
+def float_geometric_mean(a: float, b: float) -> float:
+    """``sqrt(a * b)`` for floats, rounded as if the product had no exponent
+    limit: where it leaves the normal float range, both factors are first
+    scaled by one power of two, which is exact.  So ``a == b`` gives ``a``,
+    and scaling both factors by a power of two scales the root by it."""
+    product = a * b
+    if _TINY <= product < math.inf:
+        return math.sqrt(product)
+    scale = (math.frexp(a)[1] + math.frexp(b)[1]) // 2
+    return math.ldexp(math.sqrt(math.ldexp(a, -scale) * math.ldexp(b, -scale)), scale)
 
 
 def unit_interval(error, what, value):

@@ -39,7 +39,6 @@ fall back to floats unless the operand is a perfect rational square.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -58,6 +57,7 @@ from .errors import (
     NonPositiveReserve,
     RateMismatch,
     SpreadOutOfRange,
+    float_geometric_mean,
     non_negative,
     positive,
 )
@@ -69,7 +69,6 @@ Numeric = Union[float, Fraction]
 RATE_MATCH_TOL = 1e-9
 
 _INF = math.inf
-_TINY = sys.float_info.min
 
 
 class Direction(str, Enum):
@@ -156,11 +155,11 @@ def _sqrt(value: Numeric) -> Numeric:
 
 
 def _geometric_mean(a: Numeric, b: Numeric) -> Numeric:
-    """``sqrt(a * b)``; where a float product leaves the normal float range
-    but the root need not, ``sqrt(a) * sqrt(b)`` instead."""
+    """``sqrt(a * b)``: exact where ``_sqrt`` is, and by the float rule of
+    ``float_geometric_mean`` wherever the product is a float."""
     product = a * b
-    if product.__class__ is float and not _TINY <= product < _INF:
-        return math.sqrt(a) * math.sqrt(b)
+    if product.__class__ is float:
+        return float_geometric_mean(a, b)
     return _sqrt(product)
 
 

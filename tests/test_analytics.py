@@ -66,6 +66,22 @@ def test_loss_is_never_positive(dx, dy):
     assert impermanent_loss(PriceScenario(dx, dy)).relative_loss <= 0.0
 
 
+wide_deltas = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@given(dx=wide_deltas, dy=wide_deltas, data=st.data())
+@settings(max_examples=300)
+def test_loss_across_the_float_range(dx, dy, data):
+    # dx * dy leaves float range for much of this domain; sqrt(dx * dy) never does.
+    loss = impermanent_loss(PriceScenario(dx, dy)).relative_loss
+    assert -1 <= loss <= 0
+    assert impermanent_loss(PriceScenario(dx, dx)).relative_loss == 0
+    low, high = math.log2(1e-300) - math.log2(min(dx, dy)), math.log2(1e300) - math.log2(max(dx, dy))
+    power = data.draw(st.integers(math.ceil(low), math.floor(high)))
+    scaled = PriceScenario(math.ldexp(dx, power), math.ldexp(dy, power))
+    assert impermanent_loss(scaled).relative_loss == loss
+
+
 @given(dx=deltas, dy=deltas)
 @settings(max_examples=200)
 def test_loss_is_symmetric(dx, dy):

@@ -409,8 +409,28 @@ def test_il_at_a_price_ratio_beyond_float_range(capsys):
     assert v_pooled == pytest.approx(math.sqrt(5e-324 * 1e6), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "command, delta, expected",
+    [
+        ("il", "1e-300", {"v_pooled": 1e-300, "v_held": 1e-300, "loss": 0.0}),
+        ("il", "1e300", {"v_pooled": 1e300, "v_held": 1e300, "loss": 0.0}),
+        ("evolve", "1e-200", {"auto_compound": 1.2e-200, "collect_separately": 1.2e-200}),
+        ("evolve", "1e300", {"auto_compound": 1.2e300, "collect_separately": 1.2e300}),
+    ],
+)
+def test_equal_price_changes_at_the_ends_of_float_range(capsys, command, delta, expected):
+    # The product of the two changes leaves float range; their root does not.
+    code, out, _ = run_cli(capsys, command, "--delta-x", delta, "--delta-y", delta)
+    assert code == 0
+    pairs = parse_pairs(out)
+    for key, value in expected.items():
+        assert float(pairs[key]) == pytest.approx(value, rel=1e-15, abs=0)
+
+
 def test_non_finite_evolve_result_exits_1(capsys):
-    code, out, err = run_cli(capsys, "evolve", "--delta-x", "1e300", "--delta-y", "1e300")
+    code, out, err = run_cli(
+        capsys, "evolve", "--delta-x", "1e300", "--delta-y", "1e300", "--alpha", "1e10"
+    )
     assert_rejected(code, out, err)
     assert "auto_compound = inf leaves float range" in err
 
