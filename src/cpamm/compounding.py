@@ -10,10 +10,10 @@ the fee flow, so
 
 Two independent solution paths are provided and cross-checked in tests:
 
-* :func:`integrate_lc`, fixed-step RK4 on ``(L_c, F_nc)`` where ``F_nc`` is
-  the fee flow to non-compounders, integrated alongside so fee conservation
-  ``(L_c - L_c(0)) + F_nc = alpha * L0 * t`` is a measured property rather
-  than a bookkeeping identity;
+* :func:`integrate_lc`, fixed-step RK4 on ``(L_c / L_c(0), F_nc)`` where
+  ``F_nc`` is the fee flow to non-compounders, integrated alongside so fee
+  conservation ``(L_c - L_c(0)) + F_nc = alpha * L0 * t`` is a measured
+  property rather than a bookkeeping identity;
 * :func:`lc_implicit_solve`, Newton's method in ``v = ln(L_c / L_c(0))`` on
   the separated-variables form ``L_c - L_c(0) + L_nc * v = alpha * L0 * t``,
   which gives ``F_nc = L_nc * v``: both ROIs exact to a few ulps.
@@ -153,41 +153,40 @@ def _time_grid(horizon: float, step: float) -> Iterator[float]:
 
 
 def _trajectory(params: RoiParams, horizon: float) -> Iterator[Tuple[float, float, float]]:
-    """Yield ``(t, L_c, F_nc)`` at every grid point from 0 to ``horizon``,
-    by RK4 with the params' step or by the closed form when the ODE is linear.
+    """Yield ``(t, u, F_nc)`` at every grid point from 0 to ``horizon`` by RK4
+    with the params' step, where ``u = L_c / L_c(0)`` is ``rho_c`` itself.
+
+    The state is ``u`` rather than ``L_c``, which would keep only the few
+    bits of a subnormal ``L_c(0)``.  The ODE must not be linear.
     """
     times = _time_grid(horizon, params.step)
-    if _is_linear(params):
-        for t in times:
-            yield (t, *_closed_form(params, t))
-        return
-
     rate = params.alpha * params.l_total0
+    l_c0 = params.l_c0
     l_nc = params.l_nc
-    l_c = params.l_c0
+    u = 1.0
     fees_nc = 0.0
     prev = next(times)
-    yield prev, l_c, fees_nc
-    # RK4 on (L_c, F_nc) with slopes rate * share and rate * (1 - share),
-    # where share = L_c / (L_c + L_nc) at each stage.
+    yield prev, u, fees_nc
+    # RK4 on (u, F_nc) with slopes r * u and r * L_nc, where
+    # r = rate / (L_c(0) * u + L_nc) at each stage.
     for t in times:
         h = t - prev
         half = 0.5 * h
-        share = l_c / (l_c + l_nc)
-        k1, j1 = rate * share, rate * (1 - share)
-        stage = l_c + half * k1
-        share = stage / (stage + l_nc)
-        k2, j2 = rate * share, rate * (1 - share)
-        stage = l_c + half * k2
-        share = stage / (stage + l_nc)
-        k3, j3 = rate * share, rate * (1 - share)
-        stage = l_c + h * k3
-        share = stage / (stage + l_nc)
-        k4, j4 = rate * share, rate * (1 - share)
+        r = rate / (l_c0 * u + l_nc)
+        k1, j1 = r * u, r * l_nc
+        stage = u + half * k1
+        r = rate / (l_c0 * stage + l_nc)
+        k2, j2 = r * stage, r * l_nc
+        stage = u + half * k2
+        r = rate / (l_c0 * stage + l_nc)
+        k3, j3 = r * stage, r * l_nc
+        stage = u + h * k3
+        r = rate / (l_c0 * stage + l_nc)
+        k4, j4 = r * stage, r * l_nc
         sixth = h / 6
-        l_c += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        u += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         fees_nc += sixth * (j1 + 2 * j2 + 2 * j3 + j4)
-        yield t, l_c, fees_nc
+        yield t, u, fees_nc
         prev = t
 
 
@@ -195,13 +194,21 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
     """Integrate the compounding ODE with fixed-step RK4 over the horizon.
 
     Every step is recorded.  The final sample lands exactly on the horizon
-    (the last step is shortened if needed).
+    (the last step is shortened if needed).  Where the ODE is linear the
+    samples come from the closed form on the same grid.
     """
-    fixed = params.frac_compounding, params.alpha, params.l_c0, params.l_nc
+    frac, alpha, l_c0, l_nc = params.frac_compounding, params.alpha, params.l_c0, params.l_nc
+    if _is_linear(params):
+        times = _time_grid(params.horizon, params.step)
+        points = ((t, *_closed_form(params, t)) for t in times)
+        unit, scale = 1.0, l_c0  # liquidity
+    else:
+        points = _trajectory(params, params.horizon)
+        unit, scale = l_c0, 1.0  # units of L_c(0)
     return RoiTrajectory(
         samples=tuple(
-            RoiSample(t, l_c, *_rho(*fixed, t, l_c, fees_nc), fees_nc)
-            for t, l_c, fees_nc in _trajectory(params, params.horizon)
+            RoiSample(t, unit * l_c, *_rho(frac, alpha, scale, l_nc, t, l_c, fees_nc), fees_nc)
+            for t, l_c, fees_nc in points
         )
     )
 
@@ -271,6 +278,7 @@ def _roi_series(
             scale, fees_nc = 1.0, l_nc * v
         elif method == "rk4":
             _, l_c, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
+            scale = 1.0  # the integration runs in units of L_c(0)
         else:
             raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
         yield _rho(frac, alpha, scale, l_nc, t, l_c, fees_nc)

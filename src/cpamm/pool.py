@@ -33,7 +33,10 @@ state as plain numbers and build value objects only where they are read.
 
 Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
 runs the swap path exactly (the swap equations are rational); square roots
-fall back to floats unless the operand is a perfect rational square.
+fall back to floats unless the operand is a perfect rational square.  Exact
+values grow with every trade, so :func:`execute_swap`, :func:`add_liquidity`
+and :func:`remove_liquidity` reject a result whose numerator or denominator
+passes ``MAX_EXACT_BITS``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple, Union
 
@@ -67,6 +71,13 @@ Numeric = Union[float, Fraction]
 #: Relative tolerance wherever a ratio must match a rate: a deposit against
 #: the pool ratio, or a pool rate against the market rate.
 RATE_MATCH_TOL = 1e-9
+
+#: Most bits the numerator or the denominator of an exact value may take in
+#: a pool or receipt: about 3,900 decimal digits, inside the 4,300 that
+#: Python turns an int into text by default.  Alternating exact swaps grow
+#: the sizes by about half again each; from a 100/100 pool at fee 3/1000,
+#: unit swaps reach the limit at the 14th.
+MAX_EXACT_BITS = 13_000
 
 _INF = math.inf
 
@@ -173,6 +184,19 @@ def _member(enum, value, what: str):
     except ValueError:
         use = " or ".join(repr(member.value) for member in enum)
         raise InputError(f"unknown {what} {value!r}; use {use}") from None
+
+
+def _bounded(*values: Numeric) -> None:
+    """Raise ``InputError`` if an exact value has a numerator or a denominator
+    of more than ``MAX_EXACT_BITS`` bits; floats are not looked at."""
+    for value in values:
+        if value.__class__ is not float and isinstance(value, Rational):
+            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+            if bits > MAX_EXACT_BITS:
+                raise InputError(
+                    f"exact result needs {bits} bits, more than the {MAX_EXACT_BITS}-bit "
+                    "limit on a numerator or denominator; use floats"
+                )
 
 
 def _require_active(pool: PoolState) -> None:
@@ -387,6 +411,8 @@ def execute_swap(
     else:
         # Zero-size trade (cap of 0): the rate limit is the spot rate.
         realized_rate = x / y if y_for_x else y / x
+    _bounded(new_x, new_y, ledger.fees_x, ledger.fees_y, gross, out, realized_rate,
+             spread_applied, fee)
     receipt = SwapReceipt(direction, amount_in, gross, out, realized_rate, spread_applied, fee)
     new_pool = PoolState(
         new_x, new_y, pool.fee_rate, pool.fee_model,
@@ -419,6 +445,8 @@ def add_liquidity(
         pool.reserve_x + dx, pool.reserve_y + dy, pool.fee_rate, pool.fee_model,
         pool.total_shares + minted, MappingProxyType(ledger), pool.side_ledger,
     )
+    _bounded(new_pool.reserve_x, new_pool.reserve_y, new_pool.total_shares, minted,
+             ledger[provider])
     return new_pool, LpPosition(provider=provider, shares=minted, deposited_x=dx, deposited_y=dy)
 
 
@@ -447,6 +475,7 @@ def remove_liquidity(
         pool.reserve_x - dx, pool.reserve_y - dy, pool.fee_rate, pool.fee_model,
         pool.total_shares - shares, MappingProxyType(ledger), pool.side_ledger,
     )
+    _bounded(new_pool.reserve_x, new_pool.reserve_y, new_pool.total_shares, remaining, dx, dy)
     return new_pool, (dx, dy)
 
 

@@ -18,12 +18,14 @@ The replay reads events as records, not as event objects.  A record is a
 plain tuple ``(handler, t, *fields)``: the ``_Replay`` method that applies
 the event, then the event's dataclass fields in declaration order, so a
 trade is ``(_Replay._trade, t, direction, amount_in, max_spread)``.  The
-JSON parser builds records directly, and ``_EVENTS`` (event type ->
-handler and field getter) converts between records and the public frozen
-event types: :func:`load_script` builds event objects from records, and
-:func:`run_scenario` and :func:`measure_effective_alpha` turn the objects
-they are given back into records.  ``cpamm run-scenario`` replays the
-records of a file without building an event object.
+JSON decoder builds records directly (each event object becomes its record
+as soon as it is decoded, so a script is never held as dicts), and
+``_EVENTS`` (event type -> handler and field getter) converts between
+records and the public frozen event types: :func:`load_script` builds
+event objects from records, and :func:`run_scenario` and
+:func:`measure_effective_alpha` turn the objects they are given back into
+records.  ``cpamm run-scenario`` replays the records of a file without
+building an event object.
 """
 
 from __future__ import annotations
@@ -395,10 +397,38 @@ def _read_script(
                 raw = handle.read()
         except OSError as err:
             raise ScriptError(f"cannot read script: {err}") from err
+    # The decoder hands each JSON object to ``record`` as soon as it is
+    # complete, so a well-formed script's events never exist as dicts.  It
+    # cannot tell an event from any other object with a ``type``, nor where
+    # an object sits, so its records are kept only if they are exactly the
+    # entries of ``events``.  Otherwise (a bad event, an event-typed object
+    # anywhere else, or a nesting that ``record``'s own frame tips past the
+    # recursion limit) the text is decoded again as it is, and parsed below.
+    made = 0
+
+    def record(obj: dict):
+        nonlocal made
+        try:
+            parsed = _parse_event(made, obj)
+        except Exception:  # not an event, or a bad one: left for the parse below
+            return obj
+        made += 1
+        return parsed
+
     try:
-        doc = json.loads(raw)
+        try:
+            doc = json.loads(raw, object_hook=record)
+        except RecursionError:
+            doc = None
+        records = doc.get("events") if doc.__class__ is dict else None
+        # JSON decodes no tuples, so an entry that is a tuple is a record.
+        if not (records.__class__ is list and len(records) == made
+                and {*map(type, records)} <= {tuple}):
+            doc = records = None  # released before the second decode
+            doc = json.loads(raw)
     except json.JSONDecodeError as err:
         raise ScriptError(f"invalid JSON: {err}") from err
+    del raw
     try:
         pool = _json_object("pool", doc["pool"])
         prices = _json_object("prices", doc["prices"])
@@ -406,11 +436,12 @@ def _read_script(
         entries = doc.get("events", [])
         if not isinstance(entries, list):
             raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
-        records = []
-        append = records.append
-        for index, entry in enumerate(entries):
-            append(_parse_event(index, entry))
-            entries[index] = None  # drop each raw event once its record exists
+        if records is None:
+            records = []
+            append = records.append
+            for index, entry in enumerate(entries):
+                append(_parse_event(index, entry))
+                entries[index] = None  # drop each raw event once its record exists
         header = ScenarioScript(
             pool_x=_number(pool["x"]),
             pool_y=_number(pool["y"]),

@@ -252,6 +252,13 @@ def test_tiny_compounding_population_root_matches_rk4(frac):
     assert via_root == pytest.approx(via_rk4, rel=1e-8)
 
 
+def test_rk4_keeps_rho_c_for_a_subnormal_compounding_population():
+    # L_c(0) = 1e-318 holds a few bits, so RK4 integrates in units of it.
+    params = RoiParams(1e-318, 0.2, 1.0)
+    assert roi_pair(params, 1.0, method="rk4")[0] == pytest.approx(math.exp(0.2), rel=1e-12)
+    assert integrate_lc(params).final.rho_c == pytest.approx(math.exp(0.2), rel=1e-12)
+
+
 @pytest.mark.parametrize("run", [integrate_lc, lambda params: roi_pair(params, 1.0, "rk4")])
 def test_rk4_step_count_is_bounded(run):
     params = RoiParams(frac_compounding=0.5, alpha=0.2, horizon=1.0, step=1e-9)
@@ -341,27 +348,28 @@ def test_implicit_roi_matches_a_50_digit_bisection(params):
 
 
 def _reference_rk4(params, horizon):
-    """``[(t, L_c, F_nc)]`` by RK4 with a ``slopes`` closure per stage."""
+    """``[(t, L_c / L_c(0), F_nc)]`` by RK4 on ``u = L_c / L_c(0)`` with a
+    ``slopes`` closure per stage."""
     rate = params.alpha * params.l_total0
-    l_nc = params.l_nc
+    l_c0, l_nc = params.l_c0, params.l_nc
 
-    def slopes(l_c):
-        share = l_c / (l_c + l_nc)
-        return rate * share, rate * (1 - share)
+    def slopes(u):
+        r = rate / (l_c0 * u + l_nc)
+        return r * u, r * l_nc
 
     times = _time_grid(horizon, params.step)
-    l_c, fees_nc = params.l_c0, 0.0
+    u, fees_nc = 1.0, 0.0
     prev = next(times)
-    points = [(prev, l_c, fees_nc)]
+    points = [(prev, u, fees_nc)]
     for t in times:
         h = t - prev
-        k1, j1 = slopes(l_c)
-        k2, j2 = slopes(l_c + 0.5 * h * k1)
-        k3, j3 = slopes(l_c + 0.5 * h * k2)
-        k4, j4 = slopes(l_c + h * k3)
-        l_c += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1, j1 = slopes(u)
+        k2, j2 = slopes(u + 0.5 * h * k1)
+        k3, j3 = slopes(u + 0.5 * h * k2)
+        k4, j4 = slopes(u + h * k3)
+        u += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         fees_nc += h / 6 * (j1 + 2 * j2 + 2 * j3 + j4)
-        points.append((t, l_c, fees_nc))
+        points.append((t, u, fees_nc))
         prev = t
     return points
 
@@ -413,10 +421,10 @@ def test_rk4_matches_the_closure_integrator(frac, alpha, horizon, step, l_total0
     params = RoiParams(frac, alpha, horizon=horizon, l_total0=l_total0, step=step)
     points = _reference_rk4(params, horizon)
     samples = integrate_lc(params).samples
-    assert [(s.t, s.l_c, s.fees_nc) for s in samples] == points
+    assert [(s.t, s.rho_c, s.fees_nc) for s in samples] == points
     for sample in samples:
-        assert sample.rho_c == sample.l_c / params.l_c0
+        assert sample.l_c == params.l_c0 * sample.rho_c
         assert sample.rho_nc == 1 + sample.fees_nc / params.l_nc
-    _, l_c, fees_nc = points[-1]
-    expected = (l_c / params.l_c0, 1 + fees_nc / params.l_nc)
+    _, rho_c, fees_nc = points[-1]
+    expected = (rho_c, 1 + fees_nc / params.l_nc)
     assert roi_pair(params, horizon, method="rk4") == expected

@@ -645,3 +645,41 @@ def test_auto_compound_string_puts_the_fee_in_the_reserve():
     assert new_pool.side_ledger.fees_y == 0
     assert new_pool.reserve_y == 105.0
     assert receipt.fee_paid == pytest.approx(0.05, rel=1e-12)
+
+
+def test_exact_swaps_stop_at_the_size_limit():
+    # Alternating unit swaps grow each exact value by about half again; the
+    # 14th would leave numbers str() refuses (past 4,300 digits), so it is
+    # rejected, and the 13 before it settle as the constant product says.
+    pool = create_pool(Fraction(100), Fraction(100), fee_rate=Fraction(3, 1000))
+    x = y = Fraction(100)
+    net = Fraction(997, 1000)
+    for swap in range(1, 14):
+        y_for_x = swap % 2 == 1
+        direction = Direction.Y_FOR_X if y_for_x else Direction.X_FOR_Y
+        pool, receipt = execute_swap(pool, direction, Fraction(1))
+        if y_for_x:
+            out = x * net / (y + net)
+            x, y = x - out, y + 1
+        else:
+            out = y * net / (x + net)
+            x, y = x + 1, y - out
+        assert (pool.reserve_x, pool.reserve_y, receipt.amount_out) == (x, y, out)
+        assert str(pool) and str(receipt)
+    with pytest.raises(InputError, match="^exact result needs 15984 bits, more than the 13000-bit"):
+        execute_swap(pool, Direction.X_FOR_Y, Fraction(1))
+
+
+@pytest.mark.parametrize("change", ["add", "remove"])
+def test_exact_liquidity_changes_stop_at_the_size_limit(change):
+    pool = create_pool(Fraction(1), Fraction(1))
+    small = Fraction(1, 2**12999)  # 13,000 bits: the largest size allowed
+    huge = Fraction(1, 2**13000)
+    if change == "add":
+        assert add_liquidity(pool, "b", small, small)[0].reserve_x == 1 + small
+        with pytest.raises(InputError, match="more than the 13000-bit limit"):
+            add_liquidity(pool, "b", huge, huge)
+    else:
+        assert remove_liquidity(pool, "lp", small)[1] == (small, small)
+        with pytest.raises(InputError, match="more than the 13000-bit limit"):
+            remove_liquidity(pool, "lp", huge)

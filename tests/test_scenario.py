@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -41,6 +43,7 @@ from cpamm import (
     snapshots_to_csv,
 )
 from cpamm.pool import arbitrage_to_rate
+from cpamm.scenario import _event, _parse_event
 
 
 def make_script(events, fee_rate=0.0, fee_model=FeeModel.AUTO_COMPOUND):
@@ -634,3 +637,192 @@ def test_run_scenario_reads_a_plain_direction_string_as_its_member(direction):
         assert by_string[-1].reserve_y == 105.0
     with pytest.raises(InputError, match="unknown direction"):
         run_scenario(make_script((Trade(0.0, "y4x", 5.0),)))
+
+
+# -- the decoder builds the records: exactly what a parse of each entry gives --
+
+
+def two_pass_load(text):
+    """The events ``load_script`` gives for a script with a valid header, by
+    decoding the whole document and then parsing each entry of ``events``,
+    or the error's type and message."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        return ScriptError, f"invalid JSON: {err}"
+    try:
+        return tuple(_event(_parse_event(index, entry))
+                     for index, entry in enumerate(doc["events"]))
+    except ScriptError as err:
+        return ScriptError, str(err)
+    except TypeError as err:  # a "type" that is no hashable value
+        return ScriptError, f"malformed script: {err}"
+
+
+def load_outcome(text):
+    try:
+        return load_script(io.StringIO(text)).events
+    except CpammError as err:
+        return type(err), str(err)
+
+
+SNAPSHOT = {"type": "snapshot", "t": 0}
+
+
+def test_default_labels_count_every_event_before_them():
+    events = [{"type": "snapshot", "t": 0, "label": "a"},
+              {"type": "trade", "t": 0, "direction": "y2x", "amount": 1},
+              {"type": "snapshot", "t": 1},
+              {"type": "snapshot", "t": 1, "label": "b"},
+              {"type": "snapshot", "t": 2}]
+    labels = [event.label for event in load_doc(script_doc(events=events)).events[2:]]
+    assert labels == ["snapshot-2", "b", "snapshot-4"]
+
+
+def test_a_bad_event_before_a_syntax_error_reads_as_invalid_json():
+    bad = {"type": "trade", "t": 0, "direction": "y2x", "amount": "five"}
+    text = json.dumps(script_doc(events=[SNAPSHOT, bad, SNAPSHOT]))[:-1]
+    with pytest.raises(json.JSONDecodeError) as syntax:
+        json.loads(text)
+    with pytest.raises(ScriptError) as err:
+        load_script(io.StringIO(text))
+    assert str(err.value) == f"invalid JSON: {syntax.value}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"type": "trade", "t": 0, "direction": "y2x", "amount": "five"},
+     "event 2: could not convert string to float: 'five'"),
+    ({"type": "teleport", "t": 0}, "event 2: unknown type 'teleport'"),
+    ({"type": "snapshot", "t": -1}, "event 2: timestamp must be finite and >= 0, got -1.0"),
+    ({"type": [1]}, "malformed script: unhashable type: 'list'"),
+    ([SNAPSHOT], "event 2: expected a JSON object, got list"),
+])
+def test_a_bad_event_keeps_its_index_and_message(bad, message):
+    events = [{"type": "snapshot", "t": 0, "label": "a"}, SNAPSHOT, bad, SNAPSHOT]
+    with pytest.raises(ScriptError) as err:
+        load_doc(script_doc(events=events))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("where", ["pool", "prices", "top"])
+def test_an_event_type_in_the_header_is_read_as_written(where):
+    events = [SNAPSHOT, {"type": "trade", "t": 1, "direction": "x2y", "amount": 2}]
+    plain = load_doc(script_doc(events=events))
+    doc = script_doc(events=events)
+    (doc if where == "top" else doc[where]).update(SNAPSHOT)
+    assert load_doc(doc) == plain
+    assert plain.events[0].label == "snapshot-0"
+
+
+@pytest.mark.parametrize("field, reader", [("amount", float), ("direction", Direction)])
+def test_an_event_object_inside_a_trade_field_keeps_the_message(field, reader):
+    # The inner object is decoded as a record first; the message must not
+    # show it (a record names its handler function, address and all).
+    with pytest.raises((TypeError, ValueError)) as expected:
+        reader(SNAPSHOT)
+    trade = {"type": "trade", "t": 0, "direction": "y2x", "amount": 1, field: SNAPSHOT}
+    with pytest.raises(ScriptError) as err:
+        load_doc(script_doc(events=[trade]))
+    assert str(err.value) == f"event 0: {expected.value}"
+    assert "0x" not in str(err.value)
+
+
+def test_an_event_object_nothing_reads_is_ignored():
+    events = [{"type": "trade", "t": 0, "direction": "y2x", "amount": 1,
+               "note": {"type": "snapshot", "t": 0}},
+              {"type": "snapshot", "t": 1}]
+    plain = load_doc(script_doc(events=[dict(events[0], note=None), events[1]]))
+    assert load_doc(script_doc(notes={"type": "collect_fees", "provider": "lp"},
+                               events=events)) == plain
+    assert plain.events[1].label == "snapshot-1"
+
+
+@pytest.mark.parametrize("first, last", [([SNAPSHOT, SNAPSHOT], [SNAPSHOT]),
+                                         ([SNAPSHOT], [SNAPSHOT, SNAPSHOT])])
+def test_the_last_of_duplicate_events_keys_wins(first, last):
+    text = json.dumps(script_doc(events=first))[:-1] + f', "events": {json.dumps(last)}}}'
+    labels = [event.label for event in load_script(io.StringIO(text)).events]
+    assert labels == [f"snapshot-{index}" for index in range(len(last))]
+
+
+timestamps = st.one_of(st.floats(min_value=0, max_value=10), st.integers(0, 10))
+numbers = st.one_of(st.floats(min_value=0.1, max_value=10), st.integers(1, 10),
+                    st.sampled_from(["5", "0.25"]))
+json_events = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("trade"), "t": timestamps,
+         "direction": st.sampled_from(["y2x", "x2y"]), "amount": numbers},
+        optional={"max_spread": st.one_of(st.none(), numbers)}),
+    st.fixed_dictionaries({"type": st.just("price_move"), "t": timestamps,
+                           "delta_x": numbers, "delta_y": numbers}),
+    st.fixed_dictionaries({"type": st.just("collect_fees"), "t": timestamps,
+                           "provider": st.sampled_from(["lp", "other"])}),
+    st.fixed_dictionaries({"type": st.just("snapshot"), "t": timestamps},
+                          optional={"label": st.sampled_from(["a", "b,c"])}),
+)
+#: A field set to a value the parse rejects, or an event-typed object.
+corruptions = st.sampled_from([
+    ("amount", "five"), ("amount", True), ("t", -1), ("t", "NaN"), ("type", "teleport"),
+    ("direction", "up"), ("label", 5), ("provider", None), ("delta_x", None),
+    ("amount", SNAPSHOT), ("direction", SNAPSHOT), ("label", SNAPSHOT), ("t", SNAPSHOT),
+    ("type", SNAPSHOT),
+])
+#: Where an event-typed object that is no entry of ``events`` may sit.
+decoys = st.sampled_from(["pool", "prices", "top", "notes", "inside"])
+
+
+@given(events=st.lists(json_events, max_size=8),
+       corrupt=st.one_of(st.none(), st.tuples(st.integers(0, 7), corruptions)),
+       decoy=st.one_of(st.none(), decoys), truncate=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_script_equals_a_two_pass_parse(events, corrupt, decoy, truncate):
+    events = [dict(event) for event in events]  # edited below; the drawn ones stay as drawn
+    doc = script_doc(events=events)
+    if corrupt is not None and events:
+        index, (field, value) = corrupt
+        events[index % len(events)][field] = value
+    if decoy == "top":
+        doc.update(SNAPSHOT)
+    elif decoy in ("pool", "prices"):
+        doc[decoy].update(SNAPSHOT)
+    elif decoy == "notes":
+        doc["notes"] = dict(SNAPSHOT)
+    elif decoy == "inside" and events:
+        events[0]["note"] = dict(SNAPSHOT)
+    text = json.dumps(doc)
+    if truncate:
+        text = text[:-1]
+    assert load_outcome(text) == two_pass_load(text)
+
+
+def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
+    # Generated like the benchmark's replay scripts, at 20k events.
+    rng = random.Random(20)
+    events = []
+    for index in range(20_000):
+        t, pick = (index + 1) / 20_000, rng.random()
+        if pick < 0.80:
+            event = {"type": "trade", "t": t, "direction": rng.choice(("y2x", "x2y")),
+                     "amount": 100 * rng.lognormvariate(0, 1.5)}
+            if rng.random() < 0.30:
+                event["max_spread"] = rng.uniform(1e-4, 2e-3)
+        elif pick < 0.95:
+            event = {"type": "price_move", "t": t, "delta_x": math.exp(rng.gauss(0, 0.01)),
+                     "delta_y": math.exp(rng.gauss(0, 0.01))}
+        elif pick < 0.98:
+            event = {"type": "collect_fees", "t": t, "provider": "lp"}
+        else:
+            event = {"type": "snapshot", "t": t, "label": f"s{index}"}
+        events.append(event)
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script_doc(events=events)), encoding="utf-8")
+    del events
+    tracemalloc.start()
+    try:
+        script = load_script(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(script.events) == 20_000
+    # Decoding every event to a dict first peaked at 4.8 times the file.
+    assert peak <= 3.5 * path.stat().st_size
