@@ -18,10 +18,13 @@ Two independent solution paths are provided and cross-checked in tests:
   the separated-variables form ``L_c - L_c(0) + L_nc * v = alpha * L0 * t``,
   which gives ``F_nc = L_nc * v``: both ROIs exact to a few ulps.
 
-Returns on investment: ``rho_c = L_c(t)/L_c(0)`` for compounders and
-``rho_nc = 1 + F_nc/L_nc`` for the rest.  The all-of-one-kind populations
-bypass the ODE: with everyone compounding, liquidity grows linearly and
-``rho_c = 1 + alpha t``; with no one compounding, ``rho_nc = 1 + alpha t``.
+Every route, the closed form below included, reports the state
+``(u, F_nc)`` in units of ``L_c(0)``: ``u = L_c / L_c(0)``, and ``L_c``
+itself is ``L_c(0) * u``.  Returns on investment: ``rho_c = u`` for
+compounders and ``rho_nc = 1 + F_nc/L_nc`` for the rest.  The
+all-of-one-kind populations bypass the ODE: with everyone compounding,
+liquidity grows linearly and ``rho_c = 1 + alpha t``; with no one
+compounding, ``rho_nc = 1 + alpha t``.
 The ROI of the vanishing population is reported as its analytic limit
 (``rho_nc -> 1 + ln(1 + alpha t)`` and ``rho_c -> exp(alpha t)``), the
 return a marginally small participant of that kind would see.
@@ -104,16 +107,17 @@ class RoiTrajectory:
 
 
 def _rho(
-    frac: float, alpha: float, l_c0: float, l_nc: float, t: float, l_c: float, fees_nc: float
+    frac: float, alpha: float, l_nc: float, t: float, u: float, fees_nc: float
 ) -> Tuple[float, float]:
-    """``(rho_c, rho_nc)`` at ``t`` from the state ``(L_c, F_nc)``.
+    """``(rho_c, rho_nc)`` at ``t`` from the state ``(u, F_nc)`` that every
+    route reports, where ``u = L_c / L_c(0)`` is ``rho_c`` itself.
 
     A vanishing population reports its analytic limit: a lone compounder
     grows against a fixed pool, a lone holdout earns the diluting fee share.
     """
     growth = alpha * t
     try:
-        rho_c = math.exp(growth) if frac == 0 else l_c / l_c0
+        rho_c = math.exp(growth) if frac == 0 else u
     except OverflowError as err:
         raise NonPositiveInput(f"exp(alpha * t) overflows at alpha * t = {growth}") from err
     if frac == 1:
@@ -130,12 +134,11 @@ def _is_linear(params: RoiParams) -> bool:
 
 
 def _closed_form(params: RoiParams, t: float) -> Tuple[float, float]:
-    """``(L_c, F_nc)`` at ``t`` for the populations whose ODE is linear."""
+    """``(u, F_nc)`` at ``t`` for the populations whose ODE is linear: the
+    compounders take every fee, or ``L_c`` stays at ``L_c(0)``."""
     if params.frac_compounding == 1:
-        return params.l_c0 + params.alpha * params.l_total0 * t, 0.0
-    if params.frac_compounding == 0 and params.alpha != 0:
-        return params.l_c0, params.alpha * params.l_total0 * t
-    return params.l_c0, 0.0
+        return 1 + params.alpha * t, 0.0
+    return 1.0, params.alpha * params.l_total0 * t
 
 
 def _time_grid(horizon: float, step: float) -> Iterator[float]:
@@ -201,14 +204,12 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
     if _is_linear(params):
         times = _time_grid(params.horizon, params.step)
         points = ((t, *_closed_form(params, t)) for t in times)
-        unit, scale = 1.0, l_c0  # liquidity
     else:
         points = _trajectory(params, params.horizon)
-        unit, scale = l_c0, 1.0  # units of L_c(0)
     return RoiTrajectory(
         samples=tuple(
-            RoiSample(t, unit * l_c, *_rho(frac, alpha, scale, l_nc, t, l_c, fees_nc), fees_nc)
-            for t, l_c, fees_nc in points
+            RoiSample(t, l_c0 * u, *_rho(frac, alpha, l_nc, t, u, fees_nc), fees_nc)
+            for t, u, fees_nc in points
         )
     )
 
@@ -250,7 +251,7 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     target = params.alpha * params.l_total0 * t
     non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", target)
     if _is_linear(params):
-        return _closed_form(params, t)[0]
+        return params.l_c0 * _closed_form(params, t)[0]
     return _root(params.l_c0, params.l_nc, target)[0]
 
 
@@ -266,22 +267,20 @@ def _roi_series(
     for t in times:
         if not rate * t < math.inf:  # a t past the horizon can overflow the fees
             non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", rate * t)
-        scale = l_c0
         if linear:
-            l_c, fees_nc = _closed_form(params, t)
+            u, fees_nc = _closed_form(params, t)
         elif method == "implicit":
-            # L_c in units of L_c(0), which is e^v: L_c / L_c(0) would keep only
-            # the few bits of a subnormal L_c(0).  Past float range it is inf,
-            # which every caller rejects as it rejects an infinite ratio.
+            # u = e^v: L_c / L_c(0) would keep only the few bits of a subnormal
+            # L_c(0).  Past float range it is inf, which every caller rejects
+            # as it rejects an infinite ratio.
             v = _root(l_c0, l_nc, rate * t)[1]
-            l_c = math.exp(v) if v <= _LOG_MAX else math.inf
-            scale, fees_nc = 1.0, l_nc * v
+            u = math.exp(v) if v <= _LOG_MAX else math.inf
+            fees_nc = l_nc * v
         elif method == "rk4":
-            _, l_c, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
-            scale = 1.0  # the integration runs in units of L_c(0)
+            _, u, fees_nc = deque(_trajectory(params, t), maxlen=1)[0]
         else:
             raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
-        yield _rho(frac, alpha, scale, l_nc, t, l_c, fees_nc)
+        yield _rho(frac, alpha, l_nc, t, u, fees_nc)
 
 
 def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[float, float]:

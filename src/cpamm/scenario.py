@@ -17,15 +17,14 @@ Scripts load from JSON files; the schema is documented in the README and in
 The replay reads events as records, not as event objects.  A record is a
 plain tuple ``(handler, t, *fields)``: the ``_Replay`` method that applies
 the event, then the event's dataclass fields in declaration order, so a
-trade is ``(_Replay._trade, t, direction, amount_in, max_spread)``.  The
-JSON decoder builds records directly (each event object becomes its record
-as soon as it is decoded, so a script is never held as dicts), and
-``_EVENTS`` (event type -> handler and field getter) converts between
-records and the public frozen event types: :func:`load_script` builds
-event objects from records, and :func:`run_scenario` and
-:func:`measure_effective_alpha` turn the objects they are given back into
-records.  ``cpamm run-scenario`` replays the records of a file without
-building an event object.
+trade is ``(_Replay._trade, t, direction, amount_in, max_spread)``.  Two
+plain conversions build records, each one branch per event kind:
+``_parse_event`` for a JSON event, as soon as the decoder finishes it (so a
+script is never held as dicts), and ``_record`` for a public event object,
+as the replay reaches it in :func:`run_scenario` and
+:func:`measure_effective_alpha`.  :func:`load_script` builds event objects
+from records through ``_KINDS``; ``cpamm run-scenario`` replays the records
+of a file without building an event object.
 """
 
 from __future__ import annotations
@@ -237,41 +236,33 @@ class _Replay:
         return self
 
 
-#: Each event type -> the ``_Replay`` handler its records name, and a getter
-#: of its fields in declaration order (``t`` first), which a record carries
-#: after the handler.
-_EVENTS = {
-    kind: (handler, attrgetter(*(field.name for field in fields(kind))))
-    for kind, handler in (
-        (Trade, _Replay._trade),
-        (PriceMove, _Replay._move_prices),
-        (CollectFees, _Replay._collect),
-        (Snapshot, _Replay._snapshot),
-    )
-}
-_KINDS = {handler: kind for kind, (handler, _) in _EVENTS.items()}
-
-
-def _trade_fields(trade: Trade) -> tuple:
-    """A trade's fields, its direction as the ``Direction`` member that the
-    replay picks the side by (a plain ``"y2x"`` equals it but is not it)."""
-    direction = _member(Direction, trade.direction, "direction")
-    return trade.t, direction, trade.amount_in, trade.max_spread
-
-
-_EVENTS[Trade] = (_Replay._trade, _trade_fields)
-
-
 def _record(event) -> tuple:
-    """The replay record of an event object; an event subclass replays as its
-    base type, and any other object fails when the replay reaches it."""
-    entry = _EVENTS.get(event.__class__)
-    if entry is None:
-        entry = next((e for kind, e in _EVENTS.items() if isinstance(event, kind)), None)
-        if entry is None:
-            return _Replay._unknown, event.t, event
-    handler, values = entry
-    return (handler, *values(event))
+    """The replay record of an event object, its direction coerced to the
+    ``Direction`` member (a plain ``"y2x"`` equals it but is not it).
+
+    One ``isinstance`` branch per kind, in ``_parse_event``'s order, so an
+    event subclass replays as its base type; any other object fails when
+    the replay reaches it.
+    """
+    if isinstance(event, Trade):
+        direction = _member(Direction, event.direction, "direction")
+        return _Replay._trade, event.t, direction, event.amount_in, event.max_spread
+    if isinstance(event, PriceMove):
+        return _Replay._move_prices, event.t, event.delta_x, event.delta_y
+    if isinstance(event, CollectFees):
+        return _Replay._collect, event.t, event.provider
+    if isinstance(event, Snapshot):
+        return _Replay._snapshot, event.t, event.label
+    return _Replay._unknown, event.t, event
+
+
+#: The public event type of each replay handler's records.
+_KINDS = {
+    _Replay._trade: Trade,
+    _Replay._move_prices: PriceMove,
+    _Replay._collect: CollectFees,
+    _Replay._snapshot: Snapshot,
+}
 
 
 def _event(record: tuple) -> Event:
