@@ -392,9 +392,9 @@ def _read_script(
     # complete, so a well-formed script's events never exist as dicts.  It
     # cannot tell an event from any other object with a ``type``, nor where
     # an object sits, so its records are kept only if they are exactly the
-    # entries of ``events``.  Otherwise (a bad event, an event-typed object
-    # anywhere else, or a nesting that ``record``'s own frame tips past the
-    # recursion limit) the text is decoded again as it is, and parsed below.
+    # entries of ``events``.  Otherwise (a bad event, or an event-typed
+    # object anywhere else) the text is decoded again as it is, and parsed
+    # below.  A nesting deeper than the decoder's recursion is invalid JSON.
     made = 0
 
     def record(obj: dict):
@@ -407,17 +407,14 @@ def _read_script(
         return parsed
 
     try:
-        try:
-            doc = json.loads(raw, object_hook=record)
-        except RecursionError:
-            doc = None
+        doc = json.loads(raw, object_hook=record)
         records = doc.get("events") if doc.__class__ is dict else None
         # JSON decodes no tuples, so an entry that is a tuple is a record.
         if not (records.__class__ is list and len(records) == made
                 and {*map(type, records)} <= {tuple}):
             doc = records = None  # released before the second decode
             doc = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ScriptError(f"invalid JSON: {err}") from err
     del raw
     try:

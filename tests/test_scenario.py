@@ -689,6 +689,21 @@ def test_a_bad_event_before_a_syntax_error_reads_as_invalid_json():
     assert str(err.value) == f"invalid JSON: {syntax.value}"
 
 
+def nested_doc(levels, opening, closing):
+    """A valid script whose unread ``note`` key nests ``levels`` deep."""
+    deep = opening * levels + "1" + closing * levels
+    return json.dumps(script_doc(events=[SNAPSHOT]))[:-1] + f', "note": {deep}}}'
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")],
+                         ids=["arrays", "objects"])
+def test_a_nesting_past_the_decoder_is_invalid_json(opening, closing):
+    with pytest.raises(ScriptError, match="^invalid JSON: maximum recursion depth exceeded"):
+        load_script(io.StringIO(nested_doc(2000, opening, closing)))
+    shallow = load_script(io.StringIO(nested_doc(500, opening, closing)))
+    assert shallow.events == (Snapshot(0.0, "snapshot-0"),)
+
+
 @pytest.mark.parametrize("bad, message", [
     ({"type": "trade", "t": 0, "direction": "y2x", "amount": "five"},
      "event 2: could not convert string to float: 'five'"),
