@@ -43,6 +43,7 @@ from .pool import (
     FeeModel,
     Numeric,
     _arbitrage,
+    _bounded,
     _geometric_mean,
     _member,
     _swap,
@@ -172,6 +173,8 @@ class _Replay:
             self.x, self.y, self.fees_x, _, _, _, _ = _swap(
                 self.x, self.y, self.fees_x, self.phi, amount, cap, False, self.compound
             )
+        if self.x.__class__ is not float:  # an exact replay: bound its size
+            _bounded(self.x, self.y, self.fees_x, self.fees_y)
 
     def _move_prices(self, record: tuple) -> None:
         _, _, delta_x, delta_y = record

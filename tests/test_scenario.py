@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -285,6 +286,21 @@ def test_effective_alpha_models_agree_for_small_trades():
     # 200 trades of 0.1 at fee 0.003 on liquidity 1e6: alpha = 3e-8
     assert a_collect == pytest.approx(3e-8, rel=1e-9)
     assert a_auto == pytest.approx(a_collect, rel=1e-6)
+
+
+@pytest.mark.parametrize("replay", [run_scenario, lambda script: measure_effective_alpha(script, 1.0)],
+                         ids=["run_scenario", "effective_alpha"])
+def test_an_exact_replay_stops_at_the_size_limit(replay):
+    # Each compounded fee multiplies the reserves' denominators: unchecked,
+    # these 20 trades took about a second, and each two more about 6 times that.
+    trades = tuple(Trade(i / 20, (Direction.Y_FOR_X, Direction.X_FOR_Y)[i % 2], Fraction(1))
+                   for i in range(20))
+    script = ScenarioScript(Fraction(100), Fraction(100), Fraction(3, 1000),
+                            FeeModel.AUTO_COMPOUND, Fraction(1), Fraction(1), trades)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="^event 13: exact result needs 15984 bits, more than"):
+        replay(script)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_effective_alpha_zero_without_trades():
