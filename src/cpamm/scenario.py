@@ -18,13 +18,13 @@ The replay reads events as records, not as event objects.  A record is a
 plain tuple ``(handler, t, *fields)``: the ``_Replay`` method that applies
 the event, then the event's dataclass fields in declaration order, so a
 trade is ``(_Replay._trade, t, direction, amount_in, max_spread)``.  Two
-plain conversions build records, each one branch per event kind:
-``_parse_event`` for a JSON event, as soon as the decoder finishes it (so a
-script is never held as dicts), and ``_record`` for a public event object,
-as the replay reaches it in :func:`run_scenario` and
-:func:`measure_effective_alpha`.  :func:`load_script` builds event objects
-from records through ``_KINDS``; ``cpamm run-scenario`` replays the records
-of a file without building an event object.
+plain conversions build records, each one branch per event kind that
+checks every field: ``_parse_event`` for a JSON event, as soon as the
+decoder finishes it (so a script is never held as dicts), and ``_record``
+for a public event object, as the replay reaches it in :func:`run_scenario`
+and :func:`measure_effective_alpha`.  :func:`load_script` builds event
+objects from records through ``_KINDS``; ``cpamm run-scenario`` replays the
+records of a file without building an event object.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from itertools import count
+from numbers import Real
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -198,10 +200,6 @@ class _Replay:
     def _snapshot(self, record: tuple) -> None:
         self.snapshots.append(self.take_snapshot(record[2]))
 
-    def _unknown(self, record: tuple) -> None:
-        """The handler of an object that is no event: ``(_unknown, t, object)``."""
-        raise ScriptError(f"unknown event type {type(record[2]).__name__}")
-
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
         # pool_value's expression without its price check: the prices were
         # checked when the replay started and at every move.
@@ -239,24 +237,51 @@ class _Replay:
         return self
 
 
-def _record(event) -> tuple:
-    """The replay record of an event object, its direction coerced to the
-    ``Direction`` member (a plain ``"y2x"`` equals it but is not it).
+def _real(what: str, value) -> None:
+    """Reject a numeric field of an event object that is no number; callers
+    pass floats at once.  An exact number replays as it is, and a boolean is
+    not a number, as in a script."""
+    if value.__class__ is bool or not isinstance(value, Real):
+        raise ScriptError(f"{what}: expected a number, got {type(value).__name__}")
+
+
+def _record(index: int, event) -> tuple:
+    """The replay record of the event object at ``index``, with every field
+    checked: numbers by ``_real``, text by ``_string``, and the direction
+    coerced to its ``Direction`` member (a plain ``"y2x"`` equals it but is
+    not it).
 
     One ``isinstance`` branch per kind, in ``_parse_event``'s order, so an
-    event subclass replays as its base type; any other object fails when
-    the replay reaches it.
+    event subclass replays as its base type.  Records are built as the
+    replay reaches each event, so any other object fails only there.
     """
-    if isinstance(event, Trade):
-        direction = _member(Direction, event.direction, "direction")
-        return _Replay._trade, event.t, direction, event.amount_in, event.max_spread
-    if isinstance(event, PriceMove):
-        return _Replay._move_prices, event.t, event.delta_x, event.delta_y
-    if isinstance(event, CollectFees):
-        return _Replay._collect, event.t, event.provider
-    if isinstance(event, Snapshot):
-        return _Replay._snapshot, event.t, event.label
-    return _Replay._unknown, event.t, event
+    try:
+        if isinstance(event, Trade):
+            amount, spread = event.amount_in, event.max_spread
+            if amount.__class__ is not float:
+                _real("amount_in", amount)
+            if spread is not None and spread.__class__ is not float:
+                _real("max_spread", spread)
+            direction = _member(Direction, event.direction, "direction")
+            record = _Replay._trade, event.t, direction, amount, spread
+        elif isinstance(event, PriceMove):
+            delta_x, delta_y = event.delta_x, event.delta_y
+            if delta_x.__class__ is not float:
+                _real("delta_x", delta_x)
+            if delta_y.__class__ is not float:
+                _real("delta_y", delta_y)
+            record = _Replay._move_prices, event.t, delta_x, delta_y
+        elif isinstance(event, CollectFees):
+            record = _Replay._collect, event.t, _string("provider", event.provider)
+        elif isinstance(event, Snapshot):
+            record = _Replay._snapshot, event.t, _string("label", event.label)
+        else:
+            raise ScriptError(f"unknown event type {type(event).__name__}")
+        if record[1].__class__ is not float:
+            _real("timestamp", record[1])
+        return record
+    except CpammError as err:
+        raise type(err)(f"event {index}: {err}") from err
 
 
 #: The public event type of each replay handler's records.
@@ -281,7 +306,7 @@ def _replay(script: ScenarioScript, records: Iterable[tuple]) -> List[PortfolioS
 
 def run_scenario(script: ScenarioScript) -> List[PortfolioSnapshot]:
     """Apply every event in order; returns all snapshots plus a final one."""
-    return _replay(script, map(_record, script.events))
+    return _replay(script, map(_record, count(), script.events))
 
 
 def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
@@ -294,7 +319,7 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     ``value / (2 sqrt(p_x p_y))`` before normalizing.
     """
     positive(EmptyWindow, "window", window)
-    replay = _Replay(script).run(map(_record, script.events))
+    replay = _Replay(script).run(map(_record, count(), script.events))
     start_liquidity = _geometric_mean(replay.start.reserve_x, replay.start.reserve_y)
     if replay.compound:
         growth = _geometric_mean(replay.x, replay.y) / start_liquidity - 1

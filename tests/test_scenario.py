@@ -600,6 +600,26 @@ def test_an_unknown_event_fails_only_when_the_replay_reaches_it():
         measure_effective_alpha(script, 1.0)
 
 
+@pytest.mark.parametrize("event, message", [
+    (Trade(0.0, Direction.Y_FOR_X, "5"), "amount_in: expected a number, got str"),
+    (Trade(0.0, Direction.Y_FOR_X, True), "amount_in: expected a number, got bool"),
+    (Trade(0.0, Direction.X_FOR_Y, 1.0, "0.1"), "max_spread: expected a number, got str"),
+    (PriceMove(0.0, "2", 1.0), "delta_x: expected a number, got str"),
+    (PriceMove(0.0, 2.0, None), "delta_y: expected a number, got NoneType"),
+    (CollectFees(0.0, ["lp"]), "provider: expected a string, got list"),
+    (Snapshot("0", "a"), "timestamp: expected a number, got str"),
+    (Snapshot(0.0, 5), "label: expected a string, got int"),
+    (object(), "unknown event type object"),
+], ids=["amount-text", "amount-bool", "spread-text", "delta-text", "delta-none",
+        "provider-list", "time-text", "label-int", "no-event"])
+@pytest.mark.parametrize("replay", [run_scenario, lambda script: measure_effective_alpha(script, 1.0)],
+                         ids=["run_scenario", "effective_alpha"])
+def test_a_wrongly_typed_event_object_names_its_index(event, message, replay):
+    with pytest.raises(ScriptError) as err:
+        replay(make_script((Snapshot(0.0, "ok"), event)))
+    assert str(err.value) == f"event 1: {message}"
+
+
 @pytest.mark.parametrize("field, value, what", [
     ("label", None, "NoneType"), ("label", {"a": 1}, "dict"), ("label", 5, "int"),
     ("label", True, "bool"), ("provider", None, "NoneType"), ("provider", ["lp"], "list"),
