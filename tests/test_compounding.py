@@ -194,6 +194,28 @@ def test_implicit_solver_rejects_zero_compounders():
         lc_implicit_solve(params, 1.0)
 
 
+@pytest.mark.parametrize("l_total0", [1.0, 1e-5, 7.3, 1e100])
+@pytest.mark.parametrize("alpha", [0.2, 3.0])
+def test_everyone_compounding_follows_the_linear_closed_form(alpha, l_total0):
+    # L_c = L_c(0) (1 + alpha t): exactly L_c(0) + alpha L0 t at L0 = 1, and
+    # within one ulp of it otherwise.
+    params = RoiParams(frac_compounding=1.0, alpha=alpha, horizon=1.1, l_total0=l_total0)
+    want = params.l_c0 + alpha * l_total0 * 1.1
+    for got in (lc_implicit_solve(params, 1.1), integrate_lc(params).final.l_c):
+        if l_total0 == 1.0:
+            assert got == want
+        else:
+            assert abs(got - want) <= math.ulp(want)
+    assert roi_pair(params, 1.1)[0] == 1 + alpha * 1.1
+
+
+@pytest.mark.parametrize("frac", [1e-3, 0.5, 1.0])
+def test_without_fees_the_compounders_keep_their_liquidity(frac):
+    params = RoiParams(frac_compounding=frac, alpha=0.0, horizon=1.0, l_total0=7.3)
+    assert lc_implicit_solve(params, 1.0) == params.l_c0
+    assert integrate_lc(params).final.l_c == params.l_c0
+
+
 def test_implicit_solver_with_an_underflowed_holdout_liquidity():
     # frac < 1, yet L_nc = (1 - frac) * L0 rounds to 0: the root is L_c0 + alpha L0 t.
     params = RoiParams(frac_compounding=1 - 1e-15, alpha=1e300, horizon=1.0, l_total0=1e-310)

@@ -278,6 +278,13 @@ def test_reserves_from_value():
     assert 1.0 * x == 4.0 * y
 
 
+def test_reserves_from_value_is_exact_on_fractions():
+    # sqrt(p_x * p_y) of a perfect rational square stays a Fraction.
+    got = reserves_from_value(Fraction(8), Fraction(1), Fraction(4))
+    assert got == (4, 1, 2)
+    assert [type(value) for value in got] == [Fraction] * 3
+
+
 @pytest.mark.parametrize("price", [1e200, 1e-200])
 def test_reserves_from_value_at_extreme_prices(price):
     # p_x * p_y leaves float range, but no result does: L = V / (2 * price).
