@@ -238,9 +238,9 @@ class _Replay:
 
 
 def _real(what: str, value) -> None:
-    """Reject a numeric field of an event object that is no number; callers
-    pass floats at once.  An exact number replays as it is, and a boolean is
-    not a number, as in a script."""
+    """Reject a numeric field of an event object that is no number (callers
+    let a float, the common case, past first).  An exact number replays as
+    it is, and a boolean is not a number, as in a script."""
     if value.__class__ is bool or not isinstance(value, Real):
         raise ScriptError(f"{what}: expected a number, got {type(value).__name__}")
 
