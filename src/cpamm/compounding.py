@@ -202,14 +202,18 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
     """
     frac, alpha, l_c0, l_nc = params.frac_compounding, params.alpha, params.l_c0, params.l_nc
     if _is_linear(params):
+        # L_c by fee conservation, L_c(0) + alpha L0 t - F_nc: L_c(0) * u would
+        # overflow where alpha t does and alpha L0 t does not.
+        rate = alpha * params.l_total0
         times = _time_grid(params.horizon, params.step)
-        points = ((t, *_closed_form(params, t)) for t in times)
+        points = ((t, u, l_c0 + (rate * t - f), f)
+                  for t in times for u, f in (_closed_form(params, t),))
     else:
-        points = _trajectory(params, params.horizon)
+        points = ((t, u, l_c0 * u, f) for t, u, f in _trajectory(params, params.horizon))
     return RoiTrajectory(
         samples=tuple(
-            RoiSample(t, l_c0 * u, *_rho(frac, alpha, l_nc, t, u, fees_nc), fees_nc)
-            for t, u, fees_nc in points
+            RoiSample(t, l_c, *_rho(frac, alpha, l_nc, t, u, fees_nc), fees_nc)
+            for t, u, l_c, fees_nc in points
         )
     )
 
@@ -251,7 +255,7 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     target = params.alpha * params.l_total0 * t
     non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", target)
     if _is_linear(params):
-        return params.l_c0 * _closed_form(params, t)[0]
+        return params.l_c0 + target  # the compounders take every fee, or there are none
     return _root(params.l_c0, params.l_nc, target)[0]
 
 

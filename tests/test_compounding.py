@@ -197,16 +197,21 @@ def test_implicit_solver_rejects_zero_compounders():
 @pytest.mark.parametrize("l_total0", [1.0, 1e-5, 7.3, 1e100])
 @pytest.mark.parametrize("alpha", [0.2, 3.0])
 def test_everyone_compounding_follows_the_linear_closed_form(alpha, l_total0):
-    # L_c = L_c(0) (1 + alpha t): exactly L_c(0) + alpha L0 t at L0 = 1, and
-    # within one ulp of it otherwise.
+    # L_c = L_c(0) + alpha L0 t exactly, and rho_c = 1 + alpha t.
     params = RoiParams(frac_compounding=1.0, alpha=alpha, horizon=1.1, l_total0=l_total0)
     want = params.l_c0 + alpha * l_total0 * 1.1
-    for got in (lc_implicit_solve(params, 1.1), integrate_lc(params).final.l_c):
-        if l_total0 == 1.0:
-            assert got == want
-        else:
-            assert abs(got - want) <= math.ulp(want)
+    assert lc_implicit_solve(params, 1.1) == want
+    assert integrate_lc(params).final.l_c == want
     assert roi_pair(params, 1.1)[0] == 1 + alpha * 1.1
+
+
+def test_everyone_compounding_keeps_a_finite_liquidity_where_alpha_t_overflows():
+    # alpha t = 1e310 leaves float range; alpha L0 t = 1e10 does not.
+    params = RoiParams(frac_compounding=1.0, alpha=1e300, horizon=1e10, l_total0=1e-300, step=1e9)
+    assert lc_implicit_solve(params, 1e10) == 1e10
+    samples = integrate_lc(params).samples
+    assert samples[-1].l_c == 1e10
+    assert [s.l_c for s in samples] == [1e-300 + 1e300 * 1e-300 * s.t for s in samples]
 
 
 @pytest.mark.parametrize("frac", [1e-3, 0.5, 1.0])
