@@ -284,7 +284,7 @@ def test_malformed_script_exits_1(capsys, tmp_path, doc):
 def test_deeply_nested_script_exits_1(capsys, tmp_path):
     path = tmp_path / "script.json"
     path.write_text('{"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}, '
-                    f'"note": {"[" * 5000}{"]" * 5000}}}')
+                    f'"note": {"[" * 100_000}{"]" * 100_000}}}')
     code, out, err = run_cli(capsys, "run-scenario", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
