@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Container, List, Optional, Sequence, Tuple
 
@@ -184,12 +185,25 @@ def _cmd_emit_figure(args: argparse.Namespace) -> None:
         if value is not None:
             overrides[name] = value
     spec = figures.default_figure_spec(args.figure, **overrides)
-    text = figures.emit_figure(spec)
-    if args.out:
+    # Every chunk is checked before the first is written, and each is encoded
+    # on its own, so neither the joined text nor its bytes ever exist whole.
+    chunks = figures._figure_chunks(spec)
+    if not args.out:
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early, as ``| head`` does.  What it read is
+            # right, so end quietly, with what is still buffered sent nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+            handle.writelines(chunks)
+    except OSError as err:
+        raise InputError(f"cannot write figure: {err}") from err
 
 
 #: Every command; ``main`` gives arguments only to the one its argv names.

@@ -29,13 +29,18 @@ to displayed precision (20.02 and 18.2).  Pass exact simulator output to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import islice, tee
+from typing import Iterator, List, Tuple
 
 from . import analytics, compounding
 from .errors import DomainError, non_negative, positive, unit_interval
 
 #: Most grid points one figure may have: well under a second of work.
 MAX_FIGURE_ROWS = 10**6
+
+#: Rows joined and checked at a time: about 76 kB of four-column rows, so
+#: the whole figure is never held twice.
+_CHUNK_LINES = 1024
 
 
 def _item(value):
@@ -79,11 +84,16 @@ class FigureSpec:
             raise DomainError(f"{count} grid points is more than {MAX_FIGURE_ROWS}")
 
     def grid_points(self) -> List[float]:
-        lo, hi, count = self.domain_grid
-        step = (hi - lo) / (count - 1)
-        points = [lo + i * step for i in range(count)]
-        points[-1] = hi
-        return points
+        return list(_grid(self))
+
+
+def _grid(spec: FigureSpec) -> Iterator[float]:
+    """The grid points one at a time, the last exactly ``hi``."""
+    lo, hi, count = spec.domain_grid
+    step = (hi - lo) / (count - 1)
+    for i in range(count - 1):
+        yield lo + i * step
+    yield hi
 
 
 def default_figure_spec(figure_id: str, **overrides) -> FigureSpec:
@@ -100,52 +110,52 @@ def _price_rows(spec: FigureSpec):
     ``FigureSpec`` keeps both grid ends' price factors in (0, inf) and the
     grid is monotone, so every ``delta_y`` is in range too.
     """
-    return ((pct, 1.0 + pct / 100.0) for pct in map(float, spec.grid_points()))
+    return ((pct, 1.0 + pct / 100.0) for pct in map(float, _grid(spec)))
 
 
-def _emit_il_one_coin(spec: FigureSpec) -> Tuple[str, List[str]]:
+def _emit_il_one_coin(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
     il = analytics._il
-    lines = [f"{pct!r},{il(1.0, dy)[2] * 100.0!r}" for pct, dy in _price_rows(spec)]
+    lines = (f"{pct!r},{il(1.0, dy)[2] * 100.0!r}" for pct, dy in _price_rows(spec))
     return "price_change_pct,il_pct", lines
 
 
-def _emit_portfolio_one_coin(spec: FigureSpec) -> Tuple[str, List[str]]:
+def _emit_portfolio_one_coin(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
     il = analytics._il
-    lines = [
+    lines = (
         f"{pct!r},{v_held * 100.0!r},{v_pooled * 100.0!r}"
         for pct, dy in _price_rows(spec)
         for v_pooled, v_held, _ in [il(1.0, dy)]
-    ]
+    )
     return "price_change_pct,not_investing,providing_liquidity", lines
 
 
-def _fee_model_rows(spec: FigureSpec, growth_c: float, growth_nc: float) -> List[str]:
+def _fee_model_rows(spec: FigureSpec, growth_c: float, growth_nc: float) -> Iterator[str]:
     """Held, compounded and collected lines; ``growth_c`` and ``growth_nc``
     are the ``alpha * t`` of the last two curves."""
     held, compounded, collected = analytics._held, analytics._compounded, analytics._collected
-    return [
+    return (
         f"{pct!r},{held(1.0, dy) * 100.0!r},{compounded(1.0, dy, growth_c) * 100.0!r},"
         f"{collected(1.0, dy, growth_nc) * 100.0!r}"
         for pct, dy in _price_rows(spec)
-    ]
+    )
 
 
-def _emit_fee_model_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
+def _emit_fee_model_comparison(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
     growth = spec.alpha * spec.t
     return "price_change_pct,not_investing,uniswap_v2,beaker", _fee_model_rows(spec, growth, growth)
 
 
-def _emit_roi_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
+def _emit_roi_comparison(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
     params = compounding.RoiParams(spec.frac_compounding, spec.alpha, horizon=spec.domain_grid[1])
-    times = spec.grid_points()
-    lines = [
+    times, solved = tee(_grid(spec))  # zip keeps the two in step: tee holds one point
+    lines = (
         f"{t!r},{(rho_c - 1.0) * 100.0!r},{(rho_nc - 1.0) * 100.0!r}"
-        for t, (rho_c, rho_nc) in zip(map(float, times), compounding._roi_series(params, times))
-    ]
+        for t, (rho_c, rho_nc) in zip(map(float, times), compounding._roi_series(params, solved))
+    )
     return "time,compounding,not_compounding", lines
 
 
-def _emit_corrected_comparison(spec: FigureSpec) -> Tuple[str, List[str]]:
+def _emit_corrected_comparison(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
     # The fee-model comparison with alpha * t replaced by the one-year ROIs.
     growth_c, growth_nc = spec.roi_compounding_pct / 100, spec.roi_not_compounding_pct / 100
     header = "price_change_pct,not_investing,compounding,not_compounding"
@@ -163,17 +173,31 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
+def _figure_chunks(spec: FigureSpec) -> List[str]:
+    """The figure's CSV text in pieces that concatenate to it: the header
+    line, then up to ``_CHUNK_LINES`` rows each.  Every row is checked
+    before the list is returned, so a caller that writes the pieces writes
+    all of the figure or none of it."""
+    header, lines = _FIGURES[spec.figure_id][1](spec)
+    chunks = [header + "\n"]
+    done = 0
+    while block := list(islice(lines, _CHUNK_LINES)):
+        block.append("")
+        chunk = "\n".join(block)
+        # Of all float reprs only "inf" and "nan" hold an "n".
+        bad = chunk.find("n")
+        if bad >= 0:
+            row = done + chunk.count("\n", 0, bad)
+            raise DomainError(f"{spec.figure_id} leaves float range at x = {spec.grid_points()[row]}")
+        chunks.append(chunk)
+        done += len(block) - 1
+    return chunks
+
+
 def emit_figure(spec: FigureSpec) -> str:
     """Render the figure described by ``spec`` as a CSV string.
 
     A value beyond float range raises ``DomainError`` instead, so no figure
     ever holds ``inf`` or ``nan``.
     """
-    header, lines = _FIGURES[spec.figure_id][1](spec)
-    text = "\n".join([header, *lines, ""])
-    # Of all float reprs only "inf" and "nan" hold an "n", and the header is skipped.
-    bad = text.find("n", len(header))
-    if bad >= 0:
-        row = text.count("\n", 0, bad) - 1
-        raise DomainError(f"{spec.figure_id} leaves float range at x = {spec.grid_points()[row]}")
-    return text
+    return "".join(_figure_chunks(spec))

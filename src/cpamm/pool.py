@@ -42,6 +42,7 @@ passes ``MAX_EXACT_BITS``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -215,7 +216,13 @@ def create_pool(
     positive(NonPositiveReserve, "initial reserves", x0, y0)
     non_negative(InvalidFee, "fee rate", fee_rate, below=1)
     fee_model = _member(FeeModel, fee_model, "fee model")
-    shares = _sqrt(x0 * y0)
+    product = x0 * y0
+    # A float product below the normal range has lost bits that its root keeps.
+    if isinstance(product, float) and product < sys.float_info.min:
+        raise NonPositiveReserve(
+            f"initial reserve product x0 * y0 must be a normal float, got {product!r}"
+        )
+    shares = _sqrt(product)
     positive(NonPositiveReserve, "initial liquidity sqrt(x0 * y0)", shares)
     return PoolState(
         reserve_x=x0,

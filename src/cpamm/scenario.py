@@ -408,14 +408,14 @@ def _read_script(
 ) -> Tuple[ScenarioScript, List[tuple]]:
     """A script file's header (a script with no events) and its events as
     replay records, all checked before anything replays."""
-    if isinstance(source, io.TextIOBase):
-        raw = source.read()
-    else:
-        try:
+    try:
+        if isinstance(source, io.TextIOBase):
+            raw = source.read()
+        else:
             with open(source, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-        except OSError as err:
-            raise ScriptError(f"cannot read script: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScriptError(f"cannot read script: {err}") from err
     # The decoder hands each JSON object to ``record`` as soon as it is
     # complete, so a well-formed script's events never exist as dicts.  It
     # cannot tell an event from any other object with a ``type``, nor where
@@ -442,7 +442,8 @@ def _read_script(
                 and {*map(type, records)} <= {tuple}):
             doc = records = None  # released before the second decode
             doc = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as err:
+    # A ValueError is a JSONDecodeError or an integer past the digit limit.
+    except (ValueError, RecursionError) as err:
         raise ScriptError(f"invalid JSON: {err}") from err
     del raw
     try:

@@ -5,9 +5,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from cpamm import (
     InternalError,
     NoConvergence,
     cli,
+    figures,
     load_script,
     run_scenario,
     snapshots_to_csv,
@@ -195,6 +200,55 @@ def test_emit_figure_stdout_and_file(capsys, tmp_path):
     assert code == 0
     assert out2 == ""
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_emit_figure_chunks_render_the_whole_text(capsys, tmp_path, figure_id, count):
+    # Counts on each side of the chunk size: stdout, the file and emit_figure
+    # all equal the rows joined at once.
+    spec = figures.default_figure_spec(figure_id, domain_grid=(0.0, 150.0, count))
+    header, lines = figures._FIGURES[figure_id][1](spec)
+    whole = "\n".join([header, *lines, ""])
+    assert figures.emit_figure(spec) == whole
+    argv = ["emit-figure", "--figure", figure_id, "--grid-min", "0", "--grid-max", "150",
+            "--count", str(count)]
+    assert run_cli(capsys, *argv) == (0, whole, "")
+    target = tmp_path / "fig.csv"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == whole.encode()
+
+
+def test_emit_figure_into_a_pipe_closed_early_ends_quietly():
+    # Far more than a pipe holds, and the reader leaves after one line, as
+    # ``| head -1`` does: the rest of the chunks meet a broken pipe.
+    path = os.environ.get("PYTHONPATH")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = ["emit-figure", "--figure", "il_one_coin", "--count", "100000"]
+    with subprocess.Popen([sys.executable, "-m", "cpamm.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"price_change_pct,il_pct\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        assert (code, proc.stderr.read()) == (0, b"")
+
+
+def test_emit_figure_to_a_file_holds_about_one_copy_of_its_text(tmp_path):
+    target = tmp_path / "fig.csv"
+    argv = ["emit-figure", "--figure", "fee_model_comparison", "--count", "20000",
+            "--out", str(target)]
+    assert main(argv) == 0  # loads every module the measured call uses
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A list of all rows, their joined text and its encoding peaked at 2.9
+    # times the file; checked chunks of rows computed as they are joined
+    # take the text once, plus one chunk.
+    assert peak <= 1.3 * target.stat().st_size
 
 
 def test_emit_figure_is_deterministic(capsys):
@@ -480,6 +534,46 @@ def test_non_finite_figure_row_is_named_and_no_file_is_written(capsys, tmp_path,
     assert (code, out) == (1, "")
     assert err == f"error: {extra[1]} leaves float range at x = {x}\n"
     assert not target.exists()
+
+
+def test_non_finite_row_past_the_first_chunk_is_named_and_nothing_is_written(capsys, tmp_path):
+    # About row 2,776 of 5,000: the first two chunks of 1,024 rows are finite.
+    argv = ["emit-figure", "--figure", "fee_model_comparison", "--alpha", "1.7e306",
+            "--grid-min", "-99", "--grid-max", "100", "--count", "5000"]
+    err = "error: fee_model_comparison leaves float range at x = 11.506901380276048\n"
+    assert run_cli(capsys, *argv) == (1, "", err)
+    target = tmp_path / "fig.csv"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (1, "", err)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("place", ["missing directory", "directory"])
+def test_figure_that_cannot_be_written_exits_1(capsys, tmp_path, place):
+    target = tmp_path / "missing" / "fig.csv" if place == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, "emit-figure", "--figure", "il_one_coin", "--out", str(target))
+    assert_rejected(code, out, err)
+    assert err.startswith("error: cannot write figure: [Errno ")
+    # The figure is checked first, so a non-finite one is reported as such.
+    code, out, err = run_cli(capsys, "emit-figure", "--figure", "fee_model_comparison",
+                             "--alpha", "1e308", "--out", str(target))
+    assert_rejected(code, out, err)
+    assert "leaves float range" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}, "provider": "\xff"}',
+     "error: cannot read script: 'utf-8' codec"),
+    (b'{"pool": {"x": ' + b"1" * 5000 + b', "y": 10}, "prices": {"p_x": 1, "p_y": 1}}',
+     "error: invalid JSON: Exceeds the limit"),
+], ids=["not utf-8", "past the digit limit"])
+def test_unreadable_script_exits_1(capsys, tmp_path, content, message):
+    if message.startswith("error: invalid JSON") and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    path = tmp_path / "script.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "run-scenario", str(path))
+    assert_rejected(code, out, err)
+    assert err.startswith(message)
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

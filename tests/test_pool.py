@@ -55,6 +55,17 @@ def test_create_pool_mints_geometric_mean_shares():
     assert liquidity_of(pool) == 6
 
 
+def test_create_pool_keeps_every_bit_of_its_shares():
+    # A float product below the normal range would lose bits (1e-160 squared
+    # minted 9.99994433575849e-161); a normal one or an exact one keeps them.
+    assert create_pool(100.0, 100.0).total_shares == 100.0
+    assert create_pool(2.0**-511, 2.0**-511).total_shares == 2.0**-511
+    with pytest.raises(NonPositiveReserve, match="normal float, got 1.1125369292536007e-308"):
+        create_pool(2.0**-512, 2.0**-511)
+    tiny = Fraction(1, 10**200)
+    assert create_pool(tiny, tiny).total_shares == tiny
+
+
 def test_create_pool_rejects_bad_inputs():
     with pytest.raises(NonPositiveReserve):
         create_pool(0, 100)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -242,6 +243,31 @@ def test_load_script_rejects_garbage():
     }
     with pytest.raises(ScriptError, match="event 0"):
         load_script(io.StringIO(json.dumps(missing_field)))
+
+
+def _load_bytes(tmp_path, data, as_stream):
+    path = tmp_path / "script.json"
+    path.write_bytes(data)
+    if not as_stream:
+        return load_script(path)
+    with open(path, encoding="utf-8") as stream:
+        return load_script(stream)
+
+
+@pytest.mark.parametrize("as_stream", [False, True])
+def test_script_that_is_not_utf8_cannot_be_read(tmp_path, as_stream):
+    data = b'{"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}, "provider": "\xff"}'
+    with pytest.raises(ScriptError, match="^cannot read script: 'utf-8' codec can't decode"):
+        _load_bytes(tmp_path, data, as_stream)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no integer digit limit")
+@pytest.mark.parametrize("as_stream", [False, True])
+def test_integer_past_the_digit_limit_is_invalid_json(tmp_path, as_stream):
+    data = b'{"pool": {"x": ' + b"1" * 5000 + b', "y": 10}, "prices": {"p_x": 1, "p_y": 1}}'
+    with pytest.raises(ScriptError, match="^invalid JSON: Exceeds the limit"):
+        _load_bytes(tmp_path, data, as_stream)
 
 
 def test_csv_shape_and_determinism():

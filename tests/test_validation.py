@@ -108,6 +108,7 @@ REJECTED = {
     "create_pool nan fee": (InvalidFee, lambda: create_pool(1, 1, fee_rate=NAN)),
     "create_pool liquidity overflow": (NonPositiveReserve, lambda: create_pool(1e200, 1e200)),
     "create_pool liquidity underflow": (NonPositiveReserve, lambda: create_pool(1e-200, 1e-200)),
+    "create_pool subnormal product": (NonPositiveReserve, lambda: create_pool(1e-160, 1e-160)),
     "quote inf": (NonPositiveAmount, lambda: quote(POOL, Direction.Y_FOR_X, INF)),
     "quote nan": (NonPositiveAmount, lambda: quote(POOL, Direction.X_FOR_Y, NAN)),
     "pool_value nan": (NonPositivePrice, lambda: pool_value(POOL, NAN, 1)),
