@@ -14,12 +14,15 @@ Subcommands::
 Scalar results print as ``key=value`` lines; tabular results print as CSV.
 Amounts and reserves accept plain decimals or exact fractions like ``1/3``;
 fractional inputs keep the whole computation exact.  Exit status is 1 for
-rejected input, 2 for usage errors, 3 for internal failures.
+rejected input or output that cannot be written, 2 for usage errors, 3 for
+internal failures.  A reader that stops early, as ``| head`` does, ends the
+command quietly with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -41,13 +44,13 @@ def _num(text: str) -> pool.Numeric:
     return float(text)
 
 
-def _print_pairs(pairs: Sequence[Tuple[str, object]]) -> None:
-    """Print ``key=value`` lines, or nothing if a float result is not finite."""
+def _pairs(pairs: Sequence[Tuple[str, object]]) -> List[str]:
+    """The ``key=value`` lines to print, unless a float result is not finite."""
     for key, value in pairs:
         # Only floats: math.isfinite would overflow converting a huge Fraction.
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{key} = {value} leaves float range")
-    print("\n".join(f"{key}={value!s}" for key, value in pairs))
+    return ["".join(f"{key}={value!s}\n" for key, value in pairs)]
 
 
 def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> None:
@@ -84,19 +87,19 @@ def _quote_pairs(receipt: pool.SwapReceipt) -> List[Tuple[str, object]]:
     return list(values.items())
 
 
-def _cmd_quote(args: argparse.Namespace) -> None:
+def _cmd_quote(args: argparse.Namespace) -> List[str]:
     state = pool.create_pool(args.x, args.y, fee_rate=args.fee)
     receipt = pool.quote(state, pool.Direction(args.direction), args.amount, args.max_spread)
-    _print_pairs(_quote_pairs(receipt))
+    return _pairs(_quote_pairs(receipt))
 
 
-def _cmd_swap(args: argparse.Namespace) -> None:
+def _cmd_swap(args: argparse.Namespace) -> List[str]:
     fee_model = args.fee_model or pool.FeeModel.AUTO_COMPOUND
     state = pool.create_pool(args.x, args.y, fee_rate=args.fee, fee_model=fee_model)
     state, receipt = pool.execute_swap(
         state, pool.Direction(args.direction), args.amount, args.max_spread
     )
-    _print_pairs(
+    return _pairs(
         _quote_pairs(receipt)
         + [
             ("new_x", state.reserve_x),
@@ -108,9 +111,9 @@ def _cmd_swap(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_pool_info(args: argparse.Namespace) -> None:
+def _cmd_pool_info(args: argparse.Namespace) -> List[str]:
     state = pool.create_pool(args.x, args.y)
-    _print_pairs(
+    return _pairs(
         [
             ("rate", pool.rate_of(state)),
             ("liquidity", pool.liquidity_of(state)),
@@ -119,7 +122,7 @@ def _cmd_pool_info(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_il(args: argparse.Namespace) -> None:
+def _cmd_il(args: argparse.Namespace) -> List[str]:
     prices = analytics.PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
     report = analytics.impermanent_loss(prices)
     pairs: List[Tuple[str, object]] = [
@@ -131,13 +134,13 @@ def _cmd_il(args: argparse.Namespace) -> None:
     if args.replay_check:
         replay = analytics.il_brute_force(prices, pool.create_pool(100.0, 100.0))
         pairs.append(("loss_replay", replay.relative_loss))
-    _print_pairs(pairs)
+    return _pairs(pairs)
 
 
-def _cmd_evolve(args: argparse.Namespace) -> None:
+def _cmd_evolve(args: argparse.Namespace) -> List[str]:
     prices = analytics.PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
     growth = analytics.GrowthParams(alpha=args.alpha, t=args.t)
-    _print_pairs(
+    return _pairs(
         [
             ("hold", analytics.hold_value_relative(prices)),
             ("auto_compound", analytics.relative_evolution_compounded(prices, growth)),
@@ -146,7 +149,7 @@ def _cmd_evolve(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_roi(args: argparse.Namespace) -> None:
+def _cmd_roi(args: argparse.Namespace) -> List[str]:
     params = compounding.RoiParams(
         frac_compounding=args.frac,
         alpha=args.alpha,
@@ -154,7 +157,7 @@ def _cmd_roi(args: argparse.Namespace) -> None:
         step=args.step,
     )
     rho_c, rho_nc = compounding.roi_pair(params, args.t, method=args.method)
-    _print_pairs(
+    return _pairs(
         [
             ("rho_c", rho_c),
             ("rho_nc", rho_nc),
@@ -164,11 +167,11 @@ def _cmd_roi(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_run_scenario(args: argparse.Namespace) -> None:
-    print(scenario.snapshots_to_csv(scenario._run_script_file(args.script)), end="")
+def _cmd_run_scenario(args: argparse.Namespace) -> List[str]:
+    return [scenario.snapshots_to_csv(scenario._run_script_file(args.script))]
 
 
-def _cmd_emit_figure(args: argparse.Namespace) -> None:
+def _cmd_emit_figure(args: argparse.Namespace) -> List[str]:
     overrides = {}
     if args.grid_min is not None or args.grid_max is not None or args.count is not None:
         base = figures.default_figure_spec(args.figure).domain_grid
@@ -189,21 +192,13 @@ def _cmd_emit_figure(args: argparse.Namespace) -> None:
     # on its own, so neither the joined text nor its bytes ever exist whole.
     chunks = figures._figure_chunks(spec)
     if not args.out:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader stopped early, as ``| head`` does.  What it read is
-            # right, so end quietly, with what is still buffered sent nowhere.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        return
+        return chunks
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(chunks)
     except OSError as err:
         raise InputError(f"cannot write figure: {err}") from err
+    return []
 
 
 #: Every command; ``main`` gives arguments only to the one its argv names.
@@ -290,13 +285,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = next((arg for arg in argv if arg in _COMMANDS), None)
     args = build_parser((command,)).parse_args(argv)
     try:
-        args.func(args)
+        output = args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except InternalError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
+    try:
+        sys.stdout.writelines(output)
+        sys.stdout.flush()
+    except OSError as err:
+        # A closed pipe means the reader stopped early, as ``| head`` does:
+        # what it read is right, so end quietly.
+        broken = isinstance(err, BrokenPipeError)
+        if not broken:
+            print(f"error: cannot write output: {err}", file=sys.stderr)
+        # What is still buffered would fail again when the interpreter
+        # flushes stdout at exit, so send it nowhere.
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except io.UnsupportedOperation:  # a stream with no descriptor
+            pass
+        return 0 if broken else 1
     return 0
 
 

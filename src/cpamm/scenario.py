@@ -14,17 +14,25 @@ closed-form impermanent loss for the cumulative deltas.
 Scripts load from JSON files; the schema is documented in the README and in
 :func:`load_script`.
 
-The replay reads events as records, not as event objects.  A record is a
-plain tuple ``(handler, t, *fields)``: the ``_Replay`` method that applies
-the event, then the event's dataclass fields in declaration order, so a
-trade is ``(_Replay._trade, t, direction, amount_in, max_spread)``.  Two
-plain conversions build records, each one branch per event kind that
-checks every field: ``_parse_event`` for a JSON event, as soon as the
-decoder finishes it (so a script is never held as dicts), and ``_record``
-for a public event object, as the replay reaches it in :func:`run_scenario`
-and :func:`measure_effective_alpha`.  :func:`load_script` builds event
-objects from records through ``_KINDS``; ``cpamm run-scenario`` replays the
-records of a file without building an event object.
+The replay reads events as records, not as event objects.  A record is
+``(kind, t, a, b)``: a small integer ``kind``, the timestamp and two
+fields.  A trade's kind carries its direction and whether it has a spread
+cap (the ``_SELLS_X`` and ``_CAPPED`` bits of kinds 0 to 3), ``a`` is its
+amount and ``b`` its cap; a price move (kind 4) holds ``delta_x`` and
+``delta_y``; a fee collection (5) and a snapshot (6) hold the provider or
+label in ``a``.  Unused fields are 0.0.  Two plain conversions build
+records, each one branch per event kind that checks every field:
+``_parse_event`` for a JSON event, as soon as the decoder finishes it (so a
+script is never held as dicts), and ``_record`` for a public event object,
+as the replay reaches it in :func:`run_scenario` and
+:func:`measure_effective_alpha`.
+
+A script file's records are packed, each into 25 bytes of ``_RECORD``
+(``struct`` format ``<Bddd``) in one ``bytearray``; a packed record's ``a``
+indexes a side list of texts where a plain one holds the text.  Floats
+round-trip exactly through ``d``.  ``cpamm run-scenario`` replays the
+packed records as ``struct.iter_unpack`` reads them back, without building
+an event object, and :func:`load_script` builds event objects from them.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import io
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, fields, replace
 from itertools import count
 from numbers import Real
@@ -92,7 +101,16 @@ class Snapshot:
 Event = Union[Trade, PriceMove, CollectFees, Snapshot]
 
 _Y_FOR_X = Direction.Y_FOR_X
+_X_FOR_Y = Direction.X_FOR_Y
 _INF = math.inf
+
+#: Record kinds (see the module docstring): a trade is 0 to 3, its two bits
+#: flagging a cap and the side sold.
+_CAPPED, _SELLS_X, _MOVE, _COLLECT, _SNAPSHOT = 1, 2, 4, 5, 6
+#: The trade kind of each direction, uncapped; a ``str`` value looks up too.
+_TRADE_KINDS = {_Y_FOR_X: 0, _X_FOR_Y: _SELLS_X}
+#: One packed record: kind, t, a, b.
+_RECORD = struct.Struct("<Bddd")
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,9 +155,8 @@ class _Replay:
     ``PoolState`` is built after ``start``, the opening pool.  Scripts have
     one provider and no deposits, so the share ledger stays ``start``'s.
 
-    :meth:`run` reads records (see the module docstring): each handler
-    takes the whole record and unpacks the fields it needs, so a record
-    costs one tuple and the dispatch one call.
+    :meth:`run` reads records (see the module docstring) and hands each to
+    the handler of its kind with its fields, so the dispatch is one call.
     """
 
     def __init__(self, script: ScenarioScript):
@@ -165,21 +182,21 @@ class _Replay:
         self.collected_y: Numeric = 0
         self.snapshots: List[PortfolioSnapshot] = []
 
-    def _trade(self, record: tuple) -> None:
-        _, _, direction, amount, cap = record
-        if direction is _Y_FOR_X:
-            self.y, self.x, self.fees_y, _, _, _, _ = _swap(
-                self.y, self.x, self.fees_y, self.phi, amount, cap, True, self.compound
-            )
-        else:
+    def _trade(self, kind: int, amount: Numeric, cap: Numeric) -> None:
+        if not kind & _CAPPED:
+            cap = None
+        if kind & _SELLS_X:
             self.x, self.y, self.fees_x, _, _, _, _ = _swap(
                 self.x, self.y, self.fees_x, self.phi, amount, cap, False, self.compound
+            )
+        else:
+            self.y, self.x, self.fees_y, _, _, _, _ = _swap(
+                self.y, self.x, self.fees_y, self.phi, amount, cap, True, self.compound
             )
         if self.x.__class__ is not float:  # an exact replay: bound its size
             _bounded(self.x, self.y, self.fees_x, self.fees_y)
 
-    def _move_prices(self, record: tuple) -> None:
-        _, _, delta_x, delta_y = record
+    def _move_prices(self, kind: int, delta_x: Numeric, delta_y: Numeric) -> None:
         self.p_x = p_x = self.p_x * delta_x
         self.p_y = p_y = self.p_y * delta_y
         # A delta outside (0, inf), or a product that leaves float range, fails
@@ -188,8 +205,13 @@ class _Replay:
             positive(ScriptError, "prices after the move", p_x, p_y)
         self.x, self.y = _arbitrage(self.x, self.y, p_y / p_x)
 
-    def _collect(self, record: tuple) -> None:
-        share = self.start.share_ledger.get(record[2], 0) / self.start.total_shares
+    def _text(self, text) -> str:
+        """A provider or label: a plain record holds it, a packed one
+        indexes ``texts``."""
+        return text if self.texts is None else self.texts[int(text)]
+
+    def _collect(self, kind: int, provider, _) -> None:
+        share = self.start.share_ledger.get(self._text(provider), 0) / self.start.total_shares
         take_x = self.fees_x * share
         take_y = self.fees_y * share
         self.collected_x = self.collected_x + take_x
@@ -197,8 +219,11 @@ class _Replay:
         self.fees_x = self.fees_x - take_x
         self.fees_y = self.fees_y - take_y
 
-    def _snapshot(self, record: tuple) -> None:
-        self.snapshots.append(self.take_snapshot(record[2]))
+    def _snapshot(self, kind: int, label, _) -> None:
+        self.snapshots.append(self.take_snapshot(self._text(label)))
+
+    #: The handler of each record kind.
+    _handlers = (_trade, _trade, _trade, _trade, _move_prices, _collect, _snapshot)
 
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
         # pool_value's expression without its price check: the prices were
@@ -220,10 +245,13 @@ class _Replay:
             p_y=self.p_y,
         )
 
-    def run(self, records: Iterable[tuple]) -> "_Replay":
+    def run(self, records: Iterable[tuple], texts: Optional[List[str]] = None) -> "_Replay":
+        """Replay ``records``: plain ones, or packed ones read back, whose
+        providers and labels are indexes into ``texts``."""
+        self.texts = texts
+        handlers = self._handlers
         now = self.t
-        for index, record in enumerate(records):
-            t = record[1]
+        for index, (kind, t, a, b) in enumerate(records):
             # A chained comparison, so a NaN timestamp fails it too.
             if not now <= t < _INF:
                 raise ScriptError(
@@ -231,7 +259,7 @@ class _Replay:
                 )
             self.t = now = t
             try:
-                record[0](self, record)
+                handlers[kind](self, kind, a, b)
             except CpammError as err:
                 raise type(err)(f"event {index}: {err}") from err
         return self
@@ -262,19 +290,22 @@ def _record(index: int, event) -> tuple:
                 _real("amount_in", amount)
             if spread is not None and spread.__class__ is not float:
                 _real("max_spread", spread)
-            direction = _member(Direction, event.direction, "direction")
-            record = _Replay._trade, event.t, direction, amount, spread
+            kind = _TRADE_KINDS[_member(Direction, event.direction, "direction")]
+            if spread is None:
+                record = kind, event.t, amount, 0.0
+            else:
+                record = kind | _CAPPED, event.t, amount, spread
         elif isinstance(event, PriceMove):
             delta_x, delta_y = event.delta_x, event.delta_y
             if delta_x.__class__ is not float:
                 _real("delta_x", delta_x)
             if delta_y.__class__ is not float:
                 _real("delta_y", delta_y)
-            record = _Replay._move_prices, event.t, delta_x, delta_y
+            record = _MOVE, event.t, delta_x, delta_y
         elif isinstance(event, CollectFees):
-            record = _Replay._collect, event.t, _string("provider", event.provider)
+            record = _COLLECT, event.t, _string("provider", event.provider), 0.0
         elif isinstance(event, Snapshot):
-            record = _Replay._snapshot, event.t, _string("label", event.label)
+            record = _SNAPSHOT, event.t, _string("label", event.label), 0.0
         else:
             raise ScriptError(f"unknown event type {type(event).__name__}")
         if record[1].__class__ is not float:
@@ -284,22 +315,21 @@ def _record(index: int, event) -> tuple:
         raise type(err)(f"event {index}: {err}") from err
 
 
-#: The public event type of each replay handler's records.
-_KINDS = {
-    _Replay._trade: Trade,
-    _Replay._move_prices: PriceMove,
-    _Replay._collect: CollectFees,
-    _Replay._snapshot: Snapshot,
-}
-
-
 def _event(record: tuple) -> Event:
-    """The public event object of a record."""
-    return _KINDS[record[0]](*record[1:])
+    """The public event object of a plain record."""
+    kind, t, a, b = record
+    if kind < _MOVE:
+        direction = _X_FOR_Y if kind & _SELLS_X else _Y_FOR_X
+        return Trade(t, direction, a, b if kind & _CAPPED else None)
+    if kind == _MOVE:
+        return PriceMove(t, a, b)
+    return CollectFees(t, a) if kind == _COLLECT else Snapshot(t, a)
 
 
-def _replay(script: ScenarioScript, records: Iterable[tuple]) -> List[PortfolioSnapshot]:
-    replay = _Replay(script).run(records)
+def _replay(
+    script: ScenarioScript, records: Iterable[tuple], texts: Optional[List[str]] = None
+) -> List[PortfolioSnapshot]:
+    replay = _Replay(script).run(records, texts)
     replay.snapshots.append(replay.take_snapshot("final"))
     return replay.snapshots
 
@@ -334,7 +364,6 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
 # -- script files ---------------------------------------------------------
 
 _EVENT_KINDS = {"trade", "price_move", "collect_fees", "snapshot"}
-_DIRECTIONS = {member.value: member for member in Direction}
 
 
 def _number(value) -> float:
@@ -358,7 +387,7 @@ def _json_object(what: str, value) -> dict:
 
 
 def _parse_event(index: int, raw: dict) -> tuple:
-    """The replay record of one JSON event, with every field checked.
+    """The plain replay record of one JSON event, with every field checked.
 
     A JSON float is already what ``_number`` would return, so only other
     values go through it.
@@ -377,16 +406,18 @@ def _parse_event(index: int, raw: dict) -> tuple:
         if kind == "trade":
             direction = raw["direction"]
             try:
-                direction = _DIRECTIONS[direction]
+                kind = _TRADE_KINDS[direction]
             except (KeyError, TypeError):
-                direction = Direction(direction)  # raises the enum's own error
+                kind = _TRADE_KINDS[Direction(direction)]  # raises the enum's own error
             spread = raw.get("max_spread")
             amount = raw["amount"]
             if amount.__class__ is not float:
                 amount = _number(amount)
-            if spread is not None and spread.__class__ is not float:
+            if spread is None:
+                return kind, t, amount, 0.0
+            if spread.__class__ is not float:
                 spread = _number(spread)
-            return _Replay._trade, t, direction, amount, spread
+            return kind | _CAPPED, t, amount, spread
         if kind == "price_move":
             delta_x = raw["delta_x"]
             if delta_x.__class__ is not float:
@@ -394,20 +425,26 @@ def _parse_event(index: int, raw: dict) -> tuple:
             delta_y = raw["delta_y"]
             if delta_y.__class__ is not float:
                 delta_y = _number(delta_y)
-            return _Replay._move_prices, t, delta_x, delta_y
+            return _MOVE, t, delta_x, delta_y
         if kind == "collect_fees":
-            return _Replay._collect, t, _string("provider", raw["provider"])
+            return _COLLECT, t, _string("provider", raw["provider"]), 0.0
         label = _string("label", raw["label"]) if "label" in raw else f"snapshot-{index}"
-        return _Replay._snapshot, t, label
+        return _SNAPSHOT, t, label, 0.0
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ScriptError(f"event {index}: {err}") from err
 
 
+#: What the decoder leaves in place of an event it packed.  Not ``None``,
+#: which a JSON ``null`` entry of ``events`` decodes to.
+_PACKED = object()
+
+
 def _read_script(
     source: Union[str, os.PathLike, io.TextIOBase]
-) -> Tuple[ScenarioScript, List[tuple]]:
-    """A script file's header (a script with no events) and its events as
-    replay records, all checked before anything replays."""
+) -> Tuple[ScenarioScript, bytearray, List[str]]:
+    """A script file's header (a script with no events), its events as
+    packed records and the texts they index, all checked before anything
+    replays."""
     try:
         if isinstance(source, io.TextIOBase):
             raw = source.read()
@@ -416,6 +453,17 @@ def _read_script(
                 raw = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ScriptError(f"cannot read script: {err}") from err
+    records = bytearray()
+    texts: List[str] = []
+    pack, extend = _RECORD.pack, records.extend
+
+    def add(kind: int, t: float, a, b: float) -> None:
+        """Pack a plain record; its provider or label goes to ``texts``."""
+        if kind >= _COLLECT:
+            texts.append(a)
+            a = len(texts) - 1
+        extend(pack(kind, t, a, b))
+
     # The decoder hands each JSON object to ``record`` as soon as it is
     # complete, so a well-formed script's events never exist as dicts.  It
     # cannot tell an event from any other object with a ``type``, nor where
@@ -431,16 +479,16 @@ def _read_script(
             parsed = _parse_event(made, obj)
         except Exception:  # not an event, or a bad one: left for the parse below
             return obj
+        add(*parsed)
         made += 1
-        return parsed
+        return _PACKED
 
     try:
         doc = json.loads(raw, object_hook=record)
-        records = doc.get("events") if doc.__class__ is dict else None
-        # JSON decodes no tuples, so an entry that is a tuple is a record.
-        if not (records.__class__ is list and len(records) == made
-                and {*map(type, records)} <= {tuple}):
-            doc = records = None  # released before the second decode
+        entries = doc.get("events") if doc.__class__ is dict else None
+        packed = entries.__class__ is list and len(entries) == made == entries.count(_PACKED)
+        if not packed:
+            doc = entries = None  # released before the second decode
             doc = json.loads(raw)
     # A ValueError is a JSONDecodeError or an integer past the digit limit.
     except (ValueError, RecursionError) as err:
@@ -453,11 +501,11 @@ def _read_script(
         entries = doc.get("events", [])
         if not isinstance(entries, list):
             raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
-        if records is None:
-            records = []
-            append = records.append
+        if not packed:
+            records.clear()
+            texts.clear()
             for index, entry in enumerate(entries):
-                append(_parse_event(index, entry))
+                add(*_parse_event(index, entry))
                 entries[index] = None  # drop each raw event once its record exists
         header = ScenarioScript(
             pool_x=_number(pool["x"]),
@@ -472,7 +520,7 @@ def _read_script(
         if isinstance(err, ScriptError):
             raise
         raise ScriptError(f"malformed script: {err}") from err
-    return header, records
+    return header, records, texts
 
 
 def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScript:
@@ -501,15 +549,20 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
     float; a JSON boolean is not a number.  Providers and labels must be
     JSON strings.
     """
-    header, records = _read_script(source)
-    return replace(header, events=tuple(map(_event, records)))
+    header, records, texts = _read_script(source)
+    events = []
+    for kind, t, a, b in _RECORD.iter_unpack(records):
+        events.append(_event((kind, t, texts[int(a)] if kind >= _COLLECT else a, b)))
+    return replace(header, events=tuple(events))
 
 
 def _run_script_file(source: Union[str, os.PathLike, io.TextIOBase]) -> List[PortfolioSnapshot]:
-    """``run_scenario(load_script(source))``, replaying the file's records
-    without building an event object.  The whole file is checked first, so
-    a malformed event is reported before any replay error."""
-    return _replay(*_read_script(source))
+    """``run_scenario(load_script(source))``, replaying the file's packed
+    records as they are read back, without building an event object.  The
+    whole file is checked first, so a malformed event is reported before
+    any replay error."""
+    header, records, texts = _read_script(source)
+    return _replay(header, _RECORD.iter_unpack(records), texts)
 
 
 def snapshots_to_csv(snapshots: Sequence[PortfolioSnapshot]) -> str:

@@ -1,6 +1,7 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -232,6 +233,63 @@ def test_emit_figure_into_a_pipe_closed_early_ends_quietly():
         proc.stdout.close()
         code = proc.wait(timeout=60)
         assert (code, proc.stderr.read()) == (0, b"")
+
+
+class FailingStdout(io.TextIOBase):
+    """A stdout whose every write fails with ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise self.error
+
+
+#: One valid call of each command; ``{script}`` stands for a scenario file.
+ONE_CALL = {
+    "quote": ["--x", "100", "--y", "100", "--direction", "y2x", "--amount", "5"],
+    "swap": ["--x", "100", "--y", "100", "--direction", "x2y", "--amount", "5"],
+    "pool-info": ["--x", "100", "--y", "100"],
+    "il": ["--delta-y", "4"],
+    "evolve": [],
+    "roi": [],
+    "run-scenario": ["{script}"],
+    "emit-figure": ["--figure", "il_one_coin"],
+}
+FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+@pytest.mark.parametrize("error, code, message", [
+    (FULL, 1, f"error: cannot write output: {FULL}\n"),
+    (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), 0, ""),
+], ids=["full", "closed"])
+def test_a_failed_write_of_stdout_ends_the_command(command, error, code, message,
+                                                   tmp_path, capsys):
+    # A closed pipe means the reader stopped early: it ends quietly.
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"pool": {"x": 100, "y": 100}, "prices": {"p_x": 1, "p_y": 1}}))
+    argv = [command, *(arg.format(script=script) for arg in ONE_CALL[command])]
+    with redirect_stdout(FailingStdout(error)):
+        assert main(argv) == code
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_buffered_stdout_on_a_full_device_exits_1():
+    # Buffered, the write fails only at the flush; what is left in the buffer
+    # must not fail again when the interpreter flushes stdout at exit.
+    path = os.environ.get("PYTHONPATH")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cpamm.cli", "roi"], env=env, stdout=full,
+                              stderr=subprocess.PIPE, timeout=60)
+    assert (done.returncode, done.stderr.decode()) == (1, f"error: cannot write output: {FULL}\n")
 
 
 def test_emit_figure_to_a_file_holds_about_one_copy_of_its_text(tmp_path):

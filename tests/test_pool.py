@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import random
 import re
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from cpamm import (
     reserves_from_rate_liquidity,
     reserves_from_value,
 )
+import cpamm.pool
 from cpamm.pool import (
     RATE_MATCH_TOL,
     SideLedger,
@@ -701,3 +704,65 @@ def test_exact_liquidity_changes_stop_at_the_size_limit(change):
         assert remove_liquidity(pool, "lp", small)[1] == (small, small)
         with pytest.raises(InputError, match="more than the 13000-bit limit"):
             remove_liquidity(pool, "lp", huge)
+
+
+# -- the arbitrage loss of a diffusing price: sigma^2 / 8 per unit of value ----
+#
+# For a fee-free constant-product pool kept on a price that follows a
+# geometric Brownian motion of volatility sigma, the arbitrageur's profit per
+# unit of pool value and time, the loss-versus-rebalancing (LVR) of Milionis,
+# Moallemi, Roughgarden & Zhang (2022), is sigma^2 / 8.
+
+#: Paths, moves per path (over one unit of time) and seed, fixed before the
+#: first run.
+LVR_PATHS, LVR_MOVES, LVR_SEED = 400, 100, 2022
+#: The bias of the measure, beside its sampling error: |mean - sigma^2 / 8|
+#: of ``arbitrage_loss_rate(sigma, moves=1000)``, where the standard error
+#: is a third of that at 100 moves.
+LVR_BIAS = {0.5: 6.7e-5, 1.0: 2.9e-4}
+#: Standard errors the mean may miss sigma^2 / 8 by, beside the bias.
+LVR_ERRORS = 3
+
+
+def arbitrage_loss_rate(sigma, moves=LVR_MOVES):
+    """The mean over ``LVR_PATHS`` price paths of the arbitrageur's profit,
+    at the prices it trades at, divided by the time-integral of the pool's
+    value; and the mean's standard error.  The price of X (in Y) is a
+    martingale, and after each move ``cpamm.pool._arbitrage`` puts the pool
+    back on it."""
+    rng = random.Random(LVR_SEED)
+    dt = 1.0 / moves
+    drift, scale = -sigma * sigma * dt / 2, sigma * math.sqrt(dt)
+    ratios = []
+    for _ in range(LVR_PATHS):
+        x, y, price = 100.0, 100.0, 1.0
+        profit = value_time = 0.0
+        for _ in range(moves):
+            value_time += (price * x + y) * dt  # held from this move to the next
+            price *= math.exp(drift + scale * rng.gauss(0.0, 1.0))
+            new_x, new_y = cpamm.pool._arbitrage(x, y, 1.0 / price)
+            profit += price * (x - new_x) + (y - new_y)
+            x, y = new_x, new_y
+        ratios.append(profit / value_time)
+    return statistics.fmean(ratios), statistics.stdev(ratios) / math.sqrt(LVR_PATHS)
+
+
+def lvr_miss(sigma):
+    """How far the measured loss rate falls outside its band around sigma^2 / 8."""
+    mean, error = arbitrage_loss_rate(sigma)
+    return abs(mean - sigma * sigma / 8) - (LVR_ERRORS * error + LVR_BIAS[sigma])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_arbitrage_loss_is_sigma_squared_over_8(sigma):
+    assert lvr_miss(sigma) <= 0
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_an_arbitrage_past_its_target_misses_sigma_squared_over_8(sigma, monkeypatch):
+    # Past the target rate by as far as the pool sat from it: the measure
+    # must tell this from the arbitrage that stops on the target.
+    arbitrage = cpamm.pool._arbitrage
+    monkeypatch.setattr(cpamm.pool, "_arbitrage",
+                        lambda x, y, rate: arbitrage(x, y, rate * rate * y / x))
+    assert lvr_miss(sigma) > 0

@@ -45,7 +45,7 @@ from cpamm import (
     snapshots_to_csv,
 )
 from cpamm.pool import arbitrage_to_rate
-from cpamm.scenario import _event, _parse_event
+from cpamm.scenario import _event, _parse_event, _read_script, _run_script_file
 
 
 def make_script(events, fee_rate=0.0, fee_model=FeeModel.AUTO_COMPOUND):
@@ -848,13 +848,18 @@ corruptions = st.sampled_from([
 ])
 #: Where an event-typed object that is no entry of ``events`` may sit.
 decoys = st.sampled_from(["pool", "prices", "top", "notes", "inside"])
+#: An entry of ``events`` that is no object.  A ``null`` entry beside a decoy
+#: leaves ``events`` as long as the count of packed objects, so a ``None``
+#: sentinel in place of each packed entry would pass it.
+non_objects = st.sampled_from([None, 5, [], [SNAPSHOT], "snapshot"])
 
 
 @given(events=st.lists(json_events, max_size=8),
        corrupt=st.one_of(st.none(), st.tuples(st.integers(0, 7), corruptions)),
-       decoy=st.one_of(st.none(), decoys), truncate=st.booleans())
+       decoy=st.one_of(st.none(), decoys), truncate=st.booleans(),
+       replaced=st.one_of(st.none(), st.tuples(st.integers(0, 7), non_objects)))
 @settings(max_examples=300, deadline=None)
-def test_load_script_equals_a_two_pass_parse(events, corrupt, decoy, truncate):
+def test_load_script_equals_a_two_pass_parse(events, corrupt, decoy, truncate, replaced):
     events = [dict(event) for event in events]  # edited below; the drawn ones stay as drawn
     doc = script_doc(events=events)
     if corrupt is not None and events:
@@ -868,14 +873,17 @@ def test_load_script_equals_a_two_pass_parse(events, corrupt, decoy, truncate):
         doc["notes"] = dict(SNAPSHOT)
     elif decoy == "inside" and events:
         events[0]["note"] = dict(SNAPSHOT)
+    if replaced is not None and events:
+        index, entry = replaced
+        events[index % len(events)] = entry
     text = json.dumps(doc)
     if truncate:
         text = text[:-1]
     assert load_outcome(text) == two_pass_load(text)
 
 
-def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
-    # Generated like the benchmark's replay scripts, at 20k events.
+def write_replay_script(tmp_path):
+    """A 20k-event script file, generated like the benchmark's replay scripts."""
     rng = random.Random(20)
     events = []
     for index in range(20_000):
@@ -895,7 +903,11 @@ def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
         events.append(event)
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script_doc(events=events)), encoding="utf-8")
-    del events
+    return path
+
+
+def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
+    path = write_replay_script(tmp_path)
     tracemalloc.start()
     try:
         script = load_script(path)
@@ -905,3 +917,23 @@ def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
     assert len(script.events) == 20_000
     # Decoding every event to a dict first peaked at 4.8 times the file.
     assert peak <= 3.5 * path.stat().st_size
+
+
+def test_replaying_a_file_holds_its_text_and_25_bytes_per_event(tmp_path):
+    path = write_replay_script(tmp_path)
+    tracemalloc.start()
+    try:
+        snapshots = _run_script_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        snapshots = None
+        records = _read_script(path)  # measured while held, as during the replay
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records
+    # The text read once as bytes and once as str sets the peak; records of
+    # a tuple and two or three floats each took it to 2.4-2.6 times the file.
+    assert peak <= 2.1 * path.stat().st_size
+    # A packed record is 25 bytes, plus the texts of collections and
+    # snapshots; a tuple record was about 150.
+    assert held <= 48 * 20_000
