@@ -133,12 +133,15 @@ def _is_linear(params: RoiParams) -> bool:
     return params.frac_compounding in (0, 1) or params.alpha == 0
 
 
-def _closed_form(params: RoiParams, t: float) -> Tuple[float, float]:
-    """``(u, F_nc)`` at ``t`` for the populations whose ODE is linear: the
-    compounders take every fee, or ``L_c`` stays at ``L_c(0)``."""
+def _closed_form(params: RoiParams, t: float) -> Tuple[float, float, float]:
+    """``(L_c, u, F_nc)`` at ``t`` for the populations whose ODE is linear:
+    the compounders take every fee, or ``L_c`` stays at ``L_c(0)``.  ``L_c``
+    is by fee conservation: ``L_c(0) * u`` would overflow where ``alpha t``
+    does and ``alpha L0 t`` does not."""
+    fees = params.alpha * params.l_total0 * t
     if params.frac_compounding == 1:
-        return 1 + params.alpha * t, 0.0
-    return 1.0, params.alpha * params.l_total0 * t
+        return params.l_c0 + fees, 1 + params.alpha * t, 0.0
+    return params.l_c0, 1.0, fees
 
 
 def _time_grid(horizon: float, step: float) -> Iterator[float]:
@@ -202,18 +205,14 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
     """
     frac, alpha, l_c0, l_nc = params.frac_compounding, params.alpha, params.l_c0, params.l_nc
     if _is_linear(params):
-        # L_c by fee conservation, L_c(0) + alpha L0 t - F_nc: L_c(0) * u would
-        # overflow where alpha t does and alpha L0 t does not.
-        rate = alpha * params.l_total0
         times = _time_grid(params.horizon, params.step)
-        points = ((t, u, l_c0 + (rate * t - f), f)
-                  for t in times for u, f in (_closed_form(params, t),))
+        points = ((t, *_closed_form(params, t)) for t in times)
     else:
-        points = ((t, u, l_c0 * u, f) for t, u, f in _trajectory(params, params.horizon))
+        points = ((t, l_c0 * u, u, f) for t, u, f in _trajectory(params, params.horizon))
     return RoiTrajectory(
         samples=tuple(
             RoiSample(t, l_c, *_rho(frac, alpha, l_nc, t, u, fees_nc), fees_nc)
-            for t, u, l_c, fees_nc in points
+            for t, l_c, u, fees_nc in points
         )
     )
 
@@ -255,7 +254,7 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     target = params.alpha * params.l_total0 * t
     non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", target)
     if _is_linear(params):
-        return params.l_c0 + target  # the compounders take every fee, or there are none
+        return _closed_form(params, t)[0]
     return _root(params.l_c0, params.l_nc, target)[0]
 
 
@@ -272,7 +271,7 @@ def _roi_series(
         if not rate * t < math.inf:  # a t past the horizon can overflow the fees
             non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", rate * t)
         if linear:
-            u, fees_nc = _closed_form(params, t)
+            _, u, fees_nc = _closed_form(params, t)
         elif method == "implicit":
             # u = e^v: L_c / L_c(0) would keep only the few bits of a subnormal
             # L_c(0).  Past float range it is inf, which every caller rejects

@@ -237,7 +237,7 @@ def create_pool(
 def liquidity_of(pool: PoolState) -> Numeric:
     """Geometric mean of the reserves, ``sqrt(x * y)``."""
     _require_active(pool)
-    return _sqrt(pool.reserve_x * pool.reserve_y)
+    return _geometric_mean(pool.reserve_x, pool.reserve_y)
 
 
 def rate_of(pool: PoolState) -> Numeric:
@@ -265,7 +265,10 @@ def reserves_from_rate_liquidity(rate: Numeric, liquidity: Numeric) -> Tuple[Num
     positive(InvalidRate, "rate", rate)
     non_negative(NonPositiveInput, "liquidity", liquidity)
     root = _sqrt(rate)
-    return liquidity * root, liquidity / root
+    x, y = liquidity * root, liquidity / root
+    if liquidity:  # zero liquidity is an empty pool; any other must fit a float
+        positive(NonPositiveReserve, "reserves L * sqrt(r) and L / sqrt(r)", x, y)
+    return x, y
 
 
 def reserves_from_value(
@@ -280,6 +283,7 @@ def reserves_from_value(
     positive(NonPositiveInput, "value and prices", value, p_x, p_y)
     x = value / (2 * p_x)
     y = value / (2 * p_y)
+    positive(NonPositiveReserve, "reserves V / (2 p_x) and V / (2 p_y)", x, y)
     liquidity = value / (2 * _geometric_mean(p_x, p_y))
     return x, y, liquidity
 
@@ -440,17 +444,22 @@ def add_liquidity(
     positive(NonPositiveAmount, "deposit amounts", dx, dy)
     growth_x = dx / pool.reserve_x
     growth_y = dy / pool.reserve_y
-    if abs(growth_x - growth_y) > RATE_MATCH_TOL * max(growth_x, growth_y):
+    minted = pool.total_shares * growth_x
+    new_x, new_y, total = pool.reserve_x + dx, pool.reserve_y + dy, pool.total_shares + minted
+    # A result past the largest float is inf.  Checked before the ratio, which
+    # would reject growths that overflow on both sides (NaN) as a mismatch.
+    non_negative(InputError, "deposit growths, reserves and total shares after it",
+                 growth_x, growth_y, new_x, new_y, total)
+    if not abs(growth_x - growth_y) <= RATE_MATCH_TOL * max(growth_x, growth_y):
         raise RateMismatch(
             f"deposit ratio {dx}/{dy} does not match pool ratio "
             f"{pool.reserve_x}/{pool.reserve_y}"
         )
-    minted = pool.total_shares * growth_x
     ledger = dict(pool.share_ledger)
     ledger[provider] = ledger.get(provider, 0) + minted
     new_pool = PoolState(
-        pool.reserve_x + dx, pool.reserve_y + dy, pool.fee_rate, pool.fee_model,
-        pool.total_shares + minted, MappingProxyType(ledger), pool.side_ledger,
+        new_x, new_y, pool.fee_rate, pool.fee_model,
+        total, MappingProxyType(ledger), pool.side_ledger,
     )
     _bounded(new_pool.reserve_x, new_pool.reserve_y, new_pool.total_shares, minted,
              ledger[provider])

@@ -23,16 +23,9 @@ amount and ``b`` its cap; a price move (kind 4) holds ``delta_x`` and
 label in ``a``.  Unused fields are 0.0.  Two plain conversions build
 records, each one branch per event kind that checks every field:
 ``_parse_event`` for a JSON event, as soon as the decoder finishes it (so a
-script is never held as dicts), and ``_record`` for a public event object,
-as the replay reaches it in :func:`run_scenario` and
-:func:`measure_effective_alpha`.
-
-A script file's records are packed, each into 25 bytes of ``_RECORD``
-(``struct`` format ``<Bddd``) in one ``bytearray``; a packed record's ``a``
-indexes a side list of texts where a plain one holds the text.  Floats
-round-trip exactly through ``d``.  ``cpamm run-scenario`` replays the
-packed records as ``struct.iter_unpack`` reads them back, without building
-an event object, and :func:`load_script` builds event objects from them.
+script is never held as dicts, and ``_read_script`` holds its records
+packed), and ``_record`` for a public event object, as the replay reaches
+it in :func:`run_scenario` and :func:`measure_effective_alpha`.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import count
 from numbers import Real
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError, non_negative, positive
 from .pool import (
@@ -109,8 +102,6 @@ _INF = math.inf
 _CAPPED, _SELLS_X, _MOVE, _COLLECT, _SNAPSHOT = 1, 2, 4, 5, 6
 #: The trade kind of each direction, uncapped; a ``str`` value looks up too.
 _TRADE_KINDS = {_Y_FOR_X: 0, _X_FOR_Y: _SELLS_X}
-#: One packed record: kind, t, a, b.
-_RECORD = struct.Struct("<Bddd")
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,13 +196,8 @@ class _Replay:
             positive(ScriptError, "prices after the move", p_x, p_y)
         self.x, self.y = _arbitrage(self.x, self.y, p_y / p_x)
 
-    def _text(self, text) -> str:
-        """A provider or label: a plain record holds it, a packed one
-        indexes ``texts``."""
-        return text if self.texts is None else self.texts[int(text)]
-
-    def _collect(self, kind: int, provider, _) -> None:
-        share = self.start.share_ledger.get(self._text(provider), 0) / self.start.total_shares
+    def _collect(self, kind: int, provider: str, _) -> None:
+        share = self.start.share_ledger.get(provider, 0) / self.start.total_shares
         take_x = self.fees_x * share
         take_y = self.fees_y * share
         self.collected_x = self.collected_x + take_x
@@ -219,8 +205,8 @@ class _Replay:
         self.fees_x = self.fees_x - take_x
         self.fees_y = self.fees_y - take_y
 
-    def _snapshot(self, kind: int, label, _) -> None:
-        self.snapshots.append(self.take_snapshot(self._text(label)))
+    def _snapshot(self, kind: int, label: str, _) -> None:
+        self.snapshots.append(self.take_snapshot(label))
 
     #: The handler of each record kind.
     _handlers = (_trade, _trade, _trade, _trade, _move_prices, _collect, _snapshot)
@@ -245,10 +231,7 @@ class _Replay:
             p_y=self.p_y,
         )
 
-    def run(self, records: Iterable[tuple], texts: Optional[List[str]] = None) -> "_Replay":
-        """Replay ``records``: plain ones, or packed ones read back, whose
-        providers and labels are indexes into ``texts``."""
-        self.texts = texts
+    def run(self, records: Iterable[tuple]) -> "_Replay":
         handlers = self._handlers
         now = self.t
         for index, (kind, t, a, b) in enumerate(records):
@@ -266,9 +249,11 @@ class _Replay:
 
 
 def _real(what: str, value) -> None:
-    """Reject a numeric field of an event object that is no number (callers
-    let a float, the common case, past first).  An exact number replays as
-    it is, and a boolean is not a number, as in a script."""
+    """Reject a numeric field of an event object that is no number.  An
+    exact number replays as it is, and a boolean is not a number, as in a
+    script."""
+    if value.__class__ is float:
+        return
     if value.__class__ is bool or not isinstance(value, Real):
         raise ScriptError(f"{what}: expected a number, got {type(value).__name__}")
 
@@ -286,9 +271,8 @@ def _record(index: int, event) -> tuple:
     try:
         if isinstance(event, Trade):
             amount, spread = event.amount_in, event.max_spread
-            if amount.__class__ is not float:
-                _real("amount_in", amount)
-            if spread is not None and spread.__class__ is not float:
+            _real("amount_in", amount)
+            if spread is not None:
                 _real("max_spread", spread)
             kind = _TRADE_KINDS[_member(Direction, event.direction, "direction")]
             if spread is None:
@@ -296,27 +280,23 @@ def _record(index: int, event) -> tuple:
             else:
                 record = kind | _CAPPED, event.t, amount, spread
         elif isinstance(event, PriceMove):
-            delta_x, delta_y = event.delta_x, event.delta_y
-            if delta_x.__class__ is not float:
-                _real("delta_x", delta_x)
-            if delta_y.__class__ is not float:
-                _real("delta_y", delta_y)
-            record = _MOVE, event.t, delta_x, delta_y
+            _real("delta_x", event.delta_x)
+            _real("delta_y", event.delta_y)
+            record = _MOVE, event.t, event.delta_x, event.delta_y
         elif isinstance(event, CollectFees):
             record = _COLLECT, event.t, _string("provider", event.provider), 0.0
         elif isinstance(event, Snapshot):
             record = _SNAPSHOT, event.t, _string("label", event.label), 0.0
         else:
             raise ScriptError(f"unknown event type {type(event).__name__}")
-        if record[1].__class__ is not float:
-            _real("timestamp", record[1])
+        _real("timestamp", record[1])
         return record
     except CpammError as err:
         raise type(err)(f"event {index}: {err}") from err
 
 
 def _event(record: tuple) -> Event:
-    """The public event object of a plain record."""
+    """The public event object of a record."""
     kind, t, a, b = record
     if kind < _MOVE:
         direction = _X_FOR_Y if kind & _SELLS_X else _Y_FOR_X
@@ -326,10 +306,8 @@ def _event(record: tuple) -> Event:
     return CollectFees(t, a) if kind == _COLLECT else Snapshot(t, a)
 
 
-def _replay(
-    script: ScenarioScript, records: Iterable[tuple], texts: Optional[List[str]] = None
-) -> List[PortfolioSnapshot]:
-    replay = _Replay(script).run(records, texts)
+def _replay(script: ScenarioScript, records: Iterable[tuple]) -> List[PortfolioSnapshot]:
+    replay = _Replay(script).run(records)
     replay.snapshots.append(replay.take_snapshot("final"))
     return replay.snapshots
 
@@ -387,7 +365,7 @@ def _json_object(what: str, value) -> dict:
 
 
 def _parse_event(index: int, raw: dict) -> tuple:
-    """The plain replay record of one JSON event, with every field checked.
+    """The replay record of one JSON event, with every field checked.
 
     A JSON float is already what ``_number`` would return, so only other
     values go through it.
@@ -441,10 +419,14 @@ _PACKED = object()
 
 def _read_script(
     source: Union[str, os.PathLike, io.TextIOBase]
-) -> Tuple[ScenarioScript, bytearray, List[str]]:
-    """A script file's header (a script with no events), its events as
-    packed records and the texts they index, all checked before anything
-    replays."""
+) -> Tuple[ScenarioScript, Iterator[tuple]]:
+    """A script file's header (a script with no events) and its events'
+    records, all checked before anything replays.
+
+    Each record is held packed in 25 bytes of one ``bytearray`` (floats
+    round-trip exactly), its provider or label as an index into ``texts``,
+    and is unpacked as it is read.
+    """
     try:
         if isinstance(source, io.TextIOBase):
             raw = source.read()
@@ -453,12 +435,13 @@ def _read_script(
                 raw = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ScriptError(f"cannot read script: {err}") from err
-    records = bytearray()
+    layout = struct.Struct("<Bddd")
+    packed = bytearray()
     texts: List[str] = []
-    pack, extend = _RECORD.pack, records.extend
+    pack, extend = layout.pack, packed.extend
 
     def add(kind: int, t: float, a, b: float) -> None:
-        """Pack a plain record; its provider or label goes to ``texts``."""
+        """Pack a record; its provider or label goes to ``texts``."""
         if kind >= _COLLECT:
             texts.append(a)
             a = len(texts) - 1
@@ -486,8 +469,8 @@ def _read_script(
     try:
         doc = json.loads(raw, object_hook=record)
         entries = doc.get("events") if doc.__class__ is dict else None
-        packed = entries.__class__ is list and len(entries) == made == entries.count(_PACKED)
-        if not packed:
+        kept = entries.__class__ is list and len(entries) == made == entries.count(_PACKED)
+        if not kept:
             doc = entries = None  # released before the second decode
             doc = json.loads(raw)
     # A ValueError is a JSONDecodeError or an integer past the digit limit.
@@ -501,8 +484,8 @@ def _read_script(
         entries = doc.get("events", [])
         if not isinstance(entries, list):
             raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
-        if not packed:
-            records.clear()
+        if not kept:
+            packed.clear()
             texts.clear()
             for index, entry in enumerate(entries):
                 add(*_parse_event(index, entry))
@@ -520,7 +503,9 @@ def _read_script(
         if isinstance(err, ScriptError):
             raise
         raise ScriptError(f"malformed script: {err}") from err
-    return header, records, texts
+    records = ((kind, t, texts[int(a)] if kind >= _COLLECT else a, b)
+               for kind, t, a, b in layout.iter_unpack(packed))
+    return header, records
 
 
 def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScript:
@@ -549,20 +534,16 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
     float; a JSON boolean is not a number.  Providers and labels must be
     JSON strings.
     """
-    header, records, texts = _read_script(source)
-    events = []
-    for kind, t, a, b in _RECORD.iter_unpack(records):
-        events.append(_event((kind, t, texts[int(a)] if kind >= _COLLECT else a, b)))
-    return replace(header, events=tuple(events))
+    header, records = _read_script(source)
+    return replace(header, events=tuple(map(_event, records)))
 
 
 def _run_script_file(source: Union[str, os.PathLike, io.TextIOBase]) -> List[PortfolioSnapshot]:
-    """``run_scenario(load_script(source))``, replaying the file's packed
-    records as they are read back, without building an event object.  The
-    whole file is checked first, so a malformed event is reported before
-    any replay error."""
-    header, records, texts = _read_script(source)
-    return _replay(header, _RECORD.iter_unpack(records), texts)
+    """``run_scenario(load_script(source))``, replaying the file's records
+    as they are read, without building an event object.  The whole file is
+    checked first, so a malformed event is reported before any replay
+    error."""
+    return _replay(*_read_script(source))
 
 
 def snapshots_to_csv(snapshots: Sequence[PortfolioSnapshot]) -> str:

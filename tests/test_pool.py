@@ -282,6 +282,13 @@ def test_reserves_from_rate_liquidity_round_trip():
     pool = create_pool(x, y)
     assert rate_of(pool) == 0.25
     assert liquidity_of(pool) == pytest.approx(4.0, rel=1e-15)
+    assert reserves_from_rate_liquidity(0.25, 0.0) == (0.0, 0.0)
+
+
+def test_liquidity_past_the_float_product():
+    # x * y overflows, but sqrt(x * y) does not.
+    pool, _ = add_liquidity(create_pool(1e150, 1e150), "b", 1e155, 1e155)
+    assert liquidity_of(pool) == 1.00001e155
 
 
 def test_reserves_from_value():

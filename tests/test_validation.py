@@ -30,6 +30,7 @@ from cpamm import (
     ScriptError,
     Snapshot,
     SpreadOutOfRange,
+    add_liquidity,
     create_pool,
     default_figure_spec,
     il_brute_force,
@@ -117,7 +118,20 @@ REJECTED = {
         InvalidRate, lambda: reserves_from_rate_liquidity(NAN, 1.0)),
     "reserves_from_rate_liquidity inf liquidity": (
         NonPositiveInput, lambda: reserves_from_rate_liquidity(1.0, INF)),
+    "reserves_from_rate_liquidity reserve overflow": (
+        NonPositiveReserve, lambda: reserves_from_rate_liquidity(1e300, 1e200)),
+    "reserves_from_rate_liquidity reserve underflow": (
+        NonPositiveReserve, lambda: reserves_from_rate_liquidity(1e-300, 1e-200)),
     "reserves_from_value nan": (NonPositiveInput, lambda: reserves_from_value(NAN, 1, 1)),
+    "reserves_from_value reserve overflow": (
+        NonPositiveReserve, lambda: reserves_from_value(1e300, 1e-10, 1.0)),
+    # A 1:2 deposit whose growths both overflow: inf - inf is NaN.
+    "add_liquidity growth overflow": (
+        InputError, lambda: add_liquidity(create_pool(1e-10, 1e-10), "b", 1e300, 2e300)),
+    "add_liquidity one growth overflow": (
+        InputError, lambda: add_liquidity(create_pool(1e10, 1e-10), "b", 1e10, 1e300)),
+    "add_liquidity reserve overflow": (
+        InputError, lambda: add_liquidity(create_pool(1e308, 1e-10), "b", 1e308, 1e-10)),
     "PriceScenario nan": (NonPositiveDelta, lambda: PriceScenario(NAN, 1)),
     "PriceScenario inf price": (NonPositivePrice, lambda: PriceScenario(1, 1, p_x0=INF)),
     "GrowthParams nan": (NonPositiveInput, lambda: GrowthParams(NAN, 1)),
