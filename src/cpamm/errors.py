@@ -123,6 +123,15 @@ def non_negative(error, what, *values, below=math.inf):
             _reject(error, what, domain, values)
 
 
+def normal(error, what, value):
+    """``value``, unless it is a float outside the normal range: past the
+    largest float it is inf, and below the smallest normal one it has lost
+    bits; then raise ``error``.  Exact values are not looked at."""
+    if isinstance(value, float) and not _TINY <= value < math.inf:
+        _reject(error, what, "a normal float", (value,))
+    return value
+
+
 def float_geometric_mean(a: float, b: float) -> float:
     """``sqrt(a * b)`` for floats, rounded as if the product had no exponent
     limit: where it leaves the normal float range, both factors are first

@@ -28,8 +28,9 @@ that is about twice as fast as the generic copy-with-changes helper of the
 
 The value-level API is built on one plain-number kernel: ``_swap`` prices,
 guards and settles a trade, and ``_arbitrage`` is its fee-free leg onto a
-market rate.  They take and return bare numbers, so a replay can keep its
-state as plain numbers and build value objects only where they are read.
+market rate.  They take and return the pool's own bare numbers, ``x``
+before ``y`` whatever the direction, so a replay keeps its state as plain
+numbers, never oriented, and builds value objects only where they are read.
 
 Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
 runs the swap path exactly (the swap equations are rational); square roots
@@ -42,7 +43,6 @@ passes ``MAX_EXACT_BITS``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -64,6 +64,7 @@ from .errors import (
     SpreadOutOfRange,
     float_geometric_mean,
     non_negative,
+    normal,
     positive,
 )
 
@@ -212,16 +213,18 @@ def create_pool(
     fee_model: FeeModel = FeeModel.AUTO_COMPOUND,
     provider: str = "lp",
 ) -> PoolState:
-    """Initialize a pool; ``provider`` receives ``sqrt(x0 * y0)`` shares."""
+    """Initialize a pool; ``provider`` receives ``sqrt(x0 * y0)`` shares.  A
+    float product or rate outside the normal range raises ``NonPositiveReserve``."""
     positive(NonPositiveReserve, "initial reserves", x0, y0)
     non_negative(InvalidFee, "fee rate", fee_rate, below=1)
     fee_model = _member(FeeModel, fee_model, "fee model")
     product = x0 * y0
-    # A float product below the normal range has lost bits that its root keeps.
-    if isinstance(product, float) and product < sys.float_info.min:
-        raise NonPositiveReserve(
-            f"initial reserve product x0 * y0 must be a normal float, got {product!r}"
-        )
+    # A float product outside the normal range has lost bits that its root
+    # keeps, and a rate outside it cannot be reported.
+    if isinstance(product, float):
+        normal(NonPositiveReserve, "initial reserve product x0 * y0", product)
+        normal(NonPositiveReserve, "initial reserve ratio x0 / y0", x0 / y0)
+        normal(NonPositiveReserve, "initial reserve ratio y0 / x0", y0 / x0)
     shares = _sqrt(product)
     positive(NonPositiveReserve, "initial liquidity sqrt(x0 * y0)", shares)
     return PoolState(
@@ -241,9 +244,10 @@ def liquidity_of(pool: PoolState) -> Numeric:
 
 
 def rate_of(pool: PoolState) -> Numeric:
-    """Pool exchange rate ``r = x / y`` (X received per unit of Y, spot)."""
+    """Pool exchange rate ``r = x / y`` (X received per unit of Y, spot); a
+    float rate outside the normal range raises ``InvalidRate``."""
     _require_active(pool)
-    return pool.reserve_x / pool.reserve_y
+    return normal(InvalidRate, "pool rate x / y", pool.reserve_x / pool.reserve_y)
 
 
 def require_market_rate(error, pool: PoolState, market_rate: Numeric) -> None:
@@ -255,9 +259,11 @@ def require_market_rate(error, pool: PoolState, market_rate: Numeric) -> None:
 
 
 def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
-    """Mark the reserves to market: ``p_x * x + p_y * y``."""
+    """Mark the reserves to market: ``p_x * x + p_y * y``.  An empty pool is
+    worth 0; any other float value outside the normal range raises ``InputError``."""
     positive(NonPositivePrice, "prices", p_x, p_y)
-    return p_x * pool.reserve_x + p_y * pool.reserve_y
+    value = p_x * pool.reserve_x + p_y * pool.reserve_y
+    return normal(InputError, "pool value p_x * x + p_y * y", value) if pool.active else value
 
 
 def reserves_from_rate_liquidity(rate: Numeric, liquidity: Numeric) -> Tuple[Numeric, Numeric]:
@@ -303,31 +309,34 @@ def _spread_cap(reserve_in: Numeric, sigma: Numeric, y_for_x: bool) -> Numeric:
 
 
 def _swap(
-    reserve_in: Numeric,
-    reserve_out: Numeric,
-    fees_in: Numeric,
+    x: Numeric,
+    y: Numeric,
+    fees_x: Numeric,
+    fees_y: Numeric,
     phi: Numeric,
     amount: Numeric,
     cap: Optional[Numeric],
     y_for_x: bool,
     compound: bool,
-) -> Tuple[Numeric, Numeric, Numeric, Numeric, Numeric, Numeric, Numeric]:
+) -> Tuple[Numeric, Numeric, Numeric, Numeric, Numeric, Numeric, Numeric, Numeric]:
     """The swap kernel: prices, guards and settles a trade of ``amount`` paid in.
 
-    Returns ``(reserve_in, reserve_out, fees_in, gross, fee, out, squared)``:
-    both reserves and the input side's ledger balance after the trade, what
-    the trader pays, its fee, the output, and the factor the rate moves by,
-    ``(reserve_in / (reserve_in + net))**2``.  ``net = gross - fee`` is what
-    enters the curve once the fee and the spread cap ``cap`` (None for none)
-    apply.  ``y_for_x`` picks the cap formula; the cap is sized after the
-    amount guard, so a trade with a bad amount and a bad cap is rejected for
-    its amount.  The fee joins the reserve when ``compound`` is true and the
-    ledger otherwise, and ``fees_in`` comes back as the same object when it
-    is not credited.  The reserve takes ``gross - fee``, which with the fee
-    adds up to ``gross`` exactly, in floats too.
+    Takes and returns the pool's own numbers, ``(x, y, fees_x, fees_y, gross,
+    fee, out, squared)``: both reserves and both side-ledger balances after
+    the trade, what the trader pays, its fee, the output, and the factor the
+    rate moves by, ``(reserve_in / (reserve_in + net))**2``.  ``y_for_x``
+    picks the input side and the cap formula.  ``net = gross - fee`` enters
+    the curve once the fee and the spread cap ``cap`` (None for none) apply;
+    the cap is sized after the amount guard, so a trade with a bad amount and
+    a bad cap is rejected for its amount.  The fee joins the input reserve
+    when ``compound`` is true and the input side's balance otherwise; a
+    balance not credited comes back as the same object.  The reserve takes
+    ``gross - fee``, which with the fee adds up to ``gross`` exactly, in
+    floats too.
     """
     if not 0 < amount < _INF:  # inline, as in _spread_cap
         positive(NonPositiveAmount, "trade amount", amount)
+    reserve_in, reserve_out = (y, x) if y_for_x else (x, y)
     net = amount * (1 - phi)
     gross = amount
     if cap is not None:
@@ -352,9 +361,13 @@ def _swap(
     if fee:
         if compound:
             settled = settled + fee
+        elif y_for_x:
+            fees_y = fees_y + fee
         else:
-            fees_in = fees_in + fee
-    return settled, reserve_out - out, fees_in, gross, fee, out, squared
+            fees_x = fees_x + fee
+    if y_for_x:
+        return reserve_out - out, settled, fees_x, fees_y, gross, fee, out, squared
+    return settled, reserve_out - out, fees_x, fees_y, gross, fee, out, squared
 
 
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
@@ -402,26 +415,15 @@ def execute_swap(
     direction = _member(Direction, direction, "direction")
     y_for_x = direction is Direction.Y_FOR_X
     x, y, ledger = pool.reserve_x, pool.reserve_y, pool.side_ledger
-    compound = pool.fee_model is FeeModel.AUTO_COMPOUND
-    if y_for_x:
-        new_y, new_x, fees_y, gross, fee, out, squared = _swap(
-            y, x, ledger.fees_y, pool.fee_rate, amount_in, max_spread, True, compound
-        )
-        if fees_y is not ledger.fees_y:
-            ledger = SideLedger(ledger.fees_x, fees_y)
-        spread_applied = 1 - squared
-    else:
-        new_x, new_y, fees_x, gross, fee, out, squared = _swap(
-            x, y, ledger.fees_x, pool.fee_rate, amount_in, max_spread, False, compound
-        )
-        if fees_x is not ledger.fees_x:
-            ledger = SideLedger(fees_x, ledger.fees_y)
-        spread_applied = 1 / squared - 1
-    if gross > 0:
-        realized_rate = out / gross
-    else:
-        # Zero-size trade (cap of 0): the rate limit is the spot rate.
-        realized_rate = x / y if y_for_x else y / x
+    new_x, new_y, fees_x, fees_y, gross, fee, out, squared = _swap(
+        x, y, ledger.fees_x, ledger.fees_y, pool.fee_rate, amount_in, max_spread, y_for_x,
+        pool.fee_model is FeeModel.AUTO_COMPOUND,
+    )
+    if fees_x is not ledger.fees_x or fees_y is not ledger.fees_y:
+        ledger = SideLedger(fees_x, fees_y)
+    spread_applied = 1 - squared if y_for_x else 1 / squared - 1
+    # A zero-size trade (cap of 0) realizes its limit, the spot rate.
+    realized_rate = out / gross if gross > 0 else (x / y if y_for_x else y / x)
     _bounded(new_x, new_y, ledger.fees_x, ledger.fees_y, gross, out, realized_rate,
              spread_applied, fee)
     receipt = SwapReceipt(direction, amount_in, gross, out, realized_rate, spread_applied, fee)
@@ -455,6 +457,8 @@ def add_liquidity(
             f"deposit ratio {dx}/{dy} does not match pool ratio "
             f"{pool.reserve_x}/{pool.reserve_y}"
         )
+    # A deposit that small next to the pool rounds away: its tokens would vanish.
+    positive(NonPositiveAmount, "shares minted by the deposit", minted)
     ledger = dict(pool.share_ledger)
     ledger[provider] = ledger.get(provider, 0) + minted
     new_pool = PoolState(
@@ -503,17 +507,12 @@ def _arbitrage_trade(
     if not 0 < target_rate < _INF:  # inline, as in _spread_cap
         positive(InvalidRate, "target rate", target_rate)
     current = x / y
-    if target_rate < current:
+    y_for_x = target_rate < current
+    if y_for_x:
         amount = y * (_sqrt(current / target_rate) - 1)
-        if amount <= 0:
-            return None
-        return True, amount
-    if target_rate > current:
+    else:  # on the target the root is 1, so the amount is 0
         amount = x * (_sqrt(target_rate / current) - 1)
-        if amount <= 0:
-            return None
-        return False, amount
-    return None
+    return (y_for_x, amount) if amount > 0 else None
 
 
 def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, Numeric]:
@@ -523,10 +522,7 @@ def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, N
         return x, y
     y_for_x, amount = trade
     try:
-        if y_for_x:
-            new_y, new_x = _swap(y, x, 0, 0, amount, None, True, True)[:2]
-            return new_x, new_y
-        return _swap(x, y, 0, 0, amount, None, False, True)[:2]
+        return _swap(x, y, 0, 0, 0, amount, None, y_for_x, True)[:2]
     except (NonPositiveAmount, NonPositiveReserve) as err:
         raise InvalidRate(
             f"target rate {target_rate} is out of float reach of pool rate {x / y}"

@@ -174,16 +174,10 @@ class _Replay:
         self.snapshots: List[PortfolioSnapshot] = []
 
     def _trade(self, kind: int, amount: Numeric, cap: Numeric) -> None:
-        if not kind & _CAPPED:
-            cap = None
-        if kind & _SELLS_X:
-            self.x, self.y, self.fees_x, _, _, _, _ = _swap(
-                self.x, self.y, self.fees_x, self.phi, amount, cap, False, self.compound
-            )
-        else:
-            self.y, self.x, self.fees_y, _, _, _, _ = _swap(
-                self.y, self.x, self.fees_y, self.phi, amount, cap, True, self.compound
-            )
+        self.x, self.y, self.fees_x, self.fees_y, _, _, _, _ = _swap(
+            self.x, self.y, self.fees_x, self.fees_y, self.phi, amount,
+            cap if kind & _CAPPED else None, not kind & _SELLS_X, self.compound,
+        )
         if self.x.__class__ is not float:  # an exact replay: bound its size
             _bounded(self.x, self.y, self.fees_x, self.fees_y)
 

@@ -92,6 +92,13 @@ def test_analytics_commands_run_neither_pool_nor_fractions(argv, layers):
     assert _fresh(code + _LOADED) == layers
 
 
+def test_il_replay_check_runs_the_pool_and_fractions():
+    argv = ["il", "--delta-x", "1", "--delta-y", "4", "--replay-check"]
+    code = "import contextlib, io, sys, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    code += f"    assert cpamm.cli.main({argv!r}) == 0\nassert 'fractions' in sys.modules\n"
+    assert _fresh(code + _LOADED) == ["analytics", "cli", "errors", "pool"]
+
+
 def test_figure_choices_load_figures_alone():
     code = "import cpamm.cli\ncpamm.cli.build_parser(['emit-figure'])\n" + _LOADED
     assert _fresh(code) == ["cli", "errors", "figures"]

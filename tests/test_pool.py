@@ -319,12 +319,45 @@ def test_pool_value():
     assert pool_value(pool, 1.0, 4.0) == 400.0
 
 
+@pytest.mark.parametrize("x0, y0", [(1e300, 1e-10), (1e-160, 1e160)])
+def test_create_pool_rejects_a_rate_outside_float_range(x0, y0):
+    # The product is normal; x0 / y0 is inf or 1e-320, and y0 / x0 the other way.
+    for x, y in [(x0, y0), (y0, x0)]:
+        with pytest.raises(NonPositiveReserve, match=r"ratio .0 / .0 must be a normal float"):
+            create_pool(x, y)
+    assert rate_of(create_pool(Fraction(x0), Fraction(y0))) == Fraction(x0) / Fraction(y0)
+
+
+def test_rate_of_rejects_a_swapped_rate_outside_float_range():
+    pool, _ = execute_swap(create_pool(1e150, 1e-150), Direction.X_FOR_Y, 1e158)
+    with pytest.raises(InvalidRate, match="pool rate x / y must be a normal float, got inf"):
+        rate_of(pool)
+
+
+def test_pool_value_rejects_a_value_outside_float_range():
+    pool = create_pool(1e10, 1e10)
+    with pytest.raises(InputError, match="pool value .* must be a normal float, got inf"):
+        pool_value(pool, 1e300, 1e300)
+    with pytest.raises(InputError, match=r"must be a normal float, got 1\.99997773436537e-310"):
+        pool_value(pool, 1e-320, 1e-320)
+    exact = create_pool(Fraction(10**10), Fraction(10**10))
+    assert pool_value(exact, Fraction(10**300), 10**300) == 2 * 10**310
+    empty, _ = remove_liquidity(pool, "lp", pool.total_shares)
+    assert pool_value(empty, 1.0, 1.0) == 0.0
+
+
 def test_add_liquidity_proportional():
     pool = create_pool(Fraction(100), Fraction(400))
     new_pool, position = add_liquidity(pool, "alice", Fraction(10), Fraction(40))
     assert position.shares == Fraction(20)  # 10% growth on 200 shares
     assert new_pool.total_shares == Fraction(220)
     assert new_pool.reserve_x == 110
+
+
+def test_add_liquidity_rejects_a_deposit_that_mints_no_share():
+    # 1e-200 / 1e150 underflows: the deposit would round away and mint 0 shares.
+    with pytest.raises(NonPositiveAmount, match="shares minted by the deposit"):
+        add_liquidity(create_pool(1e150, 1e150), "b", 1e-200, 1e-200)
 
 
 def test_add_liquidity_rejects_off_rate_deposit():
@@ -588,10 +621,9 @@ def test_kernel_equals_quote_and_execute_swap(case, model, direction):
     pool = create_pool(x, y, fee_rate=fee, fee_model=model)
     y_for_x = direction is Direction.Y_FOR_X
     compound = model is FeeModel.AUTO_COMPOUND
-    reserve_in, reserve_out = (y, x) if y_for_x else (x, y)
     try:
-        new_in, new_out, fees_in, gross, fee_paid, out, _ = _swap(
-            reserve_in, reserve_out, 0, fee, amount, cap, y_for_x, compound
+        new_x, new_y, fees_x, fees_y, gross, fee_paid, out, _ = _swap(
+            x, y, 0, 0, fee, amount, cap, y_for_x, compound
         )
     except NonPositiveReserve:
         with pytest.raises(NonPositiveReserve):
@@ -601,18 +633,42 @@ def test_kernel_equals_quote_and_execute_swap(case, model, direction):
     assert (gross, fee_paid, out) == (receipt.capped_in, receipt.fee_paid, receipt.amount_out)
     moved, executed = execute_swap(pool, direction, amount, cap)
     assert executed == receipt
+    # The kernel returns the pool's orientation; the test orients it to
+    # check each side: only the input side's balance takes the fee.
+    sides = [(x, new_x, fees_x), (y, new_y, fees_y)]
+    (reserve_in, new_in, fees_in), (reserve_out, new_out, fees_out) = (
+        sides[::-1] if y_for_x else sides
+    )
     assert fees_in == (0 if compound else fee_paid)
+    assert fees_out == 0
     if isinstance(gross, Fraction):  # a cap with an inexact root gives floats
         # Exact settlement: the input side, reserve plus ledger, takes the
         # whole gross; the output reserve gives up exactly the output.
         assert (new_in + fees_in) - reserve_in == gross
         assert reserve_out - new_out == out
-    if y_for_x:
-        assert (moved.reserve_x, moved.reserve_y) == (new_out, new_in)
-        assert moved.side_ledger == SideLedger(0, fees_in)
-    else:
-        assert (moved.reserve_x, moved.reserve_y) == (new_in, new_out)
-        assert moved.side_ledger == SideLedger(fees_in, 0)
+    assert (moved.reserve_x, moved.reserve_y) == (new_x, new_y)
+    assert moved.side_ledger == SideLedger(fees_x, fees_y)
+
+
+@given(case=st.one_of(float_pools, fraction_pools), model=st.sampled_from(list(FeeModel)))
+@settings(max_examples=300)
+def test_a_trade_mirrors_onto_the_swapped_pool(case, model):
+    # Selling Y on (x, y) is selling X on (y, x), bit for bit, with the sides
+    # swapped: a fee credited to the wrong side in one direction fails this.
+    # Caps and the spread are left out; their formulas differ by direction.
+    x, y, fee, amount, _ = case
+    mirror = create_pool(y, x, fee, model)
+    try:
+        sold_y, by_y = execute_swap(create_pool(x, y, fee, model), Direction.Y_FOR_X, amount)
+    except NonPositiveReserve:
+        with pytest.raises(NonPositiveReserve):
+            execute_swap(mirror, Direction.X_FOR_Y, amount)
+        return
+    sold_x, by_x = execute_swap(mirror, Direction.X_FOR_Y, amount)
+    assert (sold_y.reserve_x, sold_y.reserve_y) == (sold_x.reserve_y, sold_x.reserve_x)
+    assert sold_y.side_ledger == SideLedger(sold_x.side_ledger.fees_y, sold_x.side_ledger.fees_x)
+    for name in ("capped_in", "fee_paid", "amount_out", "realized_rate"):
+        assert getattr(by_y, name) == getattr(by_x, name), name
 
 
 @given(x=reserves, y=reserves, target=st.floats(min_value=1e-3, max_value=1e3))

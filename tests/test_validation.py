@@ -224,7 +224,7 @@ def _reserve(value):
 # guard -> (call with the value, the helper call it stands for, message prefix)
 INLINE_GUARDS = {
     "trade amount": (
-        lambda v: _swap(_reserve(v), _reserve(v), 0, 0, v, None, True, True),
+        lambda v: _swap(_reserve(v), _reserve(v), 0, 0, 0, v, None, True, True),
         lambda v: positive(NonPositiveAmount, "trade amount", v), ""),
     "Y-for-X spread": (
         lambda v: _spread_cap(_reserve(v), v, True),
