@@ -157,14 +157,18 @@ class LpPosition:
 
 
 def _sqrt(value: Numeric) -> Numeric:
-    """Square root, exact when ``value`` is a perfect rational square."""
+    """Square root, exact when ``value`` is a perfect rational square, else
+    the float root of ``value``'s float: inf past float range, as that is."""
     # The class test first: isinstance against the Fraction ABC is slow.
     if value.__class__ is not float and isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
         root_num, root_den = math.isqrt(num), math.isqrt(den)
         if root_num * root_num == num and root_den * root_den == den:
             return Fraction(root_num, root_den)
-    return math.sqrt(value)
+    try:
+        return math.sqrt(value)
+    except OverflowError:  # an exact value whose float would be inf
+        return _INF
 
 
 def _geometric_mean(a: Numeric, b: Numeric) -> Numeric:
@@ -457,8 +461,14 @@ def add_liquidity(
             f"deposit ratio {dx}/{dy} does not match pool ratio "
             f"{pool.reserve_x}/{pool.reserve_y}"
         )
-    # A deposit that small next to the pool rounds away: its tokens would vanish.
+    # A deposit that small next to the pool rounds away: its tokens would
+    # vanish, or its shares would be minted while the pool stays as it was.
     positive(NonPositiveAmount, "shares minted by the deposit", minted)
+    if new_x == pool.reserve_x or new_y == pool.reserve_y or total == pool.total_shares:
+        raise NonPositiveAmount(
+            f"deposit ({dx}, {dy}) rounds away next to the reserves "
+            f"({pool.reserve_x}, {pool.reserve_y}) and {pool.total_shares} shares"
+        )
     ledger = dict(pool.share_ledger)
     ledger[provider] = ledger.get(provider, 0) + minted
     new_pool = PoolState(

@@ -22,10 +22,11 @@ amount and ``b`` its cap; a price move (kind 4) holds ``delta_x`` and
 ``delta_y``; a fee collection (5) and a snapshot (6) hold the provider or
 label in ``a``.  Unused fields are 0.0.  Two plain conversions build
 records, each one branch per event kind that checks every field:
-``_parse_event`` for a JSON event, as soon as the decoder finishes it (so a
-script is never held as dicts, and ``_read_script`` holds its records
-packed), and ``_record`` for a public event object, as the replay reaches
-it in :func:`run_scenario` and :func:`measure_effective_alpha`.
+``_parse_event`` for a JSON event, as each window of a script's text is
+decoded (so a script is never held as dicts, nor a file as its whole text,
+and ``_read_script`` holds its records packed), and ``_record`` for a public
+event object, as the replay reaches it in :func:`run_scenario` and
+:func:`measure_effective_alpha`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ import io
 import json
 import math
 import os
+import re
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import count
 from numbers import Real
@@ -406,9 +409,117 @@ def _parse_event(index: int, raw: dict) -> tuple:
         raise ScriptError(f"event {index}: {err}") from err
 
 
-#: What the decoder leaves in place of an event it packed.  Not ``None``,
-#: which a JSON ``null`` entry of ``events`` decodes to.
-_PACKED = object()
+#: Characters of script text read and decoded at a time: 64 KiB of ASCII.
+_WINDOW = 1 << 16
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
+#: What follows an entry of ``events`` that a window may end with: a comma
+#: and the next object, or the array's end.
+_AFTER_ENTRY = re.compile(r"[ \t\n\r]*(?:,(?=[ \t\n\r]*\{)|\])")
+#: What ``_stream`` raises for a text it does not accept exactly.
+_NOT_STREAMED = (ValueError, TypeError, RecursionError, StopIteration, CpammError)
+
+
+def _stream(read, add) -> dict:
+    """A script's top-level object but ``events``, decoded from ``read(size)``
+    about one window at a time; each event's record goes to ``add``.
+
+    ``scan_once`` reads the keys and the other values.  ``events`` is decoded
+    by one ``json.loads`` per window, cut at the last ``}`` that
+    ``_AFTER_ENTRY`` follows.  A cut inside a string or a nested value does
+    not decode, so an earlier ``}`` is tried, then more text.
+    """
+    scan = json.JSONDecoder().scan_once
+    buf, at, index, doc, streamed = "", 0, 0, {}, False
+
+    def fill() -> bool:
+        """Read on, at least as much as is held; False at the end."""
+        nonlocal buf, at
+        more = read(max(_WINDOW, len(buf) - at))
+        buf, at = buf[at:] + more, 0
+        return more != ""
+
+    def peek() -> str:  # the next character past whitespace, "" at the end
+        nonlocal at
+        while True:
+            at = _SPACE.match(buf, at).end()
+            if at < len(buf) or not fill():
+                return buf[at:at + 1]
+
+    def take(char: str) -> None:
+        nonlocal at
+        if peek() != char:
+            raise ValueError(f"expected {char!r}")
+        at += 1
+
+    def value():
+        """The value at ``at``, once three characters are read past it: a
+        number cut short (``1.5e-`` of ``1.5e-3``) goes on for two at most."""
+        nonlocal at
+        peek()
+        while True:
+            try:
+                obj, end = scan(buf, at)
+                if end < len(buf) - 2:
+                    at = end
+                    return obj
+            except (ValueError, StopIteration):
+                pass
+            if not fill():
+                obj, at = scan(buf, at)  # as the whole text has it, or its error
+                return obj
+
+    take("{")
+    while True:
+        if peek() != '"':
+            raise ValueError("expected a key")
+        key = value()
+        take(":")
+        if key != "events":
+            doc[key] = value()
+        elif streamed or peek() != "[":
+            raise ValueError("events is no array, or comes twice")
+        else:
+            streamed, at = True, at + 1
+            while peek() != "]":
+                batch, end = None, len(buf)
+                while batch is None and (cut := buf.rfind("}", at, end)) >= 0:
+                    end = cut
+                    if after := _AFTER_ENTRY.match(buf, cut + 1):
+                        try:
+                            batch = json.loads("[" + buf[at:cut + 1] + "]")
+                        except json.JSONDecodeError as err:  # no cut past the failure decodes
+                            end = min(cut, at + err.pos - 1)
+                if batch is None:
+                    if not fill():
+                        raise ValueError("events end with no cut")
+                    continue
+                for entry in batch:
+                    add(*_parse_event(index, entry))
+                    index += 1
+                at = after.end()
+                if buf[at - 1] == "]":
+                    break
+            else:
+                at += 1  # the end of an empty array
+        if peek() != ",":
+            break
+        at += 1
+    take("}")
+    if peek():
+        raise ValueError("text after the document")
+    return doc
+
+
+def _slicer(text: str):
+    """``read(size)`` over a text already held."""
+    offset = 0
+
+    def read(size: int) -> str:
+        nonlocal offset
+        offset += size
+        return text[offset - size:offset]
+
+    return read
 
 
 def _read_script(
@@ -417,18 +528,13 @@ def _read_script(
     """A script file's header (a script with no events) and its events'
     records, all checked before anything replays.
 
-    Each record is held packed in 25 bytes of one ``bytearray`` (floats
-    round-trip exactly), its provider or label as an index into ``texts``,
-    and is unpacked as it is read.
+    A path is decoded a window at a time (``_stream``), so its text is never
+    held whole; a stream, or a file that cannot be read twice, is read whole
+    first.  What ``_stream`` does not accept is decoded from the whole text,
+    which then decides every result and error message.  Each record is held
+    packed in 25 bytes of one ``bytearray`` (floats round-trip exactly), its
+    provider or label as an index into ``texts``, and is unpacked as it is read.
     """
-    try:
-        if isinstance(source, io.TextIOBase):
-            raw = source.read()
-        else:
-            with open(source, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-    except (OSError, UnicodeDecodeError) as err:
-        raise ScriptError(f"cannot read script: {err}") from err
     layout = struct.Struct("<Bddd")
     packed = bytearray()
     texts: List[str] = []
@@ -441,49 +547,39 @@ def _read_script(
             a = len(texts) - 1
         extend(pack(kind, t, a, b))
 
-    # The decoder hands each JSON object to ``record`` as soon as it is
-    # complete, so a well-formed script's events never exist as dicts.  It
-    # cannot tell an event from any other object with a ``type``, nor where
-    # an object sits, so its records are kept only if they are exactly the
-    # entries of ``events``.  Otherwise (a bad event, or an event-typed
-    # object anywhere else) the text is decoded again as it is, and parsed
-    # below.  A nesting deeper than the decoder's recursion is invalid JSON.
-    made = 0
-
-    def record(obj: dict):
-        nonlocal made
-        try:
-            parsed = _parse_event(made, obj)
-        except Exception:  # not an event, or a bad one: left for the parse below
-            return obj
-        add(*parsed)
-        made += 1
-        return _PACKED
-
+    doc = text = None
     try:
-        doc = json.loads(raw, object_hook=record)
-        entries = doc.get("events") if doc.__class__ is dict else None
-        kept = entries.__class__ is list and len(entries) == made == entries.count(_PACKED)
-        if not kept:
-            doc = entries = None  # released before the second decode
-            doc = json.loads(raw)
-    # A ValueError is a JSONDecodeError or an integer past the digit limit.
-    except (ValueError, RecursionError) as err:
-        raise ScriptError(f"invalid JSON: {err}") from err
-    del raw
+        with (nullcontext(source) if isinstance(source, io.TextIOBase)
+              else open(source, "r", encoding="utf-8")) as handle:
+            if handle is source or not handle.seekable():
+                text = handle.read()
+            try:
+                doc = _stream(handle.read if text is None else _slicer(text), add)
+            except _NOT_STREAMED:
+                packed.clear()
+                texts.clear()
+                if text is None:
+                    handle.seek(0)
+                    text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScriptError(f"cannot read script: {err}") from err
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        # A ValueError is a JSONDecodeError or an integer past the digit limit.
+        except (ValueError, RecursionError) as err:
+            raise ScriptError(f"invalid JSON: {err}") from err
+    text = None
     try:
         pool = _json_object("pool", doc["pool"])
         prices = _json_object("prices", doc["prices"])
         fee_model = FeeModel(pool.get("fee_model", "auto_compound"))
-        entries = doc.get("events", [])
+        entries = doc.get("events", [])  # a streamed document has none left
         if not isinstance(entries, list):
             raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
-        if not kept:
-            packed.clear()
-            texts.clear()
-            for index, entry in enumerate(entries):
-                add(*_parse_event(index, entry))
-                entries[index] = None  # drop each raw event once its record exists
+        for index, entry in enumerate(entries):
+            add(*_parse_event(index, entry))
+            entries[index] = None  # drop each raw event once its record exists
         header = ScenarioScript(
             pool_x=_number(pool["x"]),
             pool_y=_number(pool["y"]),

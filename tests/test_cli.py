@@ -80,6 +80,17 @@ def test_swap_exact_fractions(capsys):
     assert pairs["new_y"] == "1997/10"  # 100 + 100 * 0.997
 
 
+@pytest.mark.parametrize("command", [
+    ["swap", "--direction", "y2x", "--amount", "1/1"],
+    ["pool-info"],
+], ids=["swap", "pool-info"])
+def test_an_exact_pool_past_float_range_is_an_input_error(capsys, command):
+    # 2e400 * 1 is no perfect square, so the root is a float: it would be inf.
+    code, out, err = run_cli(capsys, *command, "--x", f"{2 * 10**400}/1", "--y", "1/1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: initial liquidity sqrt(x0 * y0) must be finite")
+
+
 def test_swap_respects_spread_cap(capsys):
     code, out, _ = run_cli(
         capsys,

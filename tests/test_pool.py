@@ -360,6 +360,24 @@ def test_add_liquidity_rejects_a_deposit_that_mints_no_share():
         add_liquidity(create_pool(1e150, 1e150), "b", 1e-200, 1e-200)
 
 
+def test_add_liquidity_rejects_a_deposit_that_rounds_away():
+    # 1e150 + 1e130 is 1e150: the reserves and the share total would stay as
+    # they were while b holds 1e130 shares.
+    pool = create_pool(1e150, 1e150)
+    with pytest.raises(NonPositiveAmount, match=r"^deposit \(1e\+130, 1e\+130\) rounds away"):
+        add_liquidity(pool, "b", 1e130, 1e130)
+    grown, position = add_liquidity(pool, "b", 1e140, 1e140)
+    assert grown.reserve_x > pool.reserve_x and position.shares == 1e140
+
+
+def test_an_exact_pool_whose_root_leaves_float_range_is_rejected():
+    # The product 2e400 is no perfect square, and its float root would be inf.
+    with pytest.raises(NonPositiveReserve, match=r"initial liquidity .* got inf$"):
+        create_pool(Fraction(2 * 10**400), Fraction(1))
+    square = create_pool(Fraction(10**400), Fraction(1, 10**400))  # an exact root
+    assert square.total_shares == 1
+
+
 def test_add_liquidity_rejects_off_rate_deposit():
     pool = create_pool(100.0, 400.0)
     with pytest.raises(RateMismatch):

@@ -5,12 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,7 @@ from cpamm import (
     run_scenario,
     snapshots_to_csv,
 )
+from cpamm import scenario
 from cpamm.pool import arbitrage_to_rate
 from cpamm.scenario import _event, _parse_event, _read_script, _run_script_file
 
@@ -701,7 +705,7 @@ def test_run_scenario_reads_a_plain_direction_string_as_its_member(direction):
         run_scenario(make_script((Trade(0.0, "y4x", 5.0),)))
 
 
-# -- the decoder builds the records: exactly what a parse of each entry gives --
+# -- the windowed reader gives exactly what the whole text decodes to ----------
 
 
 def two_pass_load(text):
@@ -721,11 +725,34 @@ def two_pass_load(text):
         return ScriptError, f"malformed script: {err}"
 
 
-def load_outcome(text):
+def _outcome(source):
     try:
-        return load_script(io.StringIO(text)).events
+        return load_script(source).events
     except CpammError as err:
         return type(err), str(err)
+
+
+#: The reader's windows under test: one character, two sizes that cut
+#: entries anywhere, and its own.
+WINDOWS = (1, 7, 61, scenario._WINDOW)
+
+
+def load_outcome(text, path):
+    """The events ``load_script`` gives for ``text``, or the error's type and
+    message, which must be the same from a stream and from a file at
+    ``path``, at each of ``WINDOWS``."""
+    path.write_bytes(text.encode())
+    outcomes = []
+    for window in WINDOWS:
+        with mock.patch.object(scenario, "_WINDOW", window):
+            outcomes += [_outcome(io.StringIO(text)), _outcome(path)]
+    assert all(outcome == outcomes[0] for outcome in outcomes), text
+    return outcomes[0]
+
+
+@pytest.fixture(scope="module")
+def script_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("scripts") / "script.json"
 
 
 SNAPSHOT = {"type": "snapshot", "t": 0}
@@ -859,7 +886,8 @@ non_objects = st.sampled_from([None, 5, [], [SNAPSHOT], "snapshot"])
        decoy=st.one_of(st.none(), decoys), truncate=st.booleans(),
        replaced=st.one_of(st.none(), st.tuples(st.integers(0, 7), non_objects)))
 @settings(max_examples=300, deadline=None)
-def test_load_script_equals_a_two_pass_parse(events, corrupt, decoy, truncate, replaced):
+def test_load_script_equals_a_two_pass_parse(script_path, events, corrupt, decoy, truncate,
+                                             replaced):
     events = [dict(event) for event in events]  # edited below; the drawn ones stay as drawn
     doc = script_doc(events=events)
     if corrupt is not None and events:
@@ -879,7 +907,76 @@ def test_load_script_equals_a_two_pass_parse(events, corrupt, decoy, truncate, r
     text = json.dumps(doc)
     if truncate:
         text = text[:-1]
-    assert load_outcome(text) == two_pass_load(text)
+    assert load_outcome(text, script_path) == two_pass_load(text)
+
+
+def _straddling_label():
+    """A script whose label of two- and four-byte characters spans the first
+    edge of the default window, in characters and in bytes."""
+    def text(pad):
+        events = [dict(SNAPSHOT, label="a" * pad), dict(SNAPSHOT, label="é😀" * 40)]
+        return json.dumps(script_doc(events=events), ensure_ascii=False)
+
+    return text(scenario._WINDOW - 41 - text(0).index("é😀"))
+
+
+TRADE = {"type": "trade", "t": 0, "direction": "y2x", "amount": 1}
+NESTED = dict(TRADE, note={"a": {"b": [1, {"c": 2}], "d": {}}, "e": [{"f": {}}, {}]})
+EVENT_NOTE = {"type": "snapshot", "t": 0, "events": [SNAPSHOT, {"type": "snapshot"}]}
+HEADER = '"pool": {"x": 10, "y": 10}, "prices": {"p_x": 1, "p_y": 1}'
+WINDOWED = {
+    "labels": json.dumps(script_doc(events=[
+        SNAPSHOT, dict(SNAPSHOT, label="}, {"), dict(SNAPSHOT, label="a}"),
+        dict(SNAPSHOT, label='x}, {"'), SNAPSHOT])),
+    "straddling label": _straddling_label(),
+    "nested field": json.dumps(script_doc(events=[NESTED, SNAPSHOT, NESTED])),
+    "event note": json.dumps(script_doc(note=EVENT_NOTE, events=[
+        dict(TRADE, note=EVENT_NOTE), SNAPSHOT])),
+    "duplicate events": "{" + f'"events": [{json.dumps(TRADE)}], {HEADER}, '
+                        f'"events": [{json.dumps(SNAPSHOT)}, {json.dumps(TRADE)}]' + "}",
+    "events first": "{" + f'"events": [{json.dumps(SNAPSHOT)}], {HEADER}' + "}",
+    "indent": json.dumps(script_doc(events=[NESTED, SNAPSHOT]), indent=2),
+    "crlf": json.dumps(script_doc(events=[NESTED, SNAPSHOT]), indent=2).replace("\n", "\r\n"),
+    "empty events": json.dumps(script_doc(events=[])),
+    "empty events, spaced": "{" + HEADER + ', "events": [ \r\n\t ] }',
+}
+
+
+@pytest.mark.parametrize("text", WINDOWED.values(), ids=WINDOWED.keys())
+def test_the_windowed_reader_equals_the_whole_text(script_path, text):
+    outcome = load_outcome(text, script_path)
+    assert outcome == two_pass_load(text)
+    assert isinstance(outcome, tuple) and all(isinstance(event, (Trade, Snapshot))
+                                              for event in outcome)
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_window_reads_as_the_whole_file(tmp_path):
+    events = [dict(SNAPSHOT, label="a" * 100)] * 1000
+    data = json.dumps(script_doc(events=events)).encode()
+    at = len(data) - 200  # inside the last label, past the first window
+    path = tmp_path / "script.json"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(ScriptError) as err:
+        load_script(path)
+    assert str(err.value) == f"cannot read script: {whole.value}"
+    assert f"in position {at}:" in str(err.value) and at > scenario._WINDOW
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("bad", [False, True])
+def test_a_file_that_cannot_be_read_twice_is_read_whole(tmp_path, bad):
+    events = [dict(SNAPSHOT, label="a" * 100)] * 1000 + [dict(TRADE, amount="five" if bad else 1)]
+    text = json.dumps(script_doc(events=events))
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    outcome = _outcome(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert outcome == two_pass_load(text)
 
 
 def write_replay_script(tmp_path):
@@ -915,11 +1012,13 @@ def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(script.events) == 20_000
-    # Decoding every event to a dict first peaked at 4.8 times the file.
-    assert peak <= 3.5 * path.stat().st_size
+    # The records and one event object each, about 1.73 times the file;
+    # decoding every event to a dict first peaked at 4.8 times, and holding
+    # the text twice while it was read at 2.0.
+    assert peak <= 2.0 * path.stat().st_size
 
 
-def test_replaying_a_file_holds_its_text_and_25_bytes_per_event(tmp_path):
+def test_replaying_a_file_holds_a_window_and_25_bytes_per_event(tmp_path):
     path = write_replay_script(tmp_path)
     tracemalloc.start()
     try:
@@ -931,9 +1030,11 @@ def test_replaying_a_file_holds_its_text_and_25_bytes_per_event(tmp_path):
     finally:
         tracemalloc.stop()
     assert records
-    # The text read once as bytes and once as str sets the peak; records of
-    # a tuple and two or three floats each took it to 2.4-2.6 times the file.
-    assert peak <= 2.1 * path.stat().st_size
+    # The records, a window of text and its decoded entries set the peak,
+    # about 0.58 times the file.  Reading the whole text as bytes and as str
+    # took it to 2.00 times, and records of a tuple and two or three floats
+    # each to 2.4-2.6.
+    assert peak <= 0.75 * path.stat().st_size
     # A packed record is 25 bytes, plus the texts of collections and
     # snapshots; a tuple record was about 150.
     assert held <= 48 * 20_000
