@@ -13,7 +13,9 @@ Subcommands::
 
 Scalar results print as ``key=value`` lines; tabular results print as CSV.
 Amounts and reserves accept plain decimals or exact fractions like ``1/3``;
-fractional inputs keep the whole computation exact.  Exit status is 1 for
+fractional inputs keep the whole computation exact, but for an irrational
+square root.  The defaults of ``--fee`` (0) and of ``--p-x`` and ``--p-y``
+(1) are ints, which join either kind of number.  Exit status is 1 for
 rejected input or output that cannot be written, 2 for usage errors, 3 for
 internal failures.  A reader that stops early, as ``| head`` does, ends the
 command quietly with status 0.
@@ -58,7 +60,7 @@ def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> No
     parser.add_argument("--y", type=_num, required=True, help="Y reserve")
     if with_fee:
         parser.add_argument(
-            "--fee", type=_num, default=0.0, help="fee rate in [0, 1), default 0"
+            "--fee", type=_num, default=0, help="fee rate in [0, 1), default 0"
         )
 
 
@@ -234,8 +236,8 @@ def build_parser(commands: Container[str] = _COMMANDS) -> argparse.ArgumentParse
 
     if p := add("pool-info", "rate, liquidity and value of a pool", _cmd_pool_info):
         _add_pool_args(p, with_fee=False)
-        p.add_argument("--p-x", type=_num, default=1.0, help="price of X, default 1")
-        p.add_argument("--p-y", type=_num, default=1.0, help="price of Y, default 1")
+        p.add_argument("--p-x", type=_num, default=1, help="price of X, default 1")
+        p.add_argument("--p-y", type=_num, default=1, help="price of Y, default 1")
 
     if p := add("il", "impermanent loss for a price change", _cmd_il):
         p.add_argument("--delta-x", type=float, default=1.0, help="price factor for X")

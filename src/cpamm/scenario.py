@@ -37,7 +37,7 @@ import math
 import os
 import re
 import struct
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields, replace
 from itertools import count
 from numbers import Real
@@ -338,7 +338,8 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
 
 # -- script files ---------------------------------------------------------
 
-_EVENT_KINDS = {"trade", "price_move", "collect_fees", "snapshot"}
+#: A tuple, so a ``type`` that is no hashable value is an unknown type too.
+_EVENT_KINDS = ("trade", "price_move", "collect_fees", "snapshot")
 
 
 def _number(value) -> float:
@@ -413,8 +414,8 @@ def _parse_event(index: int, raw: dict) -> tuple:
 _WINDOW = 1 << 16
 _SPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
 #: What follows an entry of ``events`` that a window may end with: a comma
-#: and the next object, or the array's end.
-_AFTER_ENTRY = re.compile(r"[ \t\n\r]*(?:,(?=[ \t\n\r]*\{)|\])")
+#: and the next object, or the array's end, which is left to read.
+_AFTER_ENTRY = re.compile(r"[ \t\n\r]*(?:,(?=[ \t\n\r]*\{)|(?=\]))")
 #: What ``_stream`` raises for a text it does not accept exactly.
 _NOT_STREAMED = (ValueError, TypeError, RecursionError, StopIteration, CpammError)
 
@@ -426,7 +427,8 @@ def _stream(read, add) -> dict:
     ``scan_once`` reads the keys and the other values.  ``events`` is decoded
     by one ``json.loads`` per window, cut at the last ``}`` that
     ``_AFTER_ENTRY`` follows.  A cut inside a string or a nested value does
-    not decode, so an earlier ``}`` is tried, then more text.
+    not decode, so the whole entries held are scanned one at a time, and
+    more text is read: no text is decoded more than a few times over.
     """
     scan = json.JSONDecoder().scan_once
     buf, at, index, doc, streamed = "", 0, 0, {}, False
@@ -482,25 +484,27 @@ def _stream(read, add) -> dict:
             streamed, at = True, at + 1
             while peek() != "]":
                 batch, end = None, len(buf)
-                while batch is None and (cut := buf.rfind("}", at, end)) >= 0:
-                    end = cut
+                while (cut := buf.rfind("}", at, end)) >= 0:
                     if after := _AFTER_ENTRY.match(buf, cut + 1):
-                        try:
-                            batch = json.loads("[" + buf[at:cut + 1] + "]")
-                        except json.JSONDecodeError as err:  # no cut past the failure decodes
-                            end = min(cut, at + err.pos - 1)
-                if batch is None:
-                    if not fill():
+                        with suppress(json.JSONDecodeError):  # a cut inside a value fails
+                            batch, at = json.loads("[" + buf[at:cut + 1] + "]"), after.end()
+                        break
+                    end = cut
+                if batch is None:  # the whole entries held go one at a time, then more text
+                    batch = []
+                    with suppress(ValueError, StopIteration):
+                        while not buf.startswith("]", at):
+                            entry, end = scan(buf, _SPACE.match(buf, at).end())
+                            if not (after := _AFTER_ENTRY.match(buf, end)):
+                                break
+                            batch.append(entry)
+                            at = after.end()
+                    if not buf.startswith("]", at) and not fill():
                         raise ValueError("events end with no cut")
-                    continue
                 for entry in batch:
                     add(*_parse_event(index, entry))
                     index += 1
-                at = after.end()
-                if buf[at - 1] == "]":
-                    break
-            else:
-                at += 1  # the end of an empty array
+            at += 1  # the array's end
         if peek() != ",":
             break
         at += 1

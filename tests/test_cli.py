@@ -6,12 +6,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,53 @@ def test_an_exact_pool_past_float_range_is_an_input_error(capsys, command):
     code, out, err = run_cli(capsys, *command, "--x", f"{2 * 10**400}/1", "--y", "1/1")
     assert (code, out) == (1, "")
     assert err.startswith("error: initial liquidity sqrt(x0 * y0) must be finite")
+
+
+def assert_exact(out):
+    """Every ``key=value`` line but the direction holds an int or a fraction."""
+    for key, value in parse_pairs(out).items():
+        assert key == "direction" or re.fullmatch(r"-?\d+(/\d+)?", value), (key, value)
+
+
+@pytest.mark.parametrize("command", [
+    ["swap", "--direction", "y2x", "--amount", "1/1"],
+    ["pool-info"],
+], ids=["swap", "pool-info"])
+def test_an_exact_pool_past_float_range_keeps_the_defaults_exact(capsys, command):
+    # The default fee and prices are ints, which join the pool's exact numbers;
+    # as floats they overflowed converting them.
+    big = f"1{'0' * 400}/1"
+    code, out, err = run_cli(capsys, *command, "--x", big, "--y", big)
+    assert (code, err) == (0, "")
+    assert_exact(out)
+    pairs = parse_pairs(out)
+    if command[0] == "swap":
+        assert pairs["amount_out"] == str(Fraction(10**400, 10**400 + 1))
+    else:
+        assert pairs["value"] == str(2 * 10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["quote", "--x", "100/1", "--y", "100/1", "--direction", "y2x", "--amount", "1/3"],
+    ["quote", "--x", "100/1", "--y", "400/1", "--fee", "3/1000", "--direction", "x2y",
+     "--amount", "7/2"],
+    ["swap", "--x", "9/4", "--y", "1/1", "--direction", "x2y", "--amount", "1/5",
+     "--fee-model", "collect_separately"],
+    ["pool-info", "--x", "4/1", "--y", "9/1"],
+    ["pool-info", "--x", "4/1", "--y", "9/1", "--p-x", "1/2", "--p-y", "3/1"],
+])
+def test_fractional_inputs_print_no_float(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert_exact(out)
+
+
+def test_an_exact_swap_at_the_default_fee_prints_fractions(capsys):
+    code, out, _ = run_cli(capsys, "swap", "--x", "100/1", "--y", "100/1",
+                           "--direction", "y2x", "--amount", "1/3")
+    assert code == 0
+    assert_exact(out)
+    assert parse_pairs(out)["amount_out"] == "100/301"
 
 
 def test_swap_respects_spread_cap(capsys):
@@ -652,6 +701,13 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("cpamm.compounding.roi_pair", solver_bug)
     code, out, err = run_cli(capsys, "roi")
     assert (code, out, err) == (3, "", "internal error: bisection gave up\n")
+
+
+def test_a_root_that_does_not_settle_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("cpamm.compounding._ROOT_MAX_ITER", 1)
+    code, out, err = run_cli(capsys, "roi")
+    assert (code, out) == (3, "")
+    assert err == "internal error: Newton's method took 1 steps without settling\n"
 
 
 # -- property: any argv ends in exit 0, 1 or 2 -------------------------------

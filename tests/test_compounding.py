@@ -194,6 +194,12 @@ def test_implicit_solver_rejects_zero_compounders():
         lc_implicit_solve(params, 1.0)
 
 
+def test_a_root_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr("cpamm.compounding._ROOT_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="^Newton's method took 1 steps without settling$"):
+        roi_pair(DEFAULT, 1.0)
+
+
 @pytest.mark.parametrize("l_total0", [1.0, 1e-5, 7.3, 1e100])
 @pytest.mark.parametrize("alpha", [0.2, 3.0])
 def test_everyone_compounding_follows_the_linear_closed_form(alpha, l_total0):

@@ -721,8 +721,6 @@ def two_pass_load(text):
                      for index, entry in enumerate(doc["events"]))
     except ScriptError as err:
         return ScriptError, str(err)
-    except TypeError as err:  # a "type" that is no hashable value
-        return ScriptError, f"malformed script: {err}"
 
 
 def _outcome(source):
@@ -800,8 +798,9 @@ def test_a_nesting_past_the_decoder_is_invalid_json(opening, closing):
      "event 2: could not convert string to float: 'five'"),
     ({"type": "teleport", "t": 0}, "event 2: unknown type 'teleport'"),
     ({"type": "snapshot", "t": -1}, "event 2: timestamp must be finite and >= 0, got -1.0"),
-    ({"type": [1]}, "malformed script: unhashable type: 'list'"),
+    ({"type": [1]}, "event 2: unknown type [1]"),
     ([SNAPSHOT], "event 2: expected a JSON object, got list"),
+    ({"type": {"a": 1}}, "event 2: unknown type {'a': 1}"),
 ])
 def test_a_bad_event_keeps_its_index_and_message(bad, message):
     events = [{"type": "snapshot", "t": 0, "label": "a"}, SNAPSHOT, bad, SNAPSHOT]
@@ -950,6 +949,80 @@ def test_the_windowed_reader_equals_the_whole_text(script_path, text):
                                               for event in outcome)
 
 
+@pytest.mark.parametrize("text, refusal", [
+    ("{" + HEADER + ', 5: [], "events": []}', "expected a key"),
+    (json.dumps(script_doc(events=[SNAPSHOT])) + ' {"events": []}', "text after the document"),
+    ("{" + HEADER + ', "events": [', "events end with no cut"),
+    ("{" + HEADER + ', "events": [ \n', "events end with no cut"),
+    ("{" + HEADER + ', "events": [' + json.dumps(SNAPSHOT) + ", ", "events end with no cut"),
+], ids=["non-string key", "text after the document", "ends after events' [",
+        "ends in whitespace after events' [", "ends after an entry's comma"])
+def test_a_document_the_reader_refuses_reads_as_the_whole_text(script_path, text, refusal):
+    for window in WINDOWS:
+        with mock.patch.object(scenario, "_WINDOW", window):
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                scenario._stream(scenario._slicer(text), lambda *record: None)
+    outcome = load_outcome(text, script_path)
+    assert outcome == two_pass_load(text) and outcome[0] is ScriptError
+
+
+def decoding_work(text, window):
+    """The characters ``_stream`` hands to ``json.loads`` for ``text`` read
+    ``window`` characters at a time, plus those its scanner reads: to the end
+    of each value, and on a failure to the end of the text it was handed."""
+    work = 0
+
+    def loads(piece):
+        nonlocal work
+        work += len(piece)
+        return json.loads(piece)
+
+    class Decoder(json.JSONDecoder):
+        def __init__(self):
+            super().__init__()
+            scan = self.scan_once
+
+            def scan_once(held, at):
+                nonlocal work
+                try:
+                    value, end = scan(held, at)
+                except (ValueError, StopIteration):
+                    work += len(held) - at
+                    raise
+                work += end - at
+                return value, end
+
+            self.scan_once = scan_once
+
+    counting = SimpleNamespace(loads=loads, JSONDecoder=Decoder,
+                               JSONDecodeError=json.JSONDecodeError)
+    with mock.patch.object(scenario, "json", counting), \
+            mock.patch.object(scenario, "_WINDOW", window):
+        try:
+            scenario._stream(scenario._slicer(text), lambda *record: None)
+        except scenario._NOT_STREAMED:
+            pass
+    return work
+
+
+def noted_script(events, braces):
+    """A valid script of ``events`` snapshots whose unread ``note`` each hold
+    ``braces`` empty objects, every one a place where a window may be cut."""
+    return json.dumps(script_doc(events=[dict(SNAPSHOT, note=[{}] * braces)] * events))
+
+
+@pytest.mark.parametrize("text, window", [
+    pytest.param(noted_script(1, 20_000), scenario._WINDOW, id="one 80 KB entry"),
+    pytest.param(noted_script(300, 200), scenario._WINDOW, id="200 braces an event"),
+    *(pytest.param(text, window, id=f"{name}, window {window}")
+      for name, text in WINDOWED.items() for window in WINDOWS),
+])
+def test_the_windowed_reader_decodes_a_small_multiple_of_the_file(text, window):
+    # Stepping back one cut at a time after each failed decode did 6,700
+    # times the 80 KB entry's length.
+    assert decoding_work(text, window) <= 4 * len(text)
+
+
 def test_a_byte_that_is_not_utf8_past_the_first_window_reads_as_the_whole_file(tmp_path):
     events = [dict(SNAPSHOT, label="a" * 100)] * 1000
     data = json.dumps(script_doc(events=events)).encode()
@@ -1016,6 +1089,25 @@ def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
     # decoding every event to a dict first peaked at 4.8 times, and holding
     # the text twice while it was read at 2.0.
     assert peak <= 2.0 * path.stat().st_size
+
+
+def test_reading_events_with_nested_notes_holds_a_window(tmp_path):
+    rng = random.Random(21)
+    events = [dict(TRADE, t=index, note=[{"k": index}] * rng.randint(0, 12))
+              for index in range(30_000)]
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script_doc(events=events)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        _, records = _read_script(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(1 for _ in records) == 30_000
+    # The packed records and one window's decoded notes, about 0.41 times the
+    # file.  Most windows end inside a note, so a reader that read on after a
+    # failed decode, without taking the entries held, held 7.7 times.
+    assert peak <= 0.75 * path.stat().st_size, peak / path.stat().st_size
 
 
 def test_replaying_a_file_holds_a_window_and_25_bytes_per_event(tmp_path):
