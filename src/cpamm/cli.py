@@ -15,7 +15,8 @@ Scalar results print as ``key=value`` lines; tabular results print as CSV.
 Amounts and reserves accept plain decimals or exact fractions like ``1/3``;
 fractional inputs keep the whole computation exact, but for an irrational
 square root.  The defaults of ``--fee`` (0) and of ``--p-x`` and ``--p-y``
-(1) are ints, which join either kind of number.  Exit status is 1 for
+(1) are ints, which join either kind of number; a float fee, amount, spread
+cap or price beside fractional reserves is rejected.  Exit status is 1 for
 rejected input or output that cannot be written, 2 for usage errors, 3 for
 internal failures.  A reader that stops early, as ``| head`` does, ends the
 command quietly with status 0.

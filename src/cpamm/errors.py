@@ -72,6 +72,10 @@ class NonPositivePrice(InputError):
     """Market price must be strictly positive."""
 
 
+class MixedDomain(InputError):
+    """A float beside a pool of exact reserves, whose numbers must all be exact."""
+
+
 # -- analytics and simulation --------------------------------------------
 
 class NonPositiveDelta(InputError):

@@ -22,11 +22,18 @@ amount and ``b`` its cap; a price move (kind 4) holds ``delta_x`` and
 ``delta_y``; a fee collection (5) and a snapshot (6) hold the provider or
 label in ``a``.  Unused fields are 0.0.  Two plain conversions build
 records, each one branch per event kind that checks every field:
-``_parse_event`` for a JSON event, as each window of a script's text is
-decoded (so a script is never held as dicts, nor a file as its whole text,
-and ``_read_script`` holds its records packed), and ``_record`` for a public
-event object, as the replay reaches it in :func:`run_scenario` and
+``_parse_event`` for a JSON event, and ``_record`` for a public event
+object, as the replay reaches it in :func:`run_scenario` and
 :func:`measure_effective_alpha`.
+
+A script file is read a window of text at a time, and each window's records
+are replayed as soon as they are decoded, so neither the text, nor its
+events as dicts, nor its records are ever held whole.  A header or replay
+error stops the replay but not the reading: it is raised only once the whole
+text is read, so a malformed event later in the file is reported first.  A
+header key read after ``events`` (as ``sort_keys`` writes them) means a
+second reading replays with the final header.  A text the window reader does
+not accept is decoded whole, and that decides every result and message.
 """
 
 from __future__ import annotations
@@ -36,13 +43,12 @@ import json
 import math
 import os
 import re
-import struct
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields, replace
 from itertools import count
 from numbers import Real
-from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter, is_not
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError, non_negative, positive
 from .pool import (
@@ -228,10 +234,12 @@ class _Replay:
             p_y=self.p_y,
         )
 
-    def run(self, records: Iterable[tuple]) -> "_Replay":
+    def run(self, records: Iterable[tuple], first_index: int = 0) -> "_Replay":
+        """Replay ``records``, the first of them event ``first_index``, from
+        where the replay stands."""
         handlers = self._handlers
         now = self.t
-        for index, (kind, t, a, b) in enumerate(records):
+        for index, (kind, t, a, b) in enumerate(records, first_index):
             # A chained comparison, so a NaN timestamp fails it too.
             if not now <= t < _INF:
                 raise ScriptError(
@@ -303,15 +311,15 @@ def _event(record: tuple) -> Event:
     return CollectFees(t, a) if kind == _COLLECT else Snapshot(t, a)
 
 
-def _replay(script: ScenarioScript, records: Iterable[tuple]) -> List[PortfolioSnapshot]:
-    replay = _Replay(script).run(records)
+def _snapshots(replay: _Replay) -> List[PortfolioSnapshot]:
+    """A finished replay's snapshots, the final one appended."""
     replay.snapshots.append(replay.take_snapshot("final"))
     return replay.snapshots
 
 
 def run_scenario(script: ScenarioScript) -> List[PortfolioSnapshot]:
     """Apply every event in order; returns all snapshots plus a final one."""
-    return _replay(script, map(_record, count(), script.events))
+    return _snapshots(_Replay(script).run(map(_record, count(), script.events)))
 
 
 def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
@@ -420,18 +428,21 @@ _AFTER_ENTRY = re.compile(r"[ \t\n\r]*(?:,(?=[ \t\n\r]*\{)|(?=\]))")
 _NOT_STREAMED = (ValueError, TypeError, RecursionError, StopIteration, CpammError)
 
 
-def _stream(read, add) -> dict:
+def _stream(read, begin) -> dict:
     """A script's top-level object but ``events``, decoded from ``read(size)``
-    about one window at a time; each event's record goes to ``add``.
+    about one window at a time.
 
-    ``scan_once`` reads the keys and the other values.  ``events`` is decoded
-    by one ``json.loads`` per window, cut at the last ``}`` that
-    ``_AFTER_ENTRY`` follows.  A cut inside a string or a nested value does
-    not decode, so the whole entries held are scanned one at a time, and
-    more text is read: no text is decoded more than a few times over.
+    When ``events`` begins, ``begin(doc)`` is called with the keys read so
+    far and returns ``take``; each window's entries then go to
+    ``take(records, first_index)`` as one list of records.  ``scan_once``
+    reads the keys and the other values.  ``events`` is decoded by one
+    ``json.loads`` per window, cut at the last ``}`` that ``_AFTER_ENTRY``
+    follows.  A cut inside a string or a nested value does not decode, so
+    the whole entries held are scanned one at a time, and more text is read:
+    no text is decoded more than a few times over.
     """
     scan = json.JSONDecoder().scan_once
-    buf, at, index, doc, streamed = "", 0, 0, {}, False
+    buf, at, index, doc, records_to = "", 0, 0, {}, None
 
     def fill() -> bool:
         """Read on, at least as much as is held; False at the end."""
@@ -478,10 +489,10 @@ def _stream(read, add) -> dict:
         take(":")
         if key != "events":
             doc[key] = value()
-        elif streamed or peek() != "[":
+        elif records_to or peek() != "[":
             raise ValueError("events is no array, or comes twice")
         else:
-            streamed, at = True, at + 1
+            at, records_to = at + 1, begin(doc)
             while peek() != "]":
                 batch, end = None, len(buf)
                 while (cut := buf.rfind("}", at, end)) >= 0:
@@ -501,9 +512,9 @@ def _stream(read, add) -> dict:
                             at = after.end()
                     if not buf.startswith("]", at) and not fill():
                         raise ValueError("events end with no cut")
-                for entry in batch:
-                    add(*_parse_event(index, entry))
-                    index += 1
+                records_to(list(map(_parse_event, range(index, index + len(batch)), batch)),
+                           index)
+                index += len(batch)
             at += 1  # the array's end
         if peek() != ",":
             break
@@ -526,63 +537,30 @@ def _slicer(text: str):
     return read
 
 
-def _read_script(
-    source: Union[str, os.PathLike, io.TextIOBase]
-) -> Tuple[ScenarioScript, Iterator[tuple]]:
-    """A script file's header (a script with no events) and its events'
-    records, all checked before anything replays.
+#: The top-level keys a script's header is read from.
+_HEADER_KEYS = ("pool", "prices", "provider")
 
-    A path is decoded a window at a time (``_stream``), so its text is never
-    held whole; a stream, or a file that cannot be read twice, is read whole
-    first.  What ``_stream`` does not accept is decoded from the whole text,
-    which then decides every result and error message.  Each record is held
-    packed in 25 bytes of one ``bytearray`` (floats round-trip exactly), its
-    provider or label as an index into ``texts``, and is unpacked as it is read.
-    """
-    layout = struct.Struct("<Bddd")
-    packed = bytearray()
-    texts: List[str] = []
-    pack, extend = layout.pack, packed.extend
 
-    def add(kind: int, t: float, a, b: float) -> None:
-        """Pack a record; its provider or label goes to ``texts``."""
-        if kind >= _COLLECT:
-            texts.append(a)
-            a = len(texts) - 1
-        extend(pack(kind, t, a, b))
+def _header_values(doc: dict) -> list:
+    """The decoded objects of the header keys; a key read again is a new
+    object, and a key not read is ``_HEADER_KEYS`` itself."""
+    return [doc.get(key, _HEADER_KEYS) for key in _HEADER_KEYS]
 
-    doc = text = None
-    try:
-        with (nullcontext(source) if isinstance(source, io.TextIOBase)
-              else open(source, "r", encoding="utf-8")) as handle:
-            if handle is source or not handle.seekable():
-                text = handle.read()
-            try:
-                doc = _stream(handle.read if text is None else _slicer(text), add)
-            except _NOT_STREAMED:
-                packed.clear()
-                texts.clear()
-                if text is None:
-                    handle.seek(0)
-                    text = handle.read()
-    except (OSError, UnicodeDecodeError) as err:
-        raise ScriptError(f"cannot read script: {err}") from err
-    if doc is None:
-        try:
-            doc = json.loads(text)
-        # A ValueError is a JSONDecodeError or an integer past the digit limit.
-        except (ValueError, RecursionError) as err:
-            raise ScriptError(f"invalid JSON: {err}") from err
-    text = None
+
+def _header(doc: dict) -> Tuple[ScenarioScript, list]:
+    """A decoded script's header (a script with no events) and the records
+    of its ``events``, which a streamed document has none of: the sections,
+    the fee model, the events and then the numbers, in that order."""
     try:
         pool = _json_object("pool", doc["pool"])
         prices = _json_object("prices", doc["prices"])
         fee_model = FeeModel(pool.get("fee_model", "auto_compound"))
-        entries = doc.get("events", [])  # a streamed document has none left
+        entries = doc.get("events", [])
         if not isinstance(entries, list):
             raise ScriptError(f"events: expected a JSON array, got {type(entries).__name__}")
+        records = []
         for index, entry in enumerate(entries):
-            add(*_parse_event(index, entry))
+            records.append(_parse_event(index, entry))
             entries[index] = None  # drop each raw event once its record exists
         header = ScenarioScript(
             pool_x=_number(pool["x"]),
@@ -597,9 +575,112 @@ def _read_script(
         if isinstance(err, ScriptError):
             raise
         raise ScriptError(f"malformed script: {err}") from err
-    records = ((kind, t, texts[int(a)] if kind >= _COLLECT else a, b)
-               for kind, t, a, b in layout.iter_unpack(packed))
     return header, records
+
+
+def _streamed(reader, start):
+    """A script that ``_stream`` reads from ``reader()``: the consumer
+    ``start(header)`` and the first error building or running it, which is
+    raised only once the whole text is accepted (a malformed event later in
+    it is reported instead).  Each window's records go to the consumer's
+    ``run(records, first_index)`` as they are decoded.
+
+    The header is built when ``events`` begins.  If there are no ``events``,
+    it is built from the whole document.  If a header key is read after
+    ``events``, this reading counts only as a check of the events: the
+    header is built again from the whole document, and a second ``reader()``
+    reading replays with it.
+    """
+    seen = consumer = failure = None
+
+    def begin(doc: dict):
+        nonlocal seen, consumer, failure
+        seen, failure = _header_values(doc), None
+        try:
+            consumer = start(_header(doc)[0])
+        # Deferred, not dropped: raised once the whole text is accepted, as the
+        # replay of checked records would raise it.
+        except Exception as err:
+            failure = err
+        return take
+
+    def take(records: list, first_index: int) -> None:
+        nonlocal failure
+        if failure is None:  # an error stops the replay, not the reading
+            try:
+                consumer.run(records, first_index)
+            except Exception as err:
+                failure = err
+
+    doc = _stream(reader(), begin)
+    if seen is None:  # no events: nothing to replay
+        begin(doc)
+    elif any(map(is_not, _header_values(doc), seen)):  # a header key came late
+        begin(doc)
+        if failure is None:
+            _stream(reader(), lambda _: take)
+    return consumer, failure
+
+
+def _read_script(source: Union[str, os.PathLike, io.TextIOBase], start):
+    """Read a script file (path or open text stream) into the consumer that
+    ``start(header)`` builds, handing its ``run(records, first_index)`` each
+    window's records; returns the consumer.
+
+    A path is decoded a window at a time (``_streamed``), so neither its
+    text nor its records are ever held whole; a stream, or a file that
+    cannot be read twice, is read whole first.  What ``_stream`` does not
+    accept is decoded from the whole text, which then decides every result
+    and error message: the header and every record are checked before any
+    replays.
+    """
+    text = streamed = None
+    try:
+        with (nullcontext(source) if isinstance(source, io.TextIOBase)
+              else open(source, "r", encoding="utf-8")) as handle:
+            if handle is source or not handle.seekable():
+                text = handle.read()
+
+            def reader():  # ``read(size)`` from the text's start
+                if text is not None:
+                    return _slicer(text)
+                handle.seek(0)
+                return handle.read
+
+            try:
+                streamed = _streamed(reader, start)
+            except _NOT_STREAMED:
+                if text is None:
+                    handle.seek(0)
+                    text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScriptError(f"cannot read script: {err}") from err
+    if streamed is not None:
+        consumer, failure = streamed
+        if failure is not None:
+            raise failure
+        return consumer
+    try:
+        doc = json.loads(text)
+    # A ValueError is a JSONDecodeError or an integer past the digit limit.
+    except (ValueError, RecursionError) as err:
+        raise ScriptError(f"invalid JSON: {err}") from err
+    text = None
+    header, records = _header(doc)
+    consumer = start(header)
+    consumer.run(records, 0)
+    return consumer
+
+
+class _Loaded:
+    """What :func:`load_script` reads a script into: its header and events."""
+
+    def __init__(self, header: ScenarioScript):
+        self.header = header
+        self.events: List[Event] = []
+
+    def run(self, records: list, first_index: int) -> None:
+        self.events += map(_event, records)
 
 
 def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScript:
@@ -628,16 +709,15 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
     float; a JSON boolean is not a number.  Providers and labels must be
     JSON strings.
     """
-    header, records = _read_script(source)
-    return replace(header, events=tuple(map(_event, records)))
+    loaded = _read_script(source, _Loaded)
+    return replace(loaded.header, events=tuple(loaded.events))
 
 
 def _run_script_file(source: Union[str, os.PathLike, io.TextIOBase]) -> List[PortfolioSnapshot]:
-    """``run_scenario(load_script(source))``, replaying the file's records
-    as they are read, without building an event object.  The whole file is
-    checked first, so a malformed event is reported before any replay
-    error."""
-    return _replay(*_read_script(source))
+    """``run_scenario(load_script(source))``, replaying each window's
+    records as it is decoded, without building an event object.  A malformed
+    event anywhere in the file is reported before any replay error."""
+    return _snapshots(_read_script(source, _Replay))
 
 
 def snapshots_to_csv(snapshots: Sequence[PortfolioSnapshot]) -> str:

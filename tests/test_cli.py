@@ -15,6 +15,7 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from cpamm import (
     figures,
     load_script,
     run_scenario,
+    scenario,
     snapshots_to_csv,
 )
 from cpamm.cli import main
@@ -115,6 +117,23 @@ def test_an_exact_pool_past_float_range_keeps_the_defaults_exact(capsys, command
         assert pairs["amount_out"] == str(Fraction(10**400, 10**400 + 1))
     else:
         assert pairs["value"] == str(2 * 10**400)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["swap", "--fee", "0.003", "--direction", "y2x", "--amount", "1/1"], "fee rate 0.003"),
+    (["pool-info", "--p-x", "1.0"], "price 1.0"),
+    (["quote", "--fee", "0.003", "--direction", "y2x", "--amount", "1/1"], "fee rate 0.003"),
+    (["swap", "--direction", "y2x", "--amount", "1.0"], "trade amount 1.0"),
+    (["quote", "--direction", "y2x", "--amount", "1/1", "--max-spread", "0.01"],
+     "spread cap 0.01"),
+], ids=["swap fee", "pool-info price", "quote fee", "swap amount", "quote spread cap"])
+@pytest.mark.parametrize("reserve", [f"1{'0' * 400}/1", "100/1"], ids=["past float range", "small"])
+def test_a_float_beside_exact_reserves_is_an_input_error(capsys, argv, what, reserve):
+    # A pool's domain is its reserves'.  Past float range the float could not
+    # join them at all: these ended in an OverflowError traceback.
+    code, out, err = run_cli(capsys, *argv, "--x", reserve, "--y", reserve)
+    assert (code, out) == (1, "")
+    assert err == f"error: {what} is a float beside exact reserves; give it as a fraction\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -907,6 +926,20 @@ def test_run_scenario_prints_what_the_object_api_returns(doc):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
         assert _main_in_process(["run-scenario", path]) == _api_outcome(path)
+
+
+@given(doc=_script() | _replay_doc(), window=st.sampled_from([7, 1 << 16]))
+@settings(max_examples=200, deadline=None)
+def test_run_scenario_reads_every_layout_alike(doc, window):
+    # sort_keys puts events before the header, so the header comes late.
+    outcomes = []
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(scenario, "_WINDOW", window):
+        for layout in ({}, {"indent": 2}, {"sort_keys": True}):
+            path = os.path.join(folder, "script.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle, **layout)
+            outcomes.append(_main_in_process(["run-scenario", path]))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @pytest.mark.parametrize("model", ["auto_compound", "collect_separately"])

@@ -19,6 +19,7 @@ from cpamm import (
     InsufficientShares,
     InvalidFee,
     InvalidRate,
+    MixedDomain,
     NonPositiveAmount,
     NonPositiveReserve,
     RateMismatch,
@@ -332,6 +333,31 @@ def test_rate_of_rejects_a_swapped_rate_outside_float_range():
     pool, _ = execute_swap(create_pool(1e150, 1e-150), Direction.X_FOR_Y, 1e158)
     with pytest.raises(InvalidRate, match="pool rate x / y must be a normal float, got inf"):
         rate_of(pool)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda pool: create_pool(pool.reserve_x, pool.reserve_y, fee_rate=0.003), "fee rate 0.003"),
+    (lambda pool: execute_swap(pool, Direction.Y_FOR_X, 5.0), "trade amount 5.0"),
+    (lambda pool: quote(pool, Direction.X_FOR_Y, Fraction(5), 0.5), "spread cap 0.5"),
+    (lambda pool: max_input_for_spread(pool, Direction.X_FOR_Y, 0.5), "spread cap 0.5"),
+    (lambda pool: pool_value(pool, 1, 2.0), "price 2.0"),
+    (lambda pool: add_liquidity(pool, "b", 10.0, Fraction(40)), "deposit amount 10.0"),
+    (lambda pool: remove_liquidity(pool, "lp", 50.0), "share amount 50.0"),
+], ids=["fee", "amount", "cap", "spread", "price", "deposit", "shares"])
+def test_a_float_beside_exact_reserves_is_rejected(call, what):
+    pool = create_pool(Fraction(100), Fraction(400))
+    with pytest.raises(MixedDomain) as err:
+        call(pool)
+    assert str(err.value) == f"{what} is a float beside exact reserves; give it as a fraction"
+    # The same call on float reserves runs.
+    call(create_pool(100.0, 400.0))
+
+
+def test_ints_join_exact_reserves():
+    pool = create_pool(Fraction(100), Fraction(400), fee_rate=0)
+    new_pool, receipt = execute_swap(pool, Direction.Y_FOR_X, 100)
+    assert receipt.amount_out == Fraction(20)
+    assert pool_value(new_pool, 1, 1) == 580
 
 
 def test_pool_value_rejects_a_value_outside_float_range():

@@ -961,9 +961,83 @@ def test_a_document_the_reader_refuses_reads_as_the_whole_text(script_path, text
     for window in WINDOWS:
         with mock.patch.object(scenario, "_WINDOW", window):
             with pytest.raises(ValueError, match=f"^{refusal}$"):
-                scenario._stream(scenario._slicer(text), lambda *record: None)
+                scenario._stream(scenario._slicer(text), lambda doc: lambda records, first: None)
     outcome = load_outcome(text, script_path)
     assert outcome == two_pass_load(text) and outcome[0] is ScriptError
+
+
+def replay_outcome(text, path, whole=False):
+    """The snapshots ``run-scenario`` replays ``text`` to, or the error's type
+    and message, which must be the same from a stream and from a file at
+    ``path``, at each of ``WINDOWS``.  The text is decoded whole, as the
+    reader does with what it refuses, exactly when ``whole`` is true."""
+    path.write_bytes(text.encode())
+    outcomes, decoded, loads = [], [], json.loads
+
+    def counted(piece, *args, **kwargs):
+        decoded.append(len(piece))
+        return loads(piece, *args, **kwargs)
+
+    for window in WINDOWS:
+        with mock.patch.object(scenario, "_WINDOW", window), \
+                mock.patch.object(scenario.json, "loads", counted):
+            for source in (io.StringIO(text), path):
+                try:
+                    outcomes.append(_run_script_file(source))
+                except CpammError as err:
+                    outcomes.append((type(err), str(err)))
+    assert all(outcome == outcomes[0] for outcome in outcomes), text
+    assert (len(text) in decoded) is whole
+    return outcomes[0]
+
+
+#: Entries enough that one character, 7 and 61 are many windows.
+PADDING = [dict(SNAPSHOT, t=1)] * 40
+FAILING_TRADE = dict(TRADE, direction="x2y", amount=1e20)  # drains a 10/10 pool
+TELEPORT = {"type": "teleport", "t": 2}
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["replay error", "malformed event"])
+def test_a_malformed_event_windows_after_a_replay_error_is_reported(script_path, malformed):
+    events = [FAILING_TRADE, *PADDING] + [TELEPORT] * malformed
+    outcome = replay_outcome(json.dumps(script_doc(events=events)), script_path, malformed)
+    if malformed:
+        assert outcome == (ScriptError, "event 41: unknown type 'teleport'")
+    else:
+        assert outcome[0] is NonPositiveReserve and outcome[1].startswith("event 0: swap of 1e+20")
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["rate mismatch", "malformed event"])
+def test_a_malformed_event_windows_after_a_header_error_is_reported(script_path, malformed):
+    events = [SNAPSHOT, *PADDING] + [TELEPORT] * malformed
+    doc = script_doc(prices={"p_x": 1, "p_y": 2}, events=events)
+    outcome = replay_outcome(json.dumps(doc), script_path, malformed)
+    if malformed:
+        assert outcome == (ScriptError, "event 41: unknown type 'teleport'")
+    else:
+        assert outcome == (ScriptError, "pool rate 1.0 does not match market rate 2.0")
+
+
+@pytest.mark.parametrize("late, fails", [
+    ({"pool": {"x": 1e30, "y": 1e30}}, False),
+    ({"pool": {"x": 10, "y": 10}}, True),
+    ({"prices": {"p_x": 1, "p_y": 2}}, True),
+    ({"provider": 5}, True),
+], ids=["late pool mends", "late pool fails", "late prices fail", "late provider fails"])
+def test_a_header_key_after_events_decides_the_replay(script_path, late, fails):
+    # The header read before events would give the opposite outcome.  The
+    # second reading is windowed too: the text is never decoded whole.
+    early = {"pool": {"x": 10, "y": 10}} if not fails else {"pool": {"x": 1e30, "y": 1e30}}
+    body = json.dumps(script_doc(**early, events=[FAILING_TRADE, *PADDING]))
+    text = body[:-1] + ", " + json.dumps(late)[1:]
+    doc = json.loads(text)  # the last of each key, as the whole text reads
+    try:
+        expected = run_scenario(load_doc(doc))
+    except CpammError as err:
+        expected = type(err), str(err)
+    assert (type(expected) is tuple) is fails
+    assert replay_outcome(text, script_path) == expected
+    assert replay_outcome(json.dumps(doc, sort_keys=True), script_path) == expected
 
 
 def decoding_work(text, window):
@@ -999,7 +1073,7 @@ def decoding_work(text, window):
     with mock.patch.object(scenario, "json", counting), \
             mock.patch.object(scenario, "_WINDOW", window):
         try:
-            scenario._stream(scenario._slicer(text), lambda *record: None)
+            scenario._stream(scenario._slicer(text), lambda doc: lambda records, first: None)
         except scenario._NOT_STREAMED:
             pass
     return work
@@ -1052,12 +1126,14 @@ def test_a_file_that_cannot_be_read_twice_is_read_whole(tmp_path, bad):
     assert outcome == two_pass_load(text)
 
 
-def write_replay_script(tmp_path):
-    """A 20k-event script file, generated like the benchmark's replay scripts."""
+def write_replay_script(tmp_path, events=20_000, snapshots=True, **dump):
+    """A script file of ``events`` events, generated like the benchmark's
+    replay scripts; without ``snapshots`` each snapshot is a fee collection,
+    so the final snapshot is the only one.  ``dump`` goes to ``json.dumps``."""
     rng = random.Random(20)
-    events = []
-    for index in range(20_000):
-        t, pick = (index + 1) / 20_000, rng.random()
+    script = []
+    for index in range(events):
+        t, pick = (index + 1) / events, rng.random()
         if pick < 0.80:
             event = {"type": "trade", "t": t, "direction": rng.choice(("y2x", "x2y")),
                      "amount": 100 * rng.lognormvariate(0, 1.5)}
@@ -1066,14 +1142,35 @@ def write_replay_script(tmp_path):
         elif pick < 0.95:
             event = {"type": "price_move", "t": t, "delta_x": math.exp(rng.gauss(0, 0.01)),
                      "delta_y": math.exp(rng.gauss(0, 0.01))}
-        elif pick < 0.98:
+        elif pick < 0.98 or not snapshots:
             event = {"type": "collect_fees", "t": t, "provider": "lp"}
         else:
             event = {"type": "snapshot", "t": t, "label": f"s{index}"}
-        events.append(event)
-    path = tmp_path / "script.json"
-    path.write_text(json.dumps(script_doc(events=events)), encoding="utf-8")
+        script.append(event)
+    path = tmp_path / f"script-{events}-{snapshots}-{sorted(dump)}.json"
+    path.write_text(json.dumps(script_doc(events=script), **dump), encoding="utf-8")
     return path
+
+
+class Counted:
+    """A consumer for ``_read_script`` that counts the records it is handed."""
+
+    def __init__(self, header):
+        self.events = 0
+
+    def run(self, records, first_index):
+        assert first_index == self.events
+        self.events += len(records)
+
+
+def replay_peak(path):
+    """The ``tracemalloc`` peak of replaying the script file at ``path``."""
+    tracemalloc.start()
+    try:
+        _run_script_file(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_loading_holds_the_text_and_one_record_per_event(tmp_path):
@@ -1099,34 +1196,33 @@ def test_reading_events_with_nested_notes_holds_a_window(tmp_path):
     path.write_text(json.dumps(script_doc(events=events)), encoding="utf-8")
     tracemalloc.start()
     try:
-        _, records = _read_script(path)
+        counted = _read_script(path, Counted)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(1 for _ in records) == 30_000
-    # The packed records and one window's decoded notes, about 0.41 times the
-    # file.  Most windows end inside a note, so a reader that read on after a
-    # failed decode, without taking the entries held, held 7.7 times.
+    assert counted.events == 30_000
+    # One window's decoded notes.  Most windows end inside a note, so a
+    # reader that read on after a failed decode, without taking the entries
+    # held, held 7.7 times the file.
     assert peak <= 0.75 * path.stat().st_size, peak / path.stat().st_size
 
 
-def test_replaying_a_file_holds_a_window_and_25_bytes_per_event(tmp_path):
-    path = write_replay_script(tmp_path)
-    tracemalloc.start()
-    try:
-        snapshots = _run_script_file(path)
-        peak = tracemalloc.get_traced_memory()[1]
-        snapshots = None
-        records = _read_script(path)  # measured while held, as during the replay
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert records
-    # The records, a window of text and its decoded entries set the peak,
-    # about 0.58 times the file.  Reading the whole text as bytes and as str
-    # took it to 2.00 times, and records of a tuple and two or three floats
-    # each to 2.4-2.6.
-    assert peak <= 0.75 * path.stat().st_size
-    # A packed record is 25 bytes, plus the texts of collections and
-    # snapshots; a tuple record was about 150.
-    assert held <= 48 * 20_000
+@pytest.mark.parametrize("dump", [{}, {"sort_keys": True}], ids=["compact", "sort_keys"])
+def test_replaying_a_file_holds_a_window(tmp_path, dump):
+    # With sort_keys, events come before the header: a first pass checks
+    # them, and a second replays.
+    path = write_replay_script(tmp_path, **dump)
+    # A window of text and its decoded entries set the peak, about 0.37
+    # times the file either way.  Packed records took it to 0.58, reading
+    # the whole text as bytes and as str to 2.00, and records of a tuple and
+    # two or three floats each to 2.4-2.6.
+    assert replay_peak(path) <= 0.75 * path.stat().st_size
+
+
+def test_replay_memory_does_not_grow_with_the_script(tmp_path):
+    # Only the final snapshot is kept, so nothing held grows with the
+    # script: the two peaks are within 1%.  Records packed at 25 bytes each
+    # took the peak at 80k events to 2.6 times the peak at 20k.
+    small, large = (replay_peak(write_replay_script(tmp_path, events, snapshots=False))
+                    for events in (20_000, 80_000))
+    assert large <= 1.25 * small, large / small
