@@ -16,10 +16,10 @@ Amounts and reserves accept plain decimals or exact fractions like ``1/3``;
 fractional inputs keep the whole computation exact, but for an irrational
 square root.  The defaults of ``--fee`` (0) and of ``--p-x`` and ``--p-y``
 (1) are ints, which join either kind of number; a float fee, amount, spread
-cap or price beside fractional reserves is rejected.  Exit status is 1 for
-rejected input or output that cannot be written, 2 for usage errors, 3 for
-internal failures.  A reader that stops early, as ``| head`` does, ends the
-command quietly with status 0.
+cap or price beside fractional reserves past float range is rejected, as it
+cannot join them.  Exit status is 1 for rejected input or output that cannot
+be written, 2 for usage errors, 3 for internal failures.  A reader that
+stops early, as ``| head`` does, ends the command quietly with status 0.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ class NonPositivePrice(InputError):
 
 
 class MixedDomain(InputError):
-    """A float beside a pool of exact reserves, whose numbers must all be exact."""
+    """A float beside exact reserves past float range, which it cannot join."""
 
 
 # -- analytics and simulation --------------------------------------------

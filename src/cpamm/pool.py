@@ -35,17 +35,18 @@ numbers, never oriented, and builds value objects only where they are read.
 Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
 runs the swap path exactly (the swap equations are rational); square roots
 fall back to floats unless the operand is a perfect rational square.  A
-pool's domain is its reserves': beside a ``Fraction`` reserve, a float fee,
-amount, spread cap, price, deposit or share count raises ``MixedDomain``, as
-it would turn the pool's numbers into floats, or fail to join them past
-float range.  Exact values grow with every trade, so
-:func:`execute_swap`, :func:`add_liquidity` and :func:`remove_liquidity`
-reject a result whose numerator or denominator passes ``MAX_EXACT_BITS``.
+float fee, amount, spread cap, price or deposit joins exact reserves as a
+float would (the results are floats), but no float can join a reserve beyond
+the largest float: beside one it raises ``MixedDomain``.  Exact values grow
+with every trade, so :func:`execute_swap`, :func:`add_liquidity` and
+:func:`remove_liquidity` reject a result whose numerator or denominator
+passes ``MAX_EXACT_BITS``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -86,6 +87,7 @@ RATE_MATCH_TOL = 1e-9
 MAX_EXACT_BITS = 13_000
 
 _INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 
 
 class Direction(str, Enum):
@@ -209,15 +211,16 @@ def _bounded(*values: Numeric) -> None:
                 )
 
 
-def _one_domain(x: Numeric, y: Numeric, what: str, *values) -> None:
+def _float_joins(x: Numeric, y: Numeric, what: str, *values) -> None:
     """Raise ``MixedDomain`` naming ``what`` if one of ``values`` is a float
-    and the reserve ``x`` or ``y`` is a ``Fraction``; ``None`` is passed over."""
-    if isinstance(x, Fraction) or isinstance(y, Fraction):
+    and the reserve ``x`` or ``y`` is beyond the largest float, so that the
+    float could only join it by overflowing; ``None`` is passed over."""
+    if x > _FLOAT_MAX or y > _FLOAT_MAX:
         for value in values:
             if value.__class__ is float:
                 raise MixedDomain(
-                    f"{what} {value!r} is a float beside exact reserves; "
-                    "give it as a fraction"
+                    f"{what} {value!r} is a float beside exact reserves past float "
+                    "range; give it as a fraction"
                 )
 
 
@@ -237,7 +240,7 @@ def create_pool(
     float product or rate outside the normal range raises ``NonPositiveReserve``."""
     positive(NonPositiveReserve, "initial reserves", x0, y0)
     non_negative(InvalidFee, "fee rate", fee_rate, below=1)
-    _one_domain(x0, y0, "fee rate", fee_rate)
+    _float_joins(x0, y0, "fee rate", fee_rate)
     fee_model = _member(FeeModel, fee_model, "fee model")
     product = x0 * y0
     # A float product outside the normal range has lost bits that its root
@@ -283,7 +286,7 @@ def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
     """Mark the reserves to market: ``p_x * x + p_y * y``.  An empty pool is
     worth 0; any other float value outside the normal range raises ``InputError``."""
     positive(NonPositivePrice, "prices", p_x, p_y)
-    _one_domain(pool.reserve_x, pool.reserve_y, "price", p_x, p_y)
+    _float_joins(pool.reserve_x, pool.reserve_y, "price", p_x, p_y)
     value = p_x * pool.reserve_x + p_y * pool.reserve_y
     return normal(InputError, "pool value p_x * x + p_y * y", value) if pool.active else value
 
@@ -399,7 +402,7 @@ def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) 
     is charged up to ``q / (1 - phi)`` gross for it.
     """
     _require_active(pool)
-    _one_domain(pool.reserve_x, pool.reserve_y, "spread cap", sigma)
+    _float_joins(pool.reserve_x, pool.reserve_y, "spread cap", sigma)
     y_for_x = _member(Direction, direction, "direction") is Direction.Y_FOR_X
     return _spread_cap(pool.reserve_y if y_for_x else pool.reserve_x, sigma, y_for_x)
 
@@ -438,8 +441,8 @@ def execute_swap(
     direction = _member(Direction, direction, "direction")
     y_for_x = direction is Direction.Y_FOR_X
     x, y, ledger = pool.reserve_x, pool.reserve_y, pool.side_ledger
-    _one_domain(x, y, "trade amount", amount_in)
-    _one_domain(x, y, "spread cap", max_spread)
+    _float_joins(x, y, "trade amount", amount_in)
+    _float_joins(x, y, "spread cap", max_spread)
     new_x, new_y, fees_x, fees_y, gross, fee, out, squared = _swap(
         x, y, ledger.fees_x, ledger.fees_y, pool.fee_rate, amount_in, max_spread, y_for_x,
         pool.fee_model is FeeModel.AUTO_COMPOUND,
@@ -469,7 +472,7 @@ def add_liquidity(
     """
     _require_active(pool)
     positive(NonPositiveAmount, "deposit amounts", dx, dy)
-    _one_domain(pool.reserve_x, pool.reserve_y, "deposit amount", dx, dy)
+    _float_joins(pool.reserve_x, pool.reserve_y, "deposit amount", dx, dy)
     growth_x = dx / pool.reserve_x
     growth_y = dy / pool.reserve_y
     minted = pool.total_shares * growth_x
@@ -511,7 +514,6 @@ def remove_liquidity(
     """
     _require_active(pool)
     positive(NonPositiveAmount, "share amount", shares)
-    _one_domain(pool.reserve_x, pool.reserve_y, "share amount", shares)
     owned = pool.share_ledger.get(provider, 0)
     if shares > owned:
         raise InsufficientShares(f"{provider} owns {owned} shares, asked to burn {shares}")

@@ -127,13 +127,18 @@ def test_an_exact_pool_past_float_range_keeps_the_defaults_exact(capsys, command
     (["quote", "--direction", "y2x", "--amount", "1/1", "--max-spread", "0.01"],
      "spread cap 0.01"),
 ], ids=["swap fee", "pool-info price", "quote fee", "swap amount", "quote spread cap"])
-@pytest.mark.parametrize("reserve", [f"1{'0' * 400}/1", "100/1"], ids=["past float range", "small"])
-def test_a_float_beside_exact_reserves_is_an_input_error(capsys, argv, what, reserve):
-    # A pool's domain is its reserves'.  Past float range the float could not
-    # join them at all: these ended in an OverflowError traceback.
-    code, out, err = run_cli(capsys, *argv, "--x", reserve, "--y", reserve)
+def test_a_float_beside_exact_reserves_past_float_range_is_an_input_error(capsys, argv, what):
+    # No float can join these reserves: each ended in an OverflowError traceback.
+    big = f"1{'0' * 400}/1"
+    code, out, err = run_cli(capsys, *argv, "--x", big, "--y", big)
     assert (code, out) == (1, "")
-    assert err == f"error: {what} is a float beside exact reserves; give it as a fraction\n"
+    assert err == (
+        f"error: {what} is a float beside exact reserves past float range; "
+        "give it as a fraction\n"
+    )
+    # In float range the float joins them, and the results are floats.
+    code, out, err = run_cli(capsys, *argv, "--x", "100/1", "--y", "100/1")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,6 +38,7 @@ from cpamm import (
     reserves_from_value,
 )
 import cpamm.pool
+from cpamm import analytics
 from cpamm.pool import (
     RATE_MATCH_TOL,
     SideLedger,
@@ -342,15 +343,34 @@ def test_rate_of_rejects_a_swapped_rate_outside_float_range():
     (lambda pool: max_input_for_spread(pool, Direction.X_FOR_Y, 0.5), "spread cap 0.5"),
     (lambda pool: pool_value(pool, 1, 2.0), "price 2.0"),
     (lambda pool: add_liquidity(pool, "b", 10.0, Fraction(40)), "deposit amount 10.0"),
-    (lambda pool: remove_liquidity(pool, "lp", 50.0), "share amount 50.0"),
-], ids=["fee", "amount", "cap", "spread", "price", "deposit", "shares"])
-def test_a_float_beside_exact_reserves_is_rejected(call, what):
-    pool = create_pool(Fraction(100), Fraction(400))
+], ids=["fee", "amount", "cap", "spread", "price", "deposit"])
+def test_a_float_beside_exact_reserves_past_float_range_is_rejected(call, what):
+    # No float can join 10**400: these ended in a raw OverflowError.
+    pool = create_pool(Fraction(10**400), Fraction(4 * 10**400))
     with pytest.raises(MixedDomain) as err:
         call(pool)
-    assert str(err.value) == f"{what} is a float beside exact reserves; give it as a fraction"
-    # The same call on float reserves runs.
+    assert str(err.value) == (
+        f"{what} is a float beside exact reserves past float range; give it as a fraction"
+    )
+    # The same call runs on float reserves, and on exact ones in float range.
     call(create_pool(100.0, 400.0))
+    call(create_pool(Fraction(100), Fraction(400)))
+
+
+def test_an_exact_pool_takes_back_the_floats_it_returns():
+    # sqrt(21) is irrational, so the pool's shares, a minted position and a
+    # spread cap are floats; each goes back in as a float would.
+    pool = create_pool(Fraction(3), Fraction(7))
+    assert pool.total_shares.__class__ is float
+    assert remove_liquidity(pool, "lp", pool.total_shares)[0].active is False
+    grown, position = add_liquidity(pool, "b", Fraction(3, 10), Fraction(7, 10))
+    _, (dx, dy) = remove_liquidity(grown, "b", position.shares)
+    assert dx == pytest.approx(0.3, rel=1e-15) and dy == pytest.approx(0.7, rel=1e-15)
+    cap = max_input_for_spread(pool, Direction.Y_FOR_X, Fraction(1, 2))
+    _, receipt = execute_swap(pool, Direction.Y_FOR_X, cap)
+    assert receipt.capped_in == cap and receipt.spread_applied == pytest.approx(0.5)
+    report = analytics.il_brute_force(analytics.PriceScenario(1.5, 0.8, 7.0, 3.0), pool)
+    assert report.relative_loss < 0
 
 
 def test_ints_join_exact_reserves():
