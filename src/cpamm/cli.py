@@ -171,7 +171,9 @@ def _cmd_roi(args: argparse.Namespace) -> List[str]:
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> List[str]:
-    return [scenario.snapshots_to_csv(scenario._run_script_file(args.script))]
+    # As emit-figure's: chunks built before the first is written, each
+    # encoded on its own.
+    return scenario._run_script_file(args.script)
 
 
 def _cmd_emit_figure(args: argparse.Namespace) -> List[str]:

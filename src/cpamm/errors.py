@@ -102,7 +102,8 @@ class ScriptError(InputError):
 
 
 class DomainError(InputError):
-    """Figure grid leaves the mathematical domain of its curves."""
+    """Figure grid leaves the mathematical domain of its curves, or a value
+    to report leaves float range."""
 
 
 # -- numeric domain checks -------------------------------------------------

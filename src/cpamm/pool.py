@@ -541,12 +541,20 @@ def _arbitrage_trade(
     ``target_rate``, or None when it already sits there."""
     if not 0 < target_rate < _INF:  # inline, as in _spread_cap
         positive(InvalidRate, "target rate", target_rate)
+    # Only exact reserves pass the largest float; floats pay two comparisons.
+    past = x > _FLOAT_MAX or y > _FLOAT_MAX
+    if past:
+        _float_joins(x, y, "target rate", target_rate)
     current = x / y
     y_for_x = target_rate < current
-    if y_for_x:
-        amount = y * (_sqrt(current / target_rate) - 1)
-    else:  # on the target the root is 1, so the amount is 0
-        amount = x * (_sqrt(target_rate / current) - 1)
+    root = _sqrt(current / target_rate if y_for_x else target_rate / current)
+    if past and root.__class__ is float:  # an irrational root, which no float amount can trade
+        raise InvalidRate(
+            f"target rate {target_rate} is out of float reach of exact reserves past "
+            "float range: the trade onto it is irrational"
+        )
+    # On the target the root is 1, so the amount is 0.
+    amount = (y if y_for_x else x) * (root - 1)
     return (y_for_x, amount) if amount > 0 else None
 
 

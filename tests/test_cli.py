@@ -933,6 +933,38 @@ def test_run_scenario_prints_what_the_object_api_returns(doc):
         assert _main_in_process(["run-scenario", path]) == _api_outcome(path)
 
 
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+def test_run_scenario_prints_what_the_object_api_returns_at_chunk_edges(tmp_path, rows):
+    # ``rows`` counts the final snapshot.  Labels that need quoting sit on
+    # either side of a chunk's edge (rows 1023 and 1024, 2047 and 2048).
+    labels = {1022: "a,b", 1023: 'say "hi"', 1024: "a,b", 2047: 'say "hi"'}
+    events = [{"type": "snapshot", "t": index, "label": labels.get(index, f"s{index}")}
+              for index in range(rows - 1)]
+    path = _write_script(tmp_path, events)
+    expected = _api_outcome(path)
+    assert expected[0] == 0 and expected[1].count("\n") == 1 + rows
+    assert _main_in_process(["run-scenario", path]) == expected
+    chunks = scenario._run_script_file(path)
+    assert [chunk.count("\n") for chunk in chunks] == [1, *[1024] * (rows // 1024), rows % 1024]
+
+
+def test_run_scenario_holds_its_output_once_as_rows(tmp_path):
+    events = [{"type": "snapshot", "t": index, "label": f"s{index}" if index % 1000 else "a,b"}
+              for index in range(20_000)]
+    args = cli.build_parser().parse_args(["run-scenario", _write_script(tmp_path, events)])
+    text = "".join(args.func(args))  # loads every module the measured call uses
+    tracemalloc.start()
+    try:
+        args.func(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Snapshot objects, a list of their lines and the joined text peaked at
+    # 9.2 times the text; rows joined into chunks as they come take the text
+    # once, plus a window of the script and one chunk: 1.6 times.
+    assert peak <= 2.5 * len(text), peak / len(text)
+
+
 @given(doc=_script() | _replay_doc(), window=st.sampled_from([7, 1 << 16]))
 @settings(max_examples=200, deadline=None)
 def test_run_scenario_reads_every_layout_alike(doc, window):

@@ -357,6 +357,38 @@ def test_a_float_beside_exact_reserves_past_float_range_is_rejected(call, what):
     call(create_pool(Fraction(100), Fraction(400)))
 
 
+_FLOAT_TARGET = "is a float beside exact reserves past float range; give it as a fraction"
+_IRRATIONAL = "is out of float reach of exact reserves past float range: the trade onto it is irrational"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda pool: arbitrage_to_rate(pool, 2.0), MixedDomain, f"target rate 2.0 {_FLOAT_TARGET}"),
+    (lambda pool: arbitrage_input_for_rate(pool, 2.0), MixedDomain,
+     f"target rate 2.0 {_FLOAT_TARGET}"),
+    (lambda pool: analytics.il_brute_force(analytics.PriceScenario(1.0, 4.0), pool), MixedDomain,
+     f"target rate 4.0 {_FLOAT_TARGET}"),
+    (lambda pool: arbitrage_to_rate(pool, Fraction(2)), InvalidRate, f"target rate 2 {_IRRATIONAL}"),
+    (lambda pool: arbitrage_input_for_rate(pool, Fraction(1, 2)), InvalidRate,
+     f"target rate 1/2 {_IRRATIONAL}"),
+], ids=["float", "float input", "il", "irrational", "irrational input"])
+def test_arbitrage_on_exact_reserves_past_float_range_raises_a_typed_error(call, error, message):
+    # Each ended in a raw OverflowError: no float amount can trade 10**400.
+    pool = create_pool(Fraction(10**400), Fraction(10**400))
+    with pytest.raises(error) as err:
+        call(pool)
+    assert str(err.value) == message
+    # The same call runs on float reserves, and on exact ones in float range.
+    call(create_pool(100.0, 100.0))
+    call(create_pool(Fraction(100), Fraction(100)))
+
+
+def test_arbitrage_past_float_range_onto_a_rational_root_stays_exact():
+    pool = create_pool(Fraction(10**400), Fraction(10**400))
+    moved = arbitrage_to_rate(pool, Fraction(4))
+    assert (moved.reserve_x, moved.reserve_y) == (2 * 10**400, Fraction(10**400, 2))
+    assert arbitrage_input_for_rate(pool, Fraction(1, 4)) == (Direction.Y_FOR_X, 10**400)
+
+
 def test_an_exact_pool_takes_back_the_floats_it_returns():
     # sqrt(21) is irrational, so the pool's shares, a minted position and a
     # spread cap are floats; each goes back in as a float would.

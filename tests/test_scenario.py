@@ -23,10 +23,12 @@ from cpamm import (
     CollectFees,
     CpammError,
     Direction,
+    DomainError,
     EmptyWindow,
     FeeModel,
     InputError,
     InvalidRate,
+    MixedDomain,
     NonPositiveAmount,
     NonPositiveReserve,
     PortfolioSnapshot,
@@ -694,6 +696,38 @@ def test_csv_labels_read_back_as_one_record(label):
     assert text.split("\n", 1)[1].startswith(expected.getvalue().removesuffix("\r\n"))
 
 
+def _past_float_range(*events):
+    """A script on a 10**400 exact pool at exact prices."""
+    big = Fraction(10**400)
+    return ScenarioScript(big, big, Fraction(0), FeeModel.AUTO_COMPOUND, Fraction(1), Fraction(1),
+                          events=events)
+
+
+def test_a_snapshot_past_float_range_is_a_domain_error():
+    # The replay is exact, but its reserves have no float to print: this
+    # ended in a raw OverflowError.
+    snapshots = run_scenario(_past_float_range(Trade(0.0, Direction.Y_FOR_X, Fraction(1)),
+                                               Snapshot(1.0, 'say "hi"')))
+    with pytest.raises(DomainError) as err:
+        snapshots_to_csv(snapshots)
+    assert str(err.value) == """snapshot 'say "hi"': reserve_x leaves float range"""
+    # The field named is the first one past float range.
+    fees = dataclasses.replace(snapshots[0], reserve_x=0.5, reserve_y=0.5, fees_y=10**400)
+    with pytest.raises(DomainError) as err:
+        snapshots_to_csv([fees])
+    assert str(err.value) == """snapshot 'say "hi"': fees_y leaves float range"""
+
+
+def test_a_float_price_move_beside_exact_reserves_past_float_range_is_rejected():
+    # The float rate p_y / p_x cannot be traded onto 10**400: this ended in a
+    # raw OverflowError.
+    with pytest.raises(MixedDomain, match=r"^event 0: target rate 0\.5 is a float beside exact"):
+        run_scenario(_past_float_range(PriceMove(0.0, 2.0, 1.0)))
+    # An exact move onto a rational root replays exactly.
+    final = run_scenario(_past_float_range(PriceMove(0.0, Fraction(1), Fraction(4))))[-1]
+    assert (final.reserve_x, final.reserve_y) == (2 * 10**400, Fraction(10**400, 2))
+
+
 @pytest.mark.parametrize("direction", list(Direction))
 def test_run_scenario_reads_a_plain_direction_string_as_its_member(direction):
     by_member = run_scenario(make_script((Trade(0.0, direction, 5.0),)))
@@ -967,7 +1001,7 @@ def test_a_document_the_reader_refuses_reads_as_the_whole_text(script_path, text
 
 
 def replay_outcome(text, path, whole=False):
-    """The snapshots ``run-scenario`` replays ``text`` to, or the error's type
+    """The CSV text ``run-scenario`` replays ``text`` to, or the error's type
     and message, which must be the same from a stream and from a file at
     ``path``, at each of ``WINDOWS``.  The text is decoded whole, as the
     reader does with what it refuses, exactly when ``whole`` is true."""
@@ -983,7 +1017,7 @@ def replay_outcome(text, path, whole=False):
                 mock.patch.object(scenario.json, "loads", counted):
             for source in (io.StringIO(text), path):
                 try:
-                    outcomes.append(_run_script_file(source))
+                    outcomes.append("".join(_run_script_file(source)))
                 except CpammError as err:
                     outcomes.append((type(err), str(err)))
     assert all(outcome == outcomes[0] for outcome in outcomes), text
@@ -1032,7 +1066,7 @@ def test_a_header_key_after_events_decides_the_replay(script_path, late, fails):
     text = body[:-1] + ", " + json.dumps(late)[1:]
     doc = json.loads(text)  # the last of each key, as the whole text reads
     try:
-        expected = run_scenario(load_doc(doc))
+        expected = snapshots_to_csv(run_scenario(load_doc(doc)))
     except CpammError as err:
         expected = type(err), str(err)
     assert (type(expected) is tuple) is fails
@@ -1222,7 +1256,11 @@ def test_replaying_a_file_holds_a_window(tmp_path, dump):
 def test_replay_memory_does_not_grow_with_the_script(tmp_path):
     # Only the final snapshot is kept, so nothing held grows with the
     # script: the two peaks are within 1%.  Records packed at 25 bytes each
-    # took the peak at 80k events to 2.6 times the peak at 20k.
+    # took the peak at 80k events to 2.6 times the peak at 20k.  Snapshots
+    # do grow it: each is held once, as its CSV row (112 bytes a snapshot
+    # on alternating trades and snapshots, against 721 when kept as objects
+    # and rendered at the end), and `run-scenario` on the benchmark's
+    # 100k-event script, with 2,006 rows, peaks at about 17.8 MB RSS.
     small, large = (replay_peak(write_replay_script(tmp_path, events, snapshots=False))
                     for events in (20_000, 80_000))
     assert large <= 1.25 * small, large / small
