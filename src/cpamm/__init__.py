@@ -32,7 +32,7 @@ _EXPORTS = {
             lc_implicit_solve roi_pair""",
         "errors": """CpammError DomainError EmptyWindow InactivePool InputError
             InsufficientShares InternalError InvalidFee InvalidRate InvalidStep
-            MixedDomain NoConvergence NonPositiveAmount NonPositiveDelta NonPositiveInput
+            NoConvergence NonPositiveAmount NonPositiveDelta NonPositiveInput
             NonPositivePrice NonPositiveReserve RateMismatch ScriptError
             SpreadOutOfRange""",
         "figures": "FIGURE_IDS FigureSpec default_figure_spec emit_figure",

@@ -15,11 +15,11 @@ Scalar results print as ``key=value`` lines; tabular results print as CSV.
 Amounts and reserves accept plain decimals or exact fractions like ``1/3``;
 fractional inputs keep the whole computation exact, but for an irrational
 square root.  The defaults of ``--fee`` (0) and of ``--p-x`` and ``--p-y``
-(1) are ints, which join either kind of number; a float fee, amount, spread
-cap or price beside fractional reserves past float range is rejected, as it
-cannot join them.  Exit status is 1 for rejected input or output that cannot
-be written, 2 for usage errors, 3 for internal failures.  A reader that
-stops early, as ``| head`` does, ends the command quietly with status 0.
+(1) are ints, which join either kind of number.  A fraction past the
+largest float is rejected, as ``inf`` is.  Exit status is 1 for rejected
+input or output that cannot be written, 2 for usage errors, 3 for internal
+failures.  A reader that stops early, as ``| head`` does, ends the command
+quietly with status 0.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def _num(text: str) -> pool.Numeric:
 def _pairs(pairs: Sequence[Tuple[str, object]]) -> List[str]:
     """The ``key=value`` lines to print, unless a float result is not finite."""
     for key, value in pairs:
-        # Only floats: math.isfinite would overflow converting a huge Fraction.
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{key} = {value} leaves float range")
     return ["".join(f"{key}={value!s}\n" for key, value in pairs)]

@@ -10,12 +10,16 @@ valid amount?" the same way: chained comparisons, which NaN fails and
 ``Fraction`` passes exactly, raising the ``InputError`` the caller names.
 So does the float rule for ``sqrt(a * b)``: the pool engine and the
 analytics both use it, and the analytics commands never load the pool.
+
+"Finite" means at most the largest float, ``sys.float_info.max``, for every
+number: an int or ``Fraction`` past it is rejected as ``inf`` is.
 """
 
 import math
 import sys
 
 _TINY = sys.float_info.min
+_MAX = sys.float_info.max
 
 
 class CpammError(Exception):
@@ -72,10 +76,6 @@ class NonPositivePrice(InputError):
     """Market price must be strictly positive."""
 
 
-class MixedDomain(InputError):
-    """A float beside exact reserves past float range, which it cannot join."""
-
-
 # -- analytics and simulation --------------------------------------------
 
 class NonPositiveDelta(InputError):
@@ -116,24 +116,25 @@ def _reject(error, what, domain, values):
 def positive(error, what, *values):
     """Raise ``error`` unless every value is finite and strictly positive."""
     for value in values:
-        if not 0 < value < math.inf:
+        if not 0 < value <= _MAX:
             _reject(error, what, "finite and positive", values)
 
 
-def non_negative(error, what, *values, below=math.inf):
-    """Raise ``error`` unless every value lies in ``[0, below)``."""
+def non_negative(error, what, *values, below=None):
+    """Raise ``error`` unless every value is finite and >= 0, or in ``[0, below)``."""
     for value in values:
-        if not 0 <= value < below:
-            domain = "finite and >= 0" if below == math.inf else f"in [0, {below})"
+        if not (0 <= value <= _MAX if below is None else 0 <= value < below):
+            domain = "finite and >= 0" if below is None else f"in [0, {below})"
             _reject(error, what, domain, values)
 
 
 def normal(error, what, value):
-    """``value``, unless it is a float outside the normal range: past the
-    largest float it is inf, and below the smallest normal one it has lost
-    bits; then raise ``error``.  Exact values are not looked at."""
-    if isinstance(value, float) and not _TINY <= value < math.inf:
-        _reject(error, what, "a normal float", (value,))
+    """``value``, unless it is past the largest float, or a float below the
+    smallest normal one, which has lost bits; then raise ``error``.  An
+    exact value below it has lost nothing."""
+    exact = not isinstance(value, float)
+    if not (value <= _MAX if exact else _TINY <= value <= _MAX):
+        _reject(error, what, "finite" if exact else "a normal float", (value,))
     return value
 
 
@@ -143,7 +144,7 @@ def float_geometric_mean(a: float, b: float) -> float:
     scaled by one power of two, which is exact.  So ``a == b`` gives ``a``,
     and scaling both factors by a power of two scales the root by it."""
     product = a * b
-    if _TINY <= product < math.inf:
+    if _TINY <= product <= _MAX:
         return math.sqrt(product)
     scale = (math.frexp(a)[1] + math.frexp(b)[1]) // 2
     return math.ldexp(math.sqrt(math.ldexp(a, -scale) * math.ldexp(b, -scale)), scale)

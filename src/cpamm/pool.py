@@ -36,10 +36,10 @@ Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
 runs the swap path exactly (the swap equations are rational); square roots
 fall back to floats unless the operand is a perfect rational square.  A
 float fee, amount, spread cap, price or deposit joins exact reserves as a
-float would (the results are floats), but no float can join a reserve beyond
-the largest float: beside one it raises ``MixedDomain``.  Exact values grow
-with every trade, so :func:`execute_swap`, :func:`add_liquidity` and
-:func:`remove_liquidity` reject a result whose numerator or denominator
+float would (the results are floats).  Exact values are held to float range
+as floats are (see :mod:`cpamm.errors`), and they grow with every trade, so
+:func:`execute_swap`, :func:`add_liquidity` and :func:`remove_liquidity`
+reject a result past the largest float or whose numerator or denominator
 passes ``MAX_EXACT_BITS``.
 """
 
@@ -60,7 +60,6 @@ from .errors import (
     InsufficientShares,
     InvalidFee,
     InvalidRate,
-    MixedDomain,
     NonPositiveAmount,
     NonPositiveInput,
     NonPositivePrice,
@@ -88,6 +87,8 @@ MAX_EXACT_BITS = 13_000
 
 _INF = math.inf
 _FLOAT_MAX = sys.float_info.max
+#: The largest float as an int, which an exact value compares with cheaply.
+_EXACT_MAX = int(_FLOAT_MAX)
 
 
 class Direction(str, Enum):
@@ -179,11 +180,13 @@ def _sqrt(value: Numeric) -> Numeric:
 
 def _geometric_mean(a: Numeric, b: Numeric) -> Numeric:
     """``sqrt(a * b)``: exact where ``_sqrt`` is, and by the float rule of
-    ``float_geometric_mean`` wherever the product is a float."""
+    ``float_geometric_mean`` wherever the product is a float or an exact one
+    past float range, whose factors are in it."""
     product = a * b
     if product.__class__ is float:
         return float_geometric_mean(a, b)
-    return _sqrt(product)
+    root = _sqrt(product)
+    return float_geometric_mean(float(a), float(b)) if root == _INF else root
 
 
 def _member(enum, value, what: str):
@@ -200,28 +203,19 @@ def _member(enum, value, what: str):
 
 def _bounded(*values: Numeric) -> None:
     """Raise ``InputError`` if an exact value has a numerator or a denominator
-    of more than ``MAX_EXACT_BITS`` bits; floats are not looked at."""
+    of more than ``MAX_EXACT_BITS`` bits, or is past the largest float; floats
+    are not looked at."""
     for value in values:
         if value.__class__ is not float and isinstance(value, Rational):
-            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+            num, den = value.numerator, value.denominator
+            bits = max(num.bit_length(), den.bit_length())
             if bits > MAX_EXACT_BITS:
                 raise InputError(
                     f"exact result needs {bits} bits, more than the {MAX_EXACT_BITS}-bit "
                     "limit on a numerator or denominator; use floats"
                 )
-
-
-def _float_joins(x: Numeric, y: Numeric, what: str, *values) -> None:
-    """Raise ``MixedDomain`` naming ``what`` if one of ``values`` is a float
-    and the reserve ``x`` or ``y`` is beyond the largest float, so that the
-    float could only join it by overflowing; ``None`` is passed over."""
-    if x > _FLOAT_MAX or y > _FLOAT_MAX:
-        for value in values:
-            if value.__class__ is float:
-                raise MixedDomain(
-                    f"{what} {value!r} is a float beside exact reserves past float "
-                    "range; give it as a fraction"
-                )
+            if num > _EXACT_MAX * den:
+                raise InputError("exact result leaves float range")
 
 
 def _require_active(pool: PoolState) -> None:
@@ -240,7 +234,6 @@ def create_pool(
     float product or rate outside the normal range raises ``NonPositiveReserve``."""
     positive(NonPositiveReserve, "initial reserves", x0, y0)
     non_negative(InvalidFee, "fee rate", fee_rate, below=1)
-    _float_joins(x0, y0, "fee rate", fee_rate)
     fee_model = _member(FeeModel, fee_model, "fee model")
     product = x0 * y0
     # A float product outside the normal range has lost bits that its root
@@ -269,7 +262,7 @@ def liquidity_of(pool: PoolState) -> Numeric:
 
 def rate_of(pool: PoolState) -> Numeric:
     """Pool exchange rate ``r = x / y`` (X received per unit of Y, spot); a
-    float rate outside the normal range raises ``InvalidRate``."""
+    rate outside the range of ``errors.normal`` raises ``InvalidRate``."""
     _require_active(pool)
     return normal(InvalidRate, "pool rate x / y", pool.reserve_x / pool.reserve_y)
 
@@ -284,9 +277,8 @@ def require_market_rate(error, pool: PoolState, market_rate: Numeric) -> None:
 
 def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
     """Mark the reserves to market: ``p_x * x + p_y * y``.  An empty pool is
-    worth 0; any other float value outside the normal range raises ``InputError``."""
+    worth 0; any other value outside the range of ``errors.normal`` raises ``InputError``."""
     positive(NonPositivePrice, "prices", p_x, p_y)
-    _float_joins(pool.reserve_x, pool.reserve_y, "price", p_x, p_y)
     value = p_x * pool.reserve_x + p_y * pool.reserve_y
     return normal(InputError, "pool value p_x * x + p_y * y", value) if pool.active else value
 
@@ -328,7 +320,7 @@ def _spread_cap(reserve_in: Numeric, sigma: Numeric, y_for_x: bool) -> Numeric:
         if not 0 <= sigma < 1:
             non_negative(SpreadOutOfRange, "Y-for-X spread", sigma, below=1)
         return reserve_in * (1 / _sqrt(1 - sigma) - 1)
-    if not 0 <= sigma < _INF:
+    if not 0 <= sigma <= _FLOAT_MAX:
         non_negative(SpreadOutOfRange, "X-for-Y spread", sigma)
     return reserve_in * (_sqrt(1 + sigma) - 1)
 
@@ -359,7 +351,7 @@ def _swap(
     ``gross - fee``, which with the fee adds up to ``gross`` exactly, in
     floats too.
     """
-    if not 0 < amount < _INF:  # inline, as in _spread_cap
+    if not 0 < amount <= _FLOAT_MAX:  # inline, as in _spread_cap
         positive(NonPositiveAmount, "trade amount", amount)
     reserve_in, reserve_out = (y, x) if y_for_x else (x, y)
     net = amount * (1 - phi)
@@ -370,13 +362,18 @@ def _swap(
             net = limit
             gross = limit / (1 - phi)
     grown = reserve_in + net
-    out = reserve_out * net / grown
-    ratio = reserve_in / grown
+    try:
+        out = reserve_out * net / grown
+        ratio = reserve_in / grown
+    except OverflowError:  # an exact sum past float range against a float reserve
+        out = ratio = 0.0  # what the float sum, inf, gives
+    left = reserve_out - out
     squared = ratio * ratio
-    # Only floats fail this: the output rounds (or overflows) to the whole
-    # reserve, or the input dwarfs its reserve so far that the rate move
-    # underflows.  Written as a negation so a NaN fails it too.
-    if not (out < reserve_out and squared > 0):
+    # Only float arithmetic fails this: the output rounds (or overflows) to
+    # the whole reserve, a tiny exact reserve's float is 0, or the input
+    # dwarfs its reserve so far that the rate move underflows.  Written as a
+    # negation so a NaN fails it too.
+    if not (left > 0 and squared > 0):
         raise NonPositiveReserve(
             f"swap of {amount} would drain the output reserve {reserve_out}: "
             "the output rounds to the whole reserve"
@@ -391,8 +388,8 @@ def _swap(
         else:
             fees_x = fees_x + fee
     if y_for_x:
-        return reserve_out - out, settled, fees_x, fees_y, gross, fee, out, squared
-    return settled, reserve_out - out, fees_x, fees_y, gross, fee, out, squared
+        return left, settled, fees_x, fees_y, gross, fee, out, squared
+    return settled, left, fees_x, fees_y, gross, fee, out, squared
 
 
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
@@ -402,7 +399,6 @@ def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) 
     is charged up to ``q / (1 - phi)`` gross for it.
     """
     _require_active(pool)
-    _float_joins(pool.reserve_x, pool.reserve_y, "spread cap", sigma)
     y_for_x = _member(Direction, direction, "direction") is Direction.Y_FOR_X
     return _spread_cap(pool.reserve_y if y_for_x else pool.reserve_x, sigma, y_for_x)
 
@@ -441,8 +437,6 @@ def execute_swap(
     direction = _member(Direction, direction, "direction")
     y_for_x = direction is Direction.Y_FOR_X
     x, y, ledger = pool.reserve_x, pool.reserve_y, pool.side_ledger
-    _float_joins(x, y, "trade amount", amount_in)
-    _float_joins(x, y, "spread cap", max_spread)
     new_x, new_y, fees_x, fees_y, gross, fee, out, squared = _swap(
         x, y, ledger.fees_x, ledger.fees_y, pool.fee_rate, amount_in, max_spread, y_for_x,
         pool.fee_model is FeeModel.AUTO_COMPOUND,
@@ -472,13 +466,13 @@ def add_liquidity(
     """
     _require_active(pool)
     positive(NonPositiveAmount, "deposit amounts", dx, dy)
-    _float_joins(pool.reserve_x, pool.reserve_y, "deposit amount", dx, dy)
     growth_x = dx / pool.reserve_x
     growth_y = dy / pool.reserve_y
     minted = pool.total_shares * growth_x
     new_x, new_y, total = pool.reserve_x + dx, pool.reserve_y + dy, pool.total_shares + minted
-    # A result past the largest float is inf.  Checked before the ratio, which
-    # would reject growths that overflow on both sides (NaN) as a mismatch.
+    # A result past the largest float is rejected (a float one is inf).
+    # Checked before the ratio, which would reject growths that overflow on
+    # both sides (NaN) as a mismatch.
     non_negative(InputError, "deposit growths, reserves and total shares after it",
                  growth_x, growth_y, new_x, new_y, total)
     if not abs(growth_x - growth_y) <= RATE_MATCH_TOL * max(growth_x, growth_y):
@@ -539,23 +533,18 @@ def _arbitrage_trade(
 ) -> Optional[Tuple[bool, Numeric]]:
     """``(y_for_x, net input)`` that moves the rate ``x / y`` to
     ``target_rate``, or None when it already sits there."""
-    if not 0 < target_rate < _INF:  # inline, as in _spread_cap
+    if not 0 < target_rate <= _FLOAT_MAX:  # inline, as in _spread_cap
         positive(InvalidRate, "target rate", target_rate)
-    # Only exact reserves pass the largest float; floats pay two comparisons.
-    past = x > _FLOAT_MAX or y > _FLOAT_MAX
-    if past:
-        _float_joins(x, y, "target rate", target_rate)
     current = x / y
     y_for_x = target_rate < current
     root = _sqrt(current / target_rate if y_for_x else target_rate / current)
-    if past and root.__class__ is float:  # an irrational root, which no float amount can trade
-        raise InvalidRate(
-            f"target rate {target_rate} is out of float reach of exact reserves past "
-            "float range: the trade onto it is irrational"
-        )
     # On the target the root is 1, so the amount is 0.
     amount = (y if y_for_x else x) * (root - 1)
     return (y_for_x, amount) if amount > 0 else None
+
+
+def _out_of_reach(x: Numeric, y: Numeric, target_rate: Numeric) -> InvalidRate:
+    return InvalidRate(f"target rate {target_rate} is out of float reach of pool rate {x / y}")
 
 
 def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, Numeric]:
@@ -565,11 +554,12 @@ def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, N
         return x, y
     y_for_x, amount = trade
     try:
-        return _swap(x, y, 0, 0, 0, amount, None, y_for_x, True)[:2]
+        new_x, new_y = _swap(x, y, 0, 0, 0, amount, None, y_for_x, True)[:2]
     except (NonPositiveAmount, NonPositiveReserve) as err:
-        raise InvalidRate(
-            f"target rate {target_rate} is out of float reach of pool rate {x / y}"
-        ) from err
+        raise _out_of_reach(x, y, target_rate) from err
+    if amount.__class__ is not float:  # only an exact amount gives exact reserves
+        _bounded(new_x, new_y)
+    return new_x, new_y
 
 
 def arbitrage_input_for_rate(
@@ -581,13 +571,16 @@ def arbitrage_input_for_rate(
     input sizes solve directly: sell ``y * (sqrt(r / r') - 1)`` of Y to lower
     the rate, or ``x * (sqrt(r' / r) - 1)`` of X to raise it.  Returns None
     when the pool already sits on the target (within float precision).
-    The amounts are net curve inputs; execute them fee-free.
+    The amounts are net curve inputs; execute them fee-free.  An amount past
+    float range raises ``InvalidRate``, as :func:`arbitrage_to_rate` does.
     """
     _require_active(pool)
     trade = _arbitrage_trade(pool.reserve_x, pool.reserve_y, target_rate)
     if trade is None:
         return None
     y_for_x, amount = trade
+    if not amount <= _FLOAT_MAX:  # inf, or an exact amount no trade can take
+        raise _out_of_reach(pool.reserve_x, pool.reserve_y, target_rate)
     return (Direction.Y_FOR_X if y_for_x else Direction.X_FOR_Y), amount
 
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import re
 from contextlib import nullcontext, suppress
@@ -63,6 +62,7 @@ from .pool import (
     Direction,
     FeeModel,
     Numeric,
+    _FLOAT_MAX,
     _arbitrage,
     _bounded,
     _geometric_mean,
@@ -112,7 +112,6 @@ Event = Union[Trade, PriceMove, CollectFees, Snapshot]
 
 _Y_FOR_X = Direction.Y_FOR_X
 _X_FOR_Y = Direction.X_FOR_Y
-_INF = math.inf
 
 #: Record kinds (see the module docstring): a trade is 0 to 3, its two bits
 #: flagging a cap and the side sold.
@@ -196,15 +195,16 @@ class _Replay:
             self.x, self.y, self.fees_x, self.fees_y, self.phi, amount,
             cap if kind & _CAPPED else None, not kind & _SELLS_X, self.compound,
         )
-        if self.x.__class__ is not float:  # an exact replay: bound its size
+        # Only an exact amount or cap (an unused one is 0.0) gives exact results.
+        if amount.__class__ is not float or cap.__class__ is not float:
             _bounded(self.x, self.y, self.fees_x, self.fees_y)
 
     def _move_prices(self, kind: int, delta_x: Numeric, delta_y: Numeric) -> None:
         self.p_x = p_x = self.p_x * delta_x
         self.p_y = p_y = self.p_y * delta_y
-        # A delta outside (0, inf), or a product that leaves float range, fails
+        # A delta out of range, or a product that leaves float range, fails
         # here; the comparison is inline and the helper only raises.
-        if not (0 < p_x < _INF and 0 < p_y < _INF):
+        if not (0 < p_x <= _FLOAT_MAX and 0 < p_y <= _FLOAT_MAX):
             positive(ScriptError, "prices after the move", p_x, p_y)
         self.x, self.y = _arbitrage(self.x, self.y, p_y / p_x)
 
@@ -250,7 +250,7 @@ class _Replay:
         now = self.t
         for index, (kind, t, a, b) in enumerate(records, first_index):
             # A chained comparison, so a NaN timestamp fails it too.
-            if not now <= t < _INF:
+            if not now <= t <= _FLOAT_MAX:
                 raise ScriptError(
                     f"event {index}: timestamp {t} must be finite and not before {now}"
                 )
@@ -394,7 +394,7 @@ def _parse_event(index: int, raw: dict) -> tuple:
         t = raw.get("t", 0.0)
         if t.__class__ is not float:
             t = _number(t)
-        if not 0 <= t < _INF:
+        if not 0 <= t <= _FLOAT_MAX:
             non_negative(ValueError, "timestamp", t)
         if kind == "trade":
             direction = raw["direction"]

@@ -84,13 +84,28 @@ def test_swap_exact_fractions(capsys):
     assert pairs["new_y"] == "1997/10"  # 100 + 100 * 0.997
 
 
+PAST_FLOAT_RANGE = f"1{'0' * 400}/1"
+
+
+def assert_past_float_range_is_rejected(capsys, *argv):
+    # A fraction past the largest float is rejected where it enters, as inf
+    # is: this ended in an OverflowError traceback.
+    code, out, err = run_cli(capsys, *argv, "--x", PAST_FLOAT_RANGE, "--y", PAST_FLOAT_RANGE)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: initial reserves must be finite and positive, got (1000")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["swap", "--direction", "y2x", "--amount", "1/1"],
     ["pool-info"],
 ], ids=["swap", "pool-info"])
 def test_an_exact_pool_past_float_range_is_an_input_error(capsys, command):
-    # 2e400 * 1 is no perfect square, so the root is a float: it would be inf.
-    code, out, err = run_cli(capsys, *command, "--x", f"{2 * 10**400}/1", "--y", "1/1")
+    assert_past_float_range_is_rejected(capsys, *command)
+    # Reserves in float range whose product, 2e400, is past it and no perfect
+    # square: the float root of the product would be inf.
+    code, out, err = run_cli(capsys, *command, "--x", f"{2 * 10**200}/1",
+                             "--y", f"{10**200}/1")
     assert (code, out) == (1, "")
     assert err.startswith("error: initial liquidity sqrt(x0 * y0) must be finite")
 
@@ -106,39 +121,33 @@ def assert_exact(out):
     ["pool-info"],
 ], ids=["swap", "pool-info"])
 def test_an_exact_pool_past_float_range_keeps_the_defaults_exact(capsys, command):
-    # The default fee and prices are ints, which join the pool's exact numbers;
-    # as floats they overflowed converting them.
-    big = f"1{'0' * 400}/1"
+    assert_past_float_range_is_rejected(capsys, *command)
+    # The default fee and prices are ints, which join the pool's exact numbers
+    # up to the largest float; as floats they would make the results floats.
+    big = f"1{'0' * 300}/1"
     code, out, err = run_cli(capsys, *command, "--x", big, "--y", big)
     assert (code, err) == (0, "")
     assert_exact(out)
     pairs = parse_pairs(out)
     if command[0] == "swap":
-        assert pairs["amount_out"] == str(Fraction(10**400, 10**400 + 1))
+        assert pairs["amount_out"] == str(Fraction(10**300, 10**300 + 1))
     else:
-        assert pairs["value"] == str(2 * 10**400)
+        assert pairs["value"] == str(2 * 10**300)
 
 
-@pytest.mark.parametrize("argv, what", [
-    (["swap", "--fee", "0.003", "--direction", "y2x", "--amount", "1/1"], "fee rate 0.003"),
-    (["pool-info", "--p-x", "1.0"], "price 1.0"),
-    (["quote", "--fee", "0.003", "--direction", "y2x", "--amount", "1/1"], "fee rate 0.003"),
-    (["swap", "--direction", "y2x", "--amount", "1.0"], "trade amount 1.0"),
-    (["quote", "--direction", "y2x", "--amount", "1/1", "--max-spread", "0.01"],
-     "spread cap 0.01"),
+@pytest.mark.parametrize("argv", [
+    ["swap", "--fee", "0.003", "--direction", "y2x", "--amount", "1/1"],
+    ["pool-info", "--p-x", "1.0"],
+    ["quote", "--fee", "0.003", "--direction", "y2x", "--amount", "1/1"],
+    ["swap", "--direction", "y2x", "--amount", "1.0"],
+    ["quote", "--direction", "y2x", "--amount", "1/1", "--max-spread", "0.01"],
 ], ids=["swap fee", "pool-info price", "quote fee", "swap amount", "quote spread cap"])
-def test_a_float_beside_exact_reserves_past_float_range_is_an_input_error(capsys, argv, what):
-    # No float can join these reserves: each ended in an OverflowError traceback.
-    big = f"1{'0' * 400}/1"
-    code, out, err = run_cli(capsys, *argv, "--x", big, "--y", big)
-    assert (code, out) == (1, "")
-    assert err == (
-        f"error: {what} is a float beside exact reserves past float range; "
-        "give it as a fraction\n"
-    )
-    # In float range the float joins them, and the results are floats.
-    code, out, err = run_cli(capsys, *argv, "--x", "100/1", "--y", "100/1")
-    assert (code, err) == (0, "")
+def test_a_float_beside_exact_reserves_past_float_range_is_an_input_error(capsys, argv):
+    assert_past_float_range_is_rejected(capsys, *argv)
+    # Anywhere in float range the float joins exact reserves.
+    for reserve in ("100/1", f"1{'0' * 300}/1"):
+        code, out, err = run_cli(capsys, *argv, "--x", reserve, "--y", reserve)
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,6 @@ from cpamm import (
     InsufficientShares,
     InvalidFee,
     InvalidRate,
-    MixedDomain,
     NonPositiveAmount,
     NonPositiveReserve,
     RateMismatch,
@@ -268,6 +267,15 @@ def test_output_reserve_never_drained():
     assert receipt.amount_out < 100.0
 
 
+def test_a_swap_never_leaves_a_reserve_at_zero():
+    # The exact reserve's float is 0, so the float output was 0 and the
+    # reserve left behind 0.0.
+    pool = create_pool(Fraction(1, 10**400), Fraction(1))
+    with pytest.raises(NonPositiveReserve, match=r"^swap of 1\.0 would drain the output reserve"):
+        execute_swap(pool, Direction.Y_FOR_X, 1.0)
+    assert execute_swap(pool, Direction.Y_FOR_X, Fraction(1))[0].reserve_x == Fraction(1, 2 * 10**400)
+
+
 def test_split_trade_equals_single_trade_exactly():
     pool = create_pool(Fraction(3), Fraction(7))
     _, whole = execute_swap(pool, Direction.Y_FOR_X, Fraction(2))
@@ -291,6 +299,15 @@ def test_liquidity_past_the_float_product():
     # x * y overflows, but sqrt(x * y) does not.
     pool, _ = add_liquidity(create_pool(1e150, 1e150), "b", 1e155, 1e155)
     assert liquidity_of(pool) == 1.00001e155
+
+
+def test_liquidity_past_the_exact_product():
+    # x * y is past float range and no perfect square, but sqrt(x * y) is in
+    # it: the float root of the product's float was inf.
+    big = Fraction(10**300)
+    pool, _ = execute_swap(create_pool(big, big, Fraction(1, 2)), Direction.X_FOR_Y, Fraction(1))
+    assert liquidity_of(pool) == 1e300
+    assert liquidity_of(create_pool(big, big)) == big  # a perfect square stays exact
 
 
 def test_reserves_from_value():
@@ -327,7 +344,14 @@ def test_create_pool_rejects_a_rate_outside_float_range(x0, y0):
     for x, y in [(x0, y0), (y0, x0)]:
         with pytest.raises(NonPositiveReserve, match=r"ratio .0 / .0 must be a normal float"):
             create_pool(x, y)
-    assert rate_of(create_pool(Fraction(x0), Fraction(y0))) == Fraction(x0) / Fraction(y0)
+    # An exact rate is exact below the normal range, and past the largest
+    # float it is rejected as the float one is.
+    exact = create_pool(Fraction(x0), Fraction(y0))
+    if x0 > y0:
+        with pytest.raises(InvalidRate, match=r"^pool rate x / y must be finite, got \d+/\d+$"):
+            rate_of(exact)
+    else:
+        assert rate_of(exact) == Fraction(x0) / Fraction(y0)
 
 
 def test_rate_of_rejects_a_swapped_rate_outside_float_range():
@@ -336,57 +360,64 @@ def test_rate_of_rejects_a_swapped_rate_outside_float_range():
         rate_of(pool)
 
 
-@pytest.mark.parametrize("call, what", [
-    (lambda pool: create_pool(pool.reserve_x, pool.reserve_y, fee_rate=0.003), "fee rate 0.003"),
-    (lambda pool: execute_swap(pool, Direction.Y_FOR_X, 5.0), "trade amount 5.0"),
-    (lambda pool: quote(pool, Direction.X_FOR_Y, Fraction(5), 0.5), "spread cap 0.5"),
-    (lambda pool: max_input_for_spread(pool, Direction.X_FOR_Y, 0.5), "spread cap 0.5"),
-    (lambda pool: pool_value(pool, 1, 2.0), "price 2.0"),
-    (lambda pool: add_liquidity(pool, "b", 10.0, Fraction(40)), "deposit amount 10.0"),
+PAST_FLOAT_RANGE = Fraction(10**400)
+
+
+def assert_past_float_range_is_rejected():
+    # An exact reserve past the largest float is rejected where it enters, as
+    # inf is; the calls below on such a pool ended in a raw OverflowError.
+    with pytest.raises(NonPositiveReserve, match=r"^initial reserves must be finite and positive"):
+        create_pool(PAST_FLOAT_RANGE, 4 * PAST_FLOAT_RANGE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pool: create_pool(pool.reserve_x, pool.reserve_y, fee_rate=0.003),
+    lambda pool: execute_swap(pool, Direction.Y_FOR_X, 5.0),
+    lambda pool: quote(pool, Direction.X_FOR_Y, Fraction(5), 0.5),
+    lambda pool: max_input_for_spread(pool, Direction.X_FOR_Y, 0.5),
+    lambda pool: pool_value(pool, 1, 2.0),
+    lambda pool: add_liquidity(pool, "b", 10.0, Fraction(40)),
 ], ids=["fee", "amount", "cap", "spread", "price", "deposit"])
-def test_a_float_beside_exact_reserves_past_float_range_is_rejected(call, what):
-    # No float can join 10**400: these ended in a raw OverflowError.
-    pool = create_pool(Fraction(10**400), Fraction(4 * 10**400))
-    with pytest.raises(MixedDomain) as err:
-        call(pool)
-    assert str(err.value) == (
-        f"{what} is a float beside exact reserves past float range; give it as a fraction"
-    )
-    # The same call runs on float reserves, and on exact ones in float range.
+def test_a_float_beside_exact_reserves_past_float_range_is_rejected(call):
+    assert_past_float_range_is_rejected()
+    # The same call runs on float reserves, and on exact ones anywhere in
+    # float range.
     call(create_pool(100.0, 400.0))
     call(create_pool(Fraction(100), Fraction(400)))
+    call(create_pool(Fraction(10**300), Fraction(4 * 10**300)))
 
 
-_FLOAT_TARGET = "is a float beside exact reserves past float range; give it as a fraction"
-_IRRATIONAL = "is out of float reach of exact reserves past float range: the trade onto it is irrational"
-
-
-@pytest.mark.parametrize("call, error, message", [
-    (lambda pool: arbitrage_to_rate(pool, 2.0), MixedDomain, f"target rate 2.0 {_FLOAT_TARGET}"),
-    (lambda pool: arbitrage_input_for_rate(pool, 2.0), MixedDomain,
-     f"target rate 2.0 {_FLOAT_TARGET}"),
-    (lambda pool: analytics.il_brute_force(analytics.PriceScenario(1.0, 4.0), pool), MixedDomain,
-     f"target rate 4.0 {_FLOAT_TARGET}"),
-    (lambda pool: arbitrage_to_rate(pool, Fraction(2)), InvalidRate, f"target rate 2 {_IRRATIONAL}"),
-    (lambda pool: arbitrage_input_for_rate(pool, Fraction(1, 2)), InvalidRate,
-     f"target rate 1/2 {_IRRATIONAL}"),
+@pytest.mark.parametrize("call", [
+    lambda pool: arbitrage_to_rate(pool, 2.0),
+    lambda pool: arbitrage_input_for_rate(pool, 2.0),
+    lambda pool: analytics.il_brute_force(analytics.PriceScenario(1.0, 4.0), pool),
+    lambda pool: arbitrage_to_rate(pool, Fraction(2)),
+    lambda pool: arbitrage_input_for_rate(pool, Fraction(1, 2)),
 ], ids=["float", "float input", "il", "irrational", "irrational input"])
-def test_arbitrage_on_exact_reserves_past_float_range_raises_a_typed_error(call, error, message):
-    # Each ended in a raw OverflowError: no float amount can trade 10**400.
-    pool = create_pool(Fraction(10**400), Fraction(10**400))
-    with pytest.raises(error) as err:
-        call(pool)
-    assert str(err.value) == message
-    # The same call runs on float reserves, and on exact ones in float range.
+def test_arbitrage_on_exact_reserves_past_float_range_raises_a_typed_error(call):
+    assert_past_float_range_is_rejected()
+    # The same call runs on float reserves, and on exact ones whose float
+    # product with the float amount of a float target or an irrational root
+    # is in float range.
     call(create_pool(100.0, 100.0))
     call(create_pool(Fraction(100), Fraction(100)))
+    call(create_pool(Fraction(10**150), Fraction(10**150)))
 
 
 def test_arbitrage_past_float_range_onto_a_rational_root_stays_exact():
-    pool = create_pool(Fraction(10**400), Fraction(10**400))
+    assert_past_float_range_is_rejected()
+    pool = create_pool(Fraction(10**300), Fraction(10**300))
     moved = arbitrage_to_rate(pool, Fraction(4))
-    assert (moved.reserve_x, moved.reserve_y) == (2 * 10**400, Fraction(10**400, 2))
-    assert arbitrage_input_for_rate(pool, Fraction(1, 4)) == (Direction.Y_FOR_X, 10**400)
+    assert (moved.reserve_x, moved.reserve_y) == (2 * 10**300, Fraction(10**300, 2))
+    assert arbitrage_input_for_rate(pool, Fraction(1, 4)) == (Direction.Y_FOR_X, 10**300)
+    # An exact leg whose result would pass the largest float is rejected.
+    near = create_pool(Fraction(10**308), Fraction(10**308))
+    with pytest.raises(InputError, match="^exact result leaves float range$"):
+        arbitrage_to_rate(near, Fraction(4))
+    # So is a trade onto a rate whose amount would; for floats it was inf.
+    for pool, target in [(pool, Fraction(10**20)), (create_pool(1e10, 1.0), 1e-300)]:
+        with pytest.raises(InvalidRate, match="is out of float reach of pool rate"):
+            arbitrage_input_for_rate(pool, target)
 
 
 def test_an_exact_pool_takes_back_the_floats_it_returns():
@@ -419,7 +450,9 @@ def test_pool_value_rejects_a_value_outside_float_range():
     with pytest.raises(InputError, match=r"must be a normal float, got 1\.99997773436537e-310"):
         pool_value(pool, 1e-320, 1e-320)
     exact = create_pool(Fraction(10**10), Fraction(10**10))
-    assert pool_value(exact, Fraction(10**300), 10**300) == 2 * 10**310
+    assert pool_value(exact, Fraction(10**290), 10**290) == 2 * 10**300
+    with pytest.raises(InputError, match=r"^pool value .* must be finite, got 2\d{310}$"):
+        pool_value(exact, Fraction(10**300), 10**300)
     empty, _ = remove_liquidity(pool, "lp", pool.total_shares)
     assert pool_value(empty, 1.0, 1.0) == 0.0
 
@@ -449,11 +482,12 @@ def test_add_liquidity_rejects_a_deposit_that_rounds_away():
 
 
 def test_an_exact_pool_whose_root_leaves_float_range_is_rejected():
-    # The product 2e400 is no perfect square, and its float root would be inf.
+    # The product 2e400 is past float range and no perfect square, so its
+    # float root would be inf, though both reserves are in float range.
     with pytest.raises(NonPositiveReserve, match=r"initial liquidity .* got inf$"):
-        create_pool(Fraction(2 * 10**400), Fraction(1))
-    square = create_pool(Fraction(10**400), Fraction(1, 10**400))  # an exact root
-    assert square.total_shares == 1
+        create_pool(Fraction(2 * 10**200), Fraction(10**200))
+    square = create_pool(Fraction(10**300), Fraction(10**300))  # an exact root
+    assert square.total_shares == 10**300
 
 
 def test_add_liquidity_rejects_off_rate_deposit():

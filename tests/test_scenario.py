@@ -28,7 +28,6 @@ from cpamm import (
     FeeModel,
     InputError,
     InvalidRate,
-    MixedDomain,
     NonPositiveAmount,
     NonPositiveReserve,
     PortfolioSnapshot,
@@ -350,6 +349,15 @@ def test_effective_alpha_at_extreme_prices(price):
     at_one = measure_effective_alpha(script(1.0), window=1.0)
     assert at_one == pytest.approx(7.5e-5, rel=1e-12)
     assert measure_effective_alpha(script(price), window=1.0) == pytest.approx(at_one, rel=1e-12)
+
+
+def test_effective_alpha_past_the_exact_product():
+    # The reserve product is past float range and no perfect square after the
+    # trade, whose fee grows the liquidity by about 1e-300: this was inf.
+    big = Fraction(10**300)
+    script = ScenarioScript(big, big, Fraction(1, 2), FeeModel.AUTO_COMPOUND, 1, 1,
+                            (Trade(0.0, Direction.X_FOR_Y, Fraction(1)),))
+    assert measure_effective_alpha(script, window=1.0) == 0.0
 
 
 def test_effective_alpha_rejects_empty_window():
@@ -696,36 +704,41 @@ def test_csv_labels_read_back_as_one_record(label):
     assert text.split("\n", 1)[1].startswith(expected.getvalue().removesuffix("\r\n"))
 
 
-def _past_float_range(*events):
-    """A script on a 10**400 exact pool at exact prices."""
-    big = Fraction(10**400)
-    return ScenarioScript(big, big, Fraction(0), FeeModel.AUTO_COMPOUND, Fraction(1), Fraction(1),
-                          events=events)
+def _exact(reserve, *events):
+    """A script on a ``reserve``/``reserve`` exact pool at exact prices."""
+    reserve = Fraction(reserve)
+    return ScenarioScript(reserve, reserve, Fraction(0), FeeModel.AUTO_COMPOUND, Fraction(1),
+                          Fraction(1), events=events)
 
 
 def test_a_snapshot_past_float_range_is_a_domain_error():
-    # The replay is exact, but its reserves have no float to print: this
-    # ended in a raw OverflowError.
-    snapshots = run_scenario(_past_float_range(Trade(0.0, Direction.Y_FOR_X, Fraction(1)),
-                                               Snapshot(1.0, 'say "hi"')))
-    with pytest.raises(DomainError) as err:
-        snapshots_to_csv(snapshots)
-    assert str(err.value) == """snapshot 'say "hi"': reserve_x leaves float range"""
-    # The field named is the first one past float range.
-    fees = dataclasses.replace(snapshots[0], reserve_x=0.5, reserve_y=0.5, fees_y=10**400)
-    with pytest.raises(DomainError) as err:
-        snapshots_to_csv([fees])
-    assert str(err.value) == """snapshot 'say "hi"': fees_y leaves float range"""
+    # An exact pool past float range is rejected where it enters, as inf is:
+    # its snapshots ended in a raw OverflowError.
+    with pytest.raises(NonPositiveReserve, match=r"^initial reserves must be finite and positive"):
+        run_scenario(_exact(10**400, Snapshot(1.0, "s")))
+    # A snapshot a caller builds can still hold a value past float range; the
+    # field named is the first one past it.
+    snapshots = run_scenario(_exact(10**300, Trade(0.0, Direction.Y_FOR_X, Fraction(1)),
+                                    Snapshot(1.0, 'say "hi"')))
+    for field in ("reserve_x", "fees_y"):
+        past = dataclasses.replace(snapshots[0], **{field: 10**400})
+        with pytest.raises(DomainError) as err:
+            snapshots_to_csv([past])
+        assert str(err.value) == f"""snapshot 'say "hi"': {field} leaves float range"""
 
 
 def test_a_float_price_move_beside_exact_reserves_past_float_range_is_rejected():
-    # The float rate p_y / p_x cannot be traded onto 10**400: this ended in a
-    # raw OverflowError.
-    with pytest.raises(MixedDomain, match=r"^event 0: target rate 0\.5 is a float beside exact"):
-        run_scenario(_past_float_range(PriceMove(0.0, 2.0, 1.0)))
-    # An exact move onto a rational root replays exactly.
-    final = run_scenario(_past_float_range(PriceMove(0.0, Fraction(1), Fraction(4))))[-1]
-    assert (final.reserve_x, final.reserve_y) == (2 * 10**400, Fraction(10**400, 2))
+    with pytest.raises(NonPositiveReserve, match=r"^initial reserves must be finite and positive"):
+        run_scenario(_exact(10**400, PriceMove(0.0, 2.0, 1.0)))
+    # In float range a float move joins exact reserves, and the arbitrage
+    # leaves floats; an exact move onto a rational root replays exactly.
+    final = run_scenario(_exact(10**150, PriceMove(0.0, 2.0, 1.0)))[-1]
+    assert final.reserve_x == pytest.approx(10**150 / math.sqrt(2), rel=1e-15)
+    final = run_scenario(_exact(10**300, PriceMove(0.0, Fraction(1), Fraction(4))))[-1]
+    assert (final.reserve_x, final.reserve_y) == (2 * 10**300, Fraction(10**300, 2))
+    # An exact leg that would leave float range is rejected.
+    with pytest.raises(InputError, match=r"^event 0: exact result leaves float range$"):
+        run_scenario(_exact(10**308, PriceMove(0.0, Fraction(1), Fraction(4))))
 
 
 @pytest.mark.parametrize("direction", list(Direction))

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,16 +31,21 @@ from cpamm import (
     ScriptError,
     Snapshot,
     SpreadOutOfRange,
+    Trade,
     add_liquidity,
     create_pool,
     default_figure_spec,
+    execute_swap,
     il_brute_force,
     load_script,
+    max_input_for_spread,
     measure_effective_alpha,
     pool_value,
     quote,
+    remove_liquidity,
     reserves_from_rate_liquidity,
     reserves_from_value,
+    roi_pair,
     run_scenario,
 )
 from cpamm.errors import non_negative, positive, unit_interval
@@ -49,25 +55,32 @@ from cpamm.rational import RationalPool, oracle_swap
 NAN, INF = math.nan, math.inf
 HUGE = Fraction(10**400)
 TINY = Fraction(1, 10**400)
+# The largest float, exactly, and the least exact value past it: an exact
+# value is finite when it is at most the largest float.
+FLOAT_MAX = Fraction(sys.float_info.max)
+PAST_MAX = FLOAT_MAX + Fraction(1, 10**400)
 
 
-@pytest.mark.parametrize("value", [1e-300, 5e-324, 1.0, 1e308, HUGE, TINY, Fraction(1, 3)])
+@pytest.mark.parametrize("value", [1e-300, 5e-324, 1.0, 1e308, TINY, Fraction(1, 3),
+                                   sys.float_info.max, FLOAT_MAX,
+                                   pytest.param(int(FLOAT_MAX), id="int max")])
 def test_positive_accepts_finite_positive_values(value):
     positive(NonPositiveInput, "x", value)
 
 
-@pytest.mark.parametrize("value", [0, 0.0, -0.0, -1.0, -HUGE, NAN, INF, -INF])
+@pytest.mark.parametrize("value", [0, 0.0, -0.0, -1.0, -HUGE, NAN, INF, -INF, HUGE, PAST_MAX,
+                                   pytest.param(int(FLOAT_MAX) + 1, id="int past max")])
 def test_positive_rejects_the_rest(value):
     with pytest.raises(NonPositiveInput, match=r"^x must be finite and positive, got "):
         positive(NonPositiveInput, "x", value)
 
 
-@pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e308, HUGE])
+@pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e308, FLOAT_MAX])
 def test_non_negative_accepts_zero_and_up(value):
     non_negative(NonPositiveInput, "x", value)
 
 
-@pytest.mark.parametrize("value", [-1e-300, -HUGE, NAN, INF, -INF])
+@pytest.mark.parametrize("value", [-1e-300, -HUGE, NAN, INF, -INF, HUGE, PAST_MAX])
 def test_non_negative_rejects_the_rest(value):
     with pytest.raises(NonPositiveInput, match=r"^x must be finite and >= 0, got "):
         non_negative(NonPositiveInput, "x", value)
@@ -101,6 +114,18 @@ def _replay(**fields):
 
 
 POOL = create_pool(100.0, 100.0)
+
+
+def _big_pool():
+    return create_pool(HUGE, HUGE)
+
+
+F_MAX = int(sys.float_info.max)
+
+
+def _huge(px, py, events=(), fee_rate=0, fee_model=FeeModel.AUTO_COMPOUND):
+    return ScenarioScript(HUGE, HUGE, fee_rate, fee_model, px, py, events)
+
 
 # Out-of-domain calls at every layer; each must raise its own InputError
 # subclass rather than return NaN or inf or raise an untyped exception.
@@ -171,6 +196,68 @@ REJECTED = {
         ScriptError,
         lambda: _replay(pool_x=1e-30, pool_y=1e-30, p_x0=1e-300, p_y0=1e-300,
                         events=(Snapshot(0.0, "s"),))),
+    # Exact values past the largest float are rejected as inf is; each of
+    # these ended in a raw OverflowError.
+    "reserves_from_rate_liquidity exact liquidity past float range": (
+        NonPositiveInput, lambda: reserves_from_rate_liquidity(2.0, HUGE)),
+    "reserves_from_value exact value past float range": (
+        NonPositiveInput, lambda: reserves_from_value(HUGE, 1.0, 1.0)),
+    "remove_liquidity exact pool past float range": (
+        NonPositiveReserve, lambda: remove_liquidity(_big_pool(), "lp", 1.0)),
+    "execute_swap int cap exact pool past float range": (
+        NonPositiveReserve,
+        lambda: execute_swap(_big_pool(), Direction.Y_FOR_X, Fraction(1), 0)),
+    "max_input_for_spread exact pool past float range": (
+        NonPositiveReserve,
+        lambda: max_input_for_spread(_big_pool(), Direction.Y_FOR_X, Fraction(1, 2))),
+    "execute_swap exact amount past float range": (
+        NonPositiveAmount,
+        lambda: execute_swap(create_pool(100.0, 100.0, 0.003), Direction.Y_FOR_X, HUGE)),
+    "pool_value exact price past float range": (
+        NonPositivePrice, lambda: pool_value(POOL, HUGE, 1.0)),
+    "add_liquidity exact deposit past float range": (
+        NonPositiveAmount, lambda: add_liquidity(POOL, "b", HUGE, HUGE)),
+    "script exact pool past float range": (NonPositiveReserve, lambda: run_scenario(_huge(1.0, 1.0))),
+    "script exact pool past float range float trade": (
+        NonPositiveReserve,
+        lambda: run_scenario(_huge(1, 1, (Trade(0.0, Direction.X_FOR_Y, 1.0),)))),
+    "script exact pool past float range float cap": (
+        NonPositiveReserve,
+        lambda: run_scenario(_huge(1, 1, (Trade(0.0, Direction.X_FOR_Y, 1, 0.01),)))),
+    "measure_effective_alpha exact pool past float range": (
+        NonPositiveReserve,
+        lambda: measure_effective_alpha(
+            _huge(1, 1, (Trade(0.0, Direction.X_FOR_Y, Fraction(1)),), Fraction(1, 2),
+                  FeeModel.COLLECT_SEPARATELY), 1.0)),
+    "roi_pair int alpha past float range": (
+        NonPositiveInput, lambda: roi_pair(RoiParams(0.5, 10**400, 1.0), 1.0)),
+    "script exact timestamp past float range": (
+        ScriptError, lambda: _replay(events=(Snapshot(HUGE, "s"),))),
+    # An exact rate past float range, from reserves in it, met a float.
+    "script exact pool rate past float range": (
+        InvalidRate,
+        lambda: run_scenario(ScenarioScript(Fraction(10**300), Fraction(1, 10**10), 0,
+                                            FeeModel.AUTO_COMPOUND, 1e-300, 1.0))),
+    "il_brute_force exact pool rate past float range": (
+        InvalidRate,
+        lambda: il_brute_force(PriceScenario(1.0, 2.0, 1e-300, 1.0),
+                               create_pool(Fraction(10**300), Fraction(1, 10**10)))),
+    # An exact sum past float range met a float reserve, in a swap and in a
+    # replay whose trades grow the exact reserve.
+    "execute_swap exact sum past float range beside a float reserve": (
+        NonPositiveReserve,
+        lambda: execute_swap(create_pool(1.0, Fraction(10**300)), Direction.Y_FOR_X, F_MAX)),
+    "script exact sum past float range beside a float reserve": (
+        NonPositiveReserve,
+        lambda: run_scenario(ScenarioScript(
+            1.0, Fraction(10**300), 0, FeeModel.AUTO_COMPOUND, Fraction(10**300), 1,
+            (Trade(0.0, Direction.Y_FOR_X, F_MAX // 2), Trade(0.0, Direction.Y_FOR_X, F_MAX // 2))))),
+    # The fee takes the exact reserve past float range after the sum.
+    "script exact reserve past float range beside a float reserve": (
+        InputError,
+        lambda: run_scenario(ScenarioScript(
+            2.0, Fraction(F_MAX // 4), Fraction(1, 2), FeeModel.AUTO_COMPOUND,
+            Fraction(F_MAX // 4), 2, (Trade(0.0, Direction.Y_FOR_X, F_MAX),)))),
 }
 
 
@@ -189,7 +276,8 @@ def test_out_of_domain_input_raises_its_typed_error(name):
 # alone would: the same values rejected, with the same error and message.
 
 EDGE_VALUES = [NAN, INF, -INF, 0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-               -1.0, 0.5, 1, 1.0, 1e308, -1e308, HUGE, -HUGE, TINY, -TINY, Fraction(1, 3)]
+               -1.0, 0.5, 1, 1.0, 1e308, -1e308, HUGE, -HUGE, TINY, -TINY, Fraction(1, 3),
+               FLOAT_MAX, PAST_MAX]
 
 
 def _outcome(call):
