@@ -25,11 +25,14 @@ quietly with status 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
+import itertools
 import math
 import os
+import stat
 import sys
-from typing import Container, List, Optional, Sequence, Tuple
+from typing import Container, Iterable, List, Optional, Sequence, Tuple
 
 from . import analytics, compounding, figures, pool, scenario
 from .errors import DomainError, InputError, InternalError
@@ -170,12 +173,13 @@ def _cmd_roi(args: argparse.Namespace) -> List[str]:
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> List[str]:
-    # As emit-figure's: chunks built before the first is written, each
-    # encoded on its own.
+    # Every chunk is built before the first is written, since a malformed
+    # event anywhere in the script is reported before any replay error; each
+    # is encoded on its own.
     return scenario._run_script_file(args.script)
 
 
-def _cmd_emit_figure(args: argparse.Namespace) -> List[str]:
+def _cmd_emit_figure(args: argparse.Namespace) -> Iterable[str]:
     overrides = {}
     if args.grid_min is not None or args.grid_max is not None or args.count is not None:
         base = figures.default_figure_spec(args.figure).domain_grid
@@ -192,16 +196,28 @@ def _cmd_emit_figure(args: argparse.Namespace) -> List[str]:
         if value is not None:
             overrides[name] = value
     spec = figures.default_figure_spec(args.figure, **overrides)
-    # Every chunk is checked before the first is written, and each is encoded
-    # on its own, so neither the joined text nor its bytes ever exist whole.
+    # The header comes once every check has passed; each chunk after it is
+    # computed as the one before is written, so no figure is ever held whole.
     chunks = figures._figure_chunks(spec)
+    header = next(chunks)
     if not args.out:
-        return chunks
+        return itertools.chain((header,), chunks)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
+        handle = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as err:
         raise InputError(f"cannot write figure: {err}") from err
+    try:
+        with handle:
+            handle.write(header)
+            handle.writelines(chunks)
+    except BaseException as err:
+        # A partial figure is no figure; a device or a link named by --out stays.
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(args.out).st_mode):
+                os.remove(args.out)
+        if isinstance(err, OSError):
+            raise InputError(f"cannot write figure: {err}") from err
+        raise
     return []
 
 
@@ -299,6 +315,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         sys.stdout.writelines(output)
         sys.stdout.flush()
+    except InternalError as err:  # a figure row that failed after its checks passed
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except OSError as err:
         # A closed pipe means the reader stopped early, as ``| head`` does:
         # what it read is right, so end quietly.

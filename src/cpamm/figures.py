@@ -2,9 +2,11 @@
 
 Each figure is a table with one header row and one row per grid point, fed
 by the same analytics and simulation code the rest of the package uses.
-Output is plain CSV so plotting stays external.  Each emitter renders its
-rows into CSV lines as it computes them, every number by ``repr``, so
-repeated runs are bit-identical.
+Output is plain CSV so plotting stays external.  Each figure's row function
+renders grid points into CSV lines as it computes them, every number by
+``repr``, so repeated runs are bit-identical.  A figure is checked before
+its first byte and then streamed: its last row bounds every other, so only
+when that row is near or past float range are all rows computed first.
 
 Figure ids and their series:
 
@@ -28,19 +30,25 @@ to displayed precision (20.02 and 18.2).  Pass exact simulator output to
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice, tee
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from . import analytics, compounding
-from .errors import DomainError, non_negative, positive, unit_interval
+from .errors import DomainError, InputError, InternalError, non_negative, positive, unit_interval
 
-#: Most grid points one figure may have: well under a second of work.
+#: Most grid points one figure may have.  In process a figure this long
+#: takes 3 to 6 s, by figure and host load (2-vCPU VM, Python 3.11).
 MAX_FIGURE_ROWS = 10**6
 
-#: Rows joined and checked at a time: about 76 kB of four-column rows, so
-#: the whole figure is never held twice.
+#: Rows joined, checked and written at a time: about 76 kB of four-column
+#: rows, the most of a figure ever held.
 _CHUNK_LINES = 1024
+
+#: The largest value a figure's last row may hold for the figure to stream
+#: unscanned: the factor of 2 is the margin ``_bounds_all_rows`` explains.
+_BOUND = sys.float_info.max / 2
 
 
 def _item(value):
@@ -88,7 +96,7 @@ class FigureSpec:
 
 
 def _grid(spec: FigureSpec) -> Iterator[float]:
-    """The grid points one at a time, the last exactly ``hi``."""
+    """The grid points one at a time, the last exactly ``hi`` and the largest."""
     lo, hi, count = spec.domain_grid
     step = (hi - lo) / (count - 1)
     for i in range(count - 1):
@@ -104,82 +112,88 @@ def default_figure_spec(figure_id: str, **overrides) -> FigureSpec:
     return FigureSpec(figure_id=figure_id, **overrides)
 
 
-def _price_rows(spec: FigureSpec):
+def _price_rows(points: Iterable) -> Iterator[Tuple[float, float]]:
     """``(pct, delta_y)`` per grid point, ``delta_x`` being 1.
 
     ``FigureSpec`` keeps both grid ends' price factors in (0, inf) and the
     grid is monotone, so every ``delta_y`` is in range too.
     """
-    return ((pct, 1.0 + pct / 100.0) for pct in map(float, _grid(spec)))
+    return ((pct, 1.0 + pct / 100.0) for pct in map(float, points))
 
 
-def _emit_il_one_coin(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
+def _il_rows(spec: FigureSpec, points: Iterable) -> Iterator[str]:
     il = analytics._il
-    lines = (f"{pct!r},{il(1.0, dy)[2] * 100.0!r}" for pct, dy in _price_rows(spec))
-    return "price_change_pct,il_pct", lines
+    return (f"{pct!r},{il(1.0, dy)[2] * 100.0!r}" for pct, dy in _price_rows(points))
 
 
-def _emit_portfolio_one_coin(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
+def _portfolio_rows(spec: FigureSpec, points: Iterable) -> Iterator[str]:
     il = analytics._il
-    lines = (
+    return (
         f"{pct!r},{v_held * 100.0!r},{v_pooled * 100.0!r}"
-        for pct, dy in _price_rows(spec)
+        for pct, dy in _price_rows(points)
         for v_pooled, v_held, _ in [il(1.0, dy)]
     )
-    return "price_change_pct,not_investing,providing_liquidity", lines
 
 
-def _fee_model_rows(spec: FigureSpec, growth_c: float, growth_nc: float) -> Iterator[str]:
+def _fee_model_rows(points: Iterable, growth_c: float, growth_nc: float) -> Iterator[str]:
     """Held, compounded and collected lines; ``growth_c`` and ``growth_nc``
     are the ``alpha * t`` of the last two curves."""
     held, compounded, collected = analytics._held, analytics._compounded, analytics._collected
     return (
         f"{pct!r},{held(1.0, dy) * 100.0!r},{compounded(1.0, dy, growth_c) * 100.0!r},"
         f"{collected(1.0, dy, growth_nc) * 100.0!r}"
-        for pct, dy in _price_rows(spec)
+        for pct, dy in _price_rows(points)
     )
 
 
-def _emit_fee_model_comparison(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
+def _fee_model_comparison_rows(spec: FigureSpec, points: Iterable) -> Iterator[str]:
     growth = spec.alpha * spec.t
-    return "price_change_pct,not_investing,uniswap_v2,beaker", _fee_model_rows(spec, growth, growth)
+    return _fee_model_rows(points, growth, growth)
 
 
-def _emit_roi_comparison(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
+def _roi_rows(spec: FigureSpec, points: Iterable) -> Iterator[str]:
     params = compounding.RoiParams(spec.frac_compounding, spec.alpha, horizon=spec.domain_grid[1])
-    times, solved = tee(_grid(spec))  # zip keeps the two in step: tee holds one point
-    lines = (
+    times, solved = tee(points)  # zip keeps the two in step: tee holds one point
+    return (
         f"{t!r},{(rho_c - 1.0) * 100.0!r},{(rho_nc - 1.0) * 100.0!r}"
         for t, (rho_c, rho_nc) in zip(map(float, times), compounding._roi_series(params, solved))
     )
-    return "time,compounding,not_compounding", lines
 
 
-def _emit_corrected_comparison(spec: FigureSpec) -> Tuple[str, Iterator[str]]:
+def _corrected_rows(spec: FigureSpec, points: Iterable) -> Iterator[str]:
     # The fee-model comparison with alpha * t replaced by the one-year ROIs.
     growth_c, growth_nc = spec.roi_compounding_pct / 100, spec.roi_not_compounding_pct / 100
-    header = "price_change_pct,not_investing,compounding,not_compounding"
-    return header, _fee_model_rows(spec, growth_c, growth_nc)
+    return _fee_model_rows(points, growth_c, growth_nc)
 
 
-#: Each figure id with its stock grid and its emitter, in display order.
+#: Each figure id with its stock grid, its header and its row function,
+#: which renders the given grid points as CSV lines, in display order.
 _FIGURES = {
-    "il_one_coin": ((-99.0, 200.0, 300), _emit_il_one_coin),
-    "portfolio_one_coin": ((-99.0, 200.0, 300), _emit_portfolio_one_coin),
-    "fee_model_comparison": ((-99.0, 300.0, 400), _emit_fee_model_comparison),
-    "roi_comparison": ((0.0, 1.0, 101), _emit_roi_comparison),
-    "corrected_fee_model_comparison": ((-99.0, 150.0, 250), _emit_corrected_comparison),
+    "il_one_coin": ((-99.0, 200.0, 300), "price_change_pct,il_pct", _il_rows),
+    "portfolio_one_coin": (
+        (-99.0, 200.0, 300),
+        "price_change_pct,not_investing,providing_liquidity",
+        _portfolio_rows,
+    ),
+    "fee_model_comparison": (
+        (-99.0, 300.0, 400),
+        "price_change_pct,not_investing,uniswap_v2,beaker",
+        _fee_model_comparison_rows,
+    ),
+    "roi_comparison": ((0.0, 1.0, 101), "time,compounding,not_compounding", _roi_rows),
+    "corrected_fee_model_comparison": (
+        (-99.0, 150.0, 250),
+        "price_change_pct,not_investing,compounding,not_compounding",
+        _corrected_rows,
+    ),
 }
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def _figure_chunks(spec: FigureSpec) -> List[str]:
-    """The figure's CSV text in pieces that concatenate to it: the header
-    line, then up to ``_CHUNK_LINES`` rows each.  Every row is checked
-    before the list is returned, so a caller that writes the pieces writes
-    all of the figure or none of it."""
-    header, lines = _FIGURES[spec.figure_id][1](spec)
-    chunks = [header + "\n"]
+def _checked_chunks(spec: FigureSpec, lines: Iterator[str]) -> Iterator[str]:
+    """``lines`` joined up to ``_CHUNK_LINES`` at a time, each ending in a
+    newline.  A chunk with a non-finite cell raises ``DomainError`` naming
+    its first such row's x instead."""
     done = 0
     while block := list(islice(lines, _CHUNK_LINES)):
         block.append("")
@@ -187,15 +201,69 @@ def _figure_chunks(spec: FigureSpec) -> List[str]:
         # Of all float reprs only "inf" and "nan" hold an "n".
         bad = chunk.find("n")
         if bad >= 0:
-            row = done + chunk.count("\n", 0, bad)
-            raise DomainError(f"{spec.figure_id} leaves float range at x = {spec.grid_points()[row]}")
-        chunks.append(chunk)
+            x = next(islice(_grid(spec), done + chunk.count("\n", 0, bad), None))
+            raise DomainError(f"{spec.figure_id} leaves float range at x = {x}")
+        yield chunk
         done += len(block) - 1
-    return chunks
+
+
+def _bounds_all_rows(spec: FigureSpec, rows: Callable[..., Iterator[str]]) -> bool:
+    """Whether the last row's values are each at most ``_BOUND``, so that
+    every row of the figure is finite.
+
+    Why one row bounds the rest:
+
+    * ``held``, ``compounded``, ``collected``, ``v_held`` and ``v_pooled``
+      never decrease as ``1 + pct/100`` grows: each is built from sums,
+      products, quotients and roots of non-negative values with
+      non-negative constants, and IEEE rounding is monotone.  The same holds
+      for every intermediate value, so none overflows before the last row's.
+    * ``il_pct`` always lies in [-100, 0].
+    * ``rho_c`` and ``rho_nc`` increase with ``t``; the implicit root's
+      rounding wobble, about 1e-15 relative, is far below the factor of 2
+      that ``_BOUND`` leaves.
+    * ``hi`` is the largest grid point.  For ``i <= count - 2``, ``lo +
+      i*step <= hi`` while ``count <= MAX_FIGURE_ROWS``: ``hi - lo``,
+      ``step`` and ``i*step`` each round by at most 2**-53 relative, and
+      ``(1 + 2**-53)**3 < 1 + 1/(count - 2)``.  Int ends round no more
+      than floats, and with ``Fraction`` ends the arithmetic is exact.
+
+    A last row that raises, as an ``InputError`` or as an ``OverflowError``
+    from an exact value past float range, bounds nothing: the caller's
+    whole scan then raises what the first failing row raises.
+    """
+    try:
+        last = next(rows(spec, [spec.domain_grid[1]]))
+    except (InputError, ArithmeticError):
+        return False
+    return all(abs(float(cell)) <= _BOUND for cell in last.split(",")[1:])
+
+
+def _figure_chunks(spec: FigureSpec) -> Iterator[str]:
+    """The figure's CSV text in pieces that concatenate to it, made as they
+    are asked for: the header line, then up to ``_CHUNK_LINES`` rows each.
+
+    Every check runs before the header is given, so a caller that writes
+    the pieces writes all of the figure or none of it.  A last row that
+    bounds every other (``_bounds_all_rows``) is the whole check.
+    Otherwise every row is computed and dropped first, which raises at the
+    first row that fails, as its ``DomainError`` or its own ``InputError``.
+    A row that fails once the checks have passed raises ``InternalError``.
+    """
+    _, header, rows = _FIGURES[spec.figure_id]
+    if not _bounds_all_rows(spec, rows):
+        for _ in _checked_chunks(spec, rows(spec, _grid(spec))):
+            pass
+    yield header + "\n"
+    try:
+        yield from _checked_chunks(spec, rows(spec, _grid(spec)))
+    except InputError as err:
+        raise InternalError(f"{spec.figure_id} failed after its checks passed: {err}") from err
 
 
 def emit_figure(spec: FigureSpec) -> str:
-    """Render the figure described by ``spec`` as a CSV string.
+    """Render the figure described by ``spec`` as a CSV string: the chunks
+    of ``_figure_chunks`` joined.
 
     A value beyond float range raises ``DomainError`` instead, so no figure
     ever holds ``inf`` or ``nan``.

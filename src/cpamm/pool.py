@@ -242,7 +242,7 @@ def create_pool(
         normal(NonPositiveReserve, "initial reserve product x0 * y0", product)
         normal(NonPositiveReserve, "initial reserve ratio x0 / y0", x0 / y0)
         normal(NonPositiveReserve, "initial reserve ratio y0 / x0", y0 / x0)
-    shares = _sqrt(product)
+    shares = _geometric_mean(x0, y0)
     positive(NonPositiveReserve, "initial liquidity sqrt(x0 * y0)", shares)
     return PoolState(
         reserve_x=x0,
@@ -382,11 +382,13 @@ def _swap(
     settled = reserve_in + (gross - fee)
     if fee:
         if compound:
-            settled = settled + fee
+            settled = balance = settled + fee
         elif y_for_x:
-            fees_y = fees_y + fee
+            fees_y = balance = fees_y + fee
         else:
-            fees_x = fees_x + fee
+            fees_x = balance = fees_x + fee
+        if not balance <= _FLOAT_MAX:  # inf, or an exact balance past it
+            raise InputError(f"swap of {amount} credits its fee past float range")
     if y_for_x:
         return left, settled, fees_x, fees_y, gross, fee, out, squared
     return settled, left, fees_x, fees_y, gross, fee, out, squared

@@ -103,11 +103,18 @@ def assert_past_float_range_is_rejected(capsys, *argv):
 def test_an_exact_pool_past_float_range_is_an_input_error(capsys, command):
     assert_past_float_range_is_rejected(capsys, *command)
     # Reserves in float range whose product, 2e400, is past it and no perfect
-    # square: the float root of the product would be inf.
+    # square: the pool mints the root of each reserve's float, 1.414e200
+    # shares, where the float root of the product was inf and rejected.
     code, out, err = run_cli(capsys, *command, "--x", f"{2 * 10**200}/1",
                              "--y", f"{10**200}/1")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: initial liquidity sqrt(x0 * y0) must be finite")
+    assert (code, err) == (0, "")
+    pairs = parse_pairs(out)
+    if command[0] == "swap":
+        assert_exact(out)
+        assert pairs["new_y"] == str(10**200 + 1)
+    else:
+        assert pairs == {"rate": "2", "liquidity": "1.414213562373095e+200",
+                         "value": str(3 * 10**200)}
 
 
 def assert_exact(out):
@@ -302,7 +309,8 @@ def test_emit_figure_chunks_render_the_whole_text(capsys, tmp_path, figure_id, c
     # Counts on each side of the chunk size: stdout, the file and emit_figure
     # all equal the rows joined at once.
     spec = figures.default_figure_spec(figure_id, domain_grid=(0.0, 150.0, count))
-    header, lines = figures._FIGURES[figure_id][1](spec)
+    _, header, rows = figures._FIGURES[figure_id]
+    lines = rows(spec, spec.grid_points())
     whole = "\n".join([header, *lines, ""])
     assert figures.emit_figure(spec) == whole
     argv = ["emit-figure", "--figure", figure_id, "--grid-min", "0", "--grid-max", "150",
@@ -385,21 +393,28 @@ def test_a_buffered_stdout_on_a_full_device_exits_1():
     assert (done.returncode, done.stderr.decode()) == (1, f"error: cannot write output: {FULL}\n")
 
 
-def test_emit_figure_to_a_file_holds_about_one_copy_of_its_text(tmp_path):
-    target = tmp_path / "fig.csv"
-    argv = ["emit-figure", "--figure", "fee_model_comparison", "--count", "20000",
+def _figure_file_peak(target, count):
+    """The ``tracemalloc`` peak of writing a ``count``-row figure to ``target``."""
+    argv = ["emit-figure", "--figure", "fee_model_comparison", "--count", str(count),
             "--out", str(target)]
     assert main(argv) == 0  # loads every module the measured call uses
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_emit_figure_to_a_file_holds_one_chunk_of_its_text(tmp_path):
     # A list of all rows, their joined text and its encoding peaked at 2.9
-    # times the file; checked chunks of rows computed as they are joined
-    # take the text once, plus one chunk.
-    assert peak <= 1.3 * target.stat().st_size
+    # times the file, and all checked chunks held at once at 1.14; chunks
+    # written as they are computed hold one at a time (about 0.27).
+    target = tmp_path / "fig.csv"
+    peak = _figure_file_peak(target, 20000)
+    assert peak <= 0.35 * target.stat().st_size
+    # So the peak does not grow with the figure.
+    assert _figure_file_peak(target, 80000) <= 1.1 * peak
 
 
 def test_emit_figure_is_deterministic(capsys):
@@ -696,6 +711,33 @@ def test_non_finite_row_past_the_first_chunk_is_named_and_nothing_is_written(cap
     target = tmp_path / "fig.csv"
     assert run_cli(capsys, *argv, "--out", str(target)) == (1, "", err)
     assert not target.exists()
+
+
+def test_a_row_that_fails_after_the_checks_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    # A row past the first chunk turns inf, which the last row cannot bound:
+    # the stream's own scan stops it before it is printed, exit 3.
+    grid, header, rows = figures._FIGURES["il_one_coin"]
+
+    def rows_with_an_inf(spec, points):
+        for i, line in enumerate(rows(spec, points)):
+            yield "1.0,inf" if i == 1500 else line
+
+    monkeypatch.setitem(figures._FIGURES, "il_one_coin", (grid, header, rows_with_an_inf))
+    argv = ["emit-figure", "--figure", "il_one_coin", "--count", "3000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "inf" not in out
+    assert err == ("internal error: il_one_coin failed after its checks passed: "
+                   "il_one_coin leaves float range at x = 50.549849949983326\n")
+    target = tmp_path / "fig.csv"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (3, "", err)
+    assert not target.exists()
+    # Only a plain file is removed: a link named by --out, as /dev/stdout is
+    # one, stays.
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run_cli(capsys, *argv, "--out", str(link)) == (3, "", err)
+    assert link.is_symlink()
 
 
 @pytest.mark.parametrize("place", ["missing directory", "directory"])

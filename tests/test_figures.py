@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpamm import (
@@ -16,13 +18,14 @@ from cpamm import (
     RoiParams,
     default_figure_spec,
     emit_figure,
+    figures,
     hold_value_relative,
     impermanent_loss,
     relative_evolution_collected,
     relative_evolution_compounded,
     roi_pair,
 )
-from cpamm.figures import MAX_FIGURE_ROWS
+from cpamm.figures import _CHUNK_LINES, MAX_FIGURE_ROWS
 
 
 def rows_of(csv_text):
@@ -353,3 +356,96 @@ def test_rejection_names_the_first_non_finite_row(figure_id, overrides, x):
     with pytest.raises(DomainError) as info:
         emit_figure(default_figure_spec(figure_id, **overrides))
     assert str(info.value) == f"{figure_id} leaves float range at x = {x}"
+
+
+# -- streaming: the last row bounds the rest, and the grid ends at its maximum --
+
+def _scanned_whole(spec):
+    """The figure as the emitter built it before it streamed: every row
+    rendered, ``_CHUNK_LINES`` at a time, and each chunk scanned for an
+    ``n`` before the next is rendered.  The text, or the error type and
+    message."""
+    _, header, rows = figures._FIGURES[spec.figure_id]
+    points = spec.grid_points()
+    text = [header + "\n"]
+    try:
+        lines = rows(spec, points)
+        for start in range(0, len(points), _CHUNK_LINES):
+            block = list(islice(lines, _CHUNK_LINES))
+            for offset, line in enumerate(block):
+                if "n" in line:
+                    x = points[start + offset]
+                    raise DomainError(f"{spec.figure_id} leaves float range at x = {x}")
+            text.extend(line + "\n" for line in block)
+    except Exception as err:
+        return type(err), str(err)
+    return "".join(text)
+
+
+def _emitted(spec):
+    try:
+        return emit_figure(spec)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _grid_ends(lo, hi):
+    """Grid ends in ``[lo, hi]``, the first the smaller, as floats, ints or fractions."""
+    def end(kind):
+        if kind == "int":
+            return st.integers(math.ceil(lo), math.floor(hi))
+        if kind == "fraction":
+            return st.fractions(Fraction(str(lo)), Fraction(str(hi)), max_denominator=1000)
+        return st.floats(lo, hi)
+
+    return (
+        st.sampled_from(["float", "int", "fraction"])
+        .flatmap(lambda kind: st.tuples(end(kind), end(kind)))
+        .filter(lambda ends: ends[0] != ends[1])
+        .map(sorted)
+    )
+
+
+#: ``alpha``, ``t`` and the ROI percentages: 0, or log-uniform up to 1e308,
+#: and as often just under it, where a figure's last rows leave float range.
+_SCALES = st.one_of(
+    st.just(0.0),
+    st.floats(-12, 308).map(lambda e: 10.0**e),
+    st.floats(298, 308.25).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def _specs(draw, figure_id):
+    lo, hi = draw(_grid_ends(0, 1e3) if figure_id == "roi_comparison"
+                  else _grid_ends(-99.9, 1e6))
+    return FigureSpec(
+        figure_id,
+        (lo, hi, draw(st.integers(2, 5000))),
+        alpha=draw(_SCALES),
+        t=draw(_SCALES),
+        frac_compounding=draw(st.floats(0, 1)),
+        roi_compounding_pct=draw(_SCALES),
+        roi_not_compounding_pct=draw(_SCALES),
+    )
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_last_row_bound_agrees_with_the_whole_scan(figure_id, data):
+    # The same text, or the same error type and message, as scanning every
+    # row before the first is kept.
+    spec = data.draw(_specs(figure_id))
+    assert _emitted(spec) == _scanned_whole(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ends=st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    .filter(lambda ends: ends[0] != ends[1]).map(sorted),
+    count=st.integers(2, MAX_FIGURE_ROWS),
+)
+def test_the_grid_ends_at_its_largest_point(ends, count):
+    spec = SimpleNamespace(domain_grid=(*ends, count))
+    assert max(figures._grid(spec)) == ends[1]

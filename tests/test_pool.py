@@ -481,13 +481,30 @@ def test_add_liquidity_rejects_a_deposit_that_rounds_away():
     assert grown.reserve_x > pool.reserve_x and position.shares == 1e140
 
 
-def test_an_exact_pool_whose_root_leaves_float_range_is_rejected():
+def test_an_exact_pool_whose_product_leaves_float_range_is_accepted():
     # The product 2e400 is past float range and no perfect square, so its
-    # float root would be inf, though both reserves are in float range.
-    with pytest.raises(NonPositiveReserve, match=r"initial liquidity .* got inf$"):
-        create_pool(Fraction(2 * 10**200), Fraction(10**200))
+    # float root would be inf, though both reserves are in float range: the
+    # shares are the root of the reserves' floats, as liquidity_of gives.
+    pool = create_pool(Fraction(2 * 10**200), Fraction(10**200))
+    assert pool.total_shares == 1.414213562373095e200 == liquidity_of(pool)
     square = create_pool(Fraction(10**300), Fraction(10**300))  # an exact root
     assert square.total_shares == 10**300
+
+
+@pytest.mark.parametrize("fee_model, amounts, side", [
+    # The reserve takes the net input in range, and the fee on top of it
+    # leaves float range.
+    (FeeModel.AUTO_COMPOUND, (1.5e308, 0.5e308), "reserve_x"),
+    (FeeModel.COLLECT_SEPARATELY, (1e308, 1e308), "fees_x"),
+], ids=["into the reserve", "into the side ledger"])
+def test_a_fee_credited_past_float_range_is_rejected(fee_model, amounts, side):
+    x0, fee = (1e294, 0.5) if fee_model is FeeModel.AUTO_COMPOUND else (1e307, 0.99)
+    pool = create_pool(x0, 2.0 if side == "reserve_x" else 1.0, fee_rate=fee,
+                       fee_model=fee_model)
+    pool = execute_swap(pool, Direction.X_FOR_Y, amounts[0])[0]
+    with pytest.raises(InputError, match=r"^swap of .* credits its fee past float range$"):
+        execute_swap(pool, Direction.X_FOR_Y, amounts[1])
+    assert math.isfinite(liquidity_of(pool))
 
 
 def test_add_liquidity_rejects_off_rate_deposit():
