@@ -5,8 +5,8 @@ by the same analytics and simulation code the rest of the package uses.
 Output is plain CSV so plotting stays external.  Each figure's row function
 renders grid points into CSV lines as it computes them, every number by
 ``repr``, so repeated runs are bit-identical.  A figure is checked before
-its first byte and then streamed: its last row bounds every other, so only
-when that row is near or past float range are all rows computed first.
+its first byte and then streamed: its last row bounds every other, and only
+when that row fails does a bisection find the first row that does.
 
 Figure ids and their series:
 
@@ -31,6 +31,7 @@ to displayed precision (20.02 and 18.2).  Pass exact simulator output to
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, tee
 from typing import Callable, Iterable, Iterator, List, Tuple
@@ -45,10 +46,6 @@ MAX_FIGURE_ROWS = 10**6
 #: Rows joined, checked and written at a time: about 76 kB of four-column
 #: rows, the most of a figure ever held.
 _CHUNK_LINES = 1024
-
-#: The largest value a figure's last row may hold for the figure to stream
-#: unscanned: the factor of 2 is the margin ``_bounds_all_rows`` explains.
-_BOUND = sys.float_info.max / 2
 
 
 def _item(value):
@@ -83,7 +80,8 @@ class FigureSpec:
         if self.figure_id == "roi_comparison":
             non_negative(DomainError, "time axis ends", lo, hi)
         else:
-            # A row at p percent moves the price by 1 + p / 100, as in _price_rows.
+            # Rows move prices by 1 + p / 100 (_price_rows); an exact end past float range is inf.
+            lo, hi = (p if abs(p) <= sys.float_info.max else float("inf") for p in (lo, hi))
             positive(DomainError, "grid price factors 1 + p/100", 1 + lo / 100, 1 + hi / 100)
         rois = (self.roi_compounding_pct, self.roi_not_compounding_pct)
         non_negative(DomainError, "alpha, t and the ROI percentages", self.alpha, self.t, *rois)
@@ -95,20 +93,19 @@ class FigureSpec:
         return list(_grid(self))
 
 
-def _grid(spec: FigureSpec) -> Iterator[float]:
-    """The grid points one at a time, the last exactly ``hi`` and the largest."""
+def _grid(spec: FigureSpec, start: int = 0) -> Iterator[float]:
+    """The grid points from index ``start`` on, the last exactly ``hi`` and the largest."""
     lo, hi, count = spec.domain_grid
     step = (hi - lo) / (count - 1)
-    for i in range(count - 1):
+    for i in range(start, count - 1):
         yield lo + i * step
     yield hi
 
 
 def default_figure_spec(figure_id: str, **overrides) -> FigureSpec:
-    """Spec with the stock grid for ``figure_id``; kwargs override fields."""
-    if figure_id not in _FIGURES:
-        raise DomainError(f"unknown figure id {figure_id!r}")
-    overrides.setdefault("domain_grid", _FIGURES[figure_id][0])
+    """Spec with the stock grid for ``figure_id``; kwargs override fields.
+    ``FigureSpec`` rejects an unknown id before it reads the grid."""
+    overrides.setdefault("domain_grid", _FIGURES.get(figure_id, (None,))[0])
     return FigureSpec(figure_id=figure_id, **overrides)
 
 
@@ -190,28 +187,15 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def _checked_chunks(spec: FigureSpec, lines: Iterator[str]) -> Iterator[str]:
-    """``lines`` joined up to ``_CHUNK_LINES`` at a time, each ending in a
-    newline.  A chunk with a non-finite cell raises ``DomainError`` naming
-    its first such row's x instead."""
-    done = 0
-    while block := list(islice(lines, _CHUNK_LINES)):
-        block.append("")
-        chunk = "\n".join(block)
-        # Of all float reprs only "inf" and "nan" hold an "n".
-        bad = chunk.find("n")
-        if bad >= 0:
-            x = next(islice(_grid(spec), done + chunk.count("\n", 0, bad), None))
-            raise DomainError(f"{spec.figure_id} leaves float range at x = {x}")
-        yield chunk
-        done += len(block) - 1
+def _check_rows(spec: FigureSpec, rows: Callable[..., Iterator[str]]) -> None:
+    """Raise what streaming the figure would raise at its first failing row,
+    rendering about ``2 * log2(count)`` rows, each alone.
 
-
-def _bounds_all_rows(spec: FigureSpec, rows: Callable[..., Iterator[str]]) -> bool:
-    """Whether the last row's values are each at most ``_BOUND``, so that
-    every row of the figure is finite.
-
-    Why one row bounds the rest:
+    ``probe`` ranks a row 0 if it is whole, 1 if a cell is not finite or an
+    exact value leaves float range on the way (``ArithmeticError``), and 2
+    if it raises its own ``InputError``.  The rank never falls as the grid
+    point grows, so a whole last row passes the figure, and otherwise
+    bisection finds the first failing row:
 
     * ``held``, ``compounded``, ``collected``, ``v_held`` and ``v_pooled``
       never decrease as ``1 + pct/100`` grows: each is built from sums,
@@ -219,44 +203,56 @@ def _bounds_all_rows(spec: FigureSpec, rows: Callable[..., Iterator[str]]) -> bo
       non-negative constants, and IEEE rounding is monotone.  The same holds
       for every intermediate value, so none overflows before the last row's.
     * ``il_pct`` always lies in [-100, 0].
-    * ``rho_c`` and ``rho_nc`` increase with ``t``; the implicit root's
-      rounding wobble, about 1e-15 relative, is far below the factor of 2
-      that ``_BOUND`` leaves.
+    * ``rho_c``, ``rho_nc`` and ``exp(alpha * t)``, which raises past float
+      range, increase with ``t``; the implicit root's rounding wobble, about
+      1e-15 relative, could only matter that close to the largest float.
     * ``hi`` is the largest grid point.  For ``i <= count - 2``, ``lo +
       i*step <= hi`` while ``count <= MAX_FIGURE_ROWS``: ``hi - lo``,
       ``step`` and ``i*step`` each round by at most 2**-53 relative, and
       ``(1 + 2**-53)**3 < 1 + 1/(count - 2)``.  Int ends round no more
       than floats, and with ``Fraction`` ends the arithmetic is exact.
 
-    A last row that raises, as an ``InputError`` or as an ``OverflowError``
-    from an exact value past float range, bounds nothing: the caller's
-    whole scan then raises what the first failing row raises.
+    The stream renders a whole chunk before it scans it, so a row in the
+    first failing row's chunk that raises its own error comes first.
     """
-    try:
-        last = next(rows(spec, [spec.domain_grid[1]]))
-    except (InputError, ArithmeticError):
-        return False
-    return all(abs(float(cell)) <= _BOUND for cell in last.split(",")[1:])
+    def probe(i: int):
+        x = next(_grid(spec, i))
+        try:
+            line = next(rows(spec, (x,)))
+        except InputError as err:
+            return 2, err
+        except ArithmeticError:
+            line = "n"
+        error = DomainError(f"{spec.figure_id} leaves float range at x = {x}")
+        return (1, error) if "n" in line else (0, None)
+
+    last = spec.domain_grid[2] - 1
+    if probe(last)[0]:
+        first = bisect_left(range(last), 1, key=lambda i: probe(i)[0])
+        end = min((first // _CHUNK_LINES + 1) * _CHUNK_LINES - 1, last)
+        raising = first + bisect_left(range(first, end + 1), 2, key=lambda i: probe(i)[0])
+        raise probe(raising if raising <= end else first)[1]
 
 
 def _figure_chunks(spec: FigureSpec) -> Iterator[str]:
     """The figure's CSV text in pieces that concatenate to it, made as they
     are asked for: the header line, then up to ``_CHUNK_LINES`` rows each.
 
-    Every check runs before the header is given, so a caller that writes
-    the pieces writes all of the figure or none of it.  A last row that
-    bounds every other (``_bounds_all_rows``) is the whole check.
-    Otherwise every row is computed and dropped first, which raises at the
-    first row that fails, as its ``DomainError`` or its own ``InputError``.
-    A row that fails once the checks have passed raises ``InternalError``.
+    ``_check_rows`` runs before the header is given, so a caller that writes
+    the pieces writes all of the figure or none of it.  A chunk that fails
+    once the checks have passed raises ``InternalError``.
     """
     _, header, rows = _FIGURES[spec.figure_id]
-    if not _bounds_all_rows(spec, rows):
-        for _ in _checked_chunks(spec, rows(spec, _grid(spec))):
-            pass
+    _check_rows(spec, rows)
     yield header + "\n"
+    lines = rows(spec, _grid(spec))
     try:
-        yield from _checked_chunks(spec, rows(spec, _grid(spec)))
+        while block := list(islice(lines, _CHUNK_LINES)):
+            block.append("")
+            chunk = "\n".join(block)
+            if "n" in chunk:  # of all float reprs only "inf" and "nan" hold an "n"
+                raise DomainError("a row holds inf or nan")
+            yield chunk
     except InputError as err:
         raise InternalError(f"{spec.figure_id} failed after its checks passed: {err}") from err
 

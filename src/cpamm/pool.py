@@ -279,7 +279,10 @@ def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
     """Mark the reserves to market: ``p_x * x + p_y * y``.  An empty pool is
     worth 0; any other value outside the range of ``errors.normal`` raises ``InputError``."""
     positive(NonPositivePrice, "prices", p_x, p_y)
-    value = p_x * pool.reserve_x + p_y * pool.reserve_y
+    try:
+        value = p_x * pool.reserve_x + p_y * pool.reserve_y
+    except OverflowError:  # an exact term past float range meets a float one
+        value = _INF  # what the float sum gives
     return normal(InputError, "pool value p_x * x + p_y * y", value) if pool.active else value
 
 

@@ -350,9 +350,18 @@ def test_only_non_finite_float_reprs_hold_an_n(x):
         ("roi_comparison", {"alpha": 1e308}, "0.02"),
         ("roi_comparison", {"alpha": 1e308, "frac_compounding": 0.5}, "0.01"),
         ("roi_comparison", {"alpha": 1e308, "frac_compounding": 1}, "0.02"),
+        # Exact alpha * t past float range fails every row, as float 1e200 does.
+        ("fee_model_comparison", {"alpha": Fraction(10**200), "t": Fraction(10**200)}, "-99.0"),
+        # An exact grid end past float range: the spec rejects it as it does inf.
+        ("il_one_coin", {"domain_grid": (0, 10**309, 2)}, None),
+        ("il_one_coin", {"domain_grid": (0, Fraction(10**309), 2)}, None),
     ],
 )
 def test_rejection_names_the_first_non_finite_row(figure_id, overrides, x):
+    if x is None:
+        with pytest.raises(DomainError, match=r"^grid price factors 1 \+ p/100 .*, inf\)$"):
+            default_figure_spec(figure_id, **overrides)
+        return
     with pytest.raises(DomainError) as info:
         emit_figure(default_figure_spec(figure_id, **overrides))
     assert str(info.value) == f"{figure_id} leaves float range at x = {x}"
@@ -438,6 +447,51 @@ def test_the_last_row_bound_agrees_with_the_whole_scan(figure_id, data):
     # row before the first is kept.
     spec = data.draw(_specs(figure_id))
     assert _emitted(spec) == _scanned_whole(spec)
+
+
+@pytest.mark.parametrize("grid, error", [((0, 1000, 5000), "NonPositiveInput"),
+                                         ((0, 762.2, 1100), "DomainError")])
+def test_a_row_that_raises_comes_first_only_within_its_chunk(grid, error):
+    # Growth alpha * t = t: rows from t = 705.2 on hold inf, and rows from
+    # t = 709.8 on raise.  On the first grid both start in the fourth chunk,
+    # and the whole scan raises the later row's own error; on the second the
+    # first inf row is in the first chunk and the first raising row in the
+    # second.
+    spec = FigureSpec("roi_comparison", grid, alpha=1, frac_compounding=0)
+    emitted = _emitted(spec)
+    assert emitted == _scanned_whole(spec)
+    assert emitted[0].__name__ == error
+
+
+def _counting_rows(monkeypatch, figure_id):
+    """Count every row the figure's row function renders from now on."""
+    grid, header, rows = figures._FIGURES[figure_id]
+    rendered = []
+
+    def counted(spec, points):
+        for line in rows(spec, points):
+            rendered.append(line)
+            yield line
+
+    monkeypatch.setitem(figures._FIGURES, figure_id, (grid, header, counted))
+    return rendered
+
+
+def test_the_first_failing_row_is_found_by_bisection(monkeypatch):
+    rendered = _counting_rows(monkeypatch, "fee_model_comparison")
+    spec = FigureSpec("fee_model_comparison", (-50, 1e6, MAX_FIGURE_ROWS), alpha=5e302)
+    with pytest.raises(DomainError) as info:
+        emit_figure(spec)
+    assert str(info.value) == "fee_model_comparison leaves float range at x = 718877.6634776635"
+    assert len(rendered) <= 2 * math.ceil(math.log2(MAX_FIGURE_ROWS)) + 2
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_a_whole_figure_renders_its_last_row_once_more(monkeypatch, figure_id):
+    rendered = _counting_rows(monkeypatch, figure_id)
+    spec = default_figure_spec(figure_id)
+    emit_figure(spec)
+    assert len(rendered) == spec.domain_grid[2] + 1
 
 
 @settings(max_examples=40, deadline=None)

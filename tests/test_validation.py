@@ -10,6 +10,7 @@ import pytest
 
 from cpamm import (
     DomainError,
+    FigureSpec,
     Direction,
     EmptyWindow,
     FeeModel,
@@ -35,6 +36,7 @@ from cpamm import (
     add_liquidity,
     create_pool,
     default_figure_spec,
+    emit_figure,
     execute_swap,
     il_brute_force,
     load_script,
@@ -48,8 +50,9 @@ from cpamm import (
     roi_pair,
     run_scenario,
 )
+from cpamm import cli
 from cpamm.errors import non_negative, positive, unit_interval
-from cpamm.pool import _arbitrage, _spread_cap, _swap
+from cpamm.pool import _arbitrage, _spread_cap, _swap, arbitrage_to_rate
 from cpamm.rational import RationalPool, oracle_swap
 
 NAN, INF = math.nan, math.inf
@@ -267,6 +270,44 @@ def test_out_of_domain_input_raises_its_typed_error(name):
     assert issubclass(error, InputError)
     with pytest.raises(error):
         call()
+
+
+# -- inputs each in range whose result is not ---------------------------------
+#
+# The minimal repros of calls that ended in a raw exception.  Each must end
+# in an InputError; one that still does not is marked with the function its
+# exception leaves from, so that its mend turns the mark into a failure.
+
+def _unmended(call, where):
+    return pytest.param(call, marks=pytest.mark.xfail(strict=True, reason=where))
+
+
+@pytest.mark.parametrize("call", [
+    # p_y * y is past float range and meets the float 7.0.
+    lambda: pool_value(create_pool(7.0, Fraction(10**300)), 1, Fraction(10**9)),
+    "pool-info --x 7 --y 1{} --p-y 1000000000/1".format("0" * 300 + "/1"),
+    _unmended(lambda: reserves_from_value(1e9, Fraction(10**308), Fraction(3, 1000)),
+              "src/cpamm/pool.py:reserves_from_value"),
+    _unmended(lambda: RoiParams(0.5, 10**308, 1e-308, 10**307),
+              "src/cpamm/compounding.py:RoiParams.__post_init__"),
+    # The exact pool rate is 1e309.
+    _unmended(lambda: arbitrage_to_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
+              "src/cpamm/pool.py:_arbitrage_trade"),
+    _unmended(lambda: roi_pair(RoiParams(0.99, 5e-324, 7.0, 5e-324), 1e200),
+              "src/cpamm/compounding.py:_root"),
+    # Float alpha and t of 1e200 give the same DomainError.
+    lambda: emit_figure(FigureSpec("fee_model_comparison", (-99, 1e16, 3),
+                                   alpha=Fraction(10**200), t=Fraction(10**200))),
+], ids=["pool_value", "pool-info", "reserves_from_value", "RoiParams", "arbitrage_to_rate",
+        "roi_pair", "emit_figure"])
+def test_a_result_past_float_range_is_an_input_error(capsys, call):
+    if isinstance(call, str):
+        assert cli.main(call.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    else:
+        with pytest.raises(InputError):
+            call()
 
 
 # -- guards written inline on the per-event path ------------------------------
