@@ -222,8 +222,12 @@ def _root(l_c0: float, l_nc: float, target: float) -> Tuple[float, float]:
     + L_nc v - target = 0`` by Newton's method (see :func:`lc_implicit_solve`).
 
     ``h`` is increasing and convex, and ``h >= 0`` where either growing term alone
-    reaches the target: from there the iterates fall onto the root.
+    reaches the target: from there the iterates fall onto the root.  With no
+    fees accrued the root is ``v = 0`` itself, which Newton's method cannot
+    reach where ``L_c(0) / 2 + L_nc / 2`` underflows to 0.
     """
+    if not target:
+        return l_c0, 0.0
     ratio = target / l_c0
     v = math.log1p(ratio) if ratio < math.inf else math.log(target) - math.log(l_c0)
     v = min(v, target / l_nc) if l_nc else v

@@ -352,7 +352,8 @@ def _swap(
     when ``compound`` is true and the input side's balance otherwise; a
     balance not credited comes back as the same object.  The reserve takes
     ``gross - fee``, which with the fee adds up to ``gross`` exactly, in
-    floats too.
+    floats too.  An exact ``net`` gives exact reserves and balances, which
+    ``_bounded`` checks; a float one gives floats and balances passed in.
     """
     if not 0 < amount <= _FLOAT_MAX:  # inline, as in _spread_cap
         positive(NonPositiveAmount, "trade amount", amount)
@@ -392,9 +393,10 @@ def _swap(
             fees_x = balance = fees_x + fee
         if not balance <= _FLOAT_MAX:  # inf, or an exact balance past it
             raise InputError(f"swap of {amount} credits its fee past float range")
-    if y_for_x:
-        return left, settled, fees_x, fees_y, gross, fee, out, squared
-    return settled, left, fees_x, fees_y, gross, fee, out, squared
+    x, y = (left, settled) if y_for_x else (settled, left)
+    if net.__class__ is not float:  # only an exact net input gives exact results
+        _bounded(x, y, fees_x, fees_y)
+    return x, y, fees_x, fees_y, gross, fee, out, squared
 
 
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
@@ -542,7 +544,10 @@ def _arbitrage_trade(
         positive(InvalidRate, "target rate", target_rate)
     current = x / y
     y_for_x = target_rate < current
-    root = _sqrt(current / target_rate if y_for_x else target_rate / current)
+    try:
+        root = _sqrt(current / target_rate if y_for_x else target_rate / current)
+    except OverflowError:  # an exact rate past float range meets a float target
+        raise _out_of_reach(x, y, target_rate) from None
     # On the target the root is 1, so the amount is 0.
     amount = (y if y_for_x else x) * (root - 1)
     return (y_for_x, amount) if amount > 0 else None
@@ -559,12 +564,9 @@ def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, N
         return x, y
     y_for_x, amount = trade
     try:
-        new_x, new_y = _swap(x, y, 0, 0, 0, amount, None, y_for_x, True)[:2]
+        return _swap(x, y, 0, 0, 0, amount, None, y_for_x, True)[:2]
     except (NonPositiveAmount, NonPositiveReserve) as err:
         raise _out_of_reach(x, y, target_rate) from err
-    if amount.__class__ is not float:  # only an exact amount gives exact reserves
-        _bounded(new_x, new_y)
-    return new_x, new_y
 
 
 def arbitrage_input_for_rate(

@@ -15,13 +15,14 @@ Scripts load from JSON files; the schema is documented in the README and in
 :func:`load_script`.
 
 The replay reads events as records, not as event objects.  A record is
-``(kind, t, a, b)``: a small integer ``kind``, the timestamp and two
-fields.  A trade's kind carries its direction and whether it has a spread
-cap (the ``_SELLS_X`` and ``_CAPPED`` bits of kinds 0 to 3), ``a`` is its
-amount and ``b`` its cap; a price move (kind 4) holds ``delta_x`` and
-``delta_y``; a fee collection (5) and a snapshot (6) hold the provider or
-label in ``a``.  Unused fields are 0.0.  Two plain conversions build
-records, each one branch per event kind that checks every field:
+``(apply, t, a, b)``: the ``_Replay`` method that applies the event, the
+timestamp and the two fields the method takes.  A trade names ``_sell_y``
+or ``_sell_x`` by the side it sells, ``a`` is its amount and ``b`` its
+spread cap, None for none; a price move names ``_move_prices`` and holds
+``delta_x`` and ``delta_y``; a fee collection (``_collect``) and a snapshot
+(``_snapshot``) hold the provider or label in ``a`` and None in ``b``.  Two
+plain conversions build records, each one branch per event kind that
+checks every field:
 ``_parse_event`` for a JSON event, and ``_record`` for a public event
 object, as the replay reaches it in :func:`run_scenario` and
 :func:`measure_effective_alpha`.
@@ -64,7 +65,6 @@ from .pool import (
     Numeric,
     _FLOAT_MAX,
     _arbitrage,
-    _bounded,
     _geometric_mean,
     _member,
     _swap,
@@ -113,12 +113,6 @@ Event = Union[Trade, PriceMove, CollectFees, Snapshot]
 _Y_FOR_X = Direction.Y_FOR_X
 _X_FOR_Y = Direction.X_FOR_Y
 
-#: Record kinds (see the module docstring): a trade is 0 to 3, its two bits
-#: flagging a cap and the side sold.
-_CAPPED, _SELLS_X, _MOVE, _COLLECT, _SNAPSHOT = 1, 2, 4, 5, 6
-#: The trade kind of each direction, uncapped; a ``str`` value looks up too.
-_TRADE_KINDS = {_Y_FOR_X: 0, _X_FOR_Y: _SELLS_X}
-
 
 @dataclass(frozen=True, slots=True)
 class ScenarioScript:
@@ -162,8 +156,8 @@ class _Replay:
     ``PoolState`` is built after ``start``, the opening pool.  Scripts have
     one provider and no deposits, so the share ledger stays ``start``'s.
 
-    :meth:`run` reads records (see the module docstring) and hands each to
-    the handler of its kind with its fields, so the dispatch is one call.
+    :meth:`run` reads records (see the module docstring) and calls each
+    one's method with its two fields, so the dispatch is one call.
     """
 
     def __init__(self, script: ScenarioScript, snapshots=None):
@@ -190,16 +184,17 @@ class _Replay:
         #: Where snapshots go: a list, or ``_Rows`` to keep each as its CSV row.
         self.snapshots = [] if snapshots is None else snapshots
 
-    def _trade(self, kind: int, amount: Numeric, cap: Numeric) -> None:
+    def _sell_y(self, amount: Numeric, cap: Optional[Numeric]) -> None:
         self.x, self.y, self.fees_x, self.fees_y, _, _, _, _ = _swap(
-            self.x, self.y, self.fees_x, self.fees_y, self.phi, amount,
-            cap if kind & _CAPPED else None, not kind & _SELLS_X, self.compound,
+            self.x, self.y, self.fees_x, self.fees_y, self.phi, amount, cap, True, self.compound
         )
-        # Only an exact amount or cap (an unused one is 0.0) gives exact results.
-        if amount.__class__ is not float or cap.__class__ is not float:
-            _bounded(self.x, self.y, self.fees_x, self.fees_y)
 
-    def _move_prices(self, kind: int, delta_x: Numeric, delta_y: Numeric) -> None:
+    def _sell_x(self, amount: Numeric, cap: Optional[Numeric]) -> None:
+        self.x, self.y, self.fees_x, self.fees_y, _, _, _, _ = _swap(
+            self.x, self.y, self.fees_x, self.fees_y, self.phi, amount, cap, False, self.compound
+        )
+
+    def _move_prices(self, delta_x: Numeric, delta_y: Numeric) -> None:
         self.p_x = p_x = self.p_x * delta_x
         self.p_y = p_y = self.p_y * delta_y
         # A delta out of range, or a product that leaves float range, fails
@@ -208,7 +203,7 @@ class _Replay:
             positive(ScriptError, "prices after the move", p_x, p_y)
         self.x, self.y = _arbitrage(self.x, self.y, p_y / p_x)
 
-    def _collect(self, kind: int, provider: str, _) -> None:
+    def _collect(self, provider: str, _) -> None:
         share = self.start.share_ledger.get(provider, 0) / self.start.total_shares
         take_x = self.fees_x * share
         take_y = self.fees_y * share
@@ -217,11 +212,8 @@ class _Replay:
         self.fees_x = self.fees_x - take_x
         self.fees_y = self.fees_y - take_y
 
-    def _snapshot(self, kind: int, label: str, _) -> None:
+    def _snapshot(self, label: str, _) -> None:
         self.snapshots.append(self.take_snapshot(label))
-
-    #: The handler of each record kind.
-    _handlers = (_trade, _trade, _trade, _trade, _move_prices, _collect, _snapshot)
 
     def take_snapshot(self, label: str) -> PortfolioSnapshot:
         # pool_value's expression without its price check: the prices were
@@ -246,9 +238,8 @@ class _Replay:
     def run(self, records: Iterable[tuple], first_index: int = 0) -> "_Replay":
         """Replay ``records``, the first of them event ``first_index``, from
         where the replay stands."""
-        handlers = self._handlers
         now = self.t
-        for index, (kind, t, a, b) in enumerate(records, first_index):
+        for index, (apply, t, a, b) in enumerate(records, first_index):
             # A chained comparison, so a NaN timestamp fails it too.
             if not now <= t <= _FLOAT_MAX:
                 raise ScriptError(
@@ -256,7 +247,7 @@ class _Replay:
                 )
             self.t = now = t
             try:
-                handlers[kind](self, kind, a, b)
+                apply(self, a, b)
             except CpammError as err:
                 raise type(err)(f"event {index}: {err}") from err
         return self
@@ -288,19 +279,18 @@ def _record(index: int, event) -> tuple:
             _real("amount_in", amount)
             if spread is not None:
                 _real("max_spread", spread)
-            kind = _TRADE_KINDS[_member(Direction, event.direction, "direction")]
-            if spread is None:
-                record = kind, event.t, amount, 0.0
+            if _member(Direction, event.direction, "direction") is _Y_FOR_X:
+                record = _Replay._sell_y, event.t, amount, spread
             else:
-                record = kind | _CAPPED, event.t, amount, spread
+                record = _Replay._sell_x, event.t, amount, spread
         elif isinstance(event, PriceMove):
             _real("delta_x", event.delta_x)
             _real("delta_y", event.delta_y)
-            record = _MOVE, event.t, event.delta_x, event.delta_y
+            record = _Replay._move_prices, event.t, event.delta_x, event.delta_y
         elif isinstance(event, CollectFees):
-            record = _COLLECT, event.t, _string("provider", event.provider), 0.0
+            record = _Replay._collect, event.t, _string("provider", event.provider), None
         elif isinstance(event, Snapshot):
-            record = _SNAPSHOT, event.t, _string("label", event.label), 0.0
+            record = _Replay._snapshot, event.t, _string("label", event.label), None
         else:
             raise ScriptError(f"unknown event type {type(event).__name__}")
         _real("timestamp", record[1])
@@ -311,13 +301,14 @@ def _record(index: int, event) -> tuple:
 
 def _event(record: tuple) -> Event:
     """The public event object of a record."""
-    kind, t, a, b = record
-    if kind < _MOVE:
-        direction = _X_FOR_Y if kind & _SELLS_X else _Y_FOR_X
-        return Trade(t, direction, a, b if kind & _CAPPED else None)
-    if kind == _MOVE:
+    apply, t, a, b = record
+    if apply is _Replay._sell_y:
+        return Trade(t, _Y_FOR_X, a, b)
+    if apply is _Replay._sell_x:
+        return Trade(t, _X_FOR_Y, a, b)
+    if apply is _Replay._move_prices:
         return PriceMove(t, a, b)
-    return CollectFees(t, a) if kind == _COLLECT else Snapshot(t, a)
+    return CollectFees(t, a) if apply is _Replay._collect else Snapshot(t, a)
 
 
 def _snapshots(replay: _Replay):
@@ -398,19 +389,17 @@ def _parse_event(index: int, raw: dict) -> tuple:
             non_negative(ValueError, "timestamp", t)
         if kind == "trade":
             direction = raw["direction"]
-            try:
-                kind = _TRADE_KINDS[direction]
-            except (KeyError, TypeError):
-                kind = _TRADE_KINDS[Direction(direction)]  # raises the enum's own error
+            if direction != "y2x" and direction != "x2y":
+                direction = Direction(direction)  # raises the enum's own error
             spread = raw.get("max_spread")
             amount = raw["amount"]
             if amount.__class__ is not float:
                 amount = _number(amount)
-            if spread is None:
-                return kind, t, amount, 0.0
-            if spread.__class__ is not float:
+            if spread is not None and spread.__class__ is not float:
                 spread = _number(spread)
-            return kind | _CAPPED, t, amount, spread
+            if direction == "y2x":
+                return _Replay._sell_y, t, amount, spread
+            return _Replay._sell_x, t, amount, spread
         if kind == "price_move":
             delta_x = raw["delta_x"]
             if delta_x.__class__ is not float:
@@ -418,11 +407,11 @@ def _parse_event(index: int, raw: dict) -> tuple:
             delta_y = raw["delta_y"]
             if delta_y.__class__ is not float:
                 delta_y = _number(delta_y)
-            return _MOVE, t, delta_x, delta_y
+            return _Replay._move_prices, t, delta_x, delta_y
         if kind == "collect_fees":
-            return _COLLECT, t, _string("provider", raw["provider"]), 0.0
+            return _Replay._collect, t, _string("provider", raw["provider"]), None
         label = _string("label", raw["label"]) if "label" in raw else f"snapshot-{index}"
-        return _SNAPSHOT, t, label, 0.0
+        return _Replay._snapshot, t, label, None
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ScriptError(f"event {index}: {err}") from err
 

@@ -146,6 +146,36 @@ def test_max_spread_caps_scripted_trade():
     assert final.reserve_y == pytest.approx(200.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("direction", ["y2x", "x2y"])
+@pytest.mark.parametrize("cap", [0, 0.0, None, "absent"])
+def test_a_zero_cap_is_a_cap_and_a_missing_one_none(tmp_path, direction, cap):
+    # A cap of 0 admits no net input, so the trade is empty; without one the
+    # same trade moves the pool and credits its fee.  The same on a script
+    # file's CSV, on its loaded events and on Trade objects.
+    event = {"type": "trade", "t": 0, "direction": direction, "amount": 5}
+    if cap != "absent":
+        event["max_spread"] = cap
+    doc = script_doc(events=[event])
+    doc["pool"].update(fee_rate=0.003, fee_model="collect_separately")
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    spread = None if cap == "absent" else cap
+    objects = dataclasses.replace(
+        load_script(path), events=(Trade(0.0, Direction(direction), 5.0, spread),))
+    fields = ("reserve_x", "reserve_y", "fees_x", "fees_y")
+    row = list(csv.DictReader(io.StringIO("".join(_run_script_file(path)))))[-1]
+    states = [tuple(float(row[name]) for name in fields)] + [
+        tuple(getattr(run_scenario(script)[-1], name) for name in fields)
+        for script in (load_script(path), objects)]
+    assert states[0] == states[1] == states[2]
+    x, y, fees_x, fees_y = states[0]
+    if spread is None:
+        sold, bought, fee = (y, x, fees_y) if direction == "y2x" else (x, y, fees_x)
+        assert sold == 10 + 5 * (1 - 0.003) and bought < 10 and fee == pytest.approx(0.015)
+    else:
+        assert states[0] == (10, 10, 0, 0)
+
+
 def test_initial_rate_must_match_prices():
     script = ScenarioScript(
         pool_x=100.0,

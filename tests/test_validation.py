@@ -34,11 +34,13 @@ from cpamm import (
     SpreadOutOfRange,
     Trade,
     add_liquidity,
+    arbitrage_input_for_rate,
     create_pool,
     default_figure_spec,
     emit_figure,
     execute_swap,
     il_brute_force,
+    lc_implicit_solve,
     load_script,
     max_input_for_spread,
     measure_effective_alpha,
@@ -291,15 +293,15 @@ def _unmended(call, where):
     _unmended(lambda: RoiParams(0.5, 10**308, 1e-308, 10**307),
               "src/cpamm/compounding.py:RoiParams.__post_init__"),
     # The exact pool rate is 1e309.
-    _unmended(lambda: arbitrage_to_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
-              "src/cpamm/pool.py:_arbitrage_trade"),
-    _unmended(lambda: roi_pair(RoiParams(0.99, 5e-324, 7.0, 5e-324), 1e200),
-              "src/cpamm/compounding.py:_root"),
+    lambda: arbitrage_to_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
+    lambda: arbitrage_input_for_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
+    # No fees accrue, and the holdout liquidity underflows to 0.
+    lambda: roi_pair(RoiParams(0.99, 5e-324, 7.0, 5e-324), 1e200),
     # Float alpha and t of 1e200 give the same DomainError.
     lambda: emit_figure(FigureSpec("fee_model_comparison", (-99, 1e16, 3),
                                    alpha=Fraction(10**200), t=Fraction(10**200))),
 ], ids=["pool_value", "pool-info", "reserves_from_value", "RoiParams", "arbitrage_to_rate",
-        "roi_pair", "emit_figure"])
+        "arbitrage_input_for_rate", "roi_pair", "emit_figure"])
 def test_a_result_past_float_range_is_an_input_error(capsys, call):
     if isinstance(call, str):
         assert cli.main(call.split()) == 1
@@ -308,6 +310,13 @@ def test_a_result_past_float_range_is_an_input_error(capsys, call):
     else:
         with pytest.raises(InputError):
             call()
+
+
+def test_no_fees_accrued_leave_the_compounders_where_they_started():
+    # roi_pair's case above: alpha * L0 * t underflows to 0, so no fees
+    # accrue, and L_c(0) / 2 + L_nc / 2 underflows to 0 too.
+    params = RoiParams(0.99, 5e-324, 7.0, 5e-324)
+    assert lc_implicit_solve(params, 1e200) == params.l_c0
 
 
 # -- guards written inline on the per-event path ------------------------------
