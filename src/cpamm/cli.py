@@ -12,14 +12,16 @@ Subcommands::
     emit-figure   print one of the five analysis figures as CSV
 
 Scalar results print as ``key=value`` lines; tabular results print as CSV.
-Amounts and reserves accept plain decimals or exact fractions like ``1/3``;
-fractional inputs keep the whole computation exact, but for an irrational
+Amounts, reserves, the fee and prices are read as scenario scripts read
+numbers (``errors.number``): a float, unless written ``a/b``, an exact
+fraction that keeps the whole computation exact but for an irrational
 square root.  The defaults of ``--fee`` (0) and of ``--p-x`` and ``--p-y``
 (1) are ints, which join either kind of number.  A fraction past the
-largest float is rejected, as ``inf`` is.  Exit status is 1 for rejected
-input or output that cannot be written, 2 for usage errors, 3 for internal
-failures.  A reader that stops early, as ``| head`` does, ends the command
-quietly with status 0.
+largest float is rejected, as ``inf`` is, and so is an exact input or
+result whose numerator or denominator passes ``pool.MAX_EXACT_BITS``
+bits.  Exit status is 1 for rejected input or output that cannot be
+written, 2 for usage errors, 3 for internal failures.  A reader that stops
+early, as ``| head`` does, ends the command quietly with status 0.
 """
 
 from __future__ import annotations
@@ -35,19 +37,7 @@ import sys
 from typing import Container, Iterable, List, Optional, Sequence, Tuple
 
 from . import analytics, compounding, figures, pool, scenario
-from .errors import DomainError, InputError, InternalError
-
-
-def _num(text: str) -> pool.Numeric:
-    """Parse a CLI number; a ``/`` selects the exact rational backend."""
-    if "/" in text:
-        from fractions import Fraction
-
-        try:
-            return Fraction(text)
-        except ZeroDivisionError as err:
-            raise ValueError(f"zero denominator in {text!r}") from err
-    return float(text)
+from .errors import DomainError, InputError, InternalError, number
 
 
 def _pairs(pairs: Sequence[Tuple[str, object]]) -> List[str]:
@@ -59,11 +49,11 @@ def _pairs(pairs: Sequence[Tuple[str, object]]) -> List[str]:
 
 
 def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> None:
-    parser.add_argument("--x", type=_num, required=True, help="X reserve")
-    parser.add_argument("--y", type=_num, required=True, help="Y reserve")
+    parser.add_argument("--x", type=number, required=True, help="X reserve")
+    parser.add_argument("--y", type=number, required=True, help="Y reserve")
     if with_fee:
         parser.add_argument(
-            "--fee", type=_num, default=0, help="fee rate in [0, 1), default 0"
+            "--fee", type=number, default=0, help="fee rate in [0, 1), default 0"
         )
 
 
@@ -74,10 +64,10 @@ def _add_swap_args(parser: argparse.ArgumentParser) -> None:
         choices=[d.value for d in pool.Direction],
         help="y2x sells Y for X, x2y sells X for Y",
     )
-    parser.add_argument("--amount", type=_num, required=True, help="input amount")
+    parser.add_argument("--amount", type=number, required=True, help="input amount")
     parser.add_argument(
         "--max-spread",
-        type=_num,
+        type=number,
         default=None,
         help="cap the input so the spread stays at or below this value",
     )
@@ -254,8 +244,8 @@ def build_parser(commands: Container[str] = _COMMANDS) -> argparse.ArgumentParse
 
     if p := add("pool-info", "rate, liquidity and value of a pool", _cmd_pool_info):
         _add_pool_args(p, with_fee=False)
-        p.add_argument("--p-x", type=_num, default=1, help="price of X, default 1")
-        p.add_argument("--p-y", type=_num, default=1, help="price of Y, default 1")
+        p.add_argument("--p-x", type=number, default=1, help="price of X, default 1")
+        p.add_argument("--p-y", type=number, default=1, help="price of Y, default 1")
 
     if p := add("il", "impermanent loss for a price change", _cmd_il):
         p.add_argument("--delta-x", type=float, default=1.0, help="price factor for X")

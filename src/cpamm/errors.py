@@ -10,6 +10,8 @@ valid amount?" the same way: chained comparisons, which NaN fails and
 ``Fraction`` passes exactly, raising the ``InputError`` the caller names.
 So does the float rule for ``sqrt(a * b)``: the pool engine and the
 analytics both use it, and the analytics commands never load the pool.
+And so does the one rule for reading a number from text or JSON,
+:func:`number`, which the CLI flags and the script fields share.
 
 "Finite" means at most the largest float, ``sys.float_info.max``, for every
 number: an int or ``Fraction`` past it is rejected as ``inf`` is.
@@ -108,8 +110,31 @@ class DomainError(InputError):
 
 # -- numeric domain checks -------------------------------------------------
 
+def number(value):
+    """``value`` read as a number: a ``Fraction`` if it is text with a ``/``, else a float."""
+    if value.__class__ is bool:
+        raise TypeError(f"expected a number, got {str(value).lower()}")
+    if isinstance(value, str) and "/" in value:
+        from fractions import Fraction  # only exact input loads it
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as err:
+            raise ValueError(f"zero denominator in {value!r}") from err
+    return float(value)
+
+
+def shown(value) -> str:
+    """``value`` as a message shows it: its ``str``, but an exact value with
+    more digits than ``str`` gives by its size."""
+    try:
+        return str(value)
+    except ValueError:  # past ``sys.get_int_max_str_digits()``
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        return f"an exact value of {bits} bits"
+
+
 def _reject(error, what, domain, values):
-    got = values[0] if len(values) == 1 else f"({', '.join(map(str, values))})"
+    got = shown(values[0]) if len(values) == 1 else f"({', '.join(map(shown, values))})"
     raise error(f"{what} must be {domain}, got {got}")
 
 

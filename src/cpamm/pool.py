@@ -40,7 +40,8 @@ float would (the results are floats).  Exact values are held to float range
 as floats are (see :mod:`cpamm.errors`), and they grow with every trade, so
 :func:`execute_swap`, :func:`add_liquidity` and :func:`remove_liquidity`
 reject a result past the largest float or whose numerator or denominator
-passes ``MAX_EXACT_BITS``.
+passes ``MAX_EXACT_BITS``; so do :func:`create_pool` for its inputs, and
+:func:`rate_of` and :func:`pool_value` for the values they report.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .errors import (
     non_negative,
     normal,
     positive,
+    shown,
 )
 
 Numeric = Union[float, Fraction]
@@ -231,9 +233,11 @@ def create_pool(
     provider: str = "lp",
 ) -> PoolState:
     """Initialize a pool; ``provider`` receives ``sqrt(x0 * y0)`` shares.  A
-    float product or rate outside the normal range raises ``NonPositiveReserve``."""
+    float product or rate outside the normal range raises ``NonPositiveReserve``;
+    an exact reserve or fee past ``MAX_EXACT_BITS`` raises ``InputError``."""
     positive(NonPositiveReserve, "initial reserves", x0, y0)
     non_negative(InvalidFee, "fee rate", fee_rate, below=1)
+    _bounded(x0, y0, fee_rate)
     fee_model = _member(FeeModel, fee_model, "fee model")
     product = x0 * y0
     # A float product outside the normal range has lost bits that its root
@@ -262,9 +266,12 @@ def liquidity_of(pool: PoolState) -> Numeric:
 
 def rate_of(pool: PoolState) -> Numeric:
     """Pool exchange rate ``r = x / y`` (X received per unit of Y, spot); a
-    rate outside the range of ``errors.normal`` raises ``InvalidRate``."""
+    rate outside the range of ``errors.normal`` raises ``InvalidRate``, and
+    an exact one past ``MAX_EXACT_BITS`` raises ``InputError``."""
     _require_active(pool)
-    return normal(InvalidRate, "pool rate x / y", pool.reserve_x / pool.reserve_y)
+    rate = normal(InvalidRate, "pool rate x / y", pool.reserve_x / pool.reserve_y)
+    _bounded(rate)
+    return rate
 
 
 def require_market_rate(error, pool: PoolState, market_rate: Numeric) -> None:
@@ -272,18 +279,23 @@ def require_market_rate(error, pool: PoolState, market_rate: Numeric) -> None:
     ``market_rate``, relative; a NaN, zero or infinite rate never matches."""
     pool_rate = rate_of(pool)
     if not abs(pool_rate - market_rate) <= RATE_MATCH_TOL * market_rate < math.inf:
-        raise error(f"pool rate {pool_rate} does not match market rate {market_rate}")
+        raise error(
+            f"pool rate {shown(pool_rate)} does not match market rate {shown(market_rate)}"
+        )
 
 
 def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
     """Mark the reserves to market: ``p_x * x + p_y * y``.  An empty pool is
-    worth 0; any other value outside the range of ``errors.normal`` raises ``InputError``."""
+    worth 0; any other value outside the range of ``errors.normal``, or
+    exact past ``MAX_EXACT_BITS``, raises ``InputError``."""
     positive(NonPositivePrice, "prices", p_x, p_y)
     try:
         value = p_x * pool.reserve_x + p_y * pool.reserve_y
     except OverflowError:  # an exact term past float range meets a float one
         value = _INF  # what the float sum gives
-    return normal(InputError, "pool value p_x * x + p_y * y", value) if pool.active else value
+    if pool.active:
+        _bounded(normal(InputError, "pool value p_x * x + p_y * y", value))
+    return value
 
 
 def reserves_from_rate_liquidity(rate: Numeric, liquidity: Numeric) -> Tuple[Numeric, Numeric]:
@@ -379,7 +391,7 @@ def _swap(
     # negation so a NaN fails it too.
     if not (left > 0 and squared > 0):
         raise NonPositiveReserve(
-            f"swap of {amount} would drain the output reserve {reserve_out}: "
+            f"swap of {shown(amount)} would drain the output reserve {shown(reserve_out)}: "
             "the output rounds to the whole reserve"
         )
     fee = gross - net
@@ -392,7 +404,7 @@ def _swap(
         else:
             fees_x = balance = fees_x + fee
         if not balance <= _FLOAT_MAX:  # inf, or an exact balance past it
-            raise InputError(f"swap of {amount} credits its fee past float range")
+            raise InputError(f"swap of {shown(amount)} credits its fee past float range")
     x, y = (left, settled) if y_for_x else (settled, left)
     if net.__class__ is not float:  # only an exact net input gives exact results
         _bounded(x, y, fees_x, fees_y)
@@ -484,16 +496,17 @@ def add_liquidity(
                  growth_x, growth_y, new_x, new_y, total)
     if not abs(growth_x - growth_y) <= RATE_MATCH_TOL * max(growth_x, growth_y):
         raise RateMismatch(
-            f"deposit ratio {dx}/{dy} does not match pool ratio "
-            f"{pool.reserve_x}/{pool.reserve_y}"
+            f"deposit ratio {shown(dx)}/{shown(dy)} does not match pool ratio "
+            f"{shown(pool.reserve_x)}/{shown(pool.reserve_y)}"
         )
     # A deposit that small next to the pool rounds away: its tokens would
     # vanish, or its shares would be minted while the pool stays as it was.
     positive(NonPositiveAmount, "shares minted by the deposit", minted)
     if new_x == pool.reserve_x or new_y == pool.reserve_y or total == pool.total_shares:
         raise NonPositiveAmount(
-            f"deposit ({dx}, {dy}) rounds away next to the reserves "
-            f"({pool.reserve_x}, {pool.reserve_y}) and {pool.total_shares} shares"
+            f"deposit ({shown(dx)}, {shown(dy)}) rounds away next to the reserves "
+            f"({shown(pool.reserve_x)}, {shown(pool.reserve_y)}) and "
+            f"{shown(pool.total_shares)} shares"
         )
     ledger = dict(pool.share_ledger)
     ledger[provider] = ledger.get(provider, 0) + minted
@@ -517,7 +530,9 @@ def remove_liquidity(
     positive(NonPositiveAmount, "share amount", shares)
     owned = pool.share_ledger.get(provider, 0)
     if shares > owned:
-        raise InsufficientShares(f"{provider} owns {owned} shares, asked to burn {shares}")
+        raise InsufficientShares(
+            f"{provider} owns {shown(owned)} shares, asked to burn {shown(shares)}"
+        )
     fraction = shares / pool.total_shares
     dx = pool.reserve_x * fraction
     dy = pool.reserve_y * fraction
@@ -554,7 +569,9 @@ def _arbitrage_trade(
 
 
 def _out_of_reach(x: Numeric, y: Numeric, target_rate: Numeric) -> InvalidRate:
-    return InvalidRate(f"target rate {target_rate} is out of float reach of pool rate {x / y}")
+    return InvalidRate(
+        f"target rate {shown(target_rate)} is out of float reach of pool rate {shown(x / y)}"
+    )
 
 
 def _arbitrage(x: Numeric, y: Numeric, target_rate: Numeric) -> Tuple[Numeric, Numeric]:

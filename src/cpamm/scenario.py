@@ -58,7 +58,8 @@ from numbers import Real
 from operator import is_not
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import CpammError, DomainError, EmptyWindow, ScriptError, non_negative, positive
+from .errors import (CpammError, DomainError, EmptyWindow, ScriptError, non_negative, number,
+                     positive)
 from .pool import (
     Direction,
     FeeModel,
@@ -350,13 +351,6 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
 _EVENT_KINDS = ("trade", "price_move", "collect_fees", "snapshot")
 
 
-def _number(value) -> float:
-    """A numeric script field: whatever ``float`` reads, except a JSON boolean."""
-    if value.__class__ is bool:
-        raise TypeError(f"expected a number, got {str(value).lower()}")
-    return float(value)
-
-
 def _string(what: str, value) -> str:
     """A text script field: a JSON string, never coerced."""
     if not isinstance(value, str):
@@ -373,7 +367,7 @@ def _json_object(what: str, value) -> dict:
 def _parse_event(index: int, raw: dict) -> tuple:
     """The replay record of one JSON event, with every field checked.
 
-    A JSON float is already what ``_number`` would return, so only other
+    A JSON float is already what ``number`` would return, so only other
     values go through it.
     """
     if not isinstance(raw, dict):
@@ -384,7 +378,7 @@ def _parse_event(index: int, raw: dict) -> tuple:
     try:
         t = raw.get("t", 0.0)
         if t.__class__ is not float:
-            t = _number(t)
+            t = number(t)
         if not 0 <= t <= _FLOAT_MAX:
             non_negative(ValueError, "timestamp", t)
         if kind == "trade":
@@ -394,19 +388,19 @@ def _parse_event(index: int, raw: dict) -> tuple:
             spread = raw.get("max_spread")
             amount = raw["amount"]
             if amount.__class__ is not float:
-                amount = _number(amount)
+                amount = number(amount)
             if spread is not None and spread.__class__ is not float:
-                spread = _number(spread)
+                spread = number(spread)
             if direction == "y2x":
                 return _Replay._sell_y, t, amount, spread
             return _Replay._sell_x, t, amount, spread
         if kind == "price_move":
             delta_x = raw["delta_x"]
             if delta_x.__class__ is not float:
-                delta_x = _number(delta_x)
+                delta_x = number(delta_x)
             delta_y = raw["delta_y"]
             if delta_y.__class__ is not float:
-                delta_y = _number(delta_y)
+                delta_y = number(delta_y)
             return _Replay._move_prices, t, delta_x, delta_y
         if kind == "collect_fees":
             return _Replay._collect, t, _string("provider", raw["provider"]), None
@@ -561,12 +555,12 @@ def _header(doc: dict) -> Tuple[ScenarioScript, list]:
             records.append(_parse_event(index, entry))
             entries[index] = None  # drop each raw event once its record exists
         header = ScenarioScript(
-            pool_x=_number(pool["x"]),
-            pool_y=_number(pool["y"]),
-            fee_rate=_number(pool.get("fee_rate", 0.0)),
+            pool_x=number(pool["x"]),
+            pool_y=number(pool["y"]),
+            fee_rate=number(pool["fee_rate"]) if "fee_rate" in pool else 0,
             fee_model=fee_model,
-            p_x0=_number(prices["p_x"]),
-            p_y0=_number(prices["p_y"]),
+            p_x0=number(prices["p_x"]),
+            p_y0=number(prices["p_y"]),
             provider=_string("provider", doc.get("provider", "lp")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
@@ -703,9 +697,11 @@ def load_script(source: Union[str, os.PathLike, io.TextIOBase]) -> ScenarioScrip
     ``fee_model`` is ``auto_compound`` or ``collect_separately``; trade
     directions are ``y2x`` / ``x2y``; ``max_spread`` may be omitted or null
     for uncapped trades.  Timestamps are in years, must be finite and
-    non-negative and must not decrease.  Every numeric field is read as a
-    float; a JSON boolean is not a number.  Providers and labels must be
-    JSON strings.
+    non-negative and must not decrease.  Every numeric field is read as the
+    CLI reads its flags (``errors.number``): a float, unless it is a string
+    ``a/b``, an exact fraction.  An absent ``fee_rate`` is the int 0, so a
+    script of fractions replays exactly.  A JSON boolean is not a number.
+    Providers and labels must be JSON strings.
     """
     loaded = _read_script(source, _Loaded)
     return replace(loaded.header, events=tuple(loaded.events))

@@ -18,7 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpamm import (
@@ -34,6 +34,7 @@ from cpamm import (
 )
 from cpamm.cli import main
 from cpamm.figures import FIGURE_IDS
+from cpamm.pool import create_pool, pool_value, rate_of
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,26 @@ def test_an_exact_pool_past_float_range_is_an_input_error(capsys, command):
     else:
         assert pairs == {"rate": "2", "liquidity": "1.414213562373095e+200",
                          "value": str(3 * 10**200)}
+
+
+@pytest.mark.parametrize("x, y, report, bits", [
+    # Each input is under the limit; the value's denominator, 3**8000 * 7**4500, is not.
+    (Fraction(1, 3**8000), Fraction(1, 7**4500), lambda pool: pool_value(pool, 1, 1), 25313),
+    # Here it is the rate, (2**12000 + 1) * 3**7000 over 2**12000 * (3**7000 + 1).
+    (Fraction(2**12000 + 1, 2**12000), Fraction(3**7000 + 1, 3**7000), rate_of, 23095),
+], ids=["value", "rate"])
+def test_an_exact_result_past_the_size_limit_is_an_input_error(capsys, x, y, report, bits):
+    message = f"exact result needs {bits} bits, more than the 13000-bit limit"
+    with pytest.raises(InputError, match=f"^{message}"):
+        report(create_pool(x, y))
+    code, out, err = run_cli(capsys, "pool-info", "--x", f"{x.numerator}/{x.denominator}",
+                             "--y", f"{y.numerator}/{y.denominator}")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    # An input past the limit is rejected where the pool is made.
+    with pytest.raises(InputError, match="^exact result needs 14265 bits"):
+        create_pool(Fraction(1, 3**9000), Fraction(1, 3**9000))
 
 
 def assert_exact(out):
@@ -481,6 +502,14 @@ def test_zero_denominator_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_flag_that_is_no_number_names_the_rule(capsys):
+    # argparse names the reader of the flag: the public rule, not a private helper.
+    with pytest.raises(SystemExit) as exc:
+        main(["quote", "--x", "abc", "--y", "100", "--direction", "y2x", "--amount", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --x: invalid number value: 'abc'\n")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -788,15 +817,29 @@ def test_a_root_that_does_not_settle_exits_3(capsys, monkeypatch):
 # -- property: any argv ends in exit 0, 1 or 2 -------------------------------
 
 _NON_FINITE = ("nan", "inf", "-inf")
+#: A part of ``a/b`` of 11,000 to 12,000 bits: under ``MAX_EXACT_BITS``, but
+#: two of them meet in results past it.
+_BIG_PART = st.integers(1 << 11_000, 1 << 12_000)
+
+
+def _fractions(small):
+    """``a/b`` text: parts of at most ``small`` in four draws of five, and
+    in the fifth big parts, of either sign over a positive denominator."""
+    part = st.integers(-small, small)
+    big = st.builds("{}{}/{}".format, st.sampled_from(("", "-")), _BIG_PART, _BIG_PART)
+    return st.sampled_from((st.builds("{}/{}".format, part, part),) * 4 + (big,)).flatmap(
+        lambda fractions: fractions)
+
+
 _numbers = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6).map(repr),
     st.sampled_from(("0",) + _NON_FINITE),
-    st.builds("{}/{}".format, st.integers(-1000, 1000), st.integers(-1000, 1000)),
+    _fractions(1000),
 )
 _json_numbers = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6),
     st.sampled_from((0, math.nan, math.inf, -math.inf)),
-    st.builds("{}/{}".format, st.integers(-10, 10), st.integers(-10, 10)),
+    _fractions(10),
 )
 _COMMANDS = {
     # command: (required numeric flags, optional numeric flags, other argv choices)
@@ -876,7 +919,17 @@ def _check_exit(code, out, err, non_finite):
         assert err.startswith("error:") if code == 1 else "error:" in err
 
 
+# Results past ``MAX_EXACT_BITS`` take two or more positive exact numbers
+# together, which independent draws seldom give, so members of that class
+# are named here: a value, a rate and a receipt's spread past the limit.
+_BIG_A = f"{2**12000 + 1}/{2**12000}"
+_BIG_B = f"{3**7000 + 1}/{3**7000}"
+
+
 @given(argv=_cli_argv())
+@example(argv=["pool-info", f"--x=1/{3**8000}", f"--y=1/{7**4500}"])
+@example(argv=["pool-info", f"--x={_BIG_A}", f"--y={_BIG_B}"])
+@example(argv=["swap", "--direction", "y2x", "--x=3/7", "--y=5/2", f"--amount={_BIG_A}"])
 @settings(max_examples=400, deadline=None)
 def test_any_argv_exits_0_1_or_2(argv):
     non_finite = any(arg.split("=")[-1] in _NON_FINITE for arg in argv)
@@ -884,6 +937,9 @@ def test_any_argv_exits_0_1_or_2(argv):
 
 
 @given(doc=_script())
+# Exact prices whose market rate, about 2, has more digits than str() gives.
+@example(doc={"pool": {"x": 1, "y": 1}, "events": [],
+              "prices": {"p_x": _BIG_B, "p_y": f"{2**12000 + 1}/{2**11999}"}})
 @settings(max_examples=300, deadline=None)
 def test_any_script_exits_0_or_1(doc):
     with tempfile.TemporaryDirectory() as folder:

@@ -916,6 +916,25 @@ def test_exact_liquidity_changes_stop_at_the_size_limit(change):
             remove_liquidity(pool, "lp", huge)
 
 
+# 9,100 powers of 3: 4,342 digits, past the 4,300 that str() gives.
+_TOO_LONG = Fraction(1, 3**9100)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: add_liquidity(create_pool(Fraction(1), Fraction(1)), "b", _TOO_LONG,
+                           2 * _TOO_LONG),
+     RateMismatch, "deposit ratio an exact value of 14424 bits/an exact value of 14424 bits"),
+    (lambda: remove_liquidity(create_pool(Fraction(1), Fraction(1)), "lp", 1 + _TOO_LONG),
+     InsufficientShares, "lp owns 1 shares, asked to burn an exact value of 14424 bits"),
+    (lambda: arbitrage_to_rate(create_pool(Fraction(1), Fraction(1)), 1 / _TOO_LONG),
+     InputError, "target rate must be finite and positive, got an exact value of 14424 bits"),
+], ids=["deposit ratio", "shares to burn", "target rate"])
+def test_an_exact_argument_too_long_to_print_is_named_by_its_size(call, error, message):
+    # Its str() raised ValueError inside the message, in place of the typed error.
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
 # -- the arbitrage loss of a diffusing price: sigma^2 / 8 per unit of value ----
 #
 # For a fee-free constant-product pool kept on a price that follows a

@@ -49,7 +49,9 @@ from cpamm import (
     snapshots_to_csv,
 )
 from cpamm import scenario
+from cpamm.cli import main
 from cpamm.pool import arbitrage_to_rate
+from cpamm.rational import RationalPool, oracle_split_sum
 from cpamm.scenario import _event, _parse_event, _read_script, _run_script_file
 
 
@@ -424,6 +426,68 @@ def test_string_amount_replays_as_float():
     amount, csv = csv_for("5")
     assert amount == 5.0 and isinstance(amount, float)
     assert csv == csv_for(5)[1]
+
+
+def test_a_script_number_is_a_float_unless_written_a_over_b():
+    # The CLI's rule: a JSON int is a float, and only a string "a/b" is exact.
+    plain = load_doc({"pool": {"x": 100, "y": 100}, "prices": {"p_x": 1, "p_y": 1}})
+    assert plain.pool_x == 100.0 and type(plain.pool_x) is float
+    # An absent fee is the int 0, as the CLI's --fee default, which keeps the
+    # exact numbers exact; 0.0 would turn them into floats.
+    assert plain.fee_rate == 0 and type(plain.fee_rate) is int
+    exact = load_doc({"pool": {"x": "100/1", "y": "400/1", "fee_rate": "3/1000"},
+                      "prices": {"p_x": "2/1", "p_y": 1},
+                      "events": [{"type": "trade", "t": "1/2", "direction": "x2y",
+                                  "amount": "7/2", "max_spread": "1/10"}]})
+    assert (exact.pool_x, exact.pool_y, exact.fee_rate, exact.p_x0) == (
+        Fraction(100), Fraction(400), Fraction(3, 1000), Fraction(2))
+    assert exact.events == (Trade(Fraction(1, 2), Direction.X_FOR_Y, Fraction(7, 2),
+                                  Fraction(1, 10)),)
+    assert all(isinstance(value, Fraction) for value in dataclasses.astuple(exact.events[0])
+               if not isinstance(value, str))
+
+
+@pytest.mark.parametrize("prices, events, message", [
+    # Exact prices whose ratio, about 2 in 23,095 bits, has more digits than str gives.
+    ({"p_x": f"{3**7000 + 1}/{3**7000}", "p_y": f"{2**12000 + 1}/{2**11999}"}, [],
+     "pool rate 1.0 does not match market rate an exact value of 23095 bits"),
+    # A move that takes an exact price of 13,001 bits past float range.
+    ({"p_x": f"{2**13000 + 1}/{2**12000}", "p_y": f"{2**13000 + 1}/{2**12000}"},
+     [{"type": "price_move", "t": 1, "delta_x": f"{3**5000 << 30}/{3**5000 + 1}",
+       "delta_y": 1}],
+     "event 0: prices after the move must be finite and positive, got "
+     "(an exact value of 20925 bits, 1.0715086071862673e+301)"),
+], ids=["market rate", "price move"])
+def test_an_exact_value_too_long_to_print_is_named_by_its_size(tmp_path, capsys, prices,
+                                                               events, message):
+    # str() of such a value raised ValueError, which ended the command in a traceback.
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"pool": {"x": 1, "y": 1}, "prices": prices, "events": events}))
+    assert main(["run-scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("parts", [7, 13])
+def test_a_split_trade_replays_to_the_same_exact_pool(tmp_path, capsys, parts):
+    # The paper's first result: splitting a fee-free trade into smaller ones
+    # leaves the final pool unchanged.  In fractions it holds bit for bit.
+    def replay(parts):
+        events = [{"type": "trade", "t": 0.5, "direction": "y2x", "amount": f"1/{parts}"}
+                  for _ in range(parts)]
+        path = tmp_path / f"split-{parts}.json"
+        path.write_text(json.dumps({"pool": {"x": "100/1", "y": "100/1"},
+                                    "prices": {"p_x": 1, "p_y": 1}, "events": events}))
+        assert main(["run-scenario", str(path)]) == 0
+        return capsys.readouterr().out, run_scenario(load_script(path))[-1]
+
+    whole, whole_final = replay(1)
+    split, split_final = replay(parts)
+    assert split == whole
+    assert "\nfinal,0.5,99.00990099009901,101.0," in whole
+    sold = oracle_split_sum(RationalPool(Fraction(100), Fraction(100)), Direction.Y_FOR_X,
+                            [Fraction(1, parts)] * parts)
+    assert (split_final.reserve_x, split_final.reserve_y) == (100 - sold, 101)
+    assert split_final.reserve_x == whole_final.reserve_x == Fraction(10000, 101)
 
 
 @pytest.mark.parametrize(
@@ -873,6 +937,8 @@ def test_a_nesting_past_the_decoder_is_invalid_json(opening, closing):
 @pytest.mark.parametrize("bad, message", [
     ({"type": "trade", "t": 0, "direction": "y2x", "amount": "five"},
      "event 2: could not convert string to float: 'five'"),
+    ({"type": "trade", "t": 0, "direction": "y2x", "amount": "1/0"},
+     "event 2: zero denominator in '1/0'"),
     ({"type": "teleport", "t": 0}, "event 2: unknown type 'teleport'"),
     ({"type": "snapshot", "t": -1}, "event 2: timestamp must be finite and >= 0, got -1.0"),
     ({"type": [1]}, "event 2: unknown type [1]"),
