@@ -9,6 +9,11 @@ The package splits into five layers:
 - :mod:`cpamm.scenario` / :mod:`cpamm.figures` / :mod:`cpamm.cli`: replay
   scripts, CSV figure emitters and the command-line front end
 
+The pool and the scenario replay run on two engine modules that export no
+public name: :mod:`cpamm.kernel`, the pool's plain-number arithmetic, and
+:mod:`cpamm.replay`, the script reader and replay built on it, which
+``cpamm run-scenario`` runs alone.
+
 Each layer is loaded on first use: ``import cpamm`` registers every layer in
 ``sys.modules`` without running its body, and the body runs when one of its
 attributes (or one of the names below) is first read.  A one-shot command

@@ -36,7 +36,7 @@ import stat
 import sys
 from typing import Container, Iterable, List, Optional, Sequence, Tuple
 
-from . import analytics, compounding, figures, pool, scenario
+from . import analytics, compounding, figures, pool
 from .errors import DomainError, InputError, InternalError, number
 
 
@@ -163,10 +163,14 @@ def _cmd_roi(args: argparse.Namespace) -> List[str]:
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> List[str]:
-    # Every chunk is built before the first is written, since a malformed
-    # event anywhere in the script is reported before any replay error; each
-    # is encoded on its own.
-    return scenario._run_script_file(args.script)
+    # The replay engine alone, not the scenario layer's types over it, so
+    # the command loads neither dataclasses nor fractions (for a script with
+    # no a/b number).  Every chunk is built before the first is written,
+    # since a malformed event anywhere in the script is reported before any
+    # replay error; each is encoded on its own.
+    from .replay import _run_script_file
+
+    return _run_script_file(args.script)
 
 
 def _cmd_emit_figure(args: argparse.Namespace) -> Iterable[str]:

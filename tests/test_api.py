@@ -1,6 +1,7 @@
 """The public surface: the names ``cpamm`` exports, the figure ids, and the
 layers each command loads."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -72,7 +73,7 @@ print(json.dumps(sorted(name.split(".")[1] for name, module in sys.modules.items
 def test_pool_commands_run_only_the_pool_layers(argv):
     code = "import contextlib, io, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
     code += f"    assert cpamm.cli.main({argv!r}) == 0\n" + _LOADED
-    assert _fresh(code) == ["cli", "errors", "pool"]
+    assert _fresh(code) == ["cli", "errors", "kernel", "pool"]
 
 
 @pytest.mark.parametrize(
@@ -96,7 +97,7 @@ def test_il_replay_check_runs_the_pool_and_fractions():
     argv = ["il", "--delta-x", "1", "--delta-y", "4", "--replay-check"]
     code = "import contextlib, io, sys, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
     code += f"    assert cpamm.cli.main({argv!r}) == 0\nassert 'fractions' in sys.modules\n"
-    assert _fresh(code + _LOADED) == ["analytics", "cli", "errors", "pool"]
+    assert _fresh(code + _LOADED) == ["analytics", "cli", "errors", "kernel", "pool"]
 
 
 def test_figure_choices_load_figures_alone():
@@ -107,7 +108,76 @@ def test_figure_choices_load_figures_alone():
 @pytest.mark.parametrize("command", ["quote", "swap"])
 def test_swap_choices_load_pool_alone(command):
     code = f"import cpamm.cli\ncpamm.cli.build_parser([{command!r}])\n" + _LOADED
-    assert _fresh(code) == ["cli", "errors", "pool"]
+    assert _fresh(code) == ["cli", "errors", "kernel", "pool"]
+
+
+def test_importing_the_cli_runs_neither_engine_module():
+    code = "import cpamm.cli, sys\nassert 'cpamm.kernel' not in sys.modules\n"
+    code += "assert 'cpamm.replay' not in sys.modules\n" + _LOADED
+    assert _fresh(code) == ["cli", "errors"]
+
+
+#: Modules the replay of a float script leaves unloaded: ``dataclasses``
+#: pulls in ``inspect`` and through it ``ast``, ``dis`` and ``tokenize``,
+#: and ``fractions`` pulls in ``decimal``.
+_UNLOADED = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def _run_scenario_in_fresh(tmp_path, doc) -> list:
+    """``run-scenario`` on ``doc`` in a new interpreter: the CSV it prints,
+    the modules of ``_UNLOADED`` it loaded, and the cpamm layers it ran."""
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys, cpamm.cli\nout = io.StringIO()\n"
+        f"with contextlib.redirect_stdout(out):\n"
+        f"    assert cpamm.cli.main(['run-scenario', {str(path)!r}]) == 0\n"
+        f"print(json.dumps([out.getvalue(), [m for m in {_UNLOADED!r} if m in sys.modules]]))\n"
+    )
+    return [*_fresh(code), _fresh(code + _LOADED)]
+
+
+def test_a_float_script_runs_on_the_engine_alone(tmp_path):
+    doc = {"pool": {"x": 100, "y": 100, "fee_rate": 0.003, "fee_model": "collect_separately"},
+           "prices": {"p_x": 1, "p_y": 1},
+           "events": [{"type": "trade", "t": 0.5, "direction": "y2x", "amount": 5,
+                       "max_spread": 0.5},
+                      {"type": "price_move", "t": 0.6, "delta_x": 1.1, "delta_y": 1},
+                      {"type": "collect_fees", "t": 0.75, "provider": "lp"},
+                      {"type": "snapshot", "t": 1, "label": "end"}]}
+    csv, loaded, layers = _run_scenario_in_fresh(tmp_path, doc)
+    assert csv == cpamm.snapshots_to_csv(cpamm.run_scenario(cpamm.load_script(
+        tmp_path / "script.json")))
+    assert loaded == []
+    assert layers == ["cli", "errors", "kernel", "replay"]
+
+
+def test_an_exact_script_loads_fractions_and_prints_exact_rows(tmp_path):
+    doc = {"pool": {"x": "100/1", "y": "100/1"}, "prices": {"p_x": 1, "p_y": 1},
+           "events": [{"type": "trade", "t": "1/2", "direction": "y2x", "amount": "1/1"}]}
+    csv, loaded, layers = _run_scenario_in_fresh(tmp_path, doc)
+    assert csv.splitlines()[-1].startswith("final,0.5,99.00990099009901,101.0,")
+    assert "fractions" in loaded and "dataclasses" not in loaded
+    assert layers == ["cli", "errors", "kernel", "replay"]
+
+
+def test_the_csv_columns_are_the_snapshot_fields():
+    from cpamm import replay
+
+    names = tuple(field.name for field in dataclasses.fields(cpamm.PortfolioSnapshot))
+    assert replay._COLUMNS == names
+    assert replay._CSV_HEADER == ",".join(names) + "\n"
+
+
+def test_the_pool_and_scenario_value_types_are_frozen_slotted_dataclasses():
+    names = {name for name, layer in cpamm._EXPORTS.items() if layer in ("pool", "scenario")
+             and dataclasses.is_dataclass(getattr(cpamm, name))}
+    assert names == {"CollectFees", "LpPosition", "PoolState", "PortfolioSnapshot", "PriceMove",
+                     "ScenarioScript", "SideLedger", "Snapshot", "SwapQuote", "SwapReceipt",
+                     "Trade"}
+    for name in names:
+        params = getattr(cpamm, name).__dataclass_params__
+        assert params.frozen and "__slots__" in vars(getattr(cpamm, name)), name
 
 
 def test_star_import_binds_exactly_all():

@@ -29,9 +29,9 @@ from cpamm import (
     figures,
     load_script,
     run_scenario,
-    scenario,
     snapshots_to_csv,
 )
+from cpamm import replay
 from cpamm.cli import main
 from cpamm.figures import FIGURE_IDS
 from cpamm.pool import create_pool, pool_value, rate_of
@@ -1051,7 +1051,7 @@ def test_run_scenario_prints_what_the_object_api_returns_at_chunk_edges(tmp_path
     expected = _api_outcome(path)
     assert expected[0] == 0 and expected[1].count("\n") == 1 + rows
     assert _main_in_process(["run-scenario", path]) == expected
-    chunks = scenario._run_script_file(path)
+    chunks = replay._run_script_file(path)
     assert [chunk.count("\n") for chunk in chunks] == [1, *[1024] * (rows // 1024), rows % 1024]
 
 
@@ -1076,14 +1076,25 @@ def test_run_scenario_holds_its_output_once_as_rows(tmp_path):
 @settings(max_examples=200, deadline=None)
 def test_run_scenario_reads_every_layout_alike(doc, window):
     # sort_keys puts events before the header, so the header comes late.
-    outcomes = []
-    with tempfile.TemporaryDirectory() as folder, mock.patch.object(scenario, "_WINDOW", window):
+    outcomes, asked, stream = [], [], replay._stream
+
+    def noted(read, begin):  # notes the size of every read
+        def noted_read(size):
+            asked.append(size)
+            return read(size)
+
+        return stream(noted_read, begin)
+
+    with tempfile.TemporaryDirectory() as folder, mock.patch.object(replay, "_WINDOW", window), \
+            mock.patch.object(replay, "_stream", noted):
         for layout in ({}, {"indent": 2}, {"sort_keys": True}):
             path = os.path.join(folder, "script.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle, **layout)
             outcomes.append(_main_in_process(["run-scenario", path]))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+    # Each reading asks for one window first: the patch is the one read.
+    assert window in asked and min(asked) >= window
 
 
 @pytest.mark.parametrize("model", ["auto_compound", "collect_separately"])

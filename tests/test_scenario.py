@@ -1,5 +1,6 @@
 """Scenario replay: events, snapshots, script files, effective alpha."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -48,11 +49,12 @@ from cpamm import (
     run_scenario,
     snapshots_to_csv,
 )
-from cpamm import scenario
+from cpamm import replay
 from cpamm.cli import main
 from cpamm.pool import arbitrage_to_rate
 from cpamm.rational import RationalPool, oracle_split_sum
-from cpamm.scenario import _event, _parse_event, _read_script, _run_script_file
+from cpamm.replay import _parse_event, _read_script, _run_script_file
+from cpamm.scenario import _event
 
 
 def make_script(events, fee_rate=0.0, fee_model=FeeModel.AUTO_COMPOUND):
@@ -467,6 +469,25 @@ def test_an_exact_value_too_long_to_print_is_named_by_its_size(tmp_path, capsys,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_exact_prices_are_held_to_the_size_limit(tmp_path, capsys):
+    # Each exact move grows the price's numerator by about 158.5 bits, so a
+    # replay that let prices grow went on with ever-longer prices.
+    delta = Fraction(3**100, 2**158)
+    events = [{"type": "price_move", "t": 1, "delta_x": f"{delta.numerator}/{delta.denominator}",
+               "delta_y": 1}] * 100 + [{"type": "snapshot", "t": 1, "label": "end"}]
+    index, price = 0, delta
+    while (bits := price.numerator.bit_length()) <= 13_000:
+        index, price = index + 1, price * delta
+    assert (index, bits) == (82, 13_156)
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"pool": {"x": 1, "y": 1}, "prices": {"p_x": "1/1", "p_y": 1},
+                                "events": events}))
+    assert main(["run-scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: event 82: exact result needs 13156 bits, more "
+                                   "than the 13000-bit limit on a numerator or denominator; "
+                                   "use floats\n")
+
+
 @pytest.mark.parametrize("parts", [7, 13])
 def test_a_split_trade_replays_to_the_same_exact_pool(tmp_path, capsys, parts):
     # The paper's first result: splitting a fee-free trade into smaller ones
@@ -873,7 +894,31 @@ def _outcome(source):
 
 #: The reader's windows under test: one character, two sizes that cut
 #: entries anywhere, and its own.
-WINDOWS = (1, 7, 61, scenario._WINDOW)
+WINDOWS = (1, 7, 61, replay._WINDOW)
+
+
+@contextlib.contextmanager
+def window_of(window):
+    """The reader's window set to ``window`` characters.  Every reading asks
+    for one window first, so on leaving this checks that each reading under
+    it asked for ``window``: a patch of a name the reader does not read
+    would leave them at ``replay._WINDOW``."""
+    readings, stream = [], replay._stream
+
+    def noted(read, begin):
+        asked = []
+        readings.append(asked)
+
+        def noted_read(size):
+            asked.append(size)
+            return read(size)
+
+        return stream(noted_read, begin)
+
+    with mock.patch.object(replay, "_WINDOW", window), \
+            mock.patch.object(replay, "_stream", noted):
+        yield
+    assert readings and all(asked[0] == window for asked in readings), (window, readings)
 
 
 def load_outcome(text, path):
@@ -883,7 +928,7 @@ def load_outcome(text, path):
     path.write_bytes(text.encode())
     outcomes = []
     for window in WINDOWS:
-        with mock.patch.object(scenario, "_WINDOW", window):
+        with window_of(window):
             outcomes += [_outcome(io.StringIO(text)), _outcome(path)]
     assert all(outcome == outcomes[0] for outcome in outcomes), text
     return outcomes[0]
@@ -1059,7 +1104,7 @@ def _straddling_label():
         events = [dict(SNAPSHOT, label="a" * pad), dict(SNAPSHOT, label="é😀" * 40)]
         return json.dumps(script_doc(events=events), ensure_ascii=False)
 
-    return text(scenario._WINDOW - 41 - text(0).index("é😀"))
+    return text(replay._WINDOW - 41 - text(0).index("é😀"))
 
 
 TRADE = {"type": "trade", "t": 0, "direction": "y2x", "amount": 1}
@@ -1102,9 +1147,9 @@ def test_the_windowed_reader_equals_the_whole_text(script_path, text):
         "ends in whitespace after events' [", "ends after an entry's comma"])
 def test_a_document_the_reader_refuses_reads_as_the_whole_text(script_path, text, refusal):
     for window in WINDOWS:
-        with mock.patch.object(scenario, "_WINDOW", window):
+        with window_of(window):
             with pytest.raises(ValueError, match=f"^{refusal}$"):
-                scenario._stream(scenario._slicer(text), lambda doc: lambda records, first: None)
+                replay._stream(replay._slicer(text), lambda doc: lambda records, first: None)
     outcome = load_outcome(text, script_path)
     assert outcome == two_pass_load(text) and outcome[0] is ScriptError
 
@@ -1122,15 +1167,14 @@ def replay_outcome(text, path, whole=False):
         return loads(piece, *args, **kwargs)
 
     for window in WINDOWS:
-        with mock.patch.object(scenario, "_WINDOW", window), \
-                mock.patch.object(scenario.json, "loads", counted):
+        with window_of(window), mock.patch.object(replay.json, "loads", counted):
             for source in (io.StringIO(text), path):
                 try:
                     outcomes.append("".join(_run_script_file(source)))
                 except CpammError as err:
                     outcomes.append((type(err), str(err)))
     assert all(outcome == outcomes[0] for outcome in outcomes), text
-    assert (len(text) in decoded) is whole
+    assert decoded and (len(text) in decoded) is whole
     return outcomes[0]
 
 
@@ -1213,12 +1257,12 @@ def decoding_work(text, window):
 
     counting = SimpleNamespace(loads=loads, JSONDecoder=Decoder,
                                JSONDecodeError=json.JSONDecodeError)
-    with mock.patch.object(scenario, "json", counting), \
-            mock.patch.object(scenario, "_WINDOW", window):
+    with mock.patch.object(replay, "json", counting), window_of(window):
         try:
-            scenario._stream(scenario._slicer(text), lambda doc: lambda records, first: None)
-        except scenario._NOT_STREAMED:
+            replay._stream(replay._slicer(text), lambda doc: lambda records, first: None)
+        except replay._NOT_STREAMED:
             pass
+    assert work > 0  # the counting json module was the one read
     return work
 
 
@@ -1229,8 +1273,8 @@ def noted_script(events, braces):
 
 
 @pytest.mark.parametrize("text, window", [
-    pytest.param(noted_script(1, 20_000), scenario._WINDOW, id="one 80 KB entry"),
-    pytest.param(noted_script(300, 200), scenario._WINDOW, id="200 braces an event"),
+    pytest.param(noted_script(1, 20_000), replay._WINDOW, id="one 80 KB entry"),
+    pytest.param(noted_script(300, 200), replay._WINDOW, id="200 braces an event"),
     *(pytest.param(text, window, id=f"{name}, window {window}")
       for name, text in WINDOWED.items() for window in WINDOWS),
 ])
@@ -1251,7 +1295,7 @@ def test_a_byte_that_is_not_utf8_past_the_first_window_reads_as_the_whole_file(t
     with pytest.raises(ScriptError) as err:
         load_script(path)
     assert str(err.value) == f"cannot read script: {whole.value}"
-    assert f"in position {at}:" in str(err.value) and at > scenario._WINDOW
+    assert f"in position {at}:" in str(err.value) and at > replay._WINDOW
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -1369,7 +1413,7 @@ def test_replay_memory_does_not_grow_with_the_script(tmp_path):
     # do grow it: each is held once, as its CSV row (112 bytes a snapshot
     # on alternating trades and snapshots, against 721 when kept as objects
     # and rendered at the end), and `run-scenario` on the benchmark's
-    # 100k-event script, with 2,006 rows, peaks at about 17.8 MB RSS.
+    # 100k-event script, with 2,006 rows, peaks at about 15.9 MB RSS.
     small, large = (replay_peak(write_replay_script(tmp_path, events, snapshots=False))
                     for events in (20_000, 80_000))
     assert large <= 1.25 * small, large / small
