@@ -9,10 +9,12 @@ The package splits into five layers:
 - :mod:`cpamm.scenario` / :mod:`cpamm.figures` / :mod:`cpamm.cli`: replay
   scripts, CSV figure emitters and the command-line front end
 
-The pool and the scenario replay run on two engine modules that export no
-public name: :mod:`cpamm.kernel`, the pool's plain-number arithmetic, and
-:mod:`cpamm.replay`, the script reader and replay built on it, which
-``cpamm run-scenario`` runs alone.
+The layers run on three engine modules that export no public name and
+import neither ``dataclasses`` nor ``fractions``: :mod:`cpamm.kernel`, the
+pool's plain-number arithmetic; :mod:`cpamm.replay`, the script reader and
+replay built on it; and :mod:`cpamm.curves`, the analytics, the compounding
+model and the figures on plain floats.  Every ``cpamm`` command runs on
+them alone, never on the public types over them.
 
 Each layer is loaded on first use: ``import cpamm`` registers every layer in
 ``sys.modules`` without running its body, and the body runs when one of its

@@ -16,27 +16,28 @@ The collected model dominates the compounded one for every price path
 (AM-GM on the fee term), with equality only when the deltas agree or no
 fees accrue.  ``il_brute_force`` checks the loss formula mechanically by
 replaying the arbitrage trade on an actual pool and valuing both portfolios.
+
+This module holds the public types and thin functions over the engine
+:mod:`cpamm.curves`, which computes every value here on plain floats and
+holds the checks of :class:`PriceScenario` and :class:`GrowthParams`; the
+``il`` and ``evolve`` commands run the engine alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from . import pool as _pool
-from .errors import (
-    InvalidFee,
-    NonPositiveAmount,
-    NonPositiveDelta,
-    NonPositiveInput,
-    NonPositivePrice,
-    NonPositiveReserve,
-    RateMismatch,
-    float_geometric_mean,
-    non_negative,
-    positive,
+from .curves import (
+    _check_growth,
+    _check_prices,
+    _collected,
+    _compounded,
+    _held,
+    _il,
+    _il_replay,
 )
+from .errors import InvalidFee, NonPositiveAmount, NonPositiveReserve, non_negative, positive
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class PriceScenario:
     p_y0: float = 1.0
 
     def __post_init__(self) -> None:
-        positive(NonPositiveDelta, "price changes", self.delta_x, self.delta_y)
-        positive(NonPositivePrice, "prices", self.p_x0, self.p_y0)
+        _check_prices(self.delta_x, self.delta_y, self.p_x0, self.p_y0)
 
     @property
     def p_x_final(self) -> float:
@@ -81,19 +81,7 @@ class GrowthParams:
     t: float
 
     def __post_init__(self) -> None:
-        non_negative(NonPositiveInput, "growth rate and time", self.alpha, self.t)
-
-
-def _il(dx: float, dy: float) -> Tuple[float, float, float]:
-    """``(v_pooled, v_held, relative_loss)`` for price changes ``dx`` and ``dy``."""
-    # At most 0 by AM-GM; rounding the sum down can leave one ulp above it.
-    loss = min(2 * float_geometric_mean(dx, dy) / (dx + dy) - 1, 0.0)
-    # Normalize to initial portfolio value 1: x0 * p_x0 = 1/2.
-    x_value0 = 0.5
-    # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
-    v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx)) * 2 * x_value0
-    v_held = (dx + dy) * x_value0
-    return v_pooled, v_held, loss
+        _check_growth(self.alpha, self.t)
 
 
 def impermanent_loss(scenario: PriceScenario) -> IlReport:
@@ -116,14 +104,9 @@ def il_brute_force(scenario: PriceScenario, pool: _pool.PoolState) -> IlReport:
     normalized by the pool's initial value so the report is comparable to
     :func:`impermanent_loss`.
     """
-    _pool.require_market_rate(RateMismatch, pool, scenario.p_y0 / scenario.p_x0)
-    p_x1, p_y1 = scenario.p_x_final, scenario.p_y_final
-    arbitraged = _pool.arbitrage_to_rate(pool, p_y1 / p_x1)
-    v0 = _pool.pool_value(pool, scenario.p_x0, scenario.p_y0)
-    v_pooled = _pool.pool_value(arbitraged, p_x1, p_y1) / v0
-    v_held = _pool.pool_value(pool, p_x1, p_y1) / v0
-    loss = (v_pooled - v_held) / v_held
-    return IlReport(v_pooled=v_pooled, v_held=v_held, relative_loss=loss)
+    _pool._require_active(pool)
+    return IlReport(*_il_replay(pool.reserve_x, pool.reserve_y, scenario.delta_x,
+                                scenario.delta_y, scenario.p_x0, scenario.p_y0))
 
 
 def split_limit_output(
@@ -139,20 +122,6 @@ def split_limit_output(
     positive(NonPositiveAmount, "trade amount", amount_in)
     non_negative(InvalidFee, "fee rate", fee_rate, below=1)
     return reserve_x * (1 - (reserve_y / (reserve_y + amount_in)) ** (1 - fee_rate))
-
-
-def _held(dx: float, dy: float) -> float:
-    return (dx + dy) / 2
-
-
-def _compounded(dx: float, dy: float, growth: float) -> float:
-    """Compounded evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
-    return float_geometric_mean(dx, dy) * (1 + growth)
-
-
-def _collected(dx: float, dy: float, growth: float) -> float:
-    """Collected evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
-    return float_geometric_mean(dx, dy) + growth * (dx + dy) / 2
 
 
 def hold_value_relative(scenario: PriceScenario) -> float:

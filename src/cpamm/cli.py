@@ -36,7 +36,6 @@ import stat
 import sys
 from typing import Container, Iterable, List, Optional, Sequence, Tuple
 
-from . import analytics, compounding, figures, pool
 from .errors import DomainError, InputError, InternalError, number
 
 
@@ -58,10 +57,12 @@ def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> No
 
 
 def _add_swap_args(parser: argparse.ArgumentParser) -> None:
+    from .kernel import Direction
+
     parser.add_argument(
         "--direction",
         required=True,
-        choices=[d.value for d in pool.Direction],
+        choices=[d.value for d in Direction],
         help="y2x sells Y for X, x2y sells X for Y",
     )
     parser.add_argument("--amount", type=number, required=True, help="input amount")
@@ -73,85 +74,82 @@ def _add_swap_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _quote_pairs(receipt: pool.SwapReceipt) -> List[Tuple[str, object]]:
-    """Every receipt field in declaration order; the direction by its CLI name."""
-    from dataclasses import fields
+def _quote_pairs(receipt: tuple) -> List[Tuple[str, object]]:
+    """Every receipt value by its ``kernel._RECEIPT_FIELDS`` name; the direction by its CLI name."""
+    from .kernel import _RECEIPT_FIELDS
 
-    values = {field.name: getattr(receipt, field.name) for field in fields(receipt)}
-    values["direction"] = receipt.direction.value
-    return list(values.items())
+    return list(zip(_RECEIPT_FIELDS, (receipt[0].value, *receipt[1:])))
+
+
+def _swap_on_a_new_pool(args: argparse.Namespace) -> tuple:
+    """``((x, y, fees_x, fees_y), receipt)`` of the swap ``args`` name on a pool of ``--x``, ``--y``."""
+    from .kernel import Direction, FeeModel, _execute, _opening
+
+    fee_model = _opening(args.x, args.y, args.fee, getattr(args, "fee_model", None)
+                         or FeeModel.AUTO_COMPOUND)[0]
+    return _execute(args.x, args.y, 0, 0, args.fee, fee_model, Direction(args.direction),
+                    args.amount, args.max_spread)
 
 
 def _cmd_quote(args: argparse.Namespace) -> List[str]:
-    state = pool.create_pool(args.x, args.y, fee_rate=args.fee)
-    receipt = pool.quote(state, pool.Direction(args.direction), args.amount, args.max_spread)
-    return _pairs(_quote_pairs(receipt))
+    return _pairs(_quote_pairs(_swap_on_a_new_pool(args)[1]))
 
 
 def _cmd_swap(args: argparse.Namespace) -> List[str]:
-    fee_model = args.fee_model or pool.FeeModel.AUTO_COMPOUND
-    state = pool.create_pool(args.x, args.y, fee_rate=args.fee, fee_model=fee_model)
-    state, receipt = pool.execute_swap(
-        state, pool.Direction(args.direction), args.amount, args.max_spread
-    )
+    from .kernel import _rate
+
+    (x, y, fees_x, fees_y), receipt = _swap_on_a_new_pool(args)
     return _pairs(
         _quote_pairs(receipt)
-        + [
-            ("new_x", state.reserve_x),
-            ("new_y", state.reserve_y),
-            ("new_rate", pool.rate_of(state)),
-            ("fees_x", state.side_ledger.fees_x),
-            ("fees_y", state.side_ledger.fees_y),
-        ]
+        + [("new_x", x), ("new_y", y), ("new_rate", _rate(x, y)), ("fees_x", fees_x),
+           ("fees_y", fees_y)]
     )
 
 
 def _cmd_pool_info(args: argparse.Namespace) -> List[str]:
-    state = pool.create_pool(args.x, args.y)
-    return _pairs(
-        [
-            ("rate", pool.rate_of(state)),
-            ("liquidity", pool.liquidity_of(state)),
-            ("value", pool.pool_value(state, args.p_x, args.p_y)),
-        ]
-    )
+    from .kernel import FeeModel, _opening, _rate, _value
+
+    liquidity = _opening(args.x, args.y, 0, FeeModel.AUTO_COMPOUND)[1]
+    rate, value = _rate(args.x, args.y), _value(args.x, args.y, args.p_x, args.p_y)
+    return _pairs([("rate", rate), ("liquidity", liquidity), ("value", value)])
 
 
 def _cmd_il(args: argparse.Namespace) -> List[str]:
-    prices = analytics.PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
-    report = analytics.impermanent_loss(prices)
+    from .curves import _check_prices, _il, _il_replay
+
+    _check_prices(args.delta_x, args.delta_y)
+    v_pooled, v_held, loss = _il(args.delta_x, args.delta_y)
     pairs: List[Tuple[str, object]] = [
-        ("v_pooled", report.v_pooled),
-        ("v_held", report.v_held),
-        ("loss", report.relative_loss),
-        ("loss_pct", report.relative_loss * 100.0),
+        ("v_pooled", v_pooled),
+        ("v_held", v_held),
+        ("loss", loss),
+        ("loss_pct", loss * 100.0),
     ]
-    if args.replay_check:
-        replay = analytics.il_brute_force(prices, pool.create_pool(100.0, 100.0))
-        pairs.append(("loss_replay", replay.relative_loss))
+    if args.replay_check:  # on a pool of 100 and 100, which opens without fail
+        pairs.append(("loss_replay", _il_replay(100.0, 100.0, args.delta_x, args.delta_y)[2]))
     return _pairs(pairs)
 
 
 def _cmd_evolve(args: argparse.Namespace) -> List[str]:
-    prices = analytics.PriceScenario(delta_x=args.delta_x, delta_y=args.delta_y)
-    growth = analytics.GrowthParams(alpha=args.alpha, t=args.t)
+    from .curves import _check_growth, _check_prices, _collected, _compounded, _held
+
+    dx, dy, growth = args.delta_x, args.delta_y, args.alpha * args.t
+    _check_prices(dx, dy)
+    _check_growth(args.alpha, args.t)
     return _pairs(
         [
-            ("hold", analytics.hold_value_relative(prices)),
-            ("auto_compound", analytics.relative_evolution_compounded(prices, growth)),
-            ("collect_separately", analytics.relative_evolution_collected(prices, growth)),
+            ("hold", _held(dx, dy)),
+            ("auto_compound", _compounded(dx, dy, growth)),
+            ("collect_separately", _collected(dx, dy, growth)),
         ]
     )
 
 
 def _cmd_roi(args: argparse.Namespace) -> List[str]:
-    params = compounding.RoiParams(
-        frac_compounding=args.frac,
-        alpha=args.alpha,
-        horizon=args.t,
-        step=args.step,
-    )
-    rho_c, rho_nc = compounding.roi_pair(params, args.t, method=args.method)
+    from .curves import _roi_pair, _roi_params
+
+    p = _roi_params(args.frac, args.alpha, args.t, step=args.step)
+    rho_c, rho_nc = _roi_pair(p, args.t, args.method)
     return _pairs(
         [
             ("rho_c", rho_c),
@@ -174,25 +172,19 @@ def _cmd_run_scenario(args: argparse.Namespace) -> List[str]:
 
 
 def _cmd_emit_figure(args: argparse.Namespace) -> Iterable[str]:
-    overrides = {}
-    if args.grid_min is not None or args.grid_max is not None or args.count is not None:
-        base = figures.default_figure_spec(args.figure).domain_grid
-        overrides["domain_grid"] = (
-            base[0] if args.grid_min is None else args.grid_min,
-            base[1] if args.grid_max is None else args.grid_max,
-            base[2] if args.count is None else args.count,
-        )
-    for name, value in (
-        ("alpha", args.alpha),
-        ("t", args.t),
-        ("frac_compounding", args.frac),
-    ):
-        if value is not None:
-            overrides[name] = value
-    spec = figures.default_figure_spec(args.figure, **overrides)
+    from .curves import _FIGURES, _figure_chunks, _figure_spec
+
+    lo, hi, count = _FIGURES[args.figure][0]
+    grid = (lo if args.grid_min is None else args.grid_min,
+            hi if args.grid_max is None else args.grid_max,
+            count if args.count is None else args.count)
+    overrides = {name: value for name, value in (
+        ("alpha", args.alpha), ("t", args.t), ("frac_compounding", args.frac)
+    ) if value is not None}
+    spec = _figure_spec(args.figure, grid, **overrides)
     # The header comes once every check has passed; each chunk after it is
     # computed as the one before is written, so no figure is ever held whole.
-    chunks = figures._figure_chunks(spec)
+    chunks = _figure_chunks(spec)
     header = next(chunks)
     if not args.out:
         return itertools.chain((header,), chunks)
@@ -240,10 +232,12 @@ def build_parser(commands: Container[str] = _COMMANDS) -> argparse.ArgumentParse
         _add_swap_args(p)
 
     if p := add("swap", "execute a swap against a fresh pool", _cmd_swap):
+        from .kernel import FeeModel
+
         _add_pool_args(p)
         _add_swap_args(p)
         p.add_argument(
-            "--fee-model", choices=[m.value for m in pool.FeeModel], help="where collected fees go"
+            "--fee-model", choices=[m.value for m in FeeModel], help="where collected fees go"
         )
 
     if p := add("pool-info", "rate, liquidity and value of a pool", _cmd_pool_info):
@@ -279,7 +273,9 @@ def build_parser(commands: Container[str] = _COMMANDS) -> argparse.ArgumentParse
         p.add_argument("script", help="path to the scenario JSON file")
 
     if p := add("emit-figure", "print one analysis figure as CSV", _cmd_emit_figure):
-        p.add_argument("--figure", required=True, choices=figures.FIGURE_IDS)
+        from .curves import _FIGURES
+
+        p.add_argument("--figure", required=True, choices=tuple(_FIGURES))
         p.add_argument("--grid-min", type=float, default=None)
         p.add_argument("--grid-max", type=float, default=None)
         p.add_argument("--count", type=int, default=None)

@@ -5,8 +5,11 @@ fee-free leg onto a market rate.  They take and return the pool's own bare
 numbers, ``x`` before ``y`` whatever the direction, so a replay keeps its
 state as plain numbers, never oriented.  ``_opening`` and ``_rate`` are the
 checks of :func:`cpamm.pool.create_pool` and :func:`cpamm.pool.rate_of` on
-bare numbers.  :mod:`cpamm.pool` wraps all of them in its value types, and
-:mod:`cpamm.replay` runs a script on them directly.
+bare numbers, ``_execute`` is the swap with its receipt of
+:func:`cpamm.pool.execute_swap`, and ``_value`` is
+:func:`cpamm.pool.pool_value`.  :mod:`cpamm.pool` wraps all of them in its
+value types; :mod:`cpamm.replay` runs a script on them directly, and the
+``quote``, ``swap`` and ``pool-info`` commands run on them alone.
 
 The numbers are floats, ints or ``fractions.Fraction``s (``pool.Numeric``).
 This module imports neither ``dataclasses`` nor ``fractions``: ``_sqrt``
@@ -24,6 +27,7 @@ from .errors import (
     InvalidFee,
     InvalidRate,
     NonPositiveAmount,
+    NonPositivePrice,
     NonPositiveReserve,
     SpreadOutOfRange,
     float_geometric_mean,
@@ -236,6 +240,42 @@ def _swap(x, y, fees_x, fees_y, phi, amount, cap, y_for_x: bool, compound: bool)
     if net.__class__ is not float:  # only an exact net input gives exact results
         _bounded(x, y, fees_x, fees_y)
     return x, y, fees_x, fees_y, gross, fee, out, squared
+
+
+#: The fields of a receipt, ``pool.SwapQuote``'s, in the order ``_execute`` gives them.
+_RECEIPT_FIELDS = ("direction", "requested_in", "capped_in", "amount_out", "realized_rate",
+                   "spread_applied", "fee_paid")
+
+
+def _execute(x, y, fees_x, fees_y, fee_rate, fee_model, direction, amount, cap) -> tuple:
+    """``((x, y, fees_x, fees_y), receipt)`` after a trade of ``amount`` paid
+    in the ``Direction`` member ``direction``, on a pool of the ``FeeModel``
+    member ``fee_model``: ``_swap``'s new state, and the receipt's values in
+    ``_RECEIPT_FIELDS`` order, each exact one held to ``MAX_EXACT_BITS``."""
+    y_for_x = direction is Direction.Y_FOR_X
+    new_x, new_y, fees_x, fees_y, gross, fee, out, squared = _swap(
+        x, y, fees_x, fees_y, fee_rate, amount, cap, y_for_x, fee_model is FeeModel.AUTO_COMPOUND
+    )
+    spread_applied = 1 - squared if y_for_x else 1 / squared - 1
+    # A zero-size trade (cap of 0) realizes its limit, the spot rate.
+    realized_rate = out / gross if gross > 0 else (x / y if y_for_x else y / x)
+    _bounded(new_x, new_y, fees_x, fees_y, gross, out, realized_rate, spread_applied, fee)
+    receipt = direction, amount, gross, out, realized_rate, spread_applied, fee
+    return (new_x, new_y, fees_x, fees_y), receipt
+
+
+def _value(x, y, p_x, p_y):
+    """The reserves ``x`` and ``y`` marked to market, ``p_x * x + p_y * y``.
+    An empty pool is worth 0; any other value outside the range of
+    ``errors.normal``, or exact past ``MAX_EXACT_BITS``, raises ``InputError``."""
+    positive(NonPositivePrice, "prices", p_x, p_y)
+    try:
+        value = p_x * x + p_y * y
+    except OverflowError:  # an exact term past float range meets a float one
+        value = _INF  # what the float sum gives
+    if x > 0 and y > 0:
+        _bounded(normal(InputError, "pool value p_x * x + p_y * y", value))
+    return value
 
 
 def _arbitrage_trade(x, y, target_rate):

@@ -27,14 +27,15 @@ that is about twice as fast as the generic copy-with-changes helper of the
 ``dataclasses`` module.
 
 The value-level API is built on one plain-number kernel, :mod:`cpamm.kernel`:
-``_swap`` prices, guards and settles a trade, ``_arbitrage`` is its fee-free
-leg onto a market rate, and ``_opening`` and ``_rate`` hold the checks of
-:func:`create_pool` and :func:`rate_of`.  They take and return the pool's
-own bare numbers, ``x`` before ``y`` whatever the direction, so a replay
-keeps its state as plain numbers, never oriented.  This module holds the
-value types and the functions that wrap the kernel in them; the kernel
-loads neither ``dataclasses`` nor ``fractions``, so the replay that
-``run-scenario`` runs on it loads neither.
+``_swap`` prices, guards and settles a trade and ``_execute`` adds its
+receipt, ``_arbitrage`` is its fee-free leg onto a market rate, ``_opening``
+and ``_rate`` hold the checks of :func:`create_pool` and :func:`rate_of`, and
+``_value`` is :func:`pool_value`.  They take and return the pool's own bare
+numbers, ``x`` before ``y`` whatever the direction, and tuples.  This module
+holds the value types and the functions that wrap the kernel in them.  The
+kernel loads neither ``dataclasses`` nor ``fractions``, and the replay that
+``run-scenario`` runs and the ``quote``, ``swap`` and ``pool-info`` commands
+run on it alone, so none of them loads this module.
 
 Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
 runs the swap path exactly (the swap equations are rational); square roots
@@ -62,24 +63,22 @@ from .errors import (
     InvalidRate,
     NonPositiveAmount,
     NonPositiveInput,
-    NonPositivePrice,
     NonPositiveReserve,
     RateMismatch,
     non_negative,
-    normal,
     positive,
     shown,
 )
-from .kernel import (  # MAX_EXACT_BITS unused here: documented as pool.MAX_EXACT_BITS
+from .kernel import (  # MAX_EXACT_BITS and _swap unused here: read as pool.<name>
     MAX_EXACT_BITS,
     RATE_MATCH_TOL,
     Direction,
     FeeModel,
     _FLOAT_MAX,
-    _INF,
     _arbitrage,
     _arbitrage_trade,
     _bounded,
+    _execute,
     _geometric_mean,
     _member,
     _opening,
@@ -89,6 +88,7 @@ from .kernel import (  # MAX_EXACT_BITS unused here: documented as pool.MAX_EXAC
     _spread_cap,
     _sqrt,
     _swap,
+    _value,
 )
 
 Numeric = Union[float, Fraction]
@@ -205,14 +205,7 @@ def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
     """Mark the reserves to market: ``p_x * x + p_y * y``.  An empty pool is
     worth 0; any other value outside the range of ``errors.normal``, or
     exact past ``MAX_EXACT_BITS``, raises ``InputError``."""
-    positive(NonPositivePrice, "prices", p_x, p_y)
-    try:
-        value = p_x * pool.reserve_x + p_y * pool.reserve_y
-    except OverflowError:  # an exact term past float range meets a float one
-        value = _INF  # what the float sum gives
-    if pool.active:
-        _bounded(normal(InputError, "pool value p_x * x + p_y * y", value))
-    return value
+    return _value(pool.reserve_x, pool.reserve_y, p_x, p_y)
 
 
 def reserves_from_rate_liquidity(rate: Numeric, liquidity: Numeric) -> Tuple[Numeric, Numeric]:
@@ -236,11 +229,18 @@ def reserves_from_value(
     ``L = V / (2 sqrt(p_x p_y))``.
     """
     positive(NonPositiveInput, "value and prices", value, p_x, p_y)
-    x = value / (2 * p_x)
-    y = value / (2 * p_y)
+    x = _half_over(value, p_x)
+    y = _half_over(value, p_y)
     positive(NonPositiveReserve, "reserves V / (2 p_x) and V / (2 p_y)", x, y)
-    liquidity = value / (2 * _geometric_mean(p_x, p_y))
+    liquidity = _half_over(value, _geometric_mean(p_x, p_y))
     return x, y, liquidity
+
+
+def _half_over(value: Numeric, price: Numeric) -> Numeric:
+    """``value / (2 * price)``; ``value`` is halved first where ``2 * price``
+    passes the largest float, which a float or exact ``value`` meets as inf
+    or as an ``OverflowError``."""
+    return value / (2 * price) if price <= _FLOAT_MAX / 2 else value / 2 / price
 
 
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
@@ -286,25 +286,18 @@ def execute_swap(
     """
     _require_active(pool)
     direction = _member(Direction, direction, "direction")
-    y_for_x = direction is Direction.Y_FOR_X
-    x, y, ledger = pool.reserve_x, pool.reserve_y, pool.side_ledger
-    new_x, new_y, fees_x, fees_y, gross, fee, out, squared = _swap(
-        x, y, ledger.fees_x, ledger.fees_y, pool.fee_rate, amount_in, max_spread, y_for_x,
-        pool.fee_model is FeeModel.AUTO_COMPOUND,
+    ledger = pool.side_ledger
+    (new_x, new_y, fees_x, fees_y), receipt = _execute(
+        pool.reserve_x, pool.reserve_y, ledger.fees_x, ledger.fees_y, pool.fee_rate,
+        pool.fee_model, direction, amount_in, max_spread,
     )
     if fees_x is not ledger.fees_x or fees_y is not ledger.fees_y:
         ledger = SideLedger(fees_x, fees_y)
-    spread_applied = 1 - squared if y_for_x else 1 / squared - 1
-    # A zero-size trade (cap of 0) realizes its limit, the spot rate.
-    realized_rate = out / gross if gross > 0 else (x / y if y_for_x else y / x)
-    _bounded(new_x, new_y, ledger.fees_x, ledger.fees_y, gross, out, realized_rate,
-             spread_applied, fee)
-    receipt = SwapReceipt(direction, amount_in, gross, out, realized_rate, spread_applied, fee)
     new_pool = PoolState(
         new_x, new_y, pool.fee_rate, pool.fee_model,
         pool.total_shares, pool.share_ledger, ledger,
     )
-    return new_pool, receipt
+    return new_pool, SwapReceipt(*receipt)
 
 
 def add_liquidity(

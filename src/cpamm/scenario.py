@@ -179,7 +179,7 @@ def _event(record: tuple) -> Event:
 def _replay(script: ScenarioScript) -> _Replay:
     """The finished replay of ``script``: its header values, then its events."""
     header = (script.pool_x, script.pool_y, script.fee_rate, script.fee_model,
-              script.p_x0, script.p_y0, script.provider)
+              script.p_x0, script.p_y0, _string("provider", script.provider))
     return _Replay(header).run(map(_record, count(), script.events))
 
 

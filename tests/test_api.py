@@ -2,6 +2,7 @@
 layers each command loads."""
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -61,66 +62,76 @@ print(json.dumps(sorted(name.split(".")[1] for name, module in sys.modules.items
 """
 
 
+#: Modules a command on float input leaves unloaded: ``dataclasses`` pulls
+#: in ``inspect`` and through it ``ast``, ``dis`` and ``tokenize``, and
+#: ``fractions`` pulls in ``decimal``.
+_UNLOADED = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def _layers_of_a_call(argv, loaded=()) -> list:
+    """The cpamm layers ``main(argv)`` runs in a new interpreter, which must
+    load the modules of ``_UNLOADED`` that are in ``loaded`` and no other."""
+    code = "import contextlib, io, sys, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    code += f"    assert cpamm.cli.main({argv!r}) == 0\n"
+    code += f"assert [m for m in {_UNLOADED!r} if m in sys.modules] == {list(loaded)!r}\n"
+    return _fresh(code + _LOADED)
+
+
+#: One float argv of each command kind of the benchmark's one-shot calls
+#: but ``run-scenario`` (tested below), with the layers it runs.
+_FLOAT_CALLS = {
+    "quote": (["quote", "--x", "100", "--y", "100", "--direction", "y2x", "--amount", "5",
+               "--max-spread", "0.01"], ["cli", "errors", "kernel"]),
+    "swap": (["swap", "--x", "100", "--y", "100", "--direction", "x2y", "--amount", "5",
+              "--fee", "0.003", "--fee-model", "collect_separately"], ["cli", "errors", "kernel"]),
+    "pool-info": (["pool-info", "--x", "3", "--y", "2", "--p-x", "0.5"],
+                  ["cli", "errors", "kernel"]),
+    "il": (["il", "--delta-x", "1", "--delta-y", "4"], ["cli", "curves", "errors"]),
+    "il --replay-check": (["il", "--delta-x", "1", "--delta-y", "4", "--replay-check"],
+                          ["cli", "curves", "errors", "kernel"]),
+    "evolve": (["evolve", "--delta-x", "2", "--alpha", "0.3"], ["cli", "curves", "errors"]),
+    "roi": (["roi"], ["cli", "curves", "errors"]),
+    "roi rk4": (["roi", "--method", "rk4"], ["cli", "curves", "errors"]),
+    "emit-figure roi": (["emit-figure", "--figure", "roi_comparison"], ["cli", "curves", "errors"]),
+    "emit-figure il": (["emit-figure", "--figure", "il_one_coin"], ["cli", "curves", "errors"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FLOAT_CALLS))
+def test_each_command_on_floats_runs_its_engine_alone(kind):
+    argv, layers = _FLOAT_CALLS[kind]
+    assert _layers_of_a_call(argv) == layers
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["quote", "--x", "100", "--y", "100", "--direction", "y2x", "--amount", "5"],
-        ["swap", "--x", "100", "--y", "100", "--direction", "x2y", "--amount", "5",
-         "--fee", "0.003", "--fee-model", "collect_separately"],
+        ["quote", "--x", "100/1", "--y", "100/1", "--direction", "y2x", "--amount", "5/2"],
+        ["swap", "--x", "100/1", "--y", "100/1", "--direction", "x2y", "--amount", "5/1",
+         "--fee", "3/1000", "--fee-model", "collect_separately"],
         ["pool-info", "--x", "1/3", "--y", "2"],
     ],
 )
-def test_pool_commands_run_only_the_pool_layers(argv):
-    code = "import contextlib, io, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
-    code += f"    assert cpamm.cli.main({argv!r}) == 0\n" + _LOADED
-    assert _fresh(code) == ["cli", "errors", "kernel", "pool"]
+def test_an_exact_argv_loads_fractions_but_not_dataclasses(argv):
+    assert _layers_of_a_call(argv, ["fractions", "decimal"]) == ["cli", "errors", "kernel"]
 
 
-@pytest.mark.parametrize(
-    "argv, layers",
-    [
-        (["roi"], ["cli", "compounding", "errors"]),
-        (["roi", "--method", "rk4"], ["cli", "compounding", "errors"]),
-        (["evolve"], ["analytics", "cli", "errors"]),
-        (["il"], ["analytics", "cli", "errors"]),
-        (["emit-figure", "--figure", "roi_comparison"], ["cli", "compounding", "errors", "figures"]),
-        (["emit-figure", "--figure", "il_one_coin"], ["analytics", "cli", "errors", "figures"]),
-    ],
-)
-def test_analytics_commands_run_neither_pool_nor_fractions(argv, layers):
-    code = "import contextlib, io, sys, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
-    code += f"    assert cpamm.cli.main({argv!r}) == 0\nassert 'fractions' not in sys.modules\n"
-    assert _fresh(code + _LOADED) == layers
-
-
-def test_il_replay_check_runs_the_pool_and_fractions():
-    argv = ["il", "--delta-x", "1", "--delta-y", "4", "--replay-check"]
-    code = "import contextlib, io, sys, cpamm.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
-    code += f"    assert cpamm.cli.main({argv!r}) == 0\nassert 'fractions' in sys.modules\n"
-    assert _fresh(code + _LOADED) == ["analytics", "cli", "errors", "kernel", "pool"]
-
-
-def test_figure_choices_load_figures_alone():
+def test_figure_choices_load_the_engine_alone():
     code = "import cpamm.cli\ncpamm.cli.build_parser(['emit-figure'])\n" + _LOADED
-    assert _fresh(code) == ["cli", "errors", "figures"]
+    assert _fresh(code) == ["cli", "curves", "errors"]
 
 
 @pytest.mark.parametrize("command", ["quote", "swap"])
-def test_swap_choices_load_pool_alone(command):
+def test_swap_choices_load_the_kernel_alone(command):
     code = f"import cpamm.cli\ncpamm.cli.build_parser([{command!r}])\n" + _LOADED
-    assert _fresh(code) == ["cli", "errors", "kernel", "pool"]
+    assert _fresh(code) == ["cli", "errors", "kernel"]
 
 
-def test_importing_the_cli_runs_neither_engine_module():
+def test_importing_the_cli_runs_no_engine_module():
     code = "import cpamm.cli, sys\nassert 'cpamm.kernel' not in sys.modules\n"
-    code += "assert 'cpamm.replay' not in sys.modules\n" + _LOADED
+    code += "assert 'cpamm.replay' not in sys.modules\nassert 'cpamm.curves' not in sys.modules\n"
+    code += _LOADED
     assert _fresh(code) == ["cli", "errors"]
-
-
-#: Modules the replay of a float script leaves unloaded: ``dataclasses``
-#: pulls in ``inspect`` and through it ``ast``, ``dis`` and ``tokenize``,
-#: and ``fractions`` pulls in ``decimal``.
-_UNLOADED = ("dataclasses", "inspect", "fractions", "decimal")
 
 
 def _run_scenario_in_fresh(tmp_path, doc) -> list:
@@ -167,6 +178,27 @@ def test_the_csv_columns_are_the_snapshot_fields():
     names = tuple(field.name for field in dataclasses.fields(cpamm.PortfolioSnapshot))
     assert replay._COLUMNS == names
     assert replay._CSV_HEADER == ",".join(names) + "\n"
+
+
+def test_the_receipt_fields_are_the_quote_fields():
+    from cpamm import kernel
+
+    names = tuple(field.name for field in dataclasses.fields(cpamm.SwapQuote))
+    assert kernel._RECEIPT_FIELDS == names
+
+
+@pytest.mark.parametrize("check, checked", [
+    ("_check_prices", "PriceScenario"), ("_check_growth", "GrowthParams"),
+    ("_roi_params", "RoiParams"), ("_figure_spec", "FigureSpec"),
+])
+def test_each_engine_check_takes_the_fields_and_defaults_of_its_type(check, checked):
+    # The commands call the check with the type's defaults left out.
+    from cpamm import curves
+
+    params = inspect.signature(getattr(curves, check)).parameters.values()
+    assert [(param.name, param.default) for param in params] == [
+        (field.name, inspect.Parameter.empty if field.default is dataclasses.MISSING
+         else field.default) for field in dataclasses.fields(getattr(cpamm, checked))]
 
 
 def test_the_pool_and_scenario_value_types_are_frozen_slotted_dataclasses():

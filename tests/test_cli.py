@@ -31,7 +31,7 @@ from cpamm import (
     run_scenario,
     snapshots_to_csv,
 )
-from cpamm import replay
+from cpamm import curves, replay
 from cpamm.cli import main
 from cpamm.figures import FIGURE_IDS
 from cpamm.pool import create_pool, pool_value, rate_of
@@ -745,13 +745,13 @@ def test_non_finite_row_past_the_first_chunk_is_named_and_nothing_is_written(cap
 def test_a_row_that_fails_after_the_checks_is_an_internal_error(capsys, tmp_path, monkeypatch):
     # A row past the first chunk turns inf, which the last row cannot bound:
     # the stream's own scan stops it before it is printed, exit 3.
-    grid, header, rows = figures._FIGURES["il_one_coin"]
+    grid, header, rows = curves._FIGURES["il_one_coin"]
 
     def rows_with_an_inf(spec, points):
         for i, line in enumerate(rows(spec, points)):
             yield "1.0,inf" if i == 1500 else line
 
-    monkeypatch.setitem(figures._FIGURES, "il_one_coin", (grid, header, rows_with_an_inf))
+    monkeypatch.setitem(curves._FIGURES, "il_one_coin", (grid, header, rows_with_an_inf))
     argv = ["emit-figure", "--figure", "il_one_coin", "--count", "3000"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -802,13 +802,13 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def solver_bug(*args, **kwargs):
         raise NoConvergence("bisection gave up")
 
-    monkeypatch.setattr("cpamm.compounding.roi_pair", solver_bug)
+    monkeypatch.setattr("cpamm.curves._roi_pair", solver_bug)
     code, out, err = run_cli(capsys, "roi")
     assert (code, out, err) == (3, "", "internal error: bisection gave up\n")
 
 
 def test_a_root_that_does_not_settle_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr("cpamm.compounding._ROOT_MAX_ITER", 1)
+    monkeypatch.setattr("cpamm.curves._ROOT_MAX_ITER", 1)
     code, out, err = run_cli(capsys, "roi")
     assert (code, out) == (3, "")
     assert err == "internal error: Newton's method took 1 steps without settling\n"

@@ -195,7 +195,7 @@ def test_implicit_solver_rejects_zero_compounders():
 
 
 def test_a_root_that_does_not_settle_raises(monkeypatch):
-    monkeypatch.setattr("cpamm.compounding._ROOT_MAX_ITER", 1)
+    monkeypatch.setattr("cpamm.curves._ROOT_MAX_ITER", 1)
     with pytest.raises(NoConvergence, match="^Newton's method took 1 steps without settling$"):
         roi_pair(DEFAULT, 1.0)
 

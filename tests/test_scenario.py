@@ -794,6 +794,17 @@ def test_non_string_script_provider_is_rejected(value, what):
     assert str(err.value) == f"provider: expected a string, got {what}"
 
 
+@pytest.mark.parametrize("value, what", [(["lp"], "list"), (None, "NoneType"), (7, "int")])
+@pytest.mark.parametrize("replay", [run_scenario, lambda script: measure_effective_alpha(script, 1.0)],
+                         ids=["run_scenario", "effective_alpha"])
+def test_a_script_object_with_a_non_string_provider_is_rejected(value, what, replay):
+    # As load_script rejects it, not replayed with nothing to collect.
+    script = dataclasses.replace(make_script((CollectFees(1.0, "lp"),)), provider=value)
+    with pytest.raises(ScriptError) as err:
+        replay(script)
+    assert str(err.value) == f"provider: expected a string, got {what}"
+
+
 def test_collecting_for_a_provider_without_shares_is_a_no_op():
     trade = {"type": "trade", "t": 0, "direction": "y2x", "amount": 5}
     doc = script_doc(events=[trade, {"type": "collect_fees", "t": 1, "provider": "other"}])

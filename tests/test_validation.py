@@ -288,8 +288,6 @@ def _unmended(call, where):
     # p_y * y is past float range and meets the float 7.0.
     lambda: pool_value(create_pool(7.0, Fraction(10**300)), 1, Fraction(10**9)),
     "pool-info --x 7 --y 1{} --p-y 1000000000/1".format("0" * 300 + "/1"),
-    _unmended(lambda: reserves_from_value(1e9, Fraction(10**308), Fraction(3, 1000)),
-              "src/cpamm/pool.py:reserves_from_value"),
     _unmended(lambda: RoiParams(0.5, 10**308, 1e-308, 10**307),
               "src/cpamm/compounding.py:RoiParams.__post_init__"),
     # The exact pool rate is 1e309.
@@ -300,7 +298,7 @@ def _unmended(call, where):
     # Float alpha and t of 1e200 give the same DomainError.
     lambda: emit_figure(FigureSpec("fee_model_comparison", (-99, 1e16, 3),
                                    alpha=Fraction(10**200), t=Fraction(10**200))),
-], ids=["pool_value", "pool-info", "reserves_from_value", "RoiParams", "arbitrage_to_rate",
+], ids=["pool_value", "pool-info", "RoiParams", "arbitrage_to_rate",
         "arbitrage_input_for_rate", "roi_pair", "emit_figure"])
 def test_a_result_past_float_range_is_an_input_error(capsys, call):
     if isinstance(call, str):
@@ -310,6 +308,23 @@ def test_a_result_past_float_range_is_an_input_error(capsys, call):
     else:
         with pytest.raises(InputError):
             call()
+
+
+@pytest.mark.parametrize("value, p_x, p_y", [
+    # 2 * p_x is past float range, and was met as an OverflowError.
+    (1e9, Fraction(10**308), Fraction(3, 1000)),
+    # ... and as inf, which gave a reserve of 0.
+    (1e9, 1.7e308, 0.003),
+    (1e9, Fraction(10**308), Fraction(10**308)),
+])
+def test_reserves_past_a_doubled_price_are_in_range(value, p_x, p_y):
+    # The true reserves are in float range: about 5e-300 and 1.67e11.
+    half = Fraction(value) / 2
+    root = Fraction(math.sqrt(p_x)) * Fraction(math.sqrt(p_y))  # each within an ulp
+    want = (half / Fraction(p_x), half / Fraction(p_y), half / root)
+    got = reserves_from_value(value, p_x, p_y)
+    assert got == pytest.approx([float(w) for w in want], rel=1e-15)
+    assert all(isinstance(v, float) for v in got)
 
 
 def test_no_fees_accrued_leave_the_compounders_where_they_started():
