@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from . import pool as _pool
 from .curves import (
+    _PRICE0,
     _check_growth,
     _check_prices,
     _collected,
@@ -46,8 +47,8 @@ class PriceScenario:
 
     delta_x: float
     delta_y: float
-    p_x0: float = 1.0
-    p_y0: float = 1.0
+    p_x0: float = _PRICE0
+    p_y0: float = _PRICE0
 
     def __post_init__(self) -> None:
         _check_prices(self.delta_x, self.delta_y, self.p_x0, self.p_y0)

@@ -39,9 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .curves import (  # MAX_RK4_STEPS, ROOT_REL_TOL and _time_grid: read as compounding.<name>
+from .curves import (  # MAX_RK4_STEPS and ROOT_REL_TOL: public as compounding.<name>
     MAX_RK4_STEPS,
     ROOT_REL_TOL,
+    _L_TOTAL0,
+    _STEP,
     _closed_form,
     _is_linear,
     _rho,
@@ -61,8 +63,8 @@ class RoiParams:
     frac_compounding: float
     alpha: float
     horizon: float
-    l_total0: float = 1.0
-    step: float = 1e-3
+    l_total0: float = _L_TOTAL0
+    step: float = _STEP
 
     def __post_init__(self) -> None:
         _roi_params(self.frac_compounding, self.alpha, self.horizon, self.l_total0, self.step)

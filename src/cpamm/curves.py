@@ -44,8 +44,11 @@ from .errors import (
 
 # -- analytics -----------------------------------------------------------------
 
+#: Opening price of each token where a ``PriceScenario`` names none.
+_PRICE0 = 1.0
 
-def _check_prices(delta_x, delta_y, p_x0=1.0, p_y0=1.0) -> None:
+
+def _check_prices(delta_x, delta_y, p_x0=_PRICE0, p_y0=_PRICE0) -> None:
     """``PriceScenario``'s checks, on its fields and their defaults."""
     positive(NonPositiveDelta, "price changes", delta_x, delta_y)
     positive(NonPositivePrice, "prices", p_x0, p_y0)
@@ -68,7 +71,7 @@ def _il(dx: float, dy: float) -> tuple:
     return v_pooled, v_held, loss
 
 
-def _il_replay(x, y, delta_x, delta_y, p_x0=1.0, p_y0=1.0) -> tuple:
+def _il_replay(x, y, delta_x, delta_y, p_x0=_PRICE0, p_y0=_PRICE0) -> tuple:
     """``(v_pooled, v_held, relative_loss)`` measured on an active pool of
     reserves ``x`` and ``y``: it must sit on the market rate ``p_y0 / p_x0``,
     a fee-free arbitrage drags it onto the moved rate, and both portfolios
@@ -106,9 +109,12 @@ _ROOT_MAX_ITER = 200
 _LOG_MAX = 709.782712893384  # ln of the largest float
 #: Most RK4 steps one integration may take: a few seconds of work.
 MAX_RK4_STEPS = 10**6
+#: ``RoiParams``' default initial liquidity and RK4 step.
+_L_TOTAL0 = 1.0
+_STEP = 1e-3
 
 
-def _roi_params(frac_compounding, alpha, horizon, l_total0=1.0, step=1e-3) -> tuple:
+def _roi_params(frac_compounding, alpha, horizon, l_total0=_L_TOTAL0, step=_STEP) -> tuple:
     """``RoiParams``' checks, on its fields and their defaults; returns the
     solvers' ``p = (frac_compounding, alpha, l_total0, step)``."""
     unit_interval(NonPositiveInput, "compounding fraction", frac_compounding)
@@ -284,14 +290,23 @@ MAX_FIGURE_ROWS = 10**6
 #: rows, the most of a figure ever held.
 _CHUNK_LINES = 1024
 
+#: ``FigureSpec``'s default model parameters: the paper's.
+_FIGURE_ALPHA = 0.2
+_FIGURE_T = 1.0
+_FIGURE_FRAC_COMPOUNDING = 0.99
+_ROI_COMPOUNDING_PCT = 20.02
+_ROI_NOT_COMPOUNDING_PCT = 18.2
+
 
 def _item(value):
     """The Python number a NumPy scalar holds (its repr is a float's), else ``value``."""
     return value.item() if hasattr(value, "dtype") else value
 
 
-def _figure_spec(figure_id, domain_grid, alpha=0.2, t=1.0, frac_compounding=0.99,
-                 roi_compounding_pct=20.02, roi_not_compounding_pct=18.2) -> SimpleNamespace:
+def _figure_spec(figure_id, domain_grid, alpha=_FIGURE_ALPHA, t=_FIGURE_T,
+                 frac_compounding=_FIGURE_FRAC_COMPOUNDING,
+                 roi_compounding_pct=_ROI_COMPOUNDING_PCT,
+                 roi_not_compounding_pct=_ROI_NOT_COMPOUNDING_PCT) -> SimpleNamespace:
     """``FigureSpec``'s checks, on its fields and their defaults; returns the
     fields as a namespace, each NumPy scalar as its Python number."""
     if figure_id not in _FIGURES:

@@ -38,10 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, Tuple
 
-from .curves import (  # MAX_FIGURE_ROWS, _CHUNK_LINES and _grid: read as figures.<name>
+from .curves import (  # MAX_FIGURE_ROWS: public as figures.MAX_FIGURE_ROWS
     MAX_FIGURE_ROWS,
-    _CHUNK_LINES,
     _FIGURES,
+    _FIGURE_ALPHA,
+    _FIGURE_FRAC_COMPOUNDING,
+    _FIGURE_T,
+    _ROI_COMPOUNDING_PCT,
+    _ROI_NOT_COMPOUNDING_PCT,
     _figure_chunks,
     _figure_spec,
     _grid,
@@ -54,11 +58,11 @@ class FigureSpec:
 
     figure_id: str
     domain_grid: Tuple[float, float, int]
-    alpha: float = 0.2
-    t: float = 1.0
-    frac_compounding: float = 0.99
-    roi_compounding_pct: float = 20.02
-    roi_not_compounding_pct: float = 18.2
+    alpha: float = _FIGURE_ALPHA
+    t: float = _FIGURE_T
+    frac_compounding: float = _FIGURE_FRAC_COMPOUNDING
+    roi_compounding_pct: float = _ROI_COMPOUNDING_PCT
+    roi_not_compounding_pct: float = _ROI_NOT_COMPOUNDING_PCT
 
     def __post_init__(self) -> None:
         checked = _figure_spec(*(getattr(self, field.name) for field in fields(self)))

@@ -69,7 +69,7 @@ from .errors import (
     positive,
     shown,
 )
-from .kernel import (  # MAX_EXACT_BITS and _swap unused here: read as pool.<name>
+from .kernel import (  # MAX_EXACT_BITS unused here: public as pool.MAX_EXACT_BITS
     MAX_EXACT_BITS,
     RATE_MATCH_TOL,
     Direction,
@@ -87,7 +87,6 @@ from .kernel import (  # MAX_EXACT_BITS and _swap unused here: read as pool.<nam
     _require_rate,
     _spread_cap,
     _sqrt,
-    _swap,
     _value,
 )
 

@@ -489,7 +489,7 @@ def _read_script(source: str | os.PathLike | io.TextIOBase, start):
 
 
 _CSV_HEADER = ",".join(_COLUMNS) + "\n"
-#: Rows joined at a time, as ``figures._CHUNK_LINES`` joins a figure's.
+#: Rows joined at a time, as ``curves._CHUNK_LINES`` joins a figure's.
 _CHUNK_ROWS = 1024
 
 

@@ -2,7 +2,7 @@
 
 The ODE of ``cpamm.compounding`` models fees as a continuous flow of
 ``alpha * L0`` of liquidity a year, split among providers by their share of
-the pool.  Here the same flow is made of real trades on ``pool._swap``, on a
+the pool.  Here the same flow is made of real trades on ``kernel._swap``, on a
 collect-separately pool of two providers: compounders ("c") and holdouts
 ("nc").  At each period's end the side ledger is split by shares;
 compounders deposit their part with ``add_liquidity`` and holdouts keep
@@ -10,7 +10,7 @@ theirs.  With every provider settling at the same instants, the pro rata
 split of the current ledger is exact, so the replay must converge to
 ``roi_pair`` as the periods shrink.
 
-Then prices move: a fee-free ``pool._arbitrage`` puts the pool back on a
+Then prices move: a fee-free ``kernel._arbitrage`` puts the pool back on a
 geometric Brownian motion at each move, and each population's value is
 compared with holding what it deposited.  Compounders' reinvested fees sit in
 the pool and bear the arbitrage loss; holdouts' collected fees bear none.
@@ -24,7 +24,7 @@ from dataclasses import replace
 import pytest
 
 from cpamm import FeeModel, RoiParams, add_liquidity, create_pool, roi_pair
-from cpamm.pool import _arbitrage, _swap
+from cpamm.kernel import _arbitrage, _swap
 
 #: The pool's fee rate and its initial liquidity (and each reserve).
 PHI, L0 = 0.003, 1000.0
@@ -33,7 +33,7 @@ FRAC, ALPHA = 0.99, 0.2
 
 
 def _round_trips(x, y, fees_x, fees_y, accrued):
-    """Two round trips on ``pool._swap``, one selling Y first and one X first,
+    """Two round trips on ``kernel._swap``, one selling Y first and one X first,
     that pay fees worth ``accrued`` of liquidity.
 
     Each trip's second leg pays in exactly what the first took out, net of

@@ -26,7 +26,8 @@ from cpamm import (
     relative_evolution_compounded,
     roi_pair,
 )
-from cpamm.figures import _CHUNK_LINES, MAX_FIGURE_ROWS
+from cpamm.curves import _CHUNK_LINES
+from cpamm.figures import MAX_FIGURE_ROWS
 
 
 def rows_of(csv_text):

@@ -38,11 +38,11 @@ from cpamm import (
 )
 import cpamm.pool
 from cpamm import analytics
+from cpamm.kernel import _swap
 from cpamm.pool import (
     RATE_MATCH_TOL,
     SideLedger,
     _arbitrage,
-    _swap,
     arbitrage_to_rate,
 )
 

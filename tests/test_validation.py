@@ -54,7 +54,8 @@ from cpamm import (
 )
 from cpamm import cli
 from cpamm.errors import non_negative, positive, unit_interval
-from cpamm.pool import _arbitrage, _spread_cap, _swap, arbitrage_to_rate
+from cpamm.kernel import _arbitrage, _spread_cap, _swap
+from cpamm.pool import arbitrage_to_rate
 from cpamm.rational import RationalPool, oracle_swap
 
 NAN, INF = math.nan, math.inf
