@@ -280,7 +280,8 @@ def _value(x, y, p_x, p_y):
 
 def _arbitrage_trade(x, y, target_rate):
     """``(y_for_x, net input)`` that moves the rate ``x / y`` to
-    ``target_rate``, or None when it already sits there."""
+    ``target_rate``, or None when it already sits there.  An input past float
+    range raises ``InvalidRate``: no trade can take it."""
     if not 0 < target_rate <= _FLOAT_MAX:  # inline, as in _spread_cap
         positive(InvalidRate, "target rate", target_rate)
     current = x / y
@@ -289,8 +290,10 @@ def _arbitrage_trade(x, y, target_rate):
         root = _sqrt(current / target_rate if y_for_x else target_rate / current)
     except OverflowError:  # an exact rate past float range meets a float target
         raise _out_of_reach(x, y, target_rate) from None
-    # On the target the root is 1, so the amount is 0.
     amount = (y if y_for_x else x) * (root - 1)
+    if amount > _FLOAT_MAX:  # inf, or an exact amount past it
+        raise _out_of_reach(x, y, target_rate)
+    # On the target the root is 1, so the amount is 0.
     return (y_for_x, amount) if amount > 0 else None
 
 
@@ -308,5 +311,5 @@ def _arbitrage(x, y, target_rate) -> tuple:
     y_for_x, amount = trade
     try:
         return _swap(x, y, 0, 0, 0, amount, None, y_for_x, True)[:2]
-    except (NonPositiveAmount, NonPositiveReserve) as err:
+    except NonPositiveReserve as err:
         raise _out_of_reach(x, y, target_rate) from err

@@ -82,9 +82,7 @@ from .kernel import (  # MAX_EXACT_BITS unused here: public as pool.MAX_EXACT_BI
     _geometric_mean,
     _member,
     _opening,
-    _out_of_reach,
     _rate,
-    _require_rate,
     _spread_cap,
     _sqrt,
     _value,
@@ -191,13 +189,6 @@ def rate_of(pool: PoolState) -> Numeric:
     an exact one past ``MAX_EXACT_BITS`` raises ``InputError``."""
     _require_active(pool)
     return _rate(pool.reserve_x, pool.reserve_y)
-
-
-def require_market_rate(error, pool: PoolState, market_rate: Numeric) -> None:
-    """Raise ``error`` unless the pool rate is within ``RATE_MATCH_TOL`` of
-    ``market_rate``, relative; a NaN, zero or infinite rate never matches."""
-    _require_active(pool)
-    _require_rate(error, pool.reserve_x, pool.reserve_y, market_rate)
 
 
 def pool_value(pool: PoolState, p_x: Numeric, p_y: Numeric) -> Numeric:
@@ -391,8 +382,6 @@ def arbitrage_input_for_rate(
     if trade is None:
         return None
     y_for_x, amount = trade
-    if not amount <= _FLOAT_MAX:  # inf, or an exact amount no trade can take
-        raise _out_of_reach(pool.reserve_x, pool.reserve_y, target_rate)
     return (Direction.Y_FOR_X if y_for_x else Direction.X_FOR_Y), amount
 
 

@@ -5,7 +5,22 @@ passes once passes every time.  ``--hypothesis-profile=default`` on the
 pytest command line restores random exploration.
 """
 
+import os
+from pathlib import Path
+
 from hypothesis import settings
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+def child_env() -> dict:
+    """``os.environ`` for a child interpreter that imports the ``cpamm`` this
+    one imported: its directory goes first on ``PYTHONPATH``.  So a run on an
+    installed package tests that package in child processes too, even where
+    a checkout's ``src`` is still on disk."""
+    import cpamm
+
+    home = str(Path(cpamm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=home + (os.pathsep + path if path else ""))

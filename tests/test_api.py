@@ -4,7 +4,6 @@ layers each command loads."""
 import dataclasses
 import inspect
 import json
-import os
 import subprocess
 import sys
 import types
@@ -13,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cpamm
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("analytics", "compounding", "errors", "figures", "pool", "rational", "scenario")
@@ -46,11 +46,10 @@ def test_all_matches_the_export_table():
 
 
 def _fresh(code: str):
-    """Run ``code`` in a new interpreter on this checkout; returns what it prints as JSON."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    """Run ``code`` in a new interpreter on the ``cpamm`` this one imported;
+    returns what it prints as JSON."""
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+                          env=child_env(), timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -159,6 +158,7 @@ def test_a_float_script_runs_on_the_engine_alone(tmp_path):
     csv, loaded, layers = _run_scenario_in_fresh(tmp_path, doc)
     assert csv == cpamm.snapshots_to_csv(cpamm.run_scenario(cpamm.load_script(
         tmp_path / "script.json")))
+    assert [row.split(",")[0] for row in csv.splitlines()] == ["label", "end", "final"]
     assert loaded == []
     assert layers == ["cli", "errors", "kernel", "replay"]
 

@@ -14,13 +14,13 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from cpamm import (
     InputError,
     InternalError,
@@ -61,28 +61,20 @@ def test_quote(capsys):
     assert float(pairs["realized_rate"]) == pytest.approx(100 / 105, rel=1e-12)
 
 
-def test_swap_exact_fractions(capsys):
+@pytest.mark.parametrize("direction, paid_out, paid_in", [("y2x", "x", "y"), ("x2y", "y", "x")])
+def test_swap_exact_fractions(capsys, direction, paid_out, paid_in):
+    # Either way round the same numbers settle, with the sides swapped.
     code, out, _ = run_cli(
-        capsys,
-        "swap",
-        "--x",
-        "100/1",
-        "--y",
-        "100/1",
-        "--fee",
-        "3/1000",
-        "--direction",
-        "y2x",
-        "--amount",
-        "100/1",
-        "--fee-model",
-        "collect_separately",
+        capsys, "swap", "--x", "100/1", "--y", "100/1", "--fee", "3/1000",
+        "--direction", direction, "--amount", "100/1", "--fee-model", "collect_separately",
     )
     assert code == 0
     pairs = parse_pairs(out)
     assert pairs["fee_paid"] == "3/10"
-    assert pairs["fees_y"] == "3/10"
-    assert pairs["new_y"] == "1997/10"  # 100 + 100 * 0.997
+    assert pairs[f"fees_{paid_in}"] == "3/10"
+    assert pairs[f"fees_{paid_out}"] == "0"
+    assert pairs[f"new_{paid_in}"] == "1997/10"  # 100 + 100 * 0.997
+    assert pairs[f"new_{paid_out}"] == "100000/1997"  # 100 * 100 / (1997/10)
 
 
 PAST_FLOAT_RANGE = f"1{'0' * 400}/1"
@@ -345,11 +337,8 @@ def test_emit_figure_chunks_render_the_whole_text(capsys, tmp_path, figure_id, c
 def test_emit_figure_into_a_pipe_closed_early_ends_quietly():
     # Far more than a pipe holds, and the reader leaves after one line, as
     # ``| head -1`` does: the rest of the chunks meet a broken pipe.
-    path = os.environ.get("PYTHONPATH")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     argv = ["emit-figure", "--figure", "il_one_coin", "--count", "100000"]
-    with subprocess.Popen([sys.executable, "-m", "cpamm.cli", *argv], env=env,
+    with subprocess.Popen([sys.executable, "-m", "cpamm.cli", *argv], env=child_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"price_change_pct,il_pct\n"
         proc.stdout.close()
@@ -404,9 +393,7 @@ def test_a_failed_write_of_stdout_ends_the_command(command, error, code, message
 def test_a_buffered_stdout_on_a_full_device_exits_1():
     # Buffered, the write fails only at the flush; what is left in the buffer
     # must not fail again when the interpreter flushes stdout at exit.
-    path = os.environ.get("PYTHONPATH")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "cpamm.cli", "roi"], env=env, stdout=full,
@@ -721,6 +708,9 @@ def test_non_finite_figure_value_exits_1_and_writes_nothing(capsys, tmp_path):
         (["--figure", "fee_model_comparison", "--alpha", "1.7e306", "--grid-max", "1e6"],
          "2407.5137844611527"),
         (["--figure", "roi_comparison", "--alpha", "1e308", "--frac", "0.5"], "0.01"),
+        # Row 718,891 of 10**6, found by bisection without rendering the rest.
+        (["--figure", "fee_model_comparison", "--grid-min", "-50", "--grid-max", "1e6",
+          "--count", "1000000", "--alpha", "5e302"], "718877.6634776635"),
     ],
 )
 def test_non_finite_figure_row_is_named_and_no_file_is_written(capsys, tmp_path, extra, x):
@@ -1030,7 +1020,26 @@ def _api_outcome(path):
         return 3, "", f"internal error: {err}\n"
 
 
+#: A trade either way round under each form of cap, a price move either way
+#: and a fee collection, each followed by a snapshot.
+_EACH_FORM = [
+    *({"type": "trade", "direction": side, "amount": 2.5, **cap} for side in ("y2x", "x2y")
+      for cap in ({}, {"max_spread": None}, {"max_spread": 0}, {"max_spread": 0.0},
+                  {"max_spread": 0.001})),
+    {"type": "price_move", "delta_x": 1.01, "delta_y": 0.99},
+    {"type": "price_move", "delta_x": 0.99, "delta_y": 1.01},
+    {"type": "collect_fees", "provider": "lp"},
+]
+_EACH_FORM_DOC = {
+    "pool": {"x": 100, "y": 100, "fee_rate": 0.003, "fee_model": "collect_separately"},
+    "prices": {"p_x": 1, "p_y": 1},
+    "events": [dict(event, t=index) for index, event in enumerate(
+        entry for event in _EACH_FORM for entry in (event, {"type": "snapshot"}))],
+}
+
+
 @given(doc=_replay_doc())
+@example(doc=_EACH_FORM_DOC)
 @settings(max_examples=400, deadline=None)
 def test_run_scenario_prints_what_the_object_api_returns(doc):
     with tempfile.TemporaryDirectory() as folder:
@@ -1073,6 +1082,9 @@ def test_run_scenario_holds_its_output_once_as_rows(tmp_path):
 
 
 @given(doc=_script() | _replay_doc(), window=st.sampled_from([7, 1 << 16]))
+# A label that a cut between braces would split, read across many windows.
+@example(doc=dict(_EACH_FORM_DOC, events=[*_EACH_FORM_DOC["events"][:8], {
+    "type": "snapshot", "t": 8, "label": "}, {"}, *_EACH_FORM_DOC["events"][8:]]), window=7)
 @settings(max_examples=200, deadline=None)
 def test_run_scenario_reads_every_layout_alike(doc, window):
     # sort_keys puts events before the header, so the header comes late.

@@ -416,8 +416,9 @@ def test_arbitrage_past_float_range_onto_a_rational_root_stays_exact():
         arbitrage_to_rate(near, Fraction(4))
     # So is a trade onto a rate whose amount would; for floats it was inf.
     for pool, target in [(pool, Fraction(10**20)), (create_pool(1e10, 1.0), 1e-300)]:
-        with pytest.raises(InvalidRate, match="is out of float reach of pool rate"):
-            arbitrage_input_for_rate(pool, target)
+        for call in (arbitrage_input_for_rate, arbitrage_to_rate):
+            with pytest.raises(InvalidRate, match="is out of float reach of pool rate"):
+                call(pool, target)
 
 
 def test_an_exact_pool_takes_back_the_floats_it_returns():

@@ -1277,14 +1277,18 @@ def decoding_work(text, window):
     return work
 
 
-def noted_script(events, braces):
+def noted_script(events, braces, **dump):
     """A valid script of ``events`` snapshots whose unread ``note`` each hold
-    ``braces`` empty objects, every one a place where a window may be cut."""
-    return json.dumps(script_doc(events=[dict(SNAPSHOT, note=[{}] * braces)] * events))
+    ``braces`` empty objects, every one a place where a window may be cut.
+    ``dump`` goes to ``json.dumps``."""
+    return json.dumps(script_doc(events=[dict(SNAPSHOT, note=[{}] * braces)] * events), **dump)
 
 
 @pytest.mark.parametrize("text, window", [
     pytest.param(noted_script(1, 20_000), replay._WINDOW, id="one 80 KB entry"),
+    pytest.param(noted_script(1, 40_000), replay._WINDOW, id="one 160 KB entry"),
+    pytest.param(noted_script(1, 40_000, indent=2), replay._WINDOW,
+                 id="one 400 KB entry, indented"),
     pytest.param(noted_script(300, 200), replay._WINDOW, id="200 braces an event"),
     *(pytest.param(text, window, id=f"{name}, window {window}")
       for name, text in WINDOWED.items() for window in WINDOWS),

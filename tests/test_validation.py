@@ -1,5 +1,6 @@
 """The numeric domain boundary: one NaN-safe check family in ``cpamm.errors``."""
 
+import dataclasses
 import io
 import json
 import math
@@ -40,12 +41,15 @@ from cpamm import (
     emit_figure,
     execute_swap,
     il_brute_force,
+    impermanent_loss,
     lc_implicit_solve,
     load_script,
     max_input_for_spread,
     measure_effective_alpha,
     pool_value,
     quote,
+    relative_evolution_collected,
+    relative_evolution_compounded,
     remove_liquidity,
     reserves_from_rate_liquidity,
     reserves_from_value,
@@ -290,7 +294,7 @@ def _unmended(call, where):
     lambda: pool_value(create_pool(7.0, Fraction(10**300)), 1, Fraction(10**9)),
     "pool-info --x 7 --y 1{} --p-y 1000000000/1".format("0" * 300 + "/1"),
     _unmended(lambda: RoiParams(0.5, 10**308, 1e-308, 10**307),
-              "src/cpamm/compounding.py:RoiParams.__post_init__"),
+              "src/cpamm/curves.py:_roi_params"),
     # The exact pool rate is 1e309.
     lambda: arbitrage_to_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
     lambda: arbitrage_input_for_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
@@ -309,6 +313,24 @@ def test_a_result_past_float_range_is_an_input_error(capsys, call):
     else:
         with pytest.raises(InputError):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    _unmended(lambda: dataclasses.astuple(impermanent_loss(
+        PriceScenario(sys.float_info.max, sys.float_info.max))), "src/cpamm/curves.py:_il"),
+    _unmended(lambda: [relative_evolution_collected(
+        PriceScenario(sys.float_info.max, 1e300), GrowthParams(1e-308, 5e-324))],
+              "src/cpamm/curves.py:_collected"),
+    _unmended(lambda: [relative_evolution_compounded(
+        PriceScenario(2.0, 2.0), GrowthParams(1e300, 1e10))], "src/cpamm/curves.py:_compounded"),
+], ids=["impermanent_loss", "relative_evolution_collected", "relative_evolution_compounded"])
+def test_a_result_is_finite_or_an_input_error(call):
+    # Each input is in range; what is returned must be too.
+    try:
+        values = call()
+    except InputError:
+        return
+    assert all(math.isfinite(value) for value in values), values
 
 
 @pytest.mark.parametrize("value, p_x, p_y", [
