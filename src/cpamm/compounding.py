@@ -18,9 +18,10 @@ Two independent solution paths are provided and cross-checked in tests:
   the separated-variables form ``L_c - L_c(0) + L_nc * v = alpha * L0 * t``,
   which gives ``F_nc = L_nc * v``: both ROIs exact to a few ulps.
 
-Every route, the closed form below included, reports the state
-``(u, F_nc)`` in units of ``L_c(0)``: ``u = L_c / L_c(0)``, and ``L_c``
-itself is ``L_c(0) * u``.  Returns on investment: ``rho_c = u`` for
+Every route reports the state ``(L_c, u, F_nc)``, where
+``u = L_c / L_c(0)``.  RK4 gives ``L_c`` as ``L_c(0) * u``; the root and
+the closed forms below give it by fee conservation, which stays finite
+where ``u`` overflows.  Returns on investment: ``rho_c = u`` for
 compounders and ``rho_nc = 1 + F_nc/L_nc`` for the rest.  The
 all-of-one-kind populations bypass the ODE: with everyone compounding,
 liquidity grows linearly and ``rho_c = 1 + alpha t``; with no one
@@ -31,7 +32,9 @@ return a marginally small participant of that kind would see.
 
 This module holds the public types and thin functions over the engine
 :mod:`cpamm.curves`, which solves the ODE on plain floats and holds the
-checks of :class:`RoiParams`; the ``roi`` command runs the engine alone.
+checks of :class:`RoiParams`: each function here reads the states that
+``curves._states``, the one place that picks a route, yields.  The ``roi``
+command runs the engine alone.
 """
 
 from __future__ import annotations
@@ -44,14 +47,10 @@ from .curves import (  # MAX_RK4_STEPS and ROOT_REL_TOL: public as compounding.<
     ROOT_REL_TOL,
     _L_TOTAL0,
     _STEP,
-    _closed_form,
-    _is_linear,
     _rho,
     _roi_pair,
     _roi_params,
-    _root,
-    _time_grid,
-    _trajectory,
+    _states,
 )
 from .errors import NonPositiveInput, non_negative
 
@@ -112,17 +111,11 @@ def integrate_lc(params: RoiParams) -> RoiTrajectory:
     (the last step is shortened if needed).  Where the ODE is linear the
     samples come from the closed form on the same grid.
     """
-    frac, alpha, l_c0, l_nc = params.frac_compounding, params.alpha, params.l_c0, params.l_nc
-    p = _solver(params)
-    if _is_linear(p):
-        times = _time_grid(params.horizon, params.step)
-        points = ((t, *_closed_form(p, t)) for t in times)
-    else:
-        points = ((t, l_c0 * u, u, f) for t, u, f in _trajectory(p, params.horizon))
+    frac, alpha, l_nc = params.frac_compounding, params.alpha, params.l_nc
     return RoiTrajectory(
         samples=tuple(
             RoiSample(t, l_c, *_rho(frac, alpha, l_nc, t, u, fees_nc), fees_nc)
-            for t, l_c, u, fees_nc in points
+            for t, l_c, u, fees_nc in _states(_solver(params), (params.horizon,), "rk4")
         )
     )
 
@@ -137,12 +130,7 @@ def lc_implicit_solve(params: RoiParams, t: float) -> float:
     if params.frac_compounding == 0:
         raise NonPositiveInput("no compounding population; the equation degenerates")
     non_negative(NonPositiveInput, "time", t)
-    target = params.alpha * params.l_total0 * t
-    non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", target)
-    p = _solver(params)
-    if _is_linear(p):
-        return _closed_form(p, t)[0]
-    return _root(params.l_c0, params.l_nc, target)[0]
+    return next(_states(_solver(params), (t,)))[1]
 
 
 def roi_pair(params: RoiParams, t: float, method: str = "implicit") -> Tuple[float, float]:

@@ -2,8 +2,8 @@
 
 Three layers wrap it: :mod:`cpamm.analytics` (``_il``, ``_held``,
 ``_compounded``, ``_collected``, and ``_il_replay``, the numeric core of
-``il_brute_force``), :mod:`cpamm.compounding` (``_rho``, ``_closed_form``,
-``_time_grid``, ``_trajectory``, ``_root`` and ``_roi_series``) and
+``il_brute_force``), :mod:`cpamm.compounding` (``_states``, the one place
+that picks how the ODE is solved, ``_rho`` and ``_roi_pair``) and
 :mod:`cpamm.figures` (``_FIGURES``, its row functions, ``_check_rows`` and
 ``_figure_chunks``).  ``_check_prices``, ``_check_growth``, ``_roi_params``
 and ``_figure_spec`` are the checks of ``PriceScenario``, ``GrowthParams``,
@@ -23,7 +23,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections import deque
-from itertools import islice, tee
+from itertools import islice
 from types import SimpleNamespace
 
 from .errors import (
@@ -106,6 +106,7 @@ def _collected(dx: float, dy: float, growth: float) -> float:
 #: The implicit root stops after a Newton step below this fraction of its ``v``.
 ROOT_REL_TOL = 1e-12
 _ROOT_MAX_ITER = 200
+_FLOAT_MAX = sys.float_info.max
 _LOG_MAX = 709.782712893384  # ln of the largest float
 #: Most RK4 steps one integration may take: a few seconds of work.
 MAX_RK4_STEPS = 10**6
@@ -121,9 +122,15 @@ def _roi_params(frac_compounding, alpha, horizon, l_total0=_L_TOTAL0, step=_STEP
     non_negative(NonPositiveInput, "growth rate and horizon", alpha, horizon)
     positive(NonPositiveInput, "initial liquidity", l_total0)
     positive(InvalidStep, "integration step", step)
-    # The root lies in [L_c(0), L_c(0) + alpha L0 t]: both must be positive floats.
-    accrued = alpha * l_total0 * horizon
+    # The root lies in [L_c(0), L_c(0) + alpha L0 t]: both must be positive
+    # floats, and every solver scales the fee rate alpha L0 by a time.
+    rate = alpha * l_total0
+    try:
+        accrued = rate * horizon
+    except OverflowError:  # an exact rate past float range meets a float horizon
+        accrued = math.inf
     non_negative(NonPositiveInput, "fees accrued alpha * L0 * horizon", accrued)
+    non_negative(NonPositiveInput, "fee rate alpha * L0", rate)
     if frac_compounding > 0:
         positive(NonPositiveInput, "compounding liquidity frac * L0", frac_compounding * l_total0)
     return frac_compounding, alpha, l_total0, step
@@ -148,10 +155,6 @@ def _rho(frac: float, alpha: float, l_nc: float, t: float, u: float, fees_nc: fl
     else:
         rho_nc = 1 + fees_nc / l_nc
     return rho_c, rho_nc
-
-
-def _is_linear(p: tuple) -> bool:
-    return p[0] in (0, 1) or p[1] == 0
 
 
 def _closed_form(p: tuple, t: float) -> tuple:
@@ -180,22 +183,14 @@ def _time_grid(horizon: float, step: float):
     yield horizon
 
 
-def _trajectory(p: tuple, horizon: float):
-    """Yield ``(t, u, F_nc)`` at every grid point from 0 to ``horizon`` by RK4
-    with the step of ``p``, where ``u = L_c / L_c(0)`` is ``rho_c`` itself.
-
-    The state is ``u`` rather than ``L_c``, which would keep only the few
-    bits of a subnormal ``L_c(0)``.  The ODE must not be linear.
-    """
-    frac, alpha, l_total0, step = p
-    times = _time_grid(horizon, step)
-    rate = alpha * l_total0
-    l_c0 = frac * l_total0
-    l_nc = (1 - frac) * l_total0
+def _rk4(rate: float, l_c0: float, l_nc: float, times):
+    """Yield the state at each of ``times``, a grid from 0, by RK4 on
+    ``(u, F_nc)``: ``u`` rather than ``L_c``, which would keep only the few
+    bits of a subnormal ``L_c(0)``.  The ODE must not be linear."""
     u = 1.0
     fees_nc = 0.0
     prev = next(times)
-    yield prev, u, fees_nc
+    yield prev, l_c0 * u, u, fees_nc
     # RK4 on (u, F_nc) with slopes r * u and r * L_nc, where
     # r = rate / (L_c(0) * u + L_nc) at each stage.
     for t in times:
@@ -213,9 +208,9 @@ def _trajectory(p: tuple, horizon: float):
         r = rate / (l_c0 * stage + l_nc)
         k4, j4 = r * stage, r * l_nc
         sixth = h / 6
-        u += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        fees_nc += sixth * (j1 + 2 * j2 + 2 * j3 + j4)
-        yield t, u, fees_nc
+        u += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        fees_nc += sixth * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+        yield t, l_c0 * u, u, fees_nc
         prev = t
 
 
@@ -248,36 +243,44 @@ def _root(l_c0: float, l_nc: float, target: float) -> tuple:
     raise NoConvergence(f"Newton's method took {_ROOT_MAX_ITER} steps without settling")
 
 
-def _roi_series(p: tuple, times, method: str = "implicit"):
-    """``(rho_c, rho_nc)`` at each of ``times`` (each finite and >= 0), by
-    ``method``."""
-    frac, alpha, l_total0, _ = p
+def _states(p: tuple, times, method: str = "implicit"):
+    """Yield the state ``(t, L_c, u, F_nc)`` on the way to each of ``times``
+    (each >= 0) by ``method``, where ``u = L_c / L_c(0)``.
+
+    This is the one place that picks a route.  ``"implicit"`` yields the
+    state at each time, by the root; ``"rk4"`` yields it at every point of
+    the step grid from 0 to each time.  Where the ODE is linear both take
+    the closed form at those points.
+    """
+    if method not in ("implicit", "rk4"):
+        raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
+    frac, alpha, l_total0, step = p
     l_c0, l_nc = frac * l_total0, (1 - frac) * l_total0
     rate = alpha * l_total0
-    linear = _is_linear(p)
+    linear = frac in (0, 1) or alpha == 0
     for t in times:
-        if not rate * t < math.inf:  # a t past the horizon can overflow the fees
-            non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", rate * t)
+        fees = rate * t
+        if not fees <= _FLOAT_MAX:  # a t past the horizon can overflow the fees
+            non_negative(NonPositiveInput, "fees accrued alpha * L0 * t", fees)
         if linear:
-            _, u, fees_nc = _closed_form(p, t)
-        elif method == "implicit":
+            grid = _time_grid(t, step) if method == "rk4" else (t,)
+            yield from ((s, *_closed_form(p, s)) for s in grid)
+        elif method == "rk4":
+            yield from _rk4(rate, l_c0, l_nc, _time_grid(t, step))
+        else:
             # u = e^v: L_c / L_c(0) would keep only the few bits of a subnormal
             # L_c(0).  Past float range it is inf, which every caller rejects
             # as it rejects an infinite ratio.
-            v = _root(l_c0, l_nc, rate * t)[1]
-            u = math.exp(v) if v <= _LOG_MAX else math.inf
-            fees_nc = l_nc * v
-        elif method == "rk4":
-            _, u, fees_nc = deque(_trajectory(p, t), maxlen=1)[0]
-        else:
-            raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
-        yield _rho(frac, alpha, l_nc, t, u, fees_nc)
+            l_c, v = _root(l_c0, l_nc, fees)
+            yield t, l_c, math.exp(v) if v <= _LOG_MAX else math.inf, l_nc * v
 
 
 def _roi_pair(p: tuple, t: float, method: str = "implicit") -> tuple:
     """Both populations' ROI at time ``t`` (see :func:`cpamm.compounding.roi_pair`)."""
     non_negative(NonPositiveInput, "time", t)
-    return next(_roi_series(p, (t,), method))
+    frac, alpha, l_total0, _ = p
+    _, _, u, fees_nc = deque(_states(p, (t,), method), maxlen=1)[0]
+    return _rho(frac, alpha, (1 - frac) * l_total0, t, u, fees_nc)
 
 
 # -- figures -------------------------------------------------------------------
@@ -384,11 +387,13 @@ def _fee_model_comparison_rows(spec, points):
 
 
 def _roi_rows(spec, points):
-    p = _roi_params(spec.frac_compounding, spec.alpha, spec.domain_grid[1])
-    times, solved = tee(points)  # zip keeps the two in step: tee holds one point
+    p = frac, alpha, l_total0, _ = _roi_params(
+        spec.frac_compounding, spec.alpha, spec.domain_grid[1])
+    l_nc, rho = (1 - frac) * l_total0, _rho
     return (
-        f"{t!r},{(rho_c - 1.0) * 100.0!r},{(rho_nc - 1.0) * 100.0!r}"
-        for t, (rho_c, rho_nc) in zip(map(float, times), _roi_series(p, solved))
+        f"{float(t)!r},{(rho_c - 1.0) * 100.0!r},{(rho_nc - 1.0) * 100.0!r}"
+        for t, _, u, fees_nc in _states(p, points)
+        for rho_c, rho_nc in [rho(frac, alpha, l_nc, t, u, fees_nc)]
     )
 
 

@@ -288,7 +288,7 @@ def _arbitrage_trade(x, y, target_rate):
     y_for_x = target_rate < current
     try:
         root = _sqrt(current / target_rate if y_for_x else target_rate / current)
-    except OverflowError:  # an exact rate past float range meets a float target
+    except (OverflowError, ZeroDivisionError):  # an exact rate past float range, or 0 as a float
         raise _out_of_reach(x, y, target_rate) from None
     amount = (y if y_for_x else x) * (root - 1)
     if amount > _FLOAT_MAX:  # inf, or an exact amount past it

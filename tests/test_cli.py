@@ -592,9 +592,10 @@ def test_out_of_domain_flags_exit_1(capsys, argv):
     assert_rejected(*run_cli(capsys, *argv))
 
 
-def test_rk4_step_limit_exits_1_at_once(capsys):
+@pytest.mark.parametrize("frac", ["0.99", "1", "0"])
+def test_rk4_step_limit_exits_1_at_once(capsys, frac):
     started = time.perf_counter()
-    code, out, err = run_cli(capsys, "roi", "--method", "rk4", "--step", "1e-9")
+    code, out, err = run_cli(capsys, "roi", "--frac", frac, "--method", "rk4", "--step", "1e-9")
     assert time.perf_counter() - started < 1.0
     assert_rejected(code, out, err)
     assert "RK4 steps" in err

@@ -18,7 +18,8 @@ from cpamm import (
     lc_implicit_solve,
     roi_pair,
 )
-from cpamm.compounding import MAX_RK4_STEPS, ROOT_REL_TOL, _time_grid
+from cpamm.compounding import MAX_RK4_STEPS, ROOT_REL_TOL
+from cpamm.curves import _time_grid
 
 DEFAULT = RoiParams(frac_compounding=0.99, alpha=0.2, horizon=1.0)
 
@@ -255,16 +256,43 @@ def test_roi_with_an_underflowed_holdout_liquidity_is_rejected():
 @pytest.mark.parametrize(
     "solve", [lc_implicit_solve, roi_pair, lambda params, t: roi_pair(params, t, "rk4")]
 )
-def test_a_time_past_the_horizon_whose_fees_overflow_is_rejected(solve):
+@pytest.mark.parametrize("params, t", [
+    (RoiParams(frac_compounding=0.5, alpha=1e300, horizon=1.0), 1e10),
+    # Exact fees of 10**309 are past float range as the float 1e309 is.
+    (RoiParams(frac_compounding=0.5, alpha=10**300, horizon=1, l_total0=10**8), 10),
+], ids=["float", "exact"])
+def test_a_time_past_the_horizon_whose_fees_overflow_is_rejected(solve, params, t):
     # RoiParams bounds alpha * L0 * horizon; a later t can still overflow it.
-    params = RoiParams(frac_compounding=0.5, alpha=1e300, horizon=1.0)
     with pytest.raises(NonPositiveInput, match="fees accrued"):
-        solve(params, 1e10)
+        solve(params, t)
 
 
-def test_roi_pair_rejects_unknown_method():
-    with pytest.raises(NonPositiveInput):
-        roi_pair(DEFAULT, 1.0, method="euler")
+@pytest.mark.parametrize("params", [
+    DEFAULT,
+    RoiParams(frac_compounding=1.0, alpha=0.2, horizon=1.0),
+    RoiParams(frac_compounding=0.0, alpha=0.2, horizon=1.0),
+    RoiParams(frac_compounding=0.5, alpha=0.0, horizon=1.0),
+], ids=["mixed", "everyone compounding", "no one compounding", "no fees"])
+def test_roi_pair_rejects_unknown_method(params):
+    # The closed forms are a route too: the method is checked before any is taken.
+    with pytest.raises(NonPositiveInput, match="^unknown method 'euler'"):
+        roi_pair(params, 1.0, method="euler")
+
+
+@pytest.mark.parametrize("method", ["implicit", "rk4"])
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_a_nearly_one_kind_population_lands_on_the_closed_form_limit(eps, method):
+    # Either side of the seam between the ODE's routes and its closed forms.
+    # The gaps are first order in eps: 0.012 to 0.022 eps at alpha t = 0.2.
+    alpha, t = 0.2, 1.0
+    for end, near, want in [
+        (1.0, 1 - eps, (1 + alpha * t, 1 + math.log(1 + alpha * t))),
+        (0.0, eps, (math.exp(alpha * t), 1 + alpha * t)),
+    ]:
+        at_end = roi_pair(RoiParams(frac_compounding=end, alpha=alpha, horizon=t), t, method)
+        assert at_end == pytest.approx(want, rel=1e-15, abs=0)
+        got = roi_pair(RoiParams(frac_compounding=near, alpha=alpha, horizon=t), t, method)
+        assert got == pytest.approx(want, rel=0.03 * eps, abs=0)
 
 
 @pytest.mark.parametrize("frac", [0.0, 0.5, 0.99, 1.0])
@@ -293,8 +321,10 @@ def test_rk4_keeps_rho_c_for_a_subnormal_compounding_population():
 
 
 @pytest.mark.parametrize("run", [integrate_lc, lambda params: roi_pair(params, 1.0, "rk4")])
-def test_rk4_step_count_is_bounded(run):
-    params = RoiParams(frac_compounding=0.5, alpha=0.2, horizon=1.0, step=1e-9)
+@pytest.mark.parametrize("frac, alpha", [(0.5, 0.2), (1.0, 0.2), (0.0, 0.2), (0.5, 0.0)])
+def test_rk4_step_count_is_bounded(run, frac, alpha):
+    # The closed forms sample the same grid, so the bound holds for every population.
+    params = RoiParams(frac_compounding=frac, alpha=alpha, horizon=1.0, step=1e-9)
     started = time.perf_counter()
     with pytest.raises(InvalidStep, match=str(MAX_RK4_STEPS)):
         run(params)

@@ -293,18 +293,24 @@ def _unmended(call, where):
     # p_y * y is past float range and meets the float 7.0.
     lambda: pool_value(create_pool(7.0, Fraction(10**300)), 1, Fraction(10**9)),
     "pool-info --x 7 --y 1{} --p-y 1000000000/1".format("0" * 300 + "/1"),
-    _unmended(lambda: RoiParams(0.5, 10**308, 1e-308, 10**307),
-              "src/cpamm/curves.py:_roi_params"),
+    # The fee rate alpha * L0 = 10**615 is exact; the accrual at horizon
+    # 1e-308 is past float range, and at horizon 0 it is exactly 0.
+    lambda: RoiParams(0.5, 10**308, 1e-308, 10**307),
+    lambda: RoiParams(0.5, 10**308, 0, 10**307),
     # The exact pool rate is 1e309.
     lambda: arbitrage_to_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
     lambda: arbitrage_input_for_rate(create_pool(Fraction(10**9), Fraction(1, 10**300)), 1.0),
+    # The exact pool rate is 7e-450, which is 0 as a float.
+    lambda: arbitrage_to_rate(create_pool(Fraction(7, 10**300), Fraction(10**150)), 0.5),
+    lambda: arbitrage_input_for_rate(create_pool(Fraction(7, 10**300), Fraction(10**150)), 0.5),
     # No fees accrue, and the holdout liquidity underflows to 0.
     lambda: roi_pair(RoiParams(0.99, 5e-324, 7.0, 5e-324), 1e200),
     # Float alpha and t of 1e200 give the same DomainError.
     lambda: emit_figure(FigureSpec("fee_model_comparison", (-99, 1e16, 3),
                                    alpha=Fraction(10**200), t=Fraction(10**200))),
-], ids=["pool_value", "pool-info", "RoiParams", "arbitrage_to_rate",
-        "arbitrage_input_for_rate", "roi_pair", "emit_figure"])
+], ids=["pool_value", "pool-info", "RoiParams", "RoiParams at horizon 0", "arbitrage_to_rate",
+        "arbitrage_input_for_rate", "arbitrage_to_rate onto a rate of 0",
+        "arbitrage_input_for_rate onto a rate of 0", "roi_pair", "emit_figure"])
 def test_a_result_past_float_range_is_an_input_error(capsys, call):
     if isinstance(call, str):
         assert cli.main(call.split()) == 1
