@@ -11,6 +11,16 @@ Subcommands::
     run-scenario  replay a JSON scenario script, print snapshots as CSV
     emit-figure   print one of the five analysis figures as CSV
 
+Each command's flags are declared once, in ``_COMMANDS``.  ``main`` reads a
+well-formed argv (see ``_read``: a command, its exact flags, every value
+passing its reader and choices) straight from that table, without
+argparse.  Every other argv goes to the argparse parser that
+``build_parser`` builds from the same table, which reads it as before and
+writes every help text, usage line and error message.  So neither
+``import cpamm.cli`` nor a well-formed command loads ``argparse``, nor the
+``gettext`` and ``locale`` it brings in, which took 5 to 6 ms of each
+call, with bytecode cached or not.
+
 Scalar results print as ``key=value`` lines; tabular results print as CSV.
 Amounts, reserves, the fee and prices are read as scenario scripts read
 numbers (``errors.number``): a float, unless written ``a/b``, an exact
@@ -24,9 +34,6 @@ written, 2 for usage errors, 3 for internal failures.  A reader that stops
 early, as ``| head`` does, ends the command quietly with status 0.
 """
 
-from __future__ import annotations
-
-import argparse
 import contextlib
 import io
 import itertools
@@ -34,7 +41,8 @@ import math
 import os
 import stat
 import sys
-from typing import Container, Iterable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError, InternalError, number
 
@@ -47,33 +55,6 @@ def _pairs(pairs: Sequence[Tuple[str, object]]) -> List[str]:
     return ["".join(f"{key}={value!s}\n" for key, value in pairs)]
 
 
-def _add_pool_args(parser: argparse.ArgumentParser, with_fee: bool = True) -> None:
-    parser.add_argument("--x", type=number, required=True, help="X reserve")
-    parser.add_argument("--y", type=number, required=True, help="Y reserve")
-    if with_fee:
-        parser.add_argument(
-            "--fee", type=number, default=0, help="fee rate in [0, 1), default 0"
-        )
-
-
-def _add_swap_args(parser: argparse.ArgumentParser) -> None:
-    from .kernel import Direction
-
-    parser.add_argument(
-        "--direction",
-        required=True,
-        choices=[d.value for d in Direction],
-        help="y2x sells Y for X, x2y sells X for Y",
-    )
-    parser.add_argument("--amount", type=number, required=True, help="input amount")
-    parser.add_argument(
-        "--max-spread",
-        type=number,
-        default=None,
-        help="cap the input so the spread stays at or below this value",
-    )
-
-
 def _quote_pairs(receipt: tuple) -> List[Tuple[str, object]]:
     """Every receipt value by its ``kernel._RECEIPT_FIELDS`` name; the direction by its CLI name."""
     from .kernel import _RECEIPT_FIELDS
@@ -81,7 +62,7 @@ def _quote_pairs(receipt: tuple) -> List[Tuple[str, object]]:
     return list(zip(_RECEIPT_FIELDS, (receipt[0].value, *receipt[1:])))
 
 
-def _swap_on_a_new_pool(args: argparse.Namespace) -> tuple:
+def _swap_on_a_new_pool(args) -> tuple:
     """``((x, y, fees_x, fees_y), receipt)`` of the swap ``args`` name on a pool of ``--x``, ``--y``."""
     from .kernel import Direction, FeeModel, _execute, _opening
 
@@ -91,11 +72,11 @@ def _swap_on_a_new_pool(args: argparse.Namespace) -> tuple:
                     args.amount, args.max_spread)
 
 
-def _cmd_quote(args: argparse.Namespace) -> List[str]:
+def _cmd_quote(args) -> List[str]:
     return _pairs(_quote_pairs(_swap_on_a_new_pool(args)[1]))
 
 
-def _cmd_swap(args: argparse.Namespace) -> List[str]:
+def _cmd_swap(args) -> List[str]:
     from .kernel import _rate
 
     (x, y, fees_x, fees_y), receipt = _swap_on_a_new_pool(args)
@@ -106,7 +87,7 @@ def _cmd_swap(args: argparse.Namespace) -> List[str]:
     )
 
 
-def _cmd_pool_info(args: argparse.Namespace) -> List[str]:
+def _cmd_pool_info(args) -> List[str]:
     from .kernel import FeeModel, _opening, _rate, _value
 
     liquidity = _opening(args.x, args.y, 0, FeeModel.AUTO_COMPOUND)[1]
@@ -114,7 +95,7 @@ def _cmd_pool_info(args: argparse.Namespace) -> List[str]:
     return _pairs([("rate", rate), ("liquidity", liquidity), ("value", value)])
 
 
-def _cmd_il(args: argparse.Namespace) -> List[str]:
+def _cmd_il(args) -> List[str]:
     from .curves import _check_prices, _il, _il_replay
 
     _check_prices(args.delta_x, args.delta_y)
@@ -130,7 +111,7 @@ def _cmd_il(args: argparse.Namespace) -> List[str]:
     return _pairs(pairs)
 
 
-def _cmd_evolve(args: argparse.Namespace) -> List[str]:
+def _cmd_evolve(args) -> List[str]:
     from .curves import _check_growth, _check_prices, _collected, _compounded, _held
 
     dx, dy, growth = args.delta_x, args.delta_y, args.alpha * args.t
@@ -145,7 +126,7 @@ def _cmd_evolve(args: argparse.Namespace) -> List[str]:
     )
 
 
-def _cmd_roi(args: argparse.Namespace) -> List[str]:
+def _cmd_roi(args) -> List[str]:
     from .curves import _roi_pair, _roi_params
 
     p = _roi_params(args.frac, args.alpha, args.t, step=args.step)
@@ -160,7 +141,7 @@ def _cmd_roi(args: argparse.Namespace) -> List[str]:
     )
 
 
-def _cmd_run_scenario(args: argparse.Namespace) -> List[str]:
+def _cmd_run_scenario(args) -> List[str]:
     # The replay engine alone, not the scenario layer's types over it, so
     # the command loads neither dataclasses nor fractions (for a script with
     # no a/b number).  Every chunk is built before the first is written,
@@ -171,7 +152,7 @@ def _cmd_run_scenario(args: argparse.Namespace) -> List[str]:
     return _run_script_file(args.script)
 
 
-def _cmd_emit_figure(args: argparse.Namespace) -> Iterable[str]:
+def _cmd_emit_figure(args) -> Iterable[str]:
     from .curves import _FIGURES, _figure_chunks, _figure_spec
 
     lo, hi, count = _FIGURES[args.figure][0]
@@ -207,93 +188,198 @@ def _cmd_emit_figure(args: argparse.Namespace) -> Iterable[str]:
     return []
 
 
-#: Every command; ``main`` gives arguments only to the one its argv names.
-_COMMANDS = ("quote", "swap", "pool-info", "il", "evolve", "roi", "run-scenario", "emit-figure")
+def _directions():
+    from .kernel import Direction
+
+    return [d.value for d in Direction]
 
 
-def build_parser(commands: Container[str] = _COMMANDS) -> argparse.ArgumentParser:
-    """The ``cpamm`` parser: every command is registered, so usage lines,
-    top-level help and errors read the same whatever ``commands`` holds, but
-    only the commands in it get their arguments, whose choices load the
-    layer that defines them."""
+def _fee_models():
+    from .kernel import FeeModel
+
+    return [m.value for m in FeeModel]
+
+
+def _figure_ids():
+    from .curves import _FIGURES
+
+    return tuple(_FIGURES)
+
+
+#: A flag's default when it has none: the flag must be given.
+_REQUIRED = object()
+
+_POOL = [("--x", number, _REQUIRED, None, "X reserve"),
+         ("--y", number, _REQUIRED, None, "Y reserve")]
+_TRADE = [
+    *_POOL,
+    ("--fee", number, 0, None, "fee rate in [0, 1), default 0"),
+    ("--direction", str, _REQUIRED, _directions, "y2x sells Y for X, x2y sells X for Y"),
+    ("--amount", number, _REQUIRED, None, "input amount"),
+    ("--max-spread", number, None, None,
+     "cap the input so the spread stays at or below this value"),
+]
+
+#: Every command, its help and the function that runs it, and its arguments,
+#: each ``(flag, reader, default, choices, help)``.  The flag names the
+#: attribute as argparse does (``--max-spread`` gives ``max_spread``); a name
+#: with no ``--`` is the command's one positional argument.  The reader is
+#: what turns the text into the value: ``errors.number``, ``float``, ``int``,
+#: ``str`` for text, or ``bool`` for a flag that stores True when given.
+#: ``choices`` is a function that gives them, so that only a command that
+#: takes them loads the engine that defines them.
+_COMMANDS = {
+    "quote": ("price a swap without executing it", _cmd_quote, _TRADE),
+    "swap": ("execute a swap against a fresh pool", _cmd_swap, [
+        *_TRADE, ("--fee-model", str, None, _fee_models, "where collected fees go"),
+    ]),
+    "pool-info": ("rate, liquidity and value of a pool", _cmd_pool_info, [
+        *_POOL,
+        ("--p-x", number, 1, None, "price of X, default 1"),
+        ("--p-y", number, 1, None, "price of Y, default 1"),
+    ]),
+    "il": ("impermanent loss for a price change", _cmd_il, [
+        ("--delta-x", float, 1.0, None, "price factor for X"),
+        ("--delta-y", float, 1.0, None, "price factor for Y"),
+        ("--replay-check", bool, False, None,
+         "also measure the loss by replaying the arbitrage on a pool"),
+    ]),
+    "evolve": ("portfolio evolution under both fee models", _cmd_evolve, [
+        ("--delta-x", float, 1.0, None, None),
+        ("--delta-y", float, 1.0, None, None),
+        ("--alpha", float, 0.2, None, "fee growth rate per year"),
+        ("--t", float, 1.0, None, "horizon in years"),
+    ]),
+    "roi": ("compounding vs collecting ROI", _cmd_roi, [
+        ("--frac", float, 0.99, None, "fraction of compounding providers"),
+        ("--alpha", float, 0.2, None, None),
+        ("--t", float, 1.0, None, None),
+        ("--method", str, "implicit", lambda: ["implicit", "rk4"], None),
+        ("--step", float, 1e-3, None, "integrator step (rk4)"),
+    ]),
+    "run-scenario": ("replay a JSON scenario script", _cmd_run_scenario, [
+        ("script", str, _REQUIRED, None, "path to the scenario JSON file"),
+    ]),
+    "emit-figure": ("print one analysis figure as CSV", _cmd_emit_figure, [
+        ("--figure", str, _REQUIRED, _figure_ids, None),
+        ("--grid-min", float, None, None, None),
+        ("--grid-max", float, None, None, None),
+        ("--count", int, None, None, None),
+        ("--alpha", float, None, None, None),
+        ("--t", float, None, None, None),
+        ("--frac", float, None, None, None),
+        ("--out", str, None, None, "write to this file instead of stdout"),
+    ]),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The ``cpamm`` argparse parser, built from ``_COMMANDS``.  ``main`` runs
+    it only on an argv that ``_read`` declines: help, a usage error, or a
+    form argparse accepts and ``_read`` does not, such as an abbreviation."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cpamm",
         description="Constant-product pool engine and LP analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, run) -> Optional[argparse.ArgumentParser]:
+    for name, (help_text, run, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(func=run)
-        return command if name in commands else None
-
-    if p := add("quote", "price a swap without executing it", _cmd_quote):
-        _add_pool_args(p)
-        _add_swap_args(p)
-
-    if p := add("swap", "execute a swap against a fresh pool", _cmd_swap):
-        from .kernel import FeeModel
-
-        _add_pool_args(p)
-        _add_swap_args(p)
-        p.add_argument(
-            "--fee-model", choices=[m.value for m in FeeModel], help="where collected fees go"
-        )
-
-    if p := add("pool-info", "rate, liquidity and value of a pool", _cmd_pool_info):
-        _add_pool_args(p, with_fee=False)
-        p.add_argument("--p-x", type=number, default=1, help="price of X, default 1")
-        p.add_argument("--p-y", type=number, default=1, help="price of Y, default 1")
-
-    if p := add("il", "impermanent loss for a price change", _cmd_il):
-        p.add_argument("--delta-x", type=float, default=1.0, help="price factor for X")
-        p.add_argument("--delta-y", type=float, default=1.0, help="price factor for Y")
-        p.add_argument(
-            "--replay-check",
-            action="store_true",
-            help="also measure the loss by replaying the arbitrage on a pool",
-        )
-
-    if p := add("evolve", "portfolio evolution under both fee models", _cmd_evolve):
-        p.add_argument("--delta-x", type=float, default=1.0)
-        p.add_argument("--delta-y", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=0.2, help="fee growth rate per year")
-        p.add_argument("--t", type=float, default=1.0, help="horizon in years")
-
-    if p := add("roi", "compounding vs collecting ROI", _cmd_roi):
-        p.add_argument(
-            "--frac", type=float, default=0.99, help="fraction of compounding providers"
-        )
-        p.add_argument("--alpha", type=float, default=0.2)
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--method", choices=["implicit", "rk4"], default="implicit")
-        p.add_argument("--step", type=float, default=1e-3, help="integrator step (rk4)")
-
-    if p := add("run-scenario", "replay a JSON scenario script", _cmd_run_scenario):
-        p.add_argument("script", help="path to the scenario JSON file")
-
-    if p := add("emit-figure", "print one analysis figure as CSV", _cmd_emit_figure):
-        from .curves import _FIGURES
-
-        p.add_argument("--figure", required=True, choices=tuple(_FIGURES))
-        p.add_argument("--grid-min", type=float, default=None)
-        p.add_argument("--grid-max", type=float, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--frac", type=float, default=None)
-        p.add_argument("--out", default=None, help="write to this file instead of stdout")
-
+        for flag, reader, default, choices, text in flags:
+            if reader is bool:
+                command.add_argument(flag, action="store_true", help=text)
+            elif not flag.startswith("-"):
+                command.add_argument(flag, help=text)
+            else:
+                required = default is _REQUIRED
+                command.add_argument(
+                    flag, type=None if reader is str else reader, required=required,
+                    default=None if required else default,
+                    choices=choices() if choices else None, help=text,
+                )
     return parser
+
+
+def _negative_number(arg: str) -> bool:
+    r"""Whether argparse takes ``arg``, which starts with ``-``, for a value
+    and not a flag: its ``_negative_number_matcher``, ``^-\d+$|^-\d*\.\d+$``
+    (whose ``$`` also matches before a final newline), which is the same
+    from Python 3.10 to 3.13.0 and matches a subset of what later ones take."""
+    whole, dot, part = (arg[1:-1] if arg.endswith("\n") else arg[1:]).partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and part.isdecimal()
+    return whole.isdecimal()
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` in."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments argparse reads from a well-formed ``argv``, read from
+    ``_COMMANDS`` without it; None for any other argv.
+
+    Well formed: a command, then only its exact flags, written ``--flag
+    value`` or ``--flag=value`` (a ``bool`` one alone), and ``run-scenario``'s
+    script once.  A value after a space that starts with ``-`` must be a
+    number argparse reads as a value (``_negative_number``), and none may be
+    ``--``.  Every value must pass its reader and choices, every required
+    flag must be given, and a flag given twice keeps its last value.  Help,
+    an abbreviation, an unknown flag, a bad value or a missing flag is left
+    to argparse, which writes its usage error as it always has.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, run, flags = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": run}
+    table, missing, positional = {}, set(), None
+    for entry in flags:
+        flag, _, default = entry[:3]
+        table[flag] = entry
+        values[_dest(flag)] = None if default is _REQUIRED else default
+        if default is _REQUIRED:
+            missing.add(flag)
+        if not flag.startswith("-"):
+            positional = flag
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg.startswith("-"):
+            flag, equals, value = arg.partition("=")
+            if flag not in table:
+                return None
+            if table[flag][1] is bool:  # a switch, which takes no value
+                if equals:
+                    return None
+                values[_dest(flag)] = True
+                continue
+            if not equals:
+                value = next(rest, None)
+                if value is None or value.startswith("-") and not _negative_number(value):
+                    return None
+            if value == "--":
+                return None
+        else:  # the positional argument, given once
+            flag, value = positional, arg
+            if flag not in missing:
+                return None
+        _, reader, _, choices, _ = table[flag]
+        try:
+            value = reader(value)
+        except (TypeError, ValueError):
+            return None
+        if choices and value not in choices():
+            return None
+        values[_dest(flag)] = value
+        missing.discard(flag)
+    return None if missing else SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The top-level parser has no option that takes a value, so the first
-    # argument naming a command is the command argparse runs; an argument
-    # before it that names none fails as an invalid choice.
-    command = next((arg for arg in argv if arg in _COMMANDS), None)
-    args = build_parser((command,)).parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         output = args.func(args)
     except InputError as err:

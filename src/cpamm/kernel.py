@@ -13,14 +13,13 @@ value types; :mod:`cpamm.replay` runs a script on them directly, and the
 
 The numbers are floats, ints or ``fractions.Fraction``s (``pool.Numeric``).
 This module imports neither ``dataclasses`` nor ``fractions``: ``_sqrt``
-loads ``fractions`` only when a value that is neither a float nor an int
-reaches it, so a float replay never loads it.
+loads ``fractions``, and ``_bounded`` ``numbers``, only when a value that is
+neither a float nor an int reaches it, so a float replay loads neither.
 """
 
 import math
 import sys
 from enum import Enum
-from numbers import Rational
 
 from .errors import (
     InputError,
@@ -113,16 +112,23 @@ def _bounded(*values) -> None:
     of more than ``MAX_EXACT_BITS`` bits, or is past the largest float; floats
     are not looked at."""
     for value in values:
-        if value.__class__ is not float and isinstance(value, Rational):
-            num, den = value.numerator, value.denominator
-            bits = max(num.bit_length(), den.bit_length())
-            if bits > MAX_EXACT_BITS:
-                raise InputError(
-                    f"exact result needs {bits} bits, more than the {MAX_EXACT_BITS}-bit "
-                    "limit on a numerator or denominator; use floats"
-                )
-            if num > _EXACT_MAX * den:
-                raise InputError("exact result leaves float range")
+        cls = value.__class__
+        if cls is float:
+            continue
+        if cls is not int:  # a bool, a Fraction, or no exact number at all
+            from numbers import Rational
+
+            if not isinstance(value, Rational):
+                continue
+        num, den = value.numerator, value.denominator
+        bits = max(num.bit_length(), den.bit_length())
+        if bits > MAX_EXACT_BITS:
+            raise InputError(
+                f"exact result needs {bits} bits, more than the {MAX_EXACT_BITS}-bit "
+                "limit on a numerator or denominator; use floats"
+            )
+        if num > _EXACT_MAX * den:
+            raise InputError("exact result leaves float range")
 
 
 def _opening(x0, y0, fee_rate, fee_model) -> tuple:

@@ -35,8 +35,6 @@ uses too) when it is taken, and rows are joined into chunks of
 the snapshot objects were kept and rendered at the end.
 """
 
-from __future__ import annotations
-
 import io
 import json
 import os
@@ -143,7 +141,7 @@ class _Replay:
         return (label, self.t, self.x, self.y, self.fees_x, self.fees_y, pooled, held,
                 (pooled - held) / held, self.p_x, self.p_y)
 
-    def run(self, records, first_index: int = 0) -> _Replay:
+    def run(self, records, first_index: int = 0) -> "_Replay":
         """Replay ``records``, the first of them event ``first_index``, from
         where the replay stands."""
         now = self.t

@@ -5,7 +5,9 @@ passes once passes every time.  ``--hypothesis-profile=default`` on the
 pytest command line restores random exploration.
 """
 
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 from hypothesis import settings
@@ -24,3 +26,17 @@ def child_env() -> dict:
     home = str(Path(cpamm.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=home + (os.pathsep + path if path else ""))
+
+
+def bench_inputs():
+    """``bench/inputs.py``, the benchmark's seeded inputs, as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    # Registered while it runs, as its dataclasses look their module up.
+    sys.modules[spec.name] = inputs
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        del sys.modules[spec.name]
+    return inputs

@@ -62,9 +62,11 @@ print(json.dumps(sorted(name.split(".")[1] for name, module in sys.modules.items
 
 
 #: Modules a command on float input leaves unloaded: ``dataclasses`` pulls
-#: in ``inspect`` and through it ``ast``, ``dis`` and ``tokenize``, and
-#: ``fractions`` pulls in ``decimal``.
-_UNLOADED = ("dataclasses", "inspect", "fractions", "decimal")
+#: in ``inspect`` and through it ``ast``, ``dis`` and ``tokenize``,
+#: ``fractions`` pulls in ``decimal`` and ``numbers``, and ``argparse``
+#: pulls in ``gettext``, whose first message loads ``locale``.
+_UNLOADED = ("dataclasses", "inspect", "fractions", "decimal", "numbers", "argparse", "gettext",
+             "locale")
 
 
 def _layers_of_a_call(argv, loaded=()) -> list:
@@ -112,23 +114,21 @@ def test_each_command_on_floats_runs_its_engine_alone(kind):
     ],
 )
 def test_an_exact_argv_loads_fractions_but_not_dataclasses(argv):
-    assert _layers_of_a_call(argv, ["fractions", "decimal"]) == ["cli", "errors", "kernel"]
+    assert _layers_of_a_call(argv, ["fractions", "decimal", "numbers"]) == [
+        "cli", "errors", "kernel"]
 
 
-def test_figure_choices_load_the_engine_alone():
-    code = "import cpamm.cli\ncpamm.cli.build_parser(['emit-figure'])\n" + _LOADED
-    assert _fresh(code) == ["cli", "curves", "errors"]
-
-
-@pytest.mark.parametrize("command", ["quote", "swap"])
-def test_swap_choices_load_the_kernel_alone(command):
-    code = f"import cpamm.cli\ncpamm.cli.build_parser([{command!r}])\n" + _LOADED
-    assert _fresh(code) == ["cli", "errors", "kernel"]
+def test_the_parser_reads_its_choices_from_the_engines():
+    # Help and usage errors build every command's arguments: the choices of
+    # --direction, --fee-model and --figure come from the engines alone.
+    code = "import cpamm.cli\ncpamm.cli.build_parser()\n" + _LOADED
+    assert _fresh(code) == ["cli", "curves", "errors", "kernel"]
 
 
 def test_importing_the_cli_runs_no_engine_module():
     code = "import cpamm.cli, sys\nassert 'cpamm.kernel' not in sys.modules\n"
     code += "assert 'cpamm.replay' not in sys.modules\nassert 'cpamm.curves' not in sys.modules\n"
+    code += "assert 'argparse' not in sys.modules\n"
     code += _LOADED
     assert _fresh(code) == ["cli", "errors"]
 
@@ -168,7 +168,7 @@ def test_an_exact_script_loads_fractions_and_prints_exact_rows(tmp_path):
            "events": [{"type": "trade", "t": "1/2", "direction": "y2x", "amount": "1/1"}]}
     csv, loaded, layers = _run_scenario_in_fresh(tmp_path, doc)
     assert csv.splitlines()[-1].startswith("final,0.5,99.00990099009901,101.0,")
-    assert "fractions" in loaded and "dataclasses" not in loaded
+    assert "fractions" in loaded and "dataclasses" not in loaded and "argparse" not in loaded
     assert layers == ["cli", "errors", "kernel", "replay"]
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import bench_inputs, child_env
 from cpamm import (
     InputError,
     InternalError,
@@ -472,7 +472,7 @@ COMMANDS = ["quote", "swap", "pool-info", "il", "evolve", "roi", "run-scenario",
     + [[command, "--no-such-flag"] for command in COMMANDS],
 )
 def test_usage_reads_as_with_every_commands_arguments(capsys, argv):
-    # main gives arguments only to the command its argv names.
+    # main leaves each of these to argparse, on the parser of every command.
     with pytest.raises(SystemExit) as alone:
         main(argv)
     alone_out = capsys.readouterr()
@@ -849,14 +849,31 @@ _COMMANDS = {
 }
 
 
+#: Values that start with ``-``: after a space, argparse up to Python 3.13.0
+#: reads the first as a value and the others as flags it does not know.
+_DASHED = ("-84.5", "-1e-05", "-inf")
+#: What a well-formed argv never holds: help, the end of the flags, a stray
+#: positional, and a value given to a switch.
+_EXTRAS = ("-h", "--", "stray", "--replay-check=1")
+
+
 @st.composite
 def _cli_argv(draw):
+    """An argv of a command with every required flag: written ``--flag=value``
+    in three of four draws and ``--flag value`` in the fourth, a flag
+    sometimes repeated or abbreviated, and now and then one of ``_EXTRAS``."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     required, optional, others = _COMMANDS[command]
     argv = [command, *draw(st.sampled_from(others))]
-    for flag in required + [f for f in optional if draw(st.booleans())]:
+    flags = required + [f for f in optional if draw(st.booleans())]
+    for flag in flags + (draw(st.lists(st.sampled_from(flags), max_size=1)) if flags else []):
         value = _numbers if flag != "--count" else st.integers(-2, 200).map(str) | _numbers
-        argv.append(f"{flag}={draw(value)}")  # "=" keeps "-inf" from reading as a flag
+        value = draw(st.sampled_from(_DASHED) if draw(st.integers(0, 9)) == 9 else value)
+        if len(flag) > 3 and draw(st.integers(0, 19)) == 19:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        argv += [flag, value] if draw(st.integers(0, 3)) == 3 else [f"{flag}={value}"]
+    if draw(st.integers(0, 7)) == 7:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_EXTRAS)))
     return argv
 
 
@@ -923,8 +940,108 @@ _BIG_B = f"{3**7000 + 1}/{3**7000}"
 @example(argv=["swap", "--direction", "y2x", "--x=3/7", "--y=5/2", f"--amount={_BIG_A}"])
 @settings(max_examples=400, deadline=None)
 def test_any_argv_exits_0_1_or_2(argv):
-    non_finite = any(arg.split("=")[-1] in _NON_FINITE for arg in argv)
+    args = _argparse_reads(argv)[0]
+    non_finite = args is not None and any(
+        isinstance(value, float) and not math.isfinite(value) for value in vars(args).values())
     _check_exit(*_main_in_process(argv), non_finite)
+
+
+def _argparse_reads(argv):
+    """``(args, code, out, err)``: what argparse reads from ``argv``, or None
+    and the status and text it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return cli.build_parser().parse_args(argv), None, "", ""
+        except SystemExit as exit_:
+            return None, exit_.code, out.getvalue(), err.getvalue()
+
+
+def _values(args) -> dict:
+    # By repr, so that NaN matches NaN, and 1.0 matches neither 1 nor Fraction(1).
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+def assert_read_as_argparse_reads(argv, read=None):
+    """Whatever ``cli._read`` reads from ``argv`` (if and only if ``read``,
+    unless that is None) is what argparse reads.  An argv it declines that
+    argparse rejects ends ``main`` with argparse's help or usage error."""
+    ours = cli._read(argv)
+    args, code, out, err = _argparse_reads(argv)
+    assert read is None or (ours is not None) == read
+    if ours is not None:
+        assert args is not None, err
+        assert _values(ours) == _values(args)
+    elif args is None:
+        assert _main_in_process(argv) == (code, out, err)
+
+
+@given(argv=_cli_argv())
+@settings(max_examples=400, deadline=None)
+def test_the_flag_table_reads_what_argparse_reads(argv):
+    assert_read_as_argparse_reads(argv)
+
+
+_FIGURE = ["emit-figure", "--figure", "il_one_coin"]
+_QUOTE = ["quote", "--x", "100", "--y", "100", "--direction", "y2x"]
+
+
+@pytest.mark.parametrize("argv, read", [
+    (_FIGURE + ["--grid-min", "-84.5"], True),  # argparse reads a negative number as a value
+    (_FIGURE + ["--grid-min", "-.5"], True),
+    (_FIGURE + ["--grid-min", "-5\n"], True),  # its pattern's "$" matches before a final newline
+    (_FIGURE + ["--count", "-\u0663"], True),  # and its "\d" any decimal digit
+    (_FIGURE + ["--grid-min", "-1e-05"], False),  # a flag to argparse up to Python 3.13.0
+    (_FIGURE + ["--grid-min", "-5."], False),
+    (_QUOTE + ["--amount", "-inf"], False),
+    (_QUOTE + ["--amount=-inf"], True),
+    (["il", "--delta-x", "2", "--delta-x", "3"], True),  # the last value stands
+    (["il", "--delta-x", "abc", "--delta-x", "3"], False),  # but each is read
+    (["il", "--replay-check", "--replay-check"], True),
+    (["il", "--replay-check=1"], False),
+    (_QUOTE + ["--am", "5"], False),  # an abbreviation, which argparse reads
+    (["roi", "--method", "bogus"], False),
+    (["roi", "--method=rk4", "--step", "1e-05"], True),
+    (["quote", "--x", "1"], False),
+    (["-h"], False),
+    (["quote", "-h"], False),
+    (["roi", "--"], False),
+    (["roi", "stray"], False),
+    ([], False),
+    (["bogus"], False),
+    (["run-scenario", "s.json"], True),
+    (["run-scenario", "s.json", "t.json"], False),
+    (["run-scenario"], False),
+    (["run-scenario", "-"], False),  # a script argparse reads
+    (_FIGURE + ["--out="], True),
+    (_FIGURE + ["--out=--"], False),  # argparse up to 3.12 reads an empty list
+    (_FIGURE + ["--out", "-"], False),  # argparse reads "-" as a value
+])
+def test_the_flag_table_reads_each_edge_form_as_argparse_does(argv, read):
+    assert_read_as_argparse_reads(argv, read)
+
+
+@given(tail=st.text(alphabet="0123456789.\n\u0663\u00b2e- ", max_size=6))
+@example(tail="5\n")
+@example(tail=".5")
+def test_a_dashed_value_reads_as_a_number_where_argparse_says(tail):
+    assert cli._negative_number("-" + tail) == bool(re.match(r"^-\d+$|^-\d*\.\d+$", "-" + tail))
+
+
+def test_every_benchmark_argv_is_read_from_the_flag_table():
+    # The benchmark's one-shot calls and figures, as at three seeds: argparse
+    # runs only for help and usage errors, and none of them is either.
+    inputs = bench_inputs()
+    scripts = {"valid": ["a.json", "b.json"], "backwards": "back.json", "missing": "none.json"}
+    argvs = [inputs.rk4_argv(100_000), inputs.implicit_argv()]
+    for seed in (1, 2, 3):
+        argvs += [job.argv for job in inputs.cli_call_jobs(seed, 300, scripts)]
+        argvs += [job.argv for job in inputs.analytics_jobs(seed, 20_000)]
+    assert len(argvs) == 917
+    parser = cli.build_parser()
+    for argv in argvs:
+        args = cli._read(list(argv))
+        assert args is not None and _values(args) == _values(parser.parse_args(argv)), argv
 
 
 @given(doc=_script())
