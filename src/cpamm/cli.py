@@ -41,13 +41,13 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
-from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InputError, InternalError, number
 
 
-def _pairs(pairs: Sequence[Tuple[str, object]]) -> List[str]:
+def _pairs(pairs: Sequence[tuple[str, object]]) -> list[str]:
     """The ``key=value`` lines to print, unless a float result is not finite."""
     for key, value in pairs:
         if isinstance(value, float) and not math.isfinite(value):
@@ -55,7 +55,7 @@ def _pairs(pairs: Sequence[Tuple[str, object]]) -> List[str]:
     return ["".join(f"{key}={value!s}\n" for key, value in pairs)]
 
 
-def _quote_pairs(receipt: tuple) -> List[Tuple[str, object]]:
+def _quote_pairs(receipt: tuple) -> list[tuple[str, object]]:
     """Every receipt value by its ``kernel._RECEIPT_FIELDS`` name; the direction by its CLI name."""
     from .kernel import _RECEIPT_FIELDS
 
@@ -72,11 +72,11 @@ def _swap_on_a_new_pool(args) -> tuple:
                     args.amount, args.max_spread)
 
 
-def _cmd_quote(args) -> List[str]:
+def _cmd_quote(args) -> list[str]:
     return _pairs(_quote_pairs(_swap_on_a_new_pool(args)[1]))
 
 
-def _cmd_swap(args) -> List[str]:
+def _cmd_swap(args) -> list[str]:
     from .kernel import _rate
 
     (x, y, fees_x, fees_y), receipt = _swap_on_a_new_pool(args)
@@ -87,7 +87,7 @@ def _cmd_swap(args) -> List[str]:
     )
 
 
-def _cmd_pool_info(args) -> List[str]:
+def _cmd_pool_info(args) -> list[str]:
     from .kernel import FeeModel, _opening, _rate, _value
 
     liquidity = _opening(args.x, args.y, 0, FeeModel.AUTO_COMPOUND)[1]
@@ -95,12 +95,12 @@ def _cmd_pool_info(args) -> List[str]:
     return _pairs([("rate", rate), ("liquidity", liquidity), ("value", value)])
 
 
-def _cmd_il(args) -> List[str]:
+def _cmd_il(args) -> list[str]:
     from .curves import _check_prices, _il, _il_replay
 
     _check_prices(args.delta_x, args.delta_y)
     v_pooled, v_held, loss = _il(args.delta_x, args.delta_y)
-    pairs: List[Tuple[str, object]] = [
+    pairs: list[tuple[str, object]] = [
         ("v_pooled", v_pooled),
         ("v_held", v_held),
         ("loss", loss),
@@ -111,7 +111,7 @@ def _cmd_il(args) -> List[str]:
     return _pairs(pairs)
 
 
-def _cmd_evolve(args) -> List[str]:
+def _cmd_evolve(args) -> list[str]:
     from .curves import _check_growth, _check_prices, _collected, _compounded, _held
 
     dx, dy, growth = args.delta_x, args.delta_y, args.alpha * args.t
@@ -126,7 +126,7 @@ def _cmd_evolve(args) -> List[str]:
     )
 
 
-def _cmd_roi(args) -> List[str]:
+def _cmd_roi(args) -> list[str]:
     from .curves import _roi_pair, _roi_params
 
     p = _roi_params(args.frac, args.alpha, args.t, step=args.step)
@@ -141,7 +141,7 @@ def _cmd_roi(args) -> List[str]:
     )
 
 
-def _cmd_run_scenario(args) -> List[str]:
+def _cmd_run_scenario(args) -> list[str]:
     # The replay engine alone, not the scenario layer's types over it, so
     # the command loads neither dataclasses nor fractions (for a script with
     # no a/b number).  Every chunk is built before the first is written,
@@ -318,7 +318,7 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The arguments argparse reads from a well-formed ``argv``, read from
     ``_COMMANDS`` without it; None for any other argv.
 
@@ -377,7 +377,7 @@ def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return None if missing else SimpleNamespace(**values)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv) or build_parser().parse_args(argv)
     try:

@@ -61,13 +61,12 @@ def _check_growth(alpha, t) -> None:
 
 def _il(dx: float, dy: float) -> tuple:
     """``(v_pooled, v_held, relative_loss)`` for price changes ``dx`` and ``dy``."""
+    # Normalized to an initial portfolio value of 1, half of it in each token.
+    v_held = _held(dx, dy)
     # At most 0 by AM-GM; rounding the sum down can leave one ulp above it.
-    loss = min(2 * float_geometric_mean(dx, dy) / (dx + dy) - 1, 0.0)
-    # Normalize to initial portfolio value 1: x0 * p_x0 = 1/2.
-    x_value0 = 0.5
+    loss = min(float_geometric_mean(dx, dy) / v_held - 1, 0.0)
     # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
-    v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx)) * 2 * x_value0
-    v_held = (dx + dy) * x_value0
+    v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx))
     return v_pooled, v_held, loss
 
 
@@ -88,7 +87,10 @@ def _il_replay(x, y, delta_x, delta_y, p_x0=_PRICE0, p_y0=_PRICE0) -> tuple:
 
 
 def _held(dx: float, dy: float) -> float:
-    return (dx + dy) / 2
+    """``(dx + dy) / 2``, halved first only where the sum passes the largest
+    float: halving a subnormal ``dx`` first would drop its last bit."""
+    total = dx + dy
+    return total / 2 if total <= _FLOAT_MAX else dx / 2 + dy / 2
 
 
 def _compounded(dx: float, dy: float, growth: float) -> float:
@@ -98,7 +100,7 @@ def _compounded(dx: float, dy: float, growth: float) -> float:
 
 def _collected(dx: float, dy: float, growth: float) -> float:
     """Collected evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
-    return float_geometric_mean(dx, dy) + growth * (dx + dy) / 2
+    return float_geometric_mean(dx, dy) + growth * _held(dx, dy)
 
 
 # -- compounding ---------------------------------------------------------------

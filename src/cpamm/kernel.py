@@ -6,10 +6,12 @@ numbers, ``x`` before ``y`` whatever the direction, so a replay keeps its
 state as plain numbers, never oriented.  ``_opening`` and ``_rate`` are the
 checks of :func:`cpamm.pool.create_pool` and :func:`cpamm.pool.rate_of` on
 bare numbers, ``_execute`` is the swap with its receipt of
-:func:`cpamm.pool.execute_swap`, and ``_value`` is
-:func:`cpamm.pool.pool_value`.  :mod:`cpamm.pool` wraps all of them in its
-value types; :mod:`cpamm.replay` runs a script on them directly, and the
-``quote``, ``swap`` and ``pool-info`` commands run on them alone.
+:func:`cpamm.pool.execute_swap`, ``_value`` is :func:`cpamm.pool.pool_value`,
+and ``_deposit`` and ``_withdraw`` are the share rules of
+:func:`cpamm.pool.add_liquidity` and :func:`cpamm.pool.remove_liquidity`.
+:mod:`cpamm.pool` wraps all of them in its value types; :mod:`cpamm.replay`
+runs a script on them directly (its snapshots are valued by ``_value``), and
+the ``quote``, ``swap`` and ``pool-info`` commands run on them alone.
 
 The numbers are floats, ints or ``fractions.Fraction``s (``pool.Numeric``).
 This module imports neither ``dataclasses`` nor ``fractions``: ``_sqrt``
@@ -23,11 +25,13 @@ from enum import Enum
 
 from .errors import (
     InputError,
+    InsufficientShares,
     InvalidFee,
     InvalidRate,
     NonPositiveAmount,
     NonPositivePrice,
     NonPositiveReserve,
+    RateMismatch,
     SpreadOutOfRange,
     float_geometric_mean,
     non_negative,
@@ -270,18 +274,74 @@ def _execute(x, y, fees_x, fees_y, fee_rate, fee_model, direction, amount, cap) 
     return (new_x, new_y, fees_x, fees_y), receipt
 
 
-def _value(x, y, p_x, p_y):
+def _value(x, y, p_x, p_y, error=InputError):
     """The reserves ``x`` and ``y`` marked to market, ``p_x * x + p_y * y``.
     An empty pool is worth 0; any other value outside the range of
-    ``errors.normal``, or exact past ``MAX_EXACT_BITS``, raises ``InputError``."""
+    ``errors.normal`` raises ``error``, and an exact one past
+    ``MAX_EXACT_BITS`` raises ``InputError``."""
     positive(NonPositivePrice, "prices", p_x, p_y)
     try:
         value = p_x * x + p_y * y
     except OverflowError:  # an exact term past float range meets a float one
         value = _INF  # what the float sum gives
     if x > 0 and y > 0:
-        _bounded(normal(InputError, "pool value p_x * x + p_y * y", value))
+        _bounded(normal(error, "pool value p_x * x + p_y * y", value))
     return value
+
+
+def _half_over(value, price):
+    """``value / (2 * price)``; ``value`` is halved first where ``2 * price``
+    passes the largest float, which a float or exact ``value`` meets as inf
+    or as an ``OverflowError``."""
+    return value / (2 * price) if price <= _FLOAT_MAX / 2 else value / 2 / price
+
+
+def _deposit(x, y, total, owned, dx, dy) -> tuple:
+    """``(x, y, total, owned, minted)`` after a deposit of ``(dx, dy)`` into
+    reserves ``x`` and ``y`` of ``total`` shares, by a provider who owns
+    ``owned`` of them: ``dx / dy`` must match ``x / y`` within
+    ``RATE_MATCH_TOL`` relative, and the deposit mints ``total * dx / x``."""
+    positive(NonPositiveAmount, "deposit amounts", dx, dy)
+    growth_x, growth_y = dx / x, dy / y
+    minted = total * growth_x
+    new_x, new_y, new_total = x + dx, y + dy, total + minted
+    # A result past the largest float is rejected (a float one is inf).
+    # Checked before the ratio, which would reject growths that overflow on
+    # both sides (NaN) as a mismatch.
+    non_negative(InputError, "deposit growths, reserves and total shares after it",
+                 growth_x, growth_y, new_x, new_y, new_total)
+    if not abs(growth_x - growth_y) <= RATE_MATCH_TOL * max(growth_x, growth_y):
+        raise RateMismatch(
+            f"deposit ratio {shown(dx)}/{shown(dy)} does not match pool ratio "
+            f"{shown(x)}/{shown(y)}"
+        )
+    # A deposit that small next to the pool rounds away: its tokens would
+    # vanish, or its shares would be minted while the pool stays as it was.
+    positive(NonPositiveAmount, "shares minted by the deposit", minted)
+    if new_x == x or new_y == y or new_total == total:
+        raise NonPositiveAmount(
+            f"deposit ({shown(dx)}, {shown(dy)}) rounds away next to the reserves "
+            f"({shown(x)}, {shown(y)}) and {shown(total)} shares"
+        )
+    owned = owned + minted
+    _bounded(new_x, new_y, new_total, minted, owned)
+    return new_x, new_y, new_total, owned, minted
+
+
+def _withdraw(x, y, total, owned, shares, provider: str) -> tuple:
+    """``(x, y, total, owned, dx, dy)`` after ``provider``, who owns ``owned``
+    of the ``total`` shares, burns ``shares`` of them for their slice
+    ``(dx, dy)`` of the reserves ``x`` and ``y``."""
+    positive(NonPositiveAmount, "share amount", shares)
+    if shares > owned:
+        raise InsufficientShares(
+            f"{provider} owns {shown(owned)} shares, asked to burn {shown(shares)}"
+        )
+    fraction = shares / total
+    dx, dy = x * fraction, y * fraction
+    x, y, total, owned = x - dx, y - dy, total - shares, owned - shares
+    _bounded(x, y, total, owned, dx, dy)
+    return x, y, total, owned, dx, dy
 
 
 def _arbitrage_trade(x, y, target_rate):

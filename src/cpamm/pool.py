@@ -29,13 +29,16 @@ that is about twice as fast as the generic copy-with-changes helper of the
 The value-level API is built on one plain-number kernel, :mod:`cpamm.kernel`:
 ``_swap`` prices, guards and settles a trade and ``_execute`` adds its
 receipt, ``_arbitrage`` is its fee-free leg onto a market rate, ``_opening``
-and ``_rate`` hold the checks of :func:`create_pool` and :func:`rate_of`, and
-``_value`` is :func:`pool_value`.  They take and return the pool's own bare
-numbers, ``x`` before ``y`` whatever the direction, and tuples.  This module
-holds the value types and the functions that wrap the kernel in them.  The
-kernel loads neither ``dataclasses`` nor ``fractions``, and the replay that
-``run-scenario`` runs and the ``quote``, ``swap`` and ``pool-info`` commands
-run on it alone, so none of them loads this module.
+and ``_rate`` hold the checks of :func:`create_pool` and :func:`rate_of`,
+``_value`` is :func:`pool_value` and ``_half_over`` the halving of
+:func:`reserves_from_value`, and ``_deposit`` and ``_withdraw`` hold the share
+rules of :func:`add_liquidity` and :func:`remove_liquidity`.  They take and
+return the pool's own bare numbers, ``x`` before ``y`` whatever the
+direction, and tuples.  This module holds the value types and the functions
+that wrap the kernel in them.  The kernel loads neither ``dataclasses`` nor
+``fractions``, and the replay that ``run-scenario`` runs and the ``quote``,
+``swap`` and ``pool-info`` commands run on it alone, so none of them loads
+this module.
 
 Arithmetic is duck-typed, so a pool built from ``fractions.Fraction`` values
 runs the swap path exactly (the swap equations are rational); square roots
@@ -58,34 +61,30 @@ from typing import Mapping, Optional, Tuple, Union
 
 from .errors import (
     InactivePool,
-    InputError,
-    InsufficientShares,
     InvalidRate,
-    NonPositiveAmount,
     NonPositiveInput,
     NonPositiveReserve,
-    RateMismatch,
     non_negative,
     positive,
-    shown,
 )
-from .kernel import (  # MAX_EXACT_BITS unused here: public as pool.MAX_EXACT_BITS
+from .kernel import (  # the two limits unused here: public as pool.<name>
     MAX_EXACT_BITS,
     RATE_MATCH_TOL,
     Direction,
     FeeModel,
-    _FLOAT_MAX,
     _arbitrage,
     _arbitrage_trade,
-    _bounded,
+    _deposit,
     _execute,
     _geometric_mean,
+    _half_over,
     _member,
     _opening,
     _rate,
     _spread_cap,
     _sqrt,
     _value,
+    _withdraw,
 )
 
 Numeric = Union[float, Fraction]
@@ -226,13 +225,6 @@ def reserves_from_value(
     return x, y, liquidity
 
 
-def _half_over(value: Numeric, price: Numeric) -> Numeric:
-    """``value / (2 * price)``; ``value`` is halved first where ``2 * price``
-    passes the largest float, which a float or exact ``value`` meets as inf
-    or as an ``OverflowError``."""
-    return value / (2 * price) if price <= _FLOAT_MAX / 2 else value / 2 / price
-
-
 def max_input_for_spread(pool: PoolState, direction: Direction, sigma: Numeric) -> Numeric:
     """Largest net input whose execution moves the pool rate by exactly ``sigma``.
 
@@ -299,38 +291,12 @@ def add_liquidity(
     ``reserve_x / reserve_y`` within ``RATE_MATCH_TOL`` relative.
     """
     _require_active(pool)
-    positive(NonPositiveAmount, "deposit amounts", dx, dy)
-    growth_x = dx / pool.reserve_x
-    growth_y = dy / pool.reserve_y
-    minted = pool.total_shares * growth_x
-    new_x, new_y, total = pool.reserve_x + dx, pool.reserve_y + dy, pool.total_shares + minted
-    # A result past the largest float is rejected (a float one is inf).
-    # Checked before the ratio, which would reject growths that overflow on
-    # both sides (NaN) as a mismatch.
-    non_negative(InputError, "deposit growths, reserves and total shares after it",
-                 growth_x, growth_y, new_x, new_y, total)
-    if not abs(growth_x - growth_y) <= RATE_MATCH_TOL * max(growth_x, growth_y):
-        raise RateMismatch(
-            f"deposit ratio {shown(dx)}/{shown(dy)} does not match pool ratio "
-            f"{shown(pool.reserve_x)}/{shown(pool.reserve_y)}"
-        )
-    # A deposit that small next to the pool rounds away: its tokens would
-    # vanish, or its shares would be minted while the pool stays as it was.
-    positive(NonPositiveAmount, "shares minted by the deposit", minted)
-    if new_x == pool.reserve_x or new_y == pool.reserve_y or total == pool.total_shares:
-        raise NonPositiveAmount(
-            f"deposit ({shown(dx)}, {shown(dy)}) rounds away next to the reserves "
-            f"({shown(pool.reserve_x)}, {shown(pool.reserve_y)}) and "
-            f"{shown(pool.total_shares)} shares"
-        )
     ledger = dict(pool.share_ledger)
-    ledger[provider] = ledger.get(provider, 0) + minted
-    new_pool = PoolState(
-        new_x, new_y, pool.fee_rate, pool.fee_model,
-        total, MappingProxyType(ledger), pool.side_ledger,
+    x, y, total, ledger[provider], minted = _deposit(
+        pool.reserve_x, pool.reserve_y, pool.total_shares, ledger.get(provider, 0), dx, dy
     )
-    _bounded(new_pool.reserve_x, new_pool.reserve_y, new_pool.total_shares, minted,
-             ledger[provider])
+    new_pool = PoolState(x, y, pool.fee_rate, pool.fee_model, total, MappingProxyType(ledger),
+                         pool.side_ledger)
     return new_pool, LpPosition(provider=provider, shares=minted, deposited_x=dx, deposited_y=dy)
 
 
@@ -342,26 +308,15 @@ def remove_liquidity(
     Withdrawing everything empties the pool; that state is terminal.
     """
     _require_active(pool)
-    positive(NonPositiveAmount, "share amount", shares)
-    owned = pool.share_ledger.get(provider, 0)
-    if shares > owned:
-        raise InsufficientShares(
-            f"{provider} owns {shown(owned)} shares, asked to burn {shown(shares)}"
-        )
-    fraction = shares / pool.total_shares
-    dx = pool.reserve_x * fraction
-    dy = pool.reserve_y * fraction
     ledger = dict(pool.share_ledger)
-    remaining = owned - shares
+    x, y, total, remaining, dx, dy = _withdraw(pool.reserve_x, pool.reserve_y, pool.total_shares,
+                                               ledger.get(provider, 0), shares, provider)
     if remaining > 0:
         ledger[provider] = remaining
     else:
         del ledger[provider]
-    new_pool = PoolState(
-        pool.reserve_x - dx, pool.reserve_y - dy, pool.fee_rate, pool.fee_model,
-        pool.total_shares - shares, MappingProxyType(ledger), pool.side_ledger,
-    )
-    _bounded(new_pool.reserve_x, new_pool.reserve_y, new_pool.total_shares, remaining, dx, dy)
+    new_pool = PoolState(x, y, pool.fee_rate, pool.fee_model, total, MappingProxyType(ledger),
+                         pool.side_ledger)
     return new_pool, (dx, dy)
 
 

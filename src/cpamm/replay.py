@@ -1,12 +1,12 @@
 """The script reader and the replay that ``cpamm run-scenario`` runs.
 
 This is the engine under :mod:`cpamm.scenario`, built only on the pool's
-plain-number kernel (:mod:`cpamm.kernel`): a script's header is a tuple of
-plain values, the replay keeps its state as numbers, and a snapshot is a
-tuple of values, which :mod:`cpamm.scenario` turns into its public types
-and ``run-scenario`` into a CSV row.  So the command loads neither
-``dataclasses`` nor ``fractions``, unless a script writes an exact ``a/b``
-number.
+plain-number kernel (:mod:`cpamm.kernel`), whose formulas it calls rather
+than copies: a script's header is a tuple of plain values, the replay keeps
+its state as numbers, and a snapshot is a tuple of values, which
+:mod:`cpamm.scenario` turns into its public types and ``run-scenario`` into
+a CSV row.  So the command loads neither ``dataclasses`` nor ``fractions``,
+unless a script writes an exact ``a/b`` number.
 
 The replay reads events as records, not as event objects.  A record is
 ``(apply, t, a, b)``: the ``_Replay`` method that applies the event, the
@@ -52,6 +52,7 @@ from .kernel import (
     _opening,
     _require_rate,
     _swap,
+    _value,
 )
 
 #: The fields of a snapshot, in order: the CSV columns and the fields of
@@ -70,8 +71,11 @@ class _Replay:
     plain numbers: the opening reserves ``x0`` and ``y0`` and the provider's
     ``shares``, the reserves ``x`` and ``y``, the side ledger ``fees_x`` and
     ``fees_y``, the prices ``p_x`` and ``p_y`` and the totals
-    ``collected_x`` and ``collected_y``.  Trades and arbitrage legs run on
-    the kernel, and snapshots are tuples of values in ``_COLUMNS`` order.
+    ``collected_x`` and ``collected_y``.  Trades, arbitrage legs and the
+    values of a snapshot run on the kernel: ``_swap``, ``_arbitrage`` and
+    ``_value``, the rule of ``pool.pool_value``, so a snapshot value outside
+    the normal float range raises ``ScriptError``.  Snapshots are tuples of
+    values in ``_COLUMNS`` order.
     Scripts have one provider and no deposits, so the provider's shares are
     the pool's.
 
@@ -133,11 +137,8 @@ class _Replay:
         self.snapshots.append(self.take_snapshot(label))
 
     def take_snapshot(self, label: str) -> tuple:
-        # pool_value's expression without its price check: the prices were
-        # checked when the replay started and at every move.
-        pooled = self.p_x * self.x + self.p_y * self.y
-        held = self.p_x * self.x0 + self.p_y * self.y0
-        positive(ScriptError, "pooled and held values", pooled, held)
+        pooled = _value(self.x, self.y, self.p_x, self.p_y, ScriptError)
+        held = _value(self.x0, self.y0, self.p_x, self.p_y, ScriptError)
         return (label, self.t, self.x, self.y, self.fees_x, self.fees_y, pooled, held,
                 (pooled - held) / held, self.p_x, self.p_y)
 

@@ -40,7 +40,7 @@ from operator import attrgetter
 from typing import List, Optional, Sequence, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError, positive
-from .kernel import _geometric_mean, _member
+from .kernel import _geometric_mean, _half_over, _member, _value
 from .pool import Direction, FeeModel, Numeric
 from .replay import _COLUMNS, _CSV_HEADER, _Replay, _csv_row, _read_script, _snapshots, _string
 
@@ -203,10 +203,9 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     if replay.compound:
         growth = _geometric_mean(replay.x, replay.y) / start_liquidity - 1
         return growth / window
-    fees_value = replay.p_x * (replay.fees_x + replay.collected_x) + replay.p_y * (
-        replay.fees_y + replay.collected_y
-    )
-    liquidity_equiv = fees_value / (2 * _geometric_mean(replay.p_x, replay.p_y))
+    fees_value = _value(replay.fees_x + replay.collected_x, replay.fees_y + replay.collected_y,
+                        replay.p_x, replay.p_y, ScriptError)
+    liquidity_equiv = _half_over(fees_value, _geometric_mean(replay.p_x, replay.p_y))
     return liquidity_equiv / (start_liquidity * window)
 
 

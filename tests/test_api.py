@@ -45,11 +45,11 @@ def test_all_matches_the_export_table():
     assert set(cpamm.__all__) <= set(dir(cpamm))
 
 
-def _fresh(code: str):
-    """Run ``code`` in a new interpreter on the ``cpamm`` this one imported;
-    returns what it prints as JSON."""
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env(), timeout=60, check=True)
+def _fresh(code: str, *options: str):
+    """Run ``code`` in a new interpreter, started with ``options``, on the
+    ``cpamm`` this one imported; returns what it prints as JSON."""
+    done = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, env=child_env(), timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -102,6 +102,17 @@ _FLOAT_CALLS = {
 def test_each_command_on_floats_runs_its_engine_alone(kind):
     argv, layers = _FLOAT_CALLS[kind]
     assert _layers_of_a_call(argv) == layers
+
+
+def test_no_command_on_floats_loads_typing():
+    # Under -S, as a site may load typing itself (a .pth file can), which
+    # would hide an import of the cli's: it annotates with builtin generics.
+    code = "import contextlib, io, json, sys, cpamm.cli\nloaded = ['typing' in sys.modules]\n"
+    code += f"for argv in {[argv for argv, _ in _FLOAT_CALLS.values()]!r}:\n"
+    code += "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    code += "        assert cpamm.cli.main(argv) == 0\n"
+    code += "    loaded.append('typing' in sys.modules)\nprint(json.dumps(loaded))\n"
+    assert _fresh(code, "-S") == [False] * (1 + len(_FLOAT_CALLS))
 
 
 @pytest.mark.parametrize(

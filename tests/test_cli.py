@@ -822,6 +822,9 @@ def _fractions(small):
         lambda fractions: fractions)
 
 
+#: A pool's two exact numbers drawn together, big parts in each: independent
+#: draws seldom give two, and so seldom a result past ``MAX_EXACT_BITS``.
+_BIG_POOL = st.tuples(*[st.builds("{}/{}".format, _BIG_PART, _BIG_PART)] * 2)
 _numbers = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6).map(repr),
     st.sampled_from(("0",) + _NON_FINITE),
@@ -861,14 +864,19 @@ _EXTRAS = ("-h", "--", "stray", "--replay-check=1")
 def _cli_argv(draw):
     """An argv of a command with every required flag: written ``--flag=value``
     in three of four draws and ``--flag value`` in the fourth, a flag
-    sometimes repeated or abbreviated, and now and then one of ``_EXTRAS``."""
+    sometimes repeated or abbreviated, and now and then one of ``_EXTRAS``.
+    One pool in two is ``_BIG_POOL``."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     required, optional, others = _COMMANDS[command]
     argv = [command, *draw(st.sampled_from(others))]
     flags = required + [f for f in optional if draw(st.booleans())]
+    pool = {}
+    if "--x" in required and draw(st.booleans()):
+        pool = dict(zip(("--x", "--y"), draw(_BIG_POOL)))
     for flag in flags + (draw(st.lists(st.sampled_from(flags), max_size=1)) if flags else []):
         value = _numbers if flag != "--count" else st.integers(-2, 200).map(str) | _numbers
         value = draw(st.sampled_from(_DASHED) if draw(st.integers(0, 9)) == 9 else value)
+        value = pool.get(flag, value)
         if len(flag) > 3 and draw(st.integers(0, 19)) == 19:
             flag = flag[:draw(st.integers(3, len(flag) - 1))]
         argv += [flag, value] if draw(st.integers(0, 3)) == 3 else [f"{flag}={value}"]
@@ -879,8 +887,13 @@ def _cli_argv(draw):
 
 @st.composite
 def _script(draw):
-    """A scenario document whose pool sits on the market rate unless the draw says not."""
+    """A scenario document whose pool sits on the market rate unless the draw
+    says not; one pool in four is ``_BIG_POOL``, at the prices of its rate."""
     reserve, price = draw(_json_numbers), draw(_json_numbers)
+    pool_y, price_y = draw(st.just(reserve) | _json_numbers), draw(st.just(price) | _json_numbers)
+    if draw(st.integers(0, 3)) == 3:
+        reserve, pool_y = draw(_BIG_POOL)
+        price, price_y = pool_y, reserve
     events = []
     for index in range(draw(st.integers(0, 4))):
         event = {"type": draw(st.sampled_from(("trade", "price_move", "collect_fees",
@@ -899,10 +912,10 @@ def _script(draw):
             event["label"] = f"s{index}"
         events.append(event)
     return {
-        "pool": {"x": reserve, "y": draw(st.just(reserve) | _json_numbers),
+        "pool": {"x": reserve, "y": pool_y,
                  "fee_rate": draw(st.just(0.003) | _json_numbers),
                  "fee_model": draw(st.sampled_from(("auto_compound", "collect_separately")))},
-        "prices": {"p_x": price, "p_y": draw(st.just(price) | _json_numbers)},
+        "prices": {"p_x": price, "p_y": price_y},
         "events": events,
     }
 
@@ -928,8 +941,8 @@ def _check_exit(code, out, err, non_finite):
 
 
 # Results past ``MAX_EXACT_BITS`` take two or more positive exact numbers
-# together, which independent draws seldom give, so members of that class
-# are named here: a value, a rate and a receipt's spread past the limit.
+# together.  ``_BIG_POOL`` draws a pool's two, and members of that class are
+# named here too: a value, a rate and a receipt's spread past the limit.
 _BIG_A = f"{2**12000 + 1}/{2**12000}"
 _BIG_B = f"{3**7000 + 1}/{3**7000}"
 

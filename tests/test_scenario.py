@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -49,6 +50,7 @@ from cpamm import (
     run_scenario,
     snapshots_to_csv,
 )
+from conftest import child_env
 from cpamm import replay
 from cpamm.cli import main
 from cpamm.pool import arbitrage_to_rate
@@ -372,10 +374,11 @@ def test_effective_alpha_zero_without_trades():
     assert measure_effective_alpha(make_script(()), window=1.0) == 0.0
 
 
-@pytest.mark.parametrize("price", [1e200, 1e-200])
+@pytest.mark.parametrize("price", [1e200, 1e-200, 1e308])
 def test_effective_alpha_at_extreme_prices(price):
     # The fees' liquidity equivalent divides by sqrt(p_x * p_y), whose
-    # product leaves float range here; alpha itself does not depend on it.
+    # product leaves float range here, and at 1e308 so does twice the root;
+    # alpha itself does not depend on it.
     def script(p):
         return ScenarioScript(100.0, 100.0, 0.003, FeeModel.COLLECT_SEPARATELY, p, p,
                               (Trade(0.5, Direction.Y_FOR_X, 5.0),))
@@ -851,6 +854,25 @@ def test_a_snapshot_past_float_range_is_a_domain_error():
         with pytest.raises(DomainError) as err:
             snapshots_to_csv([past])
         assert str(err.value) == f"""snapshot 'say "hi"': {field} leaves float range"""
+
+
+def test_a_snapshot_valued_past_float_range_is_rejected_as_pool_value_rejects_it(tmp_path):
+    # The pool sits on the market rate, 1e100; p_x * x is the exact 1e400,
+    # and p_y * y the float inf.  This ended in a raw OverflowError.
+    ten_200, ten_100 = "1" + "0" * 200 + "/1", "1" + "0" * 100 + "/1"
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"pool": {"x": ten_200, "y": ten_100},
+                                "prices": {"p_x": ten_200, "p_y": 1e300},
+                                "events": [{"type": "snapshot", "t": 0}]}), encoding="utf-8")
+    with pytest.raises(ScriptError) as err:
+        run_scenario(load_script(path))
+    assert str(err.value) == ("event 0: pool value p_x * x + p_y * y must be a normal float, "
+                              "got inf")
+    done = subprocess.run([sys.executable, "-m", "cpamm.cli", "run-scenario", str(path)],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {err.value}\n")
+    with pytest.raises(InputError):
+        pool_value(create_pool(Fraction(10**200), Fraction(10**100)), Fraction(10**200), 1e300)
 
 
 def test_a_float_price_move_beside_exact_reserves_past_float_range_is_rejected():
