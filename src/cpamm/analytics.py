@@ -32,8 +32,7 @@ from .curves import (
     _PRICE0,
     _check_growth,
     _check_prices,
-    _collected,
-    _compounded,
+    _evolution,
     _held,
     _il,
     _il_replay,
@@ -132,7 +131,8 @@ def hold_value_relative(scenario: PriceScenario) -> float:
 
 def relative_evolution_compounded(scenario: PriceScenario, growth: GrowthParams) -> float:
     """Pooled portfolio evolution when fees are reinjected into the reserves."""
-    return _compounded(scenario.delta_x, scenario.delta_y, growth.alpha * growth.t)
+    g = growth.alpha * growth.t
+    return _evolution(scenario.delta_x, scenario.delta_y, g, g)[1]
 
 
 def relative_evolution_collected(scenario: PriceScenario, growth: GrowthParams) -> float:
@@ -141,4 +141,5 @@ def relative_evolution_collected(scenario: PriceScenario, growth: GrowthParams) 
     The fee stream is worth its share of the held portfolio, so it scales
     with ``(delta_x + delta_y) / 2`` instead of suffering the loss.
     """
-    return _collected(scenario.delta_x, scenario.delta_y, growth.alpha * growth.t)
+    g = growth.alpha * growth.t
+    return _evolution(scenario.delta_x, scenario.delta_y, g, g)[2]

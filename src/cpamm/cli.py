@@ -112,17 +112,13 @@ def _cmd_il(args) -> list[str]:
 
 
 def _cmd_evolve(args) -> list[str]:
-    from .curves import _check_growth, _check_prices, _collected, _compounded, _held
+    from .curves import _check_growth, _check_prices, _evolution
 
-    dx, dy, growth = args.delta_x, args.delta_y, args.alpha * args.t
-    _check_prices(dx, dy)
-    _check_growth(args.alpha, args.t)
+    _check_prices(args.delta_x, args.delta_y)
+    growth = _check_growth(args.alpha, args.t)
+    held, compounded, collected = _evolution(args.delta_x, args.delta_y, growth, growth)
     return _pairs(
-        [
-            ("hold", _held(dx, dy)),
-            ("auto_compound", _compounded(dx, dy, growth)),
-            ("collect_separately", _collected(dx, dy, growth)),
-        ]
+        [("hold", held), ("auto_compound", compounded), ("collect_separately", collected)]
     )
 
 

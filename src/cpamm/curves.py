@@ -1,10 +1,10 @@
 """Plain-number engine of the analytics, the compounding model and the figures.
 
 Three layers wrap it: :mod:`cpamm.analytics` (``_il``, ``_held``,
-``_compounded``, ``_collected``, and ``_il_replay``, the numeric core of
-``il_brute_force``), :mod:`cpamm.compounding` (``_states``, the one place
-that picks how the ODE is solved, ``_rho`` and ``_roi_pair``) and
-:mod:`cpamm.figures` (``_FIGURES``, its row functions, ``_check_rows`` and
+``_evolution`` and ``_il_replay``, the numeric core of ``il_brute_force``),
+:mod:`cpamm.compounding` (``_states``, the one place that picks how the ODE
+is solved, ``_rho`` and ``_roi_pair``) and :mod:`cpamm.figures`
+(``_FIGURES``, its row functions, ``_points``, ``_check_rows`` and
 ``_figure_chunks``).  ``_check_prices``, ``_check_growth``, ``_roi_params``
 and ``_figure_spec`` are the checks of ``PriceScenario``, ``GrowthParams``,
 ``RoiParams`` and ``FigureSpec``, whose ``__post_init__`` calls them.
@@ -23,7 +23,6 @@ import math
 import sys
 from bisect import bisect_left
 from collections import deque
-from itertools import islice
 from types import SimpleNamespace
 
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
     float_geometric_mean,
     non_negative,
     positive,
+    shown,
     unit_interval,
 )
 
@@ -54,19 +54,30 @@ def _check_prices(delta_x, delta_y, p_x0=_PRICE0, p_y0=_PRICE0) -> None:
     positive(NonPositivePrice, "prices", p_x0, p_y0)
 
 
-def _check_growth(alpha, t) -> None:
-    """``GrowthParams``' check."""
+def _check_growth(alpha, t):
+    """``GrowthParams``' checks; returns the growth ``alpha * t``, which
+    must be in float range too: past it every evolution would be inf."""
     non_negative(NonPositiveInput, "growth rate and time", alpha, t)
+    growth = alpha * t
+    non_negative(NonPositiveInput, "fee growth alpha * t", growth)
+    return growth
 
 
 def _il(dx: float, dy: float) -> tuple:
     """``(v_pooled, v_held, relative_loss)`` for price changes ``dx`` and ``dy``."""
     # Normalized to an initial portfolio value of 1, half of it in each token.
-    v_held = _held(dx, dy)
-    # At most 0 by AM-GM; rounding the sum down can leave one ulp above it.
-    loss = min(float_geometric_mean(dx, dy) / v_held - 1, 0.0)
     # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
     v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx))
+    v_held = held = _held(dx, dy)
+    # The loss depends only on dy / dx.  A subnormal delta would lose bits in
+    # the sum and the root, so both are first scaled by one power of two,
+    # which is exact, as float_geometric_mean scales its factors.
+    if dx < _FLOAT_MIN or dy < _FLOAT_MIN:
+        shift = -math.frexp(max(dx, dy))[1]
+        dx, dy = math.ldexp(dx, shift), math.ldexp(dy, shift)
+        held = _held(dx, dy)
+    # At most 0 by AM-GM; rounding the sum down can leave one ulp above it.
+    loss = min(float_geometric_mean(dx, dy) / held - 1, 0.0)
     return v_pooled, v_held, loss
 
 
@@ -93,14 +104,13 @@ def _held(dx: float, dy: float) -> float:
     return total / 2 if total <= _FLOAT_MAX else dx / 2 + dy / 2
 
 
-def _compounded(dx: float, dy: float, growth: float) -> float:
-    """Compounded evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
-    return float_geometric_mean(dx, dy) * (1 + growth)
-
-
-def _collected(dx: float, dy: float, growth: float) -> float:
-    """Collected evolution at price changes ``dx``, ``dy`` and ``alpha * t``."""
-    return float_geometric_mean(dx, dy) + growth * _held(dx, dy)
+def _evolution(dx: float, dy: float, growth_c: float, growth_nc: float) -> tuple:
+    """``(held, compounded, collected)`` at price changes ``dx`` and ``dy``:
+    the pooled value ``sqrt(dx dy)`` grows by ``growth_c`` when its fees are
+    compounded, and earns ``growth_nc`` of the held value when they are
+    collected; each growth is an ``alpha * t``."""
+    held, pooled = _held(dx, dy), float_geometric_mean(dx, dy)
+    return held, pooled * (1 + growth_c), pooled + growth_nc * held
 
 
 # -- compounding ---------------------------------------------------------------
@@ -109,6 +119,7 @@ def _collected(dx: float, dy: float, growth: float) -> float:
 ROOT_REL_TOL = 1e-12
 _ROOT_MAX_ITER = 200
 _FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _LOG_MAX = 709.782712893384  # ln of the largest float
 #: Most RK4 steps one integration may take: a few seconds of work.
 MAX_RK4_STEPS = 10**6
@@ -163,12 +174,16 @@ def _closed_form(p: tuple, t: float) -> tuple:
     """``(L_c, u, F_nc)`` at ``t`` for the populations whose ODE is linear:
     the compounders take every fee, or ``L_c`` stays at ``L_c(0)``.  ``L_c``
     is by fee conservation: ``L_c(0) * u`` would overflow where ``alpha t``
-    does and ``alpha L0 t`` does not."""
+    does and ``alpha L0 t`` does not.  Each is a float, as every route's
+    is; an exact one past float range raises ``NonPositiveInput``."""
     frac, alpha, l_total0, _ = p
     fees = alpha * l_total0 * t
-    if frac == 1:
-        return frac * l_total0 + fees, 1 + alpha * t, 0.0
-    return frac * l_total0, 1.0, fees
+    try:
+        if frac == 1:
+            return float(frac * l_total0 + fees), float(1 + alpha * t), 0.0
+        return float(frac * l_total0), 1.0, float(fees)
+    except OverflowError as err:
+        raise NonPositiveInput(f"the closed form at t = {shown(t)} leaves float range") from err
 
 
 def _time_grid(horizon: float, step: float):
@@ -329,7 +344,7 @@ def _figure_spec(figure_id, domain_grid, alpha=_FIGURE_ALPHA, t=_FIGURE_T,
     if figure_id == "roi_comparison":
         non_negative(DomainError, "time axis ends", lo, hi)
     else:
-        # Rows move prices by 1 + p / 100 (_price_rows); an exact end past float range is inf.
+        # Rows move prices by 1 + p / 100; an exact end past float range is inf.
         lo, hi = (p if abs(p) <= sys.float_info.max else float("inf") for p in (lo, hi))
         positive(DomainError, "grid price factors 1 + p/100", 1 + lo / 100, 1 + hi / 100)
     rois = (spec.roi_compounding_pct, spec.roi_not_compounding_pct)
@@ -340,47 +355,43 @@ def _figure_spec(figure_id, domain_grid, alpha=_FIGURE_ALPHA, t=_FIGURE_T,
     return spec
 
 
-def _grid(spec, start: int = 0):
-    """The grid points from index ``start`` on, the last exactly ``hi`` and the largest."""
+def _points(spec, start: int, stop: int) -> list:
+    """The grid points from index ``start`` up to, not including, ``stop``,
+    as a list; the grid's last point is exactly ``hi``, and the largest."""
     lo, hi, count = spec.domain_grid
     step = (hi - lo) / (count - 1)
-    for i in range(start, count - 1):
-        yield lo + i * step
-    yield hi
+    return [lo + i * step if i < count - 1 else hi for i in range(start, min(stop, count))]
 
 
-def _price_rows(points):
-    """``(pct, delta_y)`` per grid point, ``delta_x`` being 1.
-
-    ``_figure_spec`` keeps both grid ends' price factors in (0, inf) and the
-    grid is monotone, so every ``delta_y`` is in range too.
-    """
-    return ((pct, 1.0 + pct / 100.0) for pct in map(float, points))
-
+# A price figure's row at ``pct`` moves the price of Y by ``delta_y = 1 +
+# pct / 100``, ``delta_x`` being 1: ``_figure_spec`` keeps both grid ends'
+# factors in (0, inf) and the grid is monotone, so every ``delta_y`` is in
+# range too.
 
 def _il_rows(spec, points):
     il = _il
-    return (f"{pct!r},{il(1.0, dy)[2] * 100.0!r}" for pct, dy in _price_rows(points))
+    return [f"{pct!r},{il(1.0, 1.0 + pct / 100.0)[2] * 100.0!r}" for pct in map(float, points)]
 
 
 def _portfolio_rows(spec, points):
     il = _il
-    return (
+    return [
         f"{pct!r},{v_held * 100.0!r},{v_pooled * 100.0!r}"
-        for pct, dy in _price_rows(points)
-        for v_pooled, v_held, _ in [il(1.0, dy)]
-    )
+        for pct in map(float, points)
+        for v_pooled, v_held, _ in [il(1.0, 1.0 + pct / 100.0)]
+    ]
 
 
 def _fee_model_rows(points, growth_c: float, growth_nc: float):
     """Held, compounded and collected lines; ``growth_c`` and ``growth_nc``
     are the ``alpha * t`` of the last two curves."""
-    held, compounded, collected = _held, _compounded, _collected
-    return (
-        f"{pct!r},{held(1.0, dy) * 100.0!r},{compounded(1.0, dy, growth_c) * 100.0!r},"
-        f"{collected(1.0, dy, growth_nc) * 100.0!r}"
-        for pct, dy in _price_rows(points)
-    )
+    evolution = _evolution
+    return [
+        f"{pct!r},{held * 100.0!r},{compounded * 100.0!r},{collected * 100.0!r}"
+        for pct in map(float, points)
+        for held, compounded, collected in [
+            evolution(1.0, 1.0 + pct / 100.0, growth_c, growth_nc)]
+    ]
 
 
 def _fee_model_comparison_rows(spec, points):
@@ -392,11 +403,11 @@ def _roi_rows(spec, points):
     p = frac, alpha, l_total0, _ = _roi_params(
         spec.frac_compounding, spec.alpha, spec.domain_grid[1])
     l_nc, rho = (1 - frac) * l_total0, _rho
-    return (
+    return [
         f"{float(t)!r},{(rho_c - 1.0) * 100.0!r},{(rho_nc - 1.0) * 100.0!r}"
         for t, _, u, fees_nc in _states(p, points)
         for rho_c, rho_nc in [rho(frac, alpha, l_nc, t, u, fees_nc)]
-    )
+    ]
 
 
 def _corrected_rows(spec, points):
@@ -406,7 +417,8 @@ def _corrected_rows(spec, points):
 
 
 #: Each figure id with its stock grid, its header and its row function,
-#: which renders the given grid points as CSV lines, in display order.
+#: which renders a list of grid points as a list of CSV lines, in display
+#: order.
 _FIGURES = {
     "il_one_coin": ((-99.0, 200.0, 300), "price_change_pct,il_pct", _il_rows),
     "portfolio_one_coin": (
@@ -457,9 +469,9 @@ def _check_rows(spec, rows) -> None:
     first failing row's chunk that raises its own error comes first.
     """
     def probe(i: int):
-        x = next(_grid(spec, i))
+        x = _points(spec, i, i + 1)[0]
         try:
-            line = next(rows(spec, (x,)))
+            line = rows(spec, [x])[0]
         except InputError as err:
             return 2, err
         except ArithmeticError:
@@ -486,9 +498,9 @@ def _figure_chunks(spec):
     _, header, rows = _FIGURES[spec.figure_id]
     _check_rows(spec, rows)
     yield header + "\n"
-    lines = rows(spec, _grid(spec))
     try:
-        while block := list(islice(lines, _CHUNK_LINES)):
+        for start in range(0, spec.domain_grid[2], _CHUNK_LINES):
+            block = rows(spec, _points(spec, start, start + _CHUNK_LINES))
             block.append("")
             chunk = "\n".join(block)
             if "n" in chunk:  # of all float reprs only "inf" and "nan" hold an "n"

@@ -3,8 +3,8 @@
 Each figure is a table with one header row and one row per grid point, fed
 by the same analytics and simulation code the rest of the package uses.
 Output is plain CSV so plotting stays external.  Each figure's row function
-renders grid points into CSV lines as it computes them, every number by
-``repr``, so repeated runs are bit-identical.  A figure is checked before
+renders a chunk's list of grid points into a list of CSV lines, every number
+by ``repr``, so repeated runs are bit-identical.  A figure is checked before
 its first byte and then streamed: its last row bounds every other, and only
 when that row fails does a bisection find the first row that does.
 
@@ -48,7 +48,7 @@ from .curves import (  # MAX_FIGURE_ROWS: public as figures.MAX_FIGURE_ROWS
     _ROI_NOT_COMPOUNDING_PCT,
     _figure_chunks,
     _figure_spec,
-    _grid,
+    _points,
 )
 
 
@@ -70,7 +70,7 @@ class FigureSpec:
             object.__setattr__(self, name, value)
 
     def grid_points(self) -> List[float]:
-        return list(_grid(self))
+        return _points(self, 0, self.domain_grid[2])
 
 
 def default_figure_spec(figure_id: str, **overrides) -> FigureSpec:

@@ -303,7 +303,10 @@ def _deposit(x, y, total, owned, dx, dy) -> tuple:
     ``RATE_MATCH_TOL`` relative, and the deposit mints ``total * dx / x``."""
     positive(NonPositiveAmount, "deposit amounts", dx, dy)
     growth_x, growth_y = dx / x, dy / y
-    minted = total * growth_x
+    try:
+        minted = total * growth_x
+    except OverflowError:  # an exact growth past float range meets a float total
+        minted = _INF  # what the float product gives
     new_x, new_y, new_total = x + dx, y + dy, total + minted
     # A result past the largest float is rejected (a float one is inf).
     # Checked before the ratio, which would reject growths that overflow on

@@ -40,7 +40,7 @@ from operator import attrgetter
 from typing import List, Optional, Sequence, Union
 
 from .errors import CpammError, EmptyWindow, ScriptError, positive
-from .kernel import _geometric_mean, _half_over, _member, _value
+from .kernel import _geometric_mean, _member, _value
 from .pool import Direction, FeeModel, Numeric
 from .replay import _COLUMNS, _CSV_HEADER, _Replay, _csv_row, _read_script, _snapshots, _string
 
@@ -195,7 +195,9 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     relative liquidity growth over the window.  Collect-separately pools
     leave liquidity flat; there the ledger (plus anything already collected)
     is valued at final prices and converted to its liquidity equivalent
-    ``value / (2 sqrt(p_x p_y))`` before normalizing.
+    ``value / (2 sqrt(p_x p_y))`` before normalizing.  The fees are valued
+    at the prices divided by ``sqrt(p_x p_y)``, which alpha does not depend
+    on, so that tiny or huge prices keep the value in float range.
     """
     positive(EmptyWindow, "window", window)
     replay = _replay(script)
@@ -203,10 +205,10 @@ def measure_effective_alpha(script: ScenarioScript, window: float) -> float:
     if replay.compound:
         growth = _geometric_mean(replay.x, replay.y) / start_liquidity - 1
         return growth / window
+    price = _geometric_mean(replay.p_x, replay.p_y)
     fees_value = _value(replay.fees_x + replay.collected_x, replay.fees_y + replay.collected_y,
-                        replay.p_x, replay.p_y, ScriptError)
-    liquidity_equiv = _half_over(fees_value, _geometric_mean(replay.p_x, replay.p_y))
-    return liquidity_equiv / (start_liquidity * window)
+                        replay.p_x / price, replay.p_y / price, ScriptError)
+    return fees_value / 2 / (start_liquidity * window)
 
 
 class _Loaded:

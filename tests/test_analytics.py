@@ -1,6 +1,7 @@
 """Impermanent loss and fee-model evolution, closed form vs pool replay."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,39 @@ def test_loss_across_the_float_range(dx, dy, data):
     power = data.draw(st.integers(low, high))
     scaled = PriceScenario(math.ldexp(dx, power), math.ldexp(dy, power))
     assert impermanent_loss(scaled).relative_loss == loss
+
+
+def _exact_shifts(x):
+    """The least and the greatest ``k`` for which ``x * 2**k`` is a float,
+    exactly: its lowest and highest set bits stay in float range."""
+    num, den = x.as_integer_ratio()
+    lowest = (num & -num).bit_length() - den.bit_length()
+    return -1074 - lowest, 1024 - math.frexp(x)[1]
+
+
+#: Positive floats of every magnitude, subnormal ones as often as the rest.
+any_deltas = st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                       st.floats(min_value=5e-324, max_value=1e-300))
+
+
+@given(dx=any_deltas, dy=any_deltas, data=st.data())
+@settings(max_examples=300)
+def test_scaling_both_deltas_by_a_power_of_two_leaves_the_loss(dx, dy, data):
+    # The loss depends only on dy / dx, which an exact scaling keeps, subnormal
+    # deltas included.
+    (low_x, high_x), (low_y, high_y) = _exact_shifts(dx), _exact_shifts(dy)
+    power = data.draw(st.integers(max(low_x, low_y), min(high_x, high_y)))
+    scaled = PriceScenario(math.ldexp(dx, power), math.ldexp(dy, power))
+    loss = impermanent_loss(PriceScenario(dx, dy)).relative_loss
+    assert impermanent_loss(scaled).relative_loss == loss
+
+
+def test_the_loss_at_subnormal_deltas_is_the_loss_at_their_ratio():
+    # 5e-324 and 1e-323 are 2**-1074 and 2**-1073: the ratio 2.  The loss
+    # was -0.5, from a sum and a root that had lost their bits.
+    subnormal = impermanent_loss(PriceScenario(5e-324, 1e-323))
+    assert subnormal.relative_loss == impermanent_loss(PriceScenario(1.0, 2.0)).relative_loss
+    assert subnormal.relative_loss == -0.05719095841793653
 
 
 @given(dx=deltas, dy=deltas)

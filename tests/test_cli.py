@@ -682,6 +682,22 @@ def test_non_finite_evolve_result_exits_1(capsys):
     assert "auto_compound = inf leaves float range" in err
 
 
+def test_evolve_rejects_a_growth_past_float_range(capsys):
+    # alpha * t = 1e310: every evolution was inf, and auto_compound was named.
+    code, out, err = run_cli(capsys, "evolve", "--alpha", "1e300", "--t", "1e10")
+    assert_rejected(code, out, err)
+    assert err == "error: fee growth alpha * t must be finite and >= 0, got inf\n"
+
+
+def test_il_at_subnormal_deltas_reports_the_loss_of_their_ratio(capsys):
+    # The loss depends only on dy / dx = 2; it was -0.5.
+    code, out, _ = run_cli(capsys, "il", "--delta-x", "5e-324", "--delta-y", "1e-323")
+    assert code == 0
+    assert parse_pairs(out)["loss"] == "-0.05719095841793653"
+    assert parse_pairs(out)["loss"] == parse_pairs(
+        run_cli(capsys, "il", "--delta-x", "1", "--delta-y", "2")[1])["loss"]
+
+
 def test_roi_whose_root_ratio_overflows_exits_1(capsys):
     code, out, err = run_cli(capsys, "roi", "--frac", "1e-300", "--alpha", "1e300", "--t", "1e8")
     assert_rejected(code, out, err)
@@ -737,10 +753,11 @@ def test_a_row_that_fails_after_the_checks_is_an_internal_error(capsys, tmp_path
     # A row past the first chunk turns inf, which the last row cannot bound:
     # the stream's own scan stops it before it is printed, exit 3.
     grid, header, rows = curves._FIGURES["il_one_coin"]
+    spec = figures.default_figure_spec("il_one_coin", domain_grid=(*grid[:2], 3000))
+    bad = spec.grid_points()[1500]
 
     def rows_with_an_inf(spec, points):
-        for i, line in enumerate(rows(spec, points)):
-            yield "1.0,inf" if i == 1500 else line
+        return ["1.0,inf" if x == bad else line for x, line in zip(points, rows(spec, points))]
 
     monkeypatch.setitem(curves._FIGURES, "il_one_coin", (grid, header, rows_with_an_inf))
     argv = ["emit-figure", "--figure", "il_one_coin", "--count", "3000"]

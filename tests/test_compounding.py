@@ -4,6 +4,7 @@ import decimal
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,6 +220,34 @@ def test_everyone_compounding_keeps_a_finite_liquidity_where_alpha_t_overflows()
     samples = integrate_lc(params).samples
     assert samples[-1].l_c == 1e10
     assert [s.l_c for s in samples] == [1e-300 + 1e300 * 1e-300 * s.t for s in samples]
+
+
+@pytest.mark.parametrize("frac, alpha, horizon, l_total0, step", [
+    (1, 2, 1, 3, Fraction(1, 2)), (0, 2, 1, 3, 1), (Fraction(1, 2), 0, 1, 3, 1),
+    (1, Fraction(3, 4), Fraction(7, 2), 5, Fraction(1, 4)), (0, 0, 0, Fraction(1, 7), 1),
+])
+def test_the_closed_form_of_exact_inputs_is_the_float_inputs_one(frac, alpha, horizon, l_total0,
+                                                                   step):
+    # Exact inputs gave ints and fractions: l_c=9 and rho_c=3 for the first
+    # case, rho_nc = Fraction(1) for the last.  Each result here is exactly
+    # a float, so the float inputs give the same.
+    exact = RoiParams(frac, alpha, horizon, l_total0, step)
+    floats = RoiParams(*map(float, (frac, alpha, horizon, l_total0, step)))
+    final = integrate_lc(exact).final
+    assert {type(v) for v in (final.l_c, final.rho_c, final.rho_nc, final.fees_nc)} == {float}
+    assert final == replace(integrate_lc(floats).final, t=final.t)
+    assert roi_pair(exact, horizon) == roi_pair(floats, float(horizon))
+    if frac:
+        solved = lc_implicit_solve(exact, horizon)
+        assert type(solved) is float and solved == lc_implicit_solve(floats, float(horizon))
+
+
+def test_the_closed_form_of_exact_inputs_is_rounded_once():
+    # L_c(0) + alpha L0 t = 5 + 35/6, rounded to the nearest float; the same
+    # sum on floats rounds at each step and lands one ulp below it.
+    params = RoiParams(1, Fraction(1, 3), Fraction(7, 2), 5)
+    assert lc_implicit_solve(params, params.horizon) == float(5 + Fraction(35, 6))
+    assert integrate_lc(params).final.l_c == float(5 + Fraction(35, 6))
 
 
 @pytest.mark.parametrize("frac", [1e-3, 0.5, 1.0])

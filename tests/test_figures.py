@@ -3,7 +3,6 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -380,9 +379,8 @@ def _scanned_whole(spec):
     points = spec.grid_points()
     text = [header + "\n"]
     try:
-        lines = rows(spec, points)
         for start in range(0, len(points), _CHUNK_LINES):
-            block = list(islice(lines, _CHUNK_LINES))
+            block = rows(spec, points[start:start + _CHUNK_LINES])
             for offset, line in enumerate(block):
                 if "n" in line:
                     x = points[start + offset]
@@ -477,9 +475,9 @@ def _counting_rows(monkeypatch, figure_id):
     rendered = []
 
     def counted(spec, points):
-        for line in rows(spec, points):
-            rendered.append(line)
-            yield line
+        lines = rows(spec, points)
+        rendered.extend(lines)
+        return lines
 
     monkeypatch.setitem(figures._FIGURES, figure_id, (grid, header, counted))
     return rendered
@@ -510,4 +508,4 @@ def test_a_whole_figure_renders_its_last_row_once_more(monkeypatch, figure_id):
 )
 def test_the_grid_ends_at_its_largest_point(ends, count):
     spec = SimpleNamespace(domain_grid=(*ends, count))
-    assert max(figures._grid(spec)) == ends[1]
+    assert max(figures._points(spec, 0, count)) == ends[1]

@@ -388,6 +388,19 @@ def test_effective_alpha_at_extreme_prices(price):
     assert measure_effective_alpha(script(price), window=1.0) == pytest.approx(at_one, rel=1e-12)
 
 
+@pytest.mark.parametrize("price", [1e-310, 1e-200, 1e308])
+def test_effective_alpha_with_fees_on_both_sides_at_extreme_prices(price):
+    # Fees in both tokens: at prices 1e-310 their value is subnormal, which
+    # was rejected, though alpha does not depend on the price level.
+    def script(p):
+        trades = (Trade(0.5, Direction.Y_FOR_X, 1e-3), Trade(0.6, Direction.X_FOR_Y, 1e-3))
+        return ScenarioScript(100.0, 100.0, 0.003, FeeModel.COLLECT_SEPARATELY, p, p, trades)
+
+    at_one = measure_effective_alpha(script(1.0), window=1.0)
+    assert at_one == 2.9999999999999647e-08
+    assert measure_effective_alpha(script(price), window=1.0) == pytest.approx(at_one, rel=1e-12)
+
+
 def test_effective_alpha_past_the_exact_product():
     # The reserve product is past float range and no perfect square after the
     # trade, whose fee grows the liquidity by about 1e-300: this was inf.

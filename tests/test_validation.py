@@ -245,6 +245,18 @@ REJECTED = {
                   FeeModel.COLLECT_SEPARATELY), 1.0)),
     "roi_pair int alpha past float range": (
         NonPositiveInput, lambda: roi_pair(RoiParams(0.5, 10**400, 1.0), 1.0)),
+    # The float of the exact closed form L_c(0) + alpha L0 t is past float
+    # range; the int 2 * 10**308 was returned.
+    "lc_implicit_solve exact closed form past float range": (
+        NonPositiveInput, lambda: lc_implicit_solve(RoiParams(1, 1, 1, 10**308), 1)),
+    # The growth alpha * t is past float range, where every evolution is inf.
+    "GrowthParams growth past float range": (NonPositiveInput, lambda: GrowthParams(1e300, 1e10)),
+    # The exact growth 10**310 of a deposit met the float share total
+    # sqrt(3e-20), and ended in a raw OverflowError.
+    "add_liquidity exact growth past float range": (
+        InputError,
+        lambda: add_liquidity(create_pool(Fraction(1, 10**10), Fraction(3, 10**10)), "b",
+                              Fraction(10**300), Fraction(3 * 10**300))),
     "script exact timestamp past float range": (
         ScriptError, lambda: _replay(events=(Snapshot(HUGE, "s"),))),
     # An exact rate past float range, from reserves in it, met a float.
@@ -285,13 +297,9 @@ def test_out_of_domain_input_raises_its_typed_error(name):
 
 # -- inputs each in range whose result is not ---------------------------------
 #
-# The minimal repros of calls that ended in a raw exception.  Each must end
-# in an InputError; one that still does not is marked with the function its
-# exception leaves from, so that its mend turns the mark into a failure.
-
-def _unmended(call, where):
-    return pytest.param(call, marks=pytest.mark.xfail(strict=True, reason=where))
-
+# The minimal repros of calls that ended in a raw exception, or returned a
+# result past float range.  Each must end in an InputError or return finite
+# values.
 
 @pytest.mark.parametrize("call", [
     # p_y * y is past float range and meets the float 7.0.
@@ -330,8 +338,8 @@ def test_a_result_past_float_range_is_an_input_error(capsys, call):
         PriceScenario(sys.float_info.max, sys.float_info.max))),
     lambda: [relative_evolution_collected(
         PriceScenario(sys.float_info.max, 1e300), GrowthParams(1e-308, 5e-324))],
-    _unmended(lambda: [relative_evolution_compounded(
-        PriceScenario(2.0, 2.0), GrowthParams(1e300, 1e10))], "src/cpamm/curves.py:_compounded"),
+    # alpha * t is past float range, and so was the compounded value.
+    lambda: [relative_evolution_compounded(PriceScenario(2.0, 2.0), GrowthParams(1e300, 1e10))],
 ], ids=["impermanent_loss", "relative_evolution_collected", "relative_evolution_compounded"])
 def test_a_result_is_finite_or_an_input_error(call):
     # Each input is in range; what is returned must be too.
