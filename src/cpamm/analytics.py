@@ -87,10 +87,9 @@ class GrowthParams:
 def impermanent_loss(scenario: PriceScenario) -> IlReport:
     """Loss of a pooled portfolio relative to holding, from the closed form.
 
-    The report's values are rebuilt through the underlying pool mechanics
-    (the post-arbitrage X reserve is ``sqrt(delta_y/delta_x)`` times the
-    initial one) rather than from the loss formula, so the two stay mutually
-    checkable.
+    ``v_pooled`` is the root ``sqrt(delta_x delta_y)`` that the loss divides
+    by ``v_held``; :func:`il_brute_force` is the second route, through the
+    pool's own mechanics.
     """
     return IlReport(*_il(scenario.delta_x, scenario.delta_y))
 

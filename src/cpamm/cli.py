@@ -321,11 +321,13 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     Well formed: a command, then only its exact flags, written ``--flag
     value`` or ``--flag=value`` (a ``bool`` one alone), and ``run-scenario``'s
     script once.  A value after a space that starts with ``-`` must be a
-    number argparse reads as a value (``_negative_number``), and none may be
-    ``--``.  Every value must pass its reader and choices, every required
-    flag must be given, and a flag given twice keeps its last value.  Help,
-    an abbreviation, an unknown flag, a bad value or a missing flag is left
-    to argparse, which writes its usage error as it always has.
+    number argparse reads as a value (``_negative_number``), so never
+    ``--``.  A value after ``=`` is read as written, ``--`` too, where
+    argparse up to Python 3.12 would read an empty list.  Every value must
+    pass its reader and choices, every required flag must be given, and a
+    flag given twice keeps its last value.  Help, an abbreviation, an
+    unknown flag, a bad value or a missing flag is left to argparse, which
+    writes its usage error as it always has.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -355,8 +357,6 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
                 value = next(rest, None)
                 if value is None or value.startswith("-") and not _negative_number(value):
                     return None
-            if value == "--":
-                return None
         else:  # the positional argument, given once
             flag, value = positional, arg
             if flag not in missing:

@@ -49,9 +49,13 @@ _PRICE0 = 1.0
 
 
 def _check_prices(delta_x, delta_y, p_x0=_PRICE0, p_y0=_PRICE0) -> None:
-    """``PriceScenario``'s checks, on its fields and their defaults."""
+    """``PriceScenario``'s checks, on its fields and their defaults.  The
+    engine takes each as a float, so an exact one whose float is 0 is
+    rejected as 0 is."""
     positive(NonPositiveDelta, "price changes", delta_x, delta_y)
     positive(NonPositivePrice, "prices", p_x0, p_y0)
+    positive(NonPositiveDelta, "price changes as floats", float(delta_x), float(delta_y))
+    positive(NonPositivePrice, "prices as floats", float(p_x0), float(p_y0))
 
 
 def _check_growth(alpha, t):
@@ -66,19 +70,16 @@ def _check_growth(alpha, t):
 def _il(dx: float, dy: float) -> tuple:
     """``(v_pooled, v_held, relative_loss)`` for price changes ``dx`` and ``dy``."""
     # Normalized to an initial portfolio value of 1, half of it in each token.
-    # sqrt(dy) / sqrt(dx), not sqrt(dy / dx): the ratio may leave float range.
-    v_pooled = dx * (math.sqrt(dy) / math.sqrt(dx))
-    v_held = held = _held(dx, dy)
+    v_pooled, v_held = pooled, held = float_geometric_mean(dx, dy), _held(dx, dy)
     # The loss depends only on dy / dx.  A subnormal delta would lose bits in
     # the sum and the root, so both are first scaled by one power of two,
     # which is exact, as float_geometric_mean scales its factors.
     if dx < _FLOAT_MIN or dy < _FLOAT_MIN:
         shift = -math.frexp(max(dx, dy))[1]
         dx, dy = math.ldexp(dx, shift), math.ldexp(dy, shift)
-        held = _held(dx, dy)
+        pooled, held = float_geometric_mean(dx, dy), _held(dx, dy)
     # At most 0 by AM-GM; rounding the sum down can leave one ulp above it.
-    loss = min(float_geometric_mean(dx, dy) / held - 1, 0.0)
-    return v_pooled, v_held, loss
+    return v_pooled, v_held, min(pooled / held - 1, 0.0)
 
 
 def _il_replay(x, y, delta_x, delta_y, p_x0=_PRICE0, p_y0=_PRICE0) -> tuple:
@@ -90,6 +91,7 @@ def _il_replay(x, y, delta_x, delta_y, p_x0=_PRICE0, p_y0=_PRICE0) -> tuple:
 
     _require_rate(RateMismatch, x, y, p_y0 / p_x0)
     p_x1, p_y1 = delta_x * p_x0, delta_y * p_y0
+    positive(NonPositivePrice, "prices after the move", p_x1, p_y1)
     new_x, new_y = _arbitrage(x, y, p_y1 / p_x1)
     v0 = _value(x, y, p_x0, p_y0)
     v_pooled = _value(new_x, new_y, p_x1, p_y1) / v0
@@ -135,6 +137,7 @@ def _roi_params(frac_compounding, alpha, horizon, l_total0=_L_TOTAL0, step=_STEP
     non_negative(NonPositiveInput, "growth rate and horizon", alpha, horizon)
     positive(NonPositiveInput, "initial liquidity", l_total0)
     positive(InvalidStep, "integration step", step)
+    positive(InvalidStep, "integration step as a float", float(step))
     # The root lies in [L_c(0), L_c(0) + alpha L0 t]: both must be positive
     # floats, and every solver scales the fee rate alpha L0 by a time.
     rate = alpha * l_total0
@@ -144,8 +147,9 @@ def _roi_params(frac_compounding, alpha, horizon, l_total0=_L_TOTAL0, step=_STEP
         accrued = math.inf
     non_negative(NonPositiveInput, "fees accrued alpha * L0 * horizon", accrued)
     non_negative(NonPositiveInput, "fee rate alpha * L0", rate)
-    if frac_compounding > 0:
-        positive(NonPositiveInput, "compounding liquidity frac * L0", frac_compounding * l_total0)
+    if frac_compounding > 0:  # as a float: an exact one may be 0 as a float
+        l_c0 = float(frac_compounding * l_total0)
+        positive(NonPositiveInput, "compounding liquidity frac * L0", l_c0)
     return frac_compounding, alpha, l_total0, step
 
 
@@ -163,7 +167,7 @@ def _rho(frac: float, alpha: float, l_nc: float, t: float, u: float, fees_nc: fl
         raise NonPositiveInput(f"exp(alpha * t) overflows at alpha * t = {growth}") from err
     if frac == 1:
         rho_nc = 1 + math.log(1 + growth)
-    elif l_nc == 0:
+    elif not float(l_nc):  # an exact one may be 0 as a float too
         raise NonPositiveInput("holdout liquidity underflows to 0")
     else:
         rho_nc = 1 + fees_nc / l_nc
@@ -231,6 +235,14 @@ def _rk4(rate: float, l_c0: float, l_nc: float, times):
         prev = t
 
 
+def _grown(l_c0: float, v: float) -> float:
+    """``L_c(0) (e^v - 1)``, the compounders' growth, finite where ``e^v`` is not."""
+    try:
+        return l_c0 * math.expm1(v)
+    except OverflowError:  # e^v leaves float range, L_c need not
+        return math.exp(min(math.log(l_c0) + v, _LOG_MAX)) - l_c0
+
+
 def _root(l_c0: float, l_nc: float, target: float) -> tuple:
     """``(L_c, v)`` for ``v = ln(L_c / L_c(0))`` solving ``h(v) = L_c(0) (e^v - 1)
     + L_nc v - target = 0`` by Newton's method (see
@@ -240,18 +252,33 @@ def _root(l_c0: float, l_nc: float, target: float) -> tuple:
     reaches the target: from there the iterates fall onto the root.  With no
     fees accrued the root is ``v = 0`` itself, which Newton's method cannot
     reach where ``L_c(0) / 2 + L_nc / 2`` underflows to 0.
+
+    ``h`` is homogeneous in ``(L_c(0), L_nc, target)``: scaling all three by
+    one power of two, which is exact, leaves ``v``.  Where the target or
+    ``L_c(0) / 2 + L_nc / 2`` is below the normal range, or the target above
+    a quarter of the largest float, ``v`` is solved on the three scaled so
+    that the largest is about ``2**1020``: then no sum or product passes the
+    largest float, and none that need not be is subnormal.  They are never
+    scaled down so far that a normal ``L_c(0)`` loses a bit.
     """
     if not target:
         return l_c0, 0.0
+    if _FLOAT_MIN <= 0.5 * l_c0 + 0.5 * l_nc and _FLOAT_MIN <= target <= _FLOAT_MAX / 4:
+        return _newton(l_c0, l_nc, target)
+    top, low = math.frexp(max(l_c0, l_nc, target))[1], math.frexp(l_c0)[1]
+    shift = max(1020 - top, min(0, -1021 - low))
+    v = _newton(*(math.ldexp(value, shift) for value in (l_c0, l_nc, target)))[1]
+    return l_c0 + _grown(l_c0, v), v
+
+
+def _newton(l_c0: float, l_nc: float, target: float) -> tuple:
+    """``_root`` by Newton's method, on inputs whose sums and products stay in range."""
     ratio = target / l_c0
     v = math.log1p(ratio) if ratio < math.inf else math.log(target) - math.log(l_c0)
     v = min(v, target / l_nc) if l_nc else v
-    expm1, half_total, step = math.expm1, 0.5 * l_c0 + 0.5 * l_nc, math.inf
+    half_total, step = 0.5 * l_c0 + 0.5 * l_nc, math.inf
     for _ in range(_ROOT_MAX_ITER):
-        try:
-            grown = l_c0 * expm1(v)
-        except OverflowError:  # e^v leaves float range, L_c need not
-            grown = math.exp(min(math.log(l_c0) + v, _LOG_MAX)) - l_c0
+        grown = _grown(l_c0, v)
         if step <= ROOT_REL_TOL * v:
             return l_c0 + grown, v
         # h / h', both halved so that L_c + L_nc may pass the largest float.

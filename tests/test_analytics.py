@@ -1,5 +1,6 @@
 """Impermanent loss and fee-model evolution, closed form vs pool replay."""
 
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -134,12 +135,26 @@ def test_loss_depends_only_on_delta_ratio(d, scale):
     assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("dx, dy", [(5e-324, 1e6), (1e6, 5e-324), (1e-300, 1e300)])
+@pytest.mark.parametrize("dx, dy", [(5e-324, 1e6), (1e6, 5e-324), (1e-300, 1e300),
+                                    (1e-320, 1e300), (5e-324, 1e300)])
 def test_pooled_value_survives_a_price_ratio_beyond_float_range(dx, dy):
     # dy / dx overflows (or underflows); the pooled value sqrt(dx dy) does not.
+    # At (1e-320, 1e300) sqrt(dy) / sqrt(dx) overflowed, and v_pooled was inf.
     report = impermanent_loss(PriceScenario(dx, dy))
     assert report.v_pooled == pytest.approx(math.sqrt(dx * dy), rel=1e-12, abs=0)
     assert report.v_held == (dx + dy) / 2
+
+
+@given(dx=any_deltas, dy=any_deltas)
+@settings(max_examples=300)
+def test_the_pooled_value_is_within_an_ulp_of_its_root(dx, dy):
+    # v_pooled is the root the loss divides by v_held.  dx * (sqrt(dy) /
+    # sqrt(dx)) was more than two ulps off, and inf where the ratio overflowed.
+    with decimal.localcontext() as context:
+        context.prec = 50
+        exact = (decimal.Decimal(dx) * decimal.Decimal(dy)).sqrt()
+        got = impermanent_loss(PriceScenario(dx, dy)).v_pooled
+        assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal(math.ulp(float(exact)))
 
 
 def test_brute_force_hand_value():

@@ -698,6 +698,14 @@ def test_il_at_subnormal_deltas_reports_the_loss_of_their_ratio(capsys):
         run_cli(capsys, "il", "--delta-x", "1", "--delta-y", "2")[1])["loss"]
 
 
+def test_il_reports_a_pooled_value_whose_price_ratio_leaves_float_range(capsys):
+    # sqrt(dy) / sqrt(dx) overflowed, so v_pooled was inf and il exited 1.
+    code, out, err = run_cli(capsys, "il", "--delta-x", "1e-320", "--delta-y", "1e300")
+    assert (code, err) == (0, "")
+    assert parse_pairs(out) == {"v_pooled": "9.999944335758489e-11", "v_held": "5e+299",
+                                "loss": "-1.0", "loss_pct": "-100.0"}
+
+
 def test_roi_whose_root_ratio_overflows_exits_1(capsys):
     code, out, err = run_cli(capsys, "roi", "--frac", "1e-300", "--alpha", "1e300", "--t", "1e8")
     assert_rejected(code, out, err)
@@ -1044,11 +1052,21 @@ _QUOTE = ["quote", "--x", "100", "--y", "100", "--direction", "y2x"]
     (["run-scenario"], False),
     (["run-scenario", "-"], False),  # a script argparse reads
     (_FIGURE + ["--out="], True),
-    (_FIGURE + ["--out=--"], False),  # argparse up to 3.12 reads an empty list
     (_FIGURE + ["--out", "-"], False),  # argparse reads "-" as a value
 ])
 def test_the_flag_table_reads_each_edge_form_as_argparse_does(argv, read):
     assert_read_as_argparse_reads(argv, read)
+
+
+def test_out_after_an_equals_sign_names_a_file_even_if_it_is_two_dashes(capsys, tmp_path,
+                                                                        monkeypatch):
+    # argparse up to Python 3.12 reads "--out=--" as an empty list, which
+    # printed the figure; 3.13 writes a file named "--".  Each now writes it.
+    monkeypatch.chdir(tmp_path)
+    argv = _FIGURE + ["--count", "3"]
+    printed = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--out=--") == (0, "", "")
+    assert (tmp_path / "--").read_text(encoding="utf-8") == printed[1]
 
 
 @given(tail=st.text(alphabet="0123456789.\n\u0663\u00b2e- ", max_size=6))

@@ -257,9 +257,17 @@ def test_without_fees_the_compounders_keep_their_liquidity(frac):
     assert integrate_lc(params).final.l_c == params.l_c0
 
 
-def test_implicit_solver_with_an_underflowed_holdout_liquidity():
-    # frac < 1, yet L_nc = (1 - frac) * L0 rounds to 0: the root is L_c0 + alpha L0 t.
-    params = RoiParams(frac_compounding=1 - 1e-15, alpha=1e300, horizon=1.0, l_total0=1e-310)
+#: Populations whose L_nc = (1 - frac) * L0 rounds to 0 though frac < 1.  In
+#: the second, L_c(0) / 2 + L_nc / 2 was 0 too, and Newton's step divided by it.
+UNDERFLOWED_HOLDOUTS = [
+    RoiParams(frac_compounding=1 - 1e-15, alpha=1e300, horizon=1.0, l_total0=1e-310),
+    RoiParams(frac_compounding=0.99, alpha=1.0, horizon=5e-324, l_total0=5e-324),
+]
+
+
+@pytest.mark.parametrize("params", UNDERFLOWED_HOLDOUTS, ids=["1e-310", "5e-324"])
+def test_implicit_solver_with_an_underflowed_holdout_liquidity(params):
+    # The root is L_c0 + alpha L0 t.
     assert params.l_nc == 0
     expected = params.l_c0 + params.alpha * params.l_total0
     assert lc_implicit_solve(params, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
@@ -275,9 +283,12 @@ def test_implicit_solver_near_the_top_of_float_range():
     assert roi_pair(huge, 0.0) == (1.0, 1.0)
 
 
-def test_roi_with_an_underflowed_holdout_liquidity_is_rejected():
+@pytest.mark.parametrize("params", [
+    RoiParams(frac_compounding=1 - 1e-15, alpha=0.2, horizon=1.0, l_total0=1e-310),
+    UNDERFLOWED_HOLDOUTS[1],
+], ids=["1e-310", "5e-324"])
+def test_roi_with_an_underflowed_holdout_liquidity_is_rejected(params):
     # L_nc rounds to 0 though frac < 1, so the holdouts' ROI has no denominator.
-    params = RoiParams(frac_compounding=1 - 1e-15, alpha=0.2, horizon=1.0, l_total0=1e-310)
     with pytest.raises(NonPositiveInput, match="^holdout liquidity underflows to 0$"):
         roi_pair(params, 1.0)
 
@@ -436,6 +447,15 @@ def _decimal_roi(params, t):
 def test_implicit_roi_matches_a_50_digit_bisection(params):
     exact = _decimal_roi(params, 1.0)
     for got, want in zip(roi_pair(params, 1.0), exact):
+        assert abs(decimal.Decimal(got) - want) <= want * decimal.Decimal("1e-15")
+
+
+def test_the_root_is_scaled_where_its_fees_reach_the_largest_float():
+    # L_nc * v passed the largest float on the first Newton step, and the
+    # root ended in NoConvergence, an internal error.  h is homogeneous in
+    # (L_c(0), L_nc, target), so the root of the scaled equation is v.
+    params, t = RoiParams(1e-16, 1e-300, 5e-324, 1.7976931348623157e308), 1e300
+    for got, want in zip(roi_pair(params, t), _decimal_roi(params, t)):
         assert abs(decimal.Decimal(got) - want) <= want * decimal.Decimal("1e-15")
 
 

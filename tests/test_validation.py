@@ -40,8 +40,10 @@ from cpamm import (
     default_figure_spec,
     emit_figure,
     execute_swap,
+    hold_value_relative,
     il_brute_force,
     impermanent_loss,
+    integrate_lc,
     lc_implicit_solve,
     load_script,
     max_input_for_spread,
@@ -168,6 +170,29 @@ REJECTED = {
     "add_liquidity reserve overflow": (
         InputError, lambda: add_liquidity(create_pool(1e308, 1e-10), "b", 1e308, 1e-10)),
     "PriceScenario nan": (NonPositiveDelta, lambda: PriceScenario(NAN, 1)),
+    # Exact values whose floats are 0, which the engine takes as floats:
+    # the first two divided by 0, and the third returned the held value.
+    "impermanent_loss exact deltas below float range": (
+        NonPositiveDelta, lambda: impermanent_loss(PriceScenario(TINY, TINY))),
+    "il_brute_force exact delta below float range": (
+        NonPositiveDelta, lambda: il_brute_force(PriceScenario(TINY, 2.0), POOL)),
+    "PriceScenario exact price below float range": (
+        NonPositivePrice, lambda: hold_value_relative(PriceScenario(1.0, 1.0, p_y0=TINY))),
+    # ... and so did these.
+    "lc_implicit_solve exact compounding liquidity below float range": (
+        NonPositiveInput, lambda: lc_implicit_solve(RoiParams(TINY, Fraction(1, 5), 1, 1), 1)),
+    "roi_pair exact holdout liquidity below float range": (
+        NonPositiveInput, lambda: roi_pair(RoiParams(1 - TINY, Fraction(1, 5), 1, 1), 1)),
+    "integrate_lc exact holdout liquidity below float range": (
+        NonPositiveInput,
+        lambda: integrate_lc(RoiParams(1 - TINY, Fraction(1, 5), 1, 1, Fraction(1, 2)))),
+    # The step is not used by the root, which returned a result.
+    "RoiParams exact step below float range": (
+        InvalidStep, lambda: RoiParams(Fraction(1, 2), 1, 1, 1, TINY)),
+    # 5e-324 * 0.5 underflows to 0, and the moved rate divided by it.
+    "il_brute_force moved price underflow": (
+        NonPositivePrice,
+        lambda: il_brute_force(PriceScenario(5e-324, 0.5, 0.5, 0.5), create_pool(0.5, 0.5))),
     "PriceScenario inf price": (NonPositivePrice, lambda: PriceScenario(1, 1, p_x0=INF)),
     "GrowthParams nan": (NonPositiveInput, lambda: GrowthParams(NAN, 1)),
     "GrowthParams inf": (NonPositiveInput, lambda: GrowthParams(0.2, INF)),
