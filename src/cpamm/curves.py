@@ -207,7 +207,9 @@ def _time_grid(horizon: float, step: float):
 def _rk4(rate: float, l_c0: float, l_nc: float, times):
     """Yield the state at each of ``times``, a grid from 0, by RK4 on
     ``(u, F_nc)``: ``u`` rather than ``L_c``, which would keep only the few
-    bits of a subnormal ``L_c(0)``.  The ODE must not be linear."""
+    bits of a subnormal ``L_c(0)``.  The ODE must not be linear.  A state
+    whose ``L_c`` or ``F_nc`` leaves float range raises ``NonPositiveInput``
+    once the grid is done."""
     u = 1.0
     fees_nc = 0.0
     prev = next(times)
@@ -233,6 +235,9 @@ def _rk4(rate: float, l_c0: float, l_nc: float, times):
         fees_nc += sixth * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
         yield t, l_c0 * u, u, fees_nc
         prev = t
+    # Both grow with t, and a NaN stays NaN, so the last state bounds them all.
+    if not (l_c0 * u <= _FLOAT_MAX and fees_nc <= _FLOAT_MAX):
+        raise NonPositiveInput(f"RK4's state leaves float range by t = {shown(prev)}")
 
 
 def _grown(l_c0: float, v: float) -> float:
@@ -299,9 +304,11 @@ def _states(p: tuple, times, method: str = "implicit"):
     if method not in ("implicit", "rk4"):
         raise NonPositiveInput(f"unknown method {method!r}; use 'implicit' or 'rk4'")
     frac, alpha, l_total0, step = p
-    l_c0, l_nc = frac * l_total0, (1 - frac) * l_total0
-    rate = alpha * l_total0
     linear = frac in (0, 1) or alpha == 0
+    # The root and RK4 run on floats, each rounded once from its exact value
+    # where the parameters are exact; the closed forms take the exact p.
+    l_c0, l_nc = float(frac * l_total0), float((1 - frac) * l_total0)
+    rate = alpha * l_total0
     for t in times:
         fees = rate * t
         if not fees <= _FLOAT_MAX:  # a t past the horizon can overflow the fees
@@ -310,12 +317,12 @@ def _states(p: tuple, times, method: str = "implicit"):
             grid = _time_grid(t, step) if method == "rk4" else (t,)
             yield from ((s, *_closed_form(p, s)) for s in grid)
         elif method == "rk4":
-            yield from _rk4(rate, l_c0, l_nc, _time_grid(t, step))
+            yield from _rk4(float(rate), l_c0, l_nc, _time_grid(t, step))
         else:
             # u = e^v: L_c / L_c(0) would keep only the few bits of a subnormal
             # L_c(0).  Past float range it is inf, which every caller rejects
             # as it rejects an infinite ratio.
-            l_c, v = _root(l_c0, l_nc, fees)
+            l_c, v = _root(l_c0, l_nc, float(fees))
             yield t, l_c, math.exp(v) if v <= _LOG_MAX else math.inf, l_nc * v
 
 

@@ -20,13 +20,16 @@ from .pool import Direction
 
 @dataclass(frozen=True)
 class RationalPool:
-    """Reserves of the fee-free swap oracle, as exact fractions."""
+    """Reserves of the fee-free swap oracle, each held as the ``Fraction`` of
+    the number given, which is exact for an int or a float too."""
 
     reserve_x: Fraction
     reserve_y: Fraction
 
     def __post_init__(self) -> None:
         positive(NonPositiveReserve, "reserves", self.reserve_x, self.reserve_y)
+        object.__setattr__(self, "reserve_x", Fraction(self.reserve_x))
+        object.__setattr__(self, "reserve_y", Fraction(self.reserve_y))
 
     @property
     def product(self) -> Fraction:
@@ -36,8 +39,9 @@ class RationalPool:
 def oracle_swap(
     pool: RationalPool, direction: Direction, amount_in: Fraction
 ) -> Tuple[RationalPool, Fraction]:
-    """Fee-free uncapped swap, computed exactly."""
+    """Fee-free uncapped swap, computed exactly on any number's exact value."""
     positive(NonPositiveAmount, "trade amount", amount_in)
+    amount_in = Fraction(amount_in)
     if direction is Direction.Y_FOR_X:
         out = pool.reserve_x * amount_in / (pool.reserve_y + amount_in)
         new_pool = RationalPool(pool.reserve_x - out, pool.reserve_y + amount_in)

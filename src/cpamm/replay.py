@@ -45,6 +45,7 @@ from operator import is_not
 from .errors import CpammError, DomainError, ScriptError, non_negative, number, positive
 from .kernel import (
     _FLOAT_MAX,
+    _INF,
     Direction,
     FeeModel,
     _arbitrage,
@@ -61,6 +62,17 @@ _COLUMNS = ("label", "t", "reserve_x", "reserve_y", "fees_x", "fees_y", "lp_valu
             "lp_value_held", "lambda_realized", "p_x", "p_y")
 
 
+def _market_rate(p_x, p_y):
+    """The market rate ``p_y / p_x`` of positive prices in float range, or
+    inf where it passes the largest float.  An exact ``p_x`` whose float is
+    0 beside a float ``p_y`` gives inf too, as their float quotient would."""
+    try:
+        rate = p_y / p_x
+    except ZeroDivisionError:
+        return _INF
+    return rate if rate <= _FLOAT_MAX else _INF
+
+
 class _Replay:
     """Mutable replay state shared by ``run-scenario``, run_scenario and the
     alpha probe.
@@ -68,16 +80,16 @@ class _Replay:
     ``header`` holds the opening values a script's header gives, the
     fields of ``scenario.ScenarioScript`` but ``events``, in order:
     ``(pool_x, pool_y, fee_rate, fee_model, p_x0, p_y0, provider)``.  The state is kept as
-    plain numbers: the opening reserves ``x0`` and ``y0`` and the provider's
-    ``shares``, the reserves ``x`` and ``y``, the side ledger ``fees_x`` and
-    ``fees_y``, the prices ``p_x`` and ``p_y`` and the totals
-    ``collected_x`` and ``collected_y``.  Trades, arbitrage legs and the
-    values of a snapshot run on the kernel: ``_swap``, ``_arbitrage`` and
-    ``_value``, the rule of ``pool.pool_value``, so a snapshot value outside
-    the normal float range raises ``ScriptError``.  Snapshots are tuples of
-    values in ``_COLUMNS`` order.
-    Scripts have one provider and no deposits, so the provider's shares are
-    the pool's.
+    plain numbers: the opening reserves ``x0`` and ``y0``, the reserves ``x``
+    and ``y``, the side ledger ``fees_x`` and ``fees_y``, the prices ``p_x``
+    and ``p_y`` and the totals ``collected_x`` and ``collected_y``.  Trades,
+    arbitrage legs and the values of a snapshot run on the kernel: ``_swap``,
+    ``_arbitrage`` and ``_value``, the rule of ``pool.pool_value``, so a
+    snapshot value outside the normal float range raises ``ScriptError``.
+    Snapshots are tuples of values in ``_COLUMNS`` order.
+    Scripts have one provider and no deposits, so the side ledger is the
+    provider's: a collection by that provider moves all of it, in the
+    ledger's own numbers, and a collection by any other name moves nothing.
 
     :meth:`run` reads records (see the module docstring) and calls each
     one's method with its two fields, so the dispatch is one call.
@@ -86,8 +98,8 @@ class _Replay:
     def __init__(self, header: tuple, snapshots=None):
         pool_x, pool_y, fee_rate, fee_model, p_x0, p_y0, provider = header
         positive(ScriptError, "initial prices", p_x0, p_y0)
-        fee_model, self.shares = _opening(pool_x, pool_y, fee_rate, fee_model)
-        _require_rate(ScriptError, pool_x, pool_y, p_y0 / p_x0)
+        fee_model = _opening(pool_x, pool_y, fee_rate, fee_model)[0]
+        _require_rate(ScriptError, pool_x, pool_y, _market_rate(p_x0, p_y0))
         self.x0 = self.x = pool_x
         self.y0 = self.y = pool_y
         self.provider = provider
@@ -122,25 +134,19 @@ class _Replay:
         # size of the pool's values; floats skip the check, as in _swap.
         if p_x.__class__ is not float or p_y.__class__ is not float:
             _bounded(p_x, p_y)
-        self.x, self.y = _arbitrage(self.x, self.y, p_y / p_x)
+        self.x, self.y = _arbitrage(self.x, self.y, _market_rate(p_x, p_y))
 
     def _collect(self, provider: str, _) -> None:
-        share = (self.shares if provider == self.provider else 0) / self.shares
-        take_x = self.fees_x * share
-        take_y = self.fees_y * share
-        self.collected_x = self.collected_x + take_x
-        self.collected_y = self.collected_y + take_y
-        self.fees_x = self.fees_x - take_x
-        self.fees_y = self.fees_y - take_y
+        if provider == self.provider:
+            self.collected_x = self.collected_x + self.fees_x
+            self.collected_y = self.collected_y + self.fees_y
+            self.fees_x = self.fees_y = 0
 
     def _snapshot(self, label: str, _) -> None:
-        self.snapshots.append(self.take_snapshot(label))
-
-    def take_snapshot(self, label: str) -> tuple:
         pooled = _value(self.x, self.y, self.p_x, self.p_y, ScriptError)
         held = _value(self.x0, self.y0, self.p_x, self.p_y, ScriptError)
-        return (label, self.t, self.x, self.y, self.fees_x, self.fees_y, pooled, held,
-                (pooled - held) / held, self.p_x, self.p_y)
+        self.snapshots.append((label, self.t, self.x, self.y, self.fees_x, self.fees_y, pooled,
+                               held, (pooled - held) / held, self.p_x, self.p_y))
 
     def run(self, records, first_index: int = 0) -> "_Replay":
         """Replay ``records``, the first of them event ``first_index``, from
@@ -162,7 +168,7 @@ class _Replay:
 
 def _snapshots(replay: _Replay):
     """A finished replay's snapshots, the final one appended."""
-    replay.snapshots.append(replay.take_snapshot("final"))
+    replay._snapshot("final", None)
     return replay.snapshots
 
 

@@ -66,7 +66,8 @@ class PriceMove:
 
 @dataclass(frozen=True, slots=True)
 class CollectFees:
-    """Withdraw the provider's share of the side ledger to their wallet."""
+    """Withdraw the whole side ledger if ``provider`` is the script's, who
+    owns every share; any other name withdraws nothing."""
 
     t: float
     provider: str

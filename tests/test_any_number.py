@@ -136,12 +136,6 @@ CALLS = {
         lambda dx, dy, p, pool: il_brute_force(PriceScenario(dx, dy, p, p), _pool(*pool))),
     "hold_value_relative": (
         st.tuples(numbers, numbers), lambda dx, dy: hold_value_relative(PriceScenario(dx, dy))),
-    "integrate_lc": (
-        "curves._rk4: u past float range makes every field nan",
-        (5e-324, 1000, 1, 1.0, 0.001)),
-    "lc_implicit_solve": (
-        "curves._newton: an exact ratio target / L_c(0) past float range meets math.log1p",
-        (Fraction(1, 10**307), 100, 1, 1, 1)),
     "relative_evolution_compounded": (
         st.tuples(numbers, numbers, numbers, numbers),
         lambda dx, dy, alpha, t: relative_evolution_compounded(
@@ -266,11 +260,8 @@ UNMENDED = {
         "pool.reserves_from_rate_liquidity: an exact rate whose root is 0 as a float",
         (Fraction(1, 41 * 10**322), 5e-324)),
     "integrate_lc": (
-        "curves._rk4: u past float range makes every field nan",
-        (5e-324, 1000, 1, 1.0, 0.001)),
-    "lc_implicit_solve": (
-        "curves._newton: an exact ratio target / L_c(0) past float range meets math.log1p",
-        (Fraction(1, 10**307), 100, 1, 1, 1)),
+        "curves._closed_form: rho_c = 1 + alpha * t past float range is returned as inf",
+        (1.0, 1e300, 1e10, 1e-300, 1e9)),
     "relative_evolution_compounded": (
         "curves._evolution: a pooled value past float range is returned as inf",
         (1.0, 4.0, 1.0, 1e308)),
@@ -284,20 +275,6 @@ UNMENDED = {
         "curves._il_replay: a value at the moved prices past float range is inf, and an "
         "exact moved price whose float is 0 meets a float",
         (FLOAT_MAX, FLOAT_MAX, 0.7969075657582435, (0.4375, None, 0, FeeModel.AUTO_COMPOUND))),
-    "oracle_swap": (
-        "rational.oracle_swap: an int past float range meets a float reserve",
-        (5e-324, 2**272, Direction.X_FOR_Y, 2**752)),
-    "oracle_split_sum": (
-        "rational.oracle_swap, as oracle_swap", (5e-324, 2**272, Direction.X_FOR_Y, [2**752])),
-    "run_scenario": (
-        "replay._Replay: an exact opening price whose float is 0 meets a float",
-        (0.5, 0.5, 0, FeeModel.AUTO_COMPOUND, Fraction(1, 10**400), 1.0, ())),
-    "snapshots_to_csv": (
-        "replay._Replay, as run_scenario",
-        (0.5, 0.5, 0, FeeModel.AUTO_COMPOUND, Fraction(1, 10**400), 1.0, ())),
-    "measure_effective_alpha": (
-        "replay._Replay, as run_scenario",
-        ((0.5, 0.5, 0, FeeModel.AUTO_COMPOUND, Fraction(1, 10**400), 1.0, ()), 1.0)),
 }
 
 

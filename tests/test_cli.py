@@ -718,6 +718,11 @@ def test_non_finite_roi_result_exits_1(capsys):
     assert "= inf leaves float range" in err
 
 
+def test_an_rk4_state_past_float_range_exits_1(capsys):
+    argv = ["roi", "--frac", "5e-324", "--alpha", "1000", "--t", "1", "--method", "rk4"]
+    assert run_cli(capsys, *argv) == (1, "", "error: RK4's state leaves float range by t = 1.0\n")
+
+
 def test_non_finite_figure_value_exits_1_and_writes_nothing(capsys, tmp_path):
     argv = ["emit-figure", "--figure", "fee_model_comparison", "--alpha", "1e308"]
     assert_rejected(*run_cli(capsys, *argv))
@@ -1312,6 +1317,31 @@ def test_run_scenario_quotes_labels_that_need_it(capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out, newline="")))
     assert [len(row) for row in rows] == [11] * 6
     assert [row[0] for row in rows[1:]] == labels + ["final"]
+
+
+#: An exact price whose float is 0.
+_TINY = "1/1" + "0" * 400
+
+
+# Beside a float price, the exact one's float divided by 0 in a traceback.
+@pytest.mark.parametrize("prices, events, message", [
+    ({"p_x": _TINY, "p_y": 1.0}, [], "pool rate 1.0 does not match market rate inf"),
+    ({"p_x": "1/1", "p_y": 1.0},
+     [{"type": "price_move", "t": 0, "delta_x": _TINY, "delta_y": 1}],
+     "event 0: target rate must be finite and positive, got inf"),
+], ids=["opening", "price move"])
+def test_a_market_rate_past_float_range_is_rejected(capsys, tmp_path, prices, events, message):
+    path = _write_script(tmp_path, events, prices=prices)
+    assert run_cli(capsys, "run-scenario", path) == (1, "", f"error: {message}\n")
+
+
+def test_an_exact_pool_at_exact_prices_below_float_range_replays(capsys, tmp_path):
+    big = "1" + "0" * 300 + "/1"
+    path = _write_script(tmp_path, [{"type": "snapshot", "t": 1, "label": "s"}],
+                         pool={"x": big, "y": big}, prices={"p_x": _TINY, "p_y": _TINY})
+    code, out, err = run_cli(capsys, "run-scenario", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "s,1.0,1e+300,1e+300,0.0,0.0,2e-100,2e-100,0.0,0.0,0.0"
 
 
 @pytest.mark.parametrize("events, fields, message", [

@@ -353,6 +353,21 @@ def test_tiny_compounding_population_root_matches_rk4(frac):
     assert via_root == pytest.approx(via_rk4, rel=1e-8)
 
 
+def test_the_root_of_exact_parameters_is_solved_on_their_floats():
+    # The exact ratio target / L_c(0) = 10**309 met math.log1p and overflowed.
+    exact = lc_implicit_solve(RoiParams(Fraction(1, 10**307), 100, 1, 1), 1)
+    assert exact == lc_implicit_solve(RoiParams(1e-307, 100.0, 1.0, 1.0), 1.0)
+    assert math.isfinite(exact)
+
+
+def test_an_rk4_state_past_float_range_is_rejected():
+    # u = L_c / L_c(0) passed the largest float, and every field was nan.
+    with pytest.raises(NonPositiveInput, match="RK4's state leaves float range by t = 1"):
+        integrate_lc(RoiParams(5e-324, 1000, 1))
+    with pytest.raises(NonPositiveInput, match="RK4's state leaves float range"):
+        roi_pair(RoiParams(5e-324, 1000, 1), 1, "rk4")
+
+
 def test_rk4_keeps_rho_c_for_a_subnormal_compounding_population():
     # L_c(0) = 1e-318 holds a few bits, so RK4 integrates in units of it.
     params = RoiParams(1e-318, 0.2, 1.0)

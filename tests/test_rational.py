@@ -23,6 +23,23 @@ fractions = st.fractions(
 )
 
 
+def test_float_inputs_give_exact_results():
+    # A float is an exact binary fraction; the oracle works on that value.
+    new_pool, out = oracle_swap(RationalPool(3.0, 7.0), Direction.Y_FOR_X, 2.0)
+    assert out == Fraction(2, 3) and isinstance(out, Fraction)
+    assert (new_pool.reserve_x, new_pool.reserve_y) == (Fraction(7, 3), Fraction(9))
+    assert RationalPool(0.1, 1).reserve_x == Fraction(0.1) != Fraction(1, 10)
+
+
+def test_any_positive_number_swaps_exactly():
+    # The int 2**752 met the float reserve 5e-324, whose int sum overflowed.
+    pool = RationalPool(5e-324, 2**272)
+    new_pool, out = oracle_swap(pool, Direction.X_FOR_Y, 2**752)
+    assert new_pool.product == pool.product
+    assert out == Fraction(2**272 * 2**752) / (Fraction(5e-324) + 2**752)
+    assert oracle_split_sum(pool, Direction.X_FOR_Y, [2**751, 2**751]) == out
+
+
 def test_hand_value():
     pool = RationalPool(Fraction(3), Fraction(7))
     new_pool, out = oracle_swap(pool, Direction.Y_FOR_X, Fraction(2))

@@ -143,6 +143,24 @@ def test_collect_fees_empties_ledger():
     assert final.fees_y == 0
 
 
+def test_a_collection_keeps_an_exact_ledger_exact():
+    # The liquidity sqrt(2 * 1) is irrational: its share ratio, 1.0, made
+    # the ledger a float at the first collection.
+    events = (
+        Trade(t=0.0, direction=Direction.Y_FOR_X, amount_in=Fraction(1, 10)),
+        CollectFees(t=1.0, provider="lp"),
+        Trade(t=2.0, direction=Direction.X_FOR_Y, amount_in=Fraction(1, 7)),
+        Trade(t=3.0, direction=Direction.X_FOR_Y, amount_in=Fraction(1, 9)),
+        CollectFees(t=4.0, provider="bob"),
+    )
+    script = ScenarioScript(Fraction(2), Fraction(1), Fraction(3, 1000),
+                            FeeModel.COLLECT_SEPARATELY, 1, 2, events)
+    final = run_scenario(script)[-1]
+    # lp took the first trade's Y fee; bob, who owns nothing, took nothing
+    # of the X fees, 3/1000 * (1/7 + 1/9).
+    assert (final.fees_x, final.fees_y) == (Fraction(2, 2625), 0)
+
+
 def test_max_spread_caps_scripted_trade():
     script = make_script(
         (Trade(t=0.0, direction=Direction.Y_FOR_X, amount_in=1e9, max_spread=0.75),)
@@ -614,11 +632,10 @@ def reference_replay(script):
                 p_x, p_y = p_x * event.delta_x, p_y * event.delta_y
                 pool = arbitrage_to_rate(pool, p_y / p_x)
             elif isinstance(event, CollectFees):
-                share = pool.share_ledger.get(event.provider, 0) / pool.total_shares
-                ledger = pool.side_ledger
-                take = ledger.fees_x * share, ledger.fees_y * share
-                ledger = SideLedger(ledger.fees_x - take[0], ledger.fees_y - take[1])
-                pool = dataclasses.replace(pool, side_ledger=ledger)
+                # The script's one provider owns every share, so it takes the
+                # whole ledger, and any other name nothing.
+                if event.provider in pool.share_ledger:
+                    pool = dataclasses.replace(pool, side_ledger=SideLedger(0, 0))
             else:
                 snapshots.append(snapshot(event.label))
         except CpammError as err:

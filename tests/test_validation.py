@@ -282,6 +282,25 @@ REJECTED = {
         InputError,
         lambda: add_liquidity(create_pool(Fraction(1, 10**10), Fraction(3, 10**10)), "b",
                               Fraction(10**300), Fraction(3 * 10**300))),
+    # An exact opening price whose float is 0 met a float price: the market
+    # rate p_y / p_x divided by 0.  Past float range it is inf.  (The
+    # example of snapshots_to_csv fails here, in run_scenario.)
+    "script exact opening price below float range beside a float": (
+        ScriptError,
+        lambda: run_scenario(ScenarioScript(0.5, 0.5, 0, FeeModel.AUTO_COMPOUND, TINY, 1.0))),
+    "measure_effective_alpha exact opening price below float range beside a float": (
+        ScriptError,
+        lambda: measure_effective_alpha(
+            ScenarioScript(0.5, 0.5, 0, FeeModel.AUTO_COMPOUND, TINY, 1.0), 1.0)),
+    # The exact rate 10**400 met the float tolerance in an OverflowError.
+    "script exact opening rate past float range": (
+        ScriptError,
+        lambda: run_scenario(ScenarioScript(Fraction(1), Fraction(1), 0, FeeModel.AUTO_COMPOUND,
+                                            Fraction(1, 10**200), Fraction(10**200)))),
+    "script exact moved price below float range beside a float": (
+        InvalidRate,
+        lambda: run_scenario(ScenarioScript(1.0, 1.0, 0, FeeModel.AUTO_COMPOUND, Fraction(1),
+                                            1.0, (PriceMove(0.0, TINY, 1),)))),
     "script exact timestamp past float range": (
         ScriptError, lambda: _replay(events=(Snapshot(HUGE, "s"),))),
     # An exact rate past float range, from reserves in it, met a float.
